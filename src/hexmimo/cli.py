@@ -24,10 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (InterferenceMode, NetworkConfig, config_from_dict,
-                     config_to_dict)
+from .config import (HEX_REUSE_FACTORS, InterferenceMode, NetworkConfig,
+                     config_from_dict, config_to_dict)
 from .errors import DomainError
-from .linklevel import measure_sinr
+from .linklevel import N_BATCHES, measure_sinr
 from .moments import MomentTable, build_table
 from .pilots import PilotPlan
 from .spectral import (Scheme, SinrInputs, asymptotic_sinr, kstar_asymptotic,
@@ -98,8 +98,14 @@ def _load_or_build_table(mode: InterferenceMode, manifest: RunManifest,
     expect_samples = manifest.moment_samples if mode is InterferenceMode.AVERAGE else 0
     expect_seed = table_seed if mode is InterferenceMode.AVERAGE else None
     if path.exists():
-        table = MomentTable.load(path)
-        if (table.mode is mode and table.kappa == template.pathloss_exponent
+        try:
+            table = MomentTable.load(path)
+        except (KeyError, TypeError, ValueError):
+            # unreadable or unrecognized file (JSONDecodeError and DomainError
+            # are ValueErrors): a cache miss, rebuilt below
+            table = None
+        if (table is not None and table.mode is mode
+                and table.kappa == template.pathloss_exponent
                 and table.n_samples == expect_samples and table.seed == expect_seed
                 and table.rel_tol == manifest.moment_rel_tol
                 and table.min_frac == template.min_ue_distance_frac):
@@ -334,14 +340,27 @@ def _manifest_from_args(args) -> RunManifest:
     )
 
 
+def _check_manifest(manifest: RunManifest) -> None:
+    """Reject run parameters that cannot be valid before any work starts."""
+    for mode in manifest.modes:
+        InterferenceMode(mode)
+    for scheme in manifest.schemes:
+        Scheme(scheme)
+    bad = [b for b in manifest.beta_set if b not in HEX_REUSE_FACTORS]
+    if bad:
+        raise DomainError(f"reuse factors {bad} not in {list(HEX_REUSE_FACTORS)}")
+    if manifest.moment_samples < 1:
+        raise DomainError(f"samples must be >= 1, got {manifest.moment_samples}")
+    if manifest.validation_realizations < N_BATCHES:
+        raise DomainError(f"realizations must be >= {N_BATCHES} (one per batch), "
+                          f"got {manifest.validation_realizations}")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         manifest = _manifest_from_args(args)
-        for mode in manifest.modes:
-            InterferenceMode(mode)
-        for scheme in manifest.schemes:
-            Scheme(scheme)
+        _check_manifest(manifest)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"hexmimo: config error: {exc}", file=sys.stderr)
         return 2

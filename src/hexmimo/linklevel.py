@@ -16,6 +16,18 @@ with all expectations taken over channels, noise and UE positions.  The
 data phase is not simulated symbol by symbol; the bound depends only on
 these moments, which are estimated directly.
 
+`measure_sinr` draws its channels and pilot noise in the span of those
+vectors rather than in C^N.  Every quantity it forms (pilot correlations,
+estimated book, its Gram matrix and solve, g^H h_u, ||g||^2) is an inner
+product among the U unscaled channels and the B noise columns, p = U + B
+i.i.d. CN(0, I_N) vectors.  Their joint law is that of the columns of the
+d x p upper-trapezoidal factor R of the QR decomposition of the N x p
+Gaussian matrix, d = min(N, p): independent |R_jj|^2 ~ Gamma(N - j + 1, 1)
+on the diagonal and CN(0, 1) above it (the complex Bartlett decomposition,
+Goodman 1963).  Drawing R is exact in distribution and costs O(p^2) numbers
+per realization instead of O(N p).  `generate` keeps the explicit N-dim
+draws and serves as the cross-check for that shortcut.
+
 Everything here is deliberately independent of the closed-form module: the
 two must agree only through the physics.
 """
@@ -35,6 +47,30 @@ from .pilots import PilotPlan
 from .spectral import Scheme
 
 _COND_LIMIT = 1e12
+N_BATCHES = 20   # batch means behind measure_sinr's standard error
+
+
+def _ill_conditioned(gram: np.ndarray) -> np.ndarray:
+    """Where a (stack of) Hermitian Gram matrices has condition number
+    lambda_max / lambda_min of at least _COND_LIMIT, or an undefined one
+    (zero or non-finite spectrum)."""
+    w = np.linalg.eigvalsh(gram)
+    return ~(w[..., -1] < _COND_LIMIT * w[..., 0])
+
+
+def _span_coords(rng: np.random.Generator, m: int, n: int, p: int) -> np.ndarray:
+    """(m, d, p) coordinates of p i.i.d. CN(0, I_n) vectors in an orthonormal
+    basis of their span, d = min(n, p): the upper-trapezoidal Bartlett factor,
+    sqrt(Gamma(n - j, 1)) on the 0-based diagonal j and CN(0, 1) above it."""
+    d = min(n, p)
+    coords = np.zeros((m, d, p), dtype=complex)
+    for j in range(d):  # strictly upper entries only, row by row
+        pairs = rng.standard_normal((m, p - j - 1, 2))
+        coords[:, j, j + 1:] = pairs.view(complex)[..., 0]
+    coords *= math.sqrt(0.5)
+    diag = np.arange(d)
+    coords[:, diag, diag] = np.sqrt(rng.standard_gamma(n - diag, size=(m, d)))
+    return coords
 
 
 def dft_pilot_matrix(pilot_len: int) -> np.ndarray:
@@ -228,7 +264,7 @@ def combine(realization: Realization, scheme: Scheme, user: int) -> np.ndarray:
     if scheme is Scheme.MRC:
         return book[:, i]
     gram = book.conj().T @ book
-    if np.linalg.cond(gram) > _COND_LIMIT:
+    if _ill_conditioned(gram):
         raise RankDeficient("estimated pilot book is numerically rank deficient")
     rhs = np.zeros(gram.shape[0])
     rhs[i] = 1.0
@@ -248,12 +284,14 @@ class MeasuredSinr:
 
 def measure_sinr(config: NetworkConfig, plan: PilotPlan, cells,
                  mode: InterferenceMode, scheme: Scheme, n_realizations: int,
-                 rng: np.random.Generator, n_batches: int = 20,
+                 rng: np.random.Generator, n_batches: int = N_BATCHES,
                  user: int = 1) -> MeasuredSinr:
     """Estimate the effective SINR of one own-cell user by simulation.
 
     Positions, channels and noise are redrawn every realization (outer
-    position averaging wrapping the channel/noise averaging).  The standard
+    position averaging wrapping the channel/noise averaging); channels and
+    noise are drawn as span coordinates (see the module docstring), so the
+    antenna axis of every array here has length min(N, U + B).  The standard
     error comes from batch means; `terms` decomposes the SINR denominator
     into coherent signal, estimation gap, intra-cell interference, inter-cell
     interference and noise.
@@ -289,8 +327,9 @@ def measure_sinr(config: NetworkConfig, plan: PilotPlan, cells,
     sizes = [n_realizations // n_batches] * n_batches
     for i in range(n_realizations % n_batches):
         sizes[i] += 1
+    dim = min(n, n_users_total + b)
     # cap per-draw array sizes; batches are accumulated over sub-chunks
-    max_chunk = max(1, (1 << 22) // max(1, n * n_users_total))
+    max_chunk = max(1, (1 << 22) // max(1, dim * n_users_total))
 
     s1_sums = np.zeros(n_batches, dtype=complex)
     pow_sums = np.zeros((n_batches, n_users_total))
@@ -303,11 +342,9 @@ def measure_sinr(config: NetworkConfig, plan: PilotPlan, cells,
             left -= n_chunk
             positions = _draw_positions(config, cells, mode, rng, n_chunk)
             d_ratio, _, _ = _distance_fields(config, centers, positions)
-            scale = np.sqrt(rho * d_ratio / 2.0)[:, None, :]
-            h_eff = scale * (rng.standard_normal((n_chunk, n, n_users_total))
-                             + 1j * rng.standard_normal((n_chunk, n, n_users_total)))
-            noise = math.sqrt(0.5) * (rng.standard_normal((n_chunk, n, b))
-                                      + 1j * rng.standard_normal((n_chunk, n, b)))
+            coords = _span_coords(rng, n_chunk, n, n_users_total + b)
+            h_eff = np.sqrt(rho * d_ratio)[:, None, :] * coords[..., :n_users_total]
+            noise = coords[..., n_users_total:]
             y_pilot = h_eff @ pilot_rows + noise
             if scheme is Scheme.MRC:
                 # raw pilot correlation: psi-free scale
@@ -316,7 +353,7 @@ def measure_sinr(config: NetworkConfig, plan: PilotPlan, cells,
                 psi = _psi(d_ratio, cols, b, inv_snr)
                 book = (y_pilot @ vmat) / psi[:, None, :]
                 gram = np.einsum("rnb,rnc->rbc", book.conj(), book)
-                if np.any(np.linalg.cond(gram) > _COND_LIMIT):
+                if np.any(_ill_conditioned(gram)):
                     raise RankDeficient(
                         "estimated pilot book is numerically rank deficient")
                 x = np.linalg.solve(gram, np.broadcast_to(rhs, (n_chunk, b))[..., None])

@@ -97,7 +97,8 @@ class MomentTable:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MomentTable":
-        if data.get("format") != _FORMAT or data.get("version") != _VERSION:
+        if (not isinstance(data, dict) or data.get("format") != _FORMAT
+                or data.get("version") != _VERSION):
             raise DomainError("not a recognized moment-table file")
         entries = {
             CellIndex(*rec["offset"]): MomentEntry(rec["mu1"], rec["mu2"],

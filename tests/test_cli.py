@@ -3,7 +3,11 @@ import math
 import subprocess
 import sys
 
+import pytest
+
 from hexmimo.cli import main
+from hexmimo.config import InterferenceMode
+from hexmimo.moments import MomentTable
 
 FAST_FLAGS = ["--n-min", "16", "--n-max", "64", "--n-points", "3",
               "--k-cap", "12", "--betas", "1,3", "--samples", "20000"]
@@ -169,3 +173,42 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [["--realizations", "5"],
+                                   ["--realizations", "0"],
+                                   ["--samples", "0"],
+                                   ["--betas", "1,2"]],
+                         ids=["realizations5", "realizations0", "samples0",
+                              "beta2"])
+def test_invalid_run_values_exit_before_any_work(tmp_path, capsys, flags):
+    cfg = small_config(tmp_path)
+    out = tmp_path / "out"
+    code = run_cli(["--config", cfg, "--out", out, "--modes", "avg",
+                    "--schemes", "mrc", "--validate", *FAST_FLAGS, *flags])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()  # no table built, no output written
+
+
+@pytest.mark.parametrize("corrupt", ["{", "[1]", "entries-missing"])
+def test_corrupt_moment_cache_is_rebuilt(tmp_path, corrupt):
+    cfg = small_config(tmp_path)
+    out = tmp_path / "out"
+    args = ["--config", cfg, "--out", out, "--seed", "4", "--modes", "avg",
+            "--schemes", "mrc", *FAST_FLAGS]
+    assert run_cli(args) == 0
+    cache = out / "moments_avg.json"
+    first = {n: (out / n).read_bytes()
+             for n in ("sweep.csv", "optima.csv", "moments_avg.json")}
+    if corrupt == "entries-missing":
+        data = json.loads(cache.read_text())
+        del data["entries"]
+        corrupt = json.dumps(data)
+    cache.write_text(corrupt)
+
+    assert run_cli(args) == 0
+    table = MomentTable.load(cache)
+    assert table.mode is InterferenceMode.AVERAGE and table.entries
+    for name, blob in first.items():
+        assert (out / name).read_bytes() == blob

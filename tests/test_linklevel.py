@@ -7,10 +7,11 @@ import pytest
 from hexmimo.config import InterferenceMode, NetworkConfig
 from hexmimo.errors import DomainError, RankDeficient
 from hexmimo.hexgrid import CellIndex, cells_within_tier, worst_case_position
-from hexmimo.linklevel import (Realization, combine, dft_pilot_matrix,
-                               estimate_book, estimation_error_scale, generate,
-                               lmmse_estimate, lmmse_estimate_kron,
-                               measure_estimation_mse, measure_sinr)
+from hexmimo.linklevel import (Realization, _span_coords, combine,
+                               dft_pilot_matrix, estimate_book,
+                               estimation_error_scale, generate, lmmse_estimate,
+                               lmmse_estimate_kron, measure_estimation_mse,
+                               measure_sinr)
 from hexmimo.pilots import PilotPlan
 from hexmimo.spectral import Scheme, SinrInputs, sinr_mrc
 
@@ -236,12 +237,14 @@ def test_combine_rank_deficient():
     cfg = make_config(n=4, k=2, beta=1)
     plan = PilotPlan(2, 1)
     real = generate(cfg, plan, [(0, 0)], AVG, np.random.default_rng(17))
-    degenerate = np.ones((4, 2), dtype=complex)  # identical columns
-    broken = dataclasses.replace(real, y_pilot=degenerate,
-                                 pilot_matrix=np.eye(2, dtype=complex),
-                                 psi=np.ones(2))
-    with pytest.raises(RankDeficient):
-        combine(broken, Scheme.PZFC, 1)
+    # identical columns, and an all-zero book (undefined condition number)
+    for degenerate in (np.ones((4, 2), dtype=complex),
+                       np.zeros((4, 2), dtype=complex)):
+        broken = dataclasses.replace(real, y_pilot=degenerate,
+                                     pilot_matrix=np.eye(2, dtype=complex),
+                                     psi=np.ones(2))
+        with pytest.raises(RankDeficient):
+            combine(broken, Scheme.PZFC, 1)
 
 
 def test_measured_sinr_matches_closed_form_single_cell():
@@ -309,3 +312,91 @@ def test_realization_scale_invariance_of_ratios():
                   np.random.default_rng(21))
     np.testing.assert_allclose(ra.d_ratio, rb.d_ratio, rtol=1e-12)
     np.testing.assert_allclose(ra.positions * 250.0, rb.positions, rtol=1e-12)
+
+
+def _gram_statistics(gram, n):
+    """Per-sample statistics whose means are known for CN(0, I_n) columns:
+    G_jj (mean n), (G_jj - n)^2 (mean n), Re/Im G_jk (mean 0) and |G_jk|^2
+    (mean n) for j < k; plus the smallest eigenvalue, only compared."""
+    j, k = np.triu_indices(gram.shape[-1], 1)
+    diag = np.einsum("rjj->rj", gram).real
+    off = gram[:, j, k]
+    return {"diag": diag, "diag_var": (diag - n) ** 2, "off_re": off.real,
+            "off_im": off.imag, "off_pow": np.abs(off) ** 2,
+            "eig_min": np.linalg.eigvalsh(gram)[:, 0]}
+
+
+@pytest.mark.parametrize("n, p", [(8, 5), (3, 6)])
+def test_span_coordinates_have_the_wishart_moments(n, p):
+    # R^H R from the Bartlett coordinates against the same Gram from explicit
+    # N-dim CN(0, I_N) draws; d = min(N, p) rows
+    m = 40000
+    rng = np.random.default_rng(30)
+    coords = _span_coords(rng, m, n, p)
+    assert coords.shape == (m, min(n, p), p)
+    assert not np.tril(coords, -1).any()
+    z = math.sqrt(0.5) * (rng.standard_normal((m, n, p))
+                          + 1j * rng.standard_normal((m, n, p)))
+    span = _gram_statistics(np.einsum("rdj,rdk->rjk", coords.conj(), coords), n)
+    full = _gram_statistics(np.einsum("rdj,rdk->rjk", z.conj(), z), n)
+    expected = {"diag": n, "diag_var": n, "off_re": 0.0, "off_im": 0.0,
+                "off_pow": n}
+    for name in span:
+        mean_s, mean_f = span[name].mean(axis=0), full[name].mean(axis=0)
+        se_s = span[name].std(axis=0, ddof=1) / math.sqrt(m)
+        se_f = full[name].std(axis=0, ddof=1) / math.sqrt(m)
+        assert np.all(np.abs(mean_s - mean_f) < 4 * np.hypot(se_s, se_f)), name
+        if name in expected:
+            assert np.all(np.abs(mean_s - expected[name]) < 4 * se_s), name
+            assert np.all(np.abs(mean_f - expected[name]) < 4 * se_f), name
+
+
+def _explicit_samples(cfg, plan, cells, mode, scheme, n_real, rng):
+    """Per-realization g^H h_own, sum_u |g^H h_u|^2 and ||g||^2 from explicit
+    N-dim `generate` + `combine`, with measure_sinr's combiner scale
+    convention (MRC: the raw pilot correlation, psi times the estimate)."""
+    s1 = np.empty(n_real, dtype=complex)
+    power = np.empty(n_real)
+    g_norm = np.empty(n_real)
+    for r in range(n_real):
+        real = generate(cfg, plan, cells, mode, rng)
+        g = combine(real, scheme, 1)
+        if scheme is Scheme.MRC:
+            g = g * real.psi[real.pilot_col[0]]
+        cross = g.conj() @ real.h_eff
+        s1[r] = cross[0]
+        power[r] = np.sum(np.abs(cross) ** 2)
+        g_norm[r] = np.vdot(g, g).real
+    return s1, power, g_norm
+
+
+@pytest.mark.parametrize("scheme", [Scheme.MRC, Scheme.PZFC])
+def test_span_shortcut_matches_explicit_path(scheme):
+    cfg = make_config(n=8, k=2, beta=1)
+    plan = PilotPlan(2, 1)
+    n_measured, n_explicit, n_batches = 20000, 4000, 20
+    measured = measure_sinr(cfg, plan, TIER1, AVG, scheme, n_measured,
+                            np.random.default_rng(31), n_batches=n_batches)
+    s1, power, g_norm = _explicit_samples(cfg, plan, TIER1, AVG, scheme,
+                                          n_explicit, np.random.default_rng(32))
+
+    def sinr(s1, power, g_norm):
+        coherent = abs(s1.mean()) ** 2
+        return coherent / (power.mean() - coherent + g_norm.mean())
+
+    batches = [sinr(*arrays) for arrays in zip(
+        *(a.reshape(n_batches, -1) for a in (s1, power, g_norm)))]
+    se = np.std(batches, ddof=1) / math.sqrt(n_batches)
+    explicit = sinr(s1, power, g_norm)
+    assert abs(measured.sinr - explicit) < 3 * math.hypot(measured.std_error, se)
+
+    # the scale-sensitive moments behind the ratio agree too; both sides
+    # estimate the same per-realization spread, the shortcut from more draws
+    terms = measured.terms
+    widen = math.sqrt(1 + n_explicit / n_measured)
+    for value, samples in (
+            (math.sqrt(terms["signal"]), s1.real),
+            (terms["denominator"] + terms["signal"] - terms["noise"], power),
+            (terms["noise"], g_norm)):
+        se = samples.std(ddof=1) / math.sqrt(n_explicit)
+        assert abs(value - samples.mean()) < 4 * widen * se
