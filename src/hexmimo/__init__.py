@@ -7,13 +7,12 @@ closed forms.
 """
 
 from .config import (InterferenceMode, NetworkConfig, db_to_linear,
-                     linear_to_db, load_config, validate)
+                     load_config, validate)
 from .hexgrid import CellIndex, bs_position, reuse_group
-from .moments import MomentTable, build_table, compute_moment
-from .pilots import PilotPlan, copilot_cells, inner_product
+from .moments import MomentTable, build_table
+from .pilots import PilotPlan, inner_product
 from .spectral import (Scheme, SeResult, SinrInputs, asymptotic_se,
-                       asymptotic_sinr, kstar_asymptotic, se_per_cell,
-                       sinr_mrc, sinr_pzfc)
+                       asymptotic_sinr, kstar_asymptotic, se_per_cell, sinr)
 from .sweep import SweepResult, optimal_schedule, sweep
 from .linklevel import (Realization, combine, generate, lmmse_estimate,
                         measure_sinr)
@@ -24,9 +23,8 @@ __all__ = [
     "CellIndex", "InterferenceMode", "MomentTable", "NetworkConfig",
     "PilotPlan", "Realization", "Scheme", "SeResult", "SinrInputs",
     "SweepResult", "asymptotic_se", "asymptotic_sinr", "bs_position",
-    "build_table", "combine", "compute_moment", "copilot_cells",
-    "db_to_linear", "generate", "inner_product", "kstar_asymptotic",
-    "linear_to_db", "lmmse_estimate", "load_config", "measure_sinr",
-    "optimal_schedule", "reuse_group", "se_per_cell", "sinr_mrc",
-    "sinr_pzfc", "sweep", "validate",
+    "build_table", "combine", "db_to_linear", "generate", "inner_product",
+    "kstar_asymptotic", "lmmse_estimate", "load_config", "measure_sinr",
+    "optimal_schedule", "reuse_group", "se_per_cell", "sinr", "sweep",
+    "validate",
 ]

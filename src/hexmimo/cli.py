@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -25,13 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from .config import (HEX_REUSE_FACTORS, InterferenceMode, NetworkConfig,
-                     config_from_dict, config_to_dict)
+                     config_from_dict)
 from .errors import DomainError
 from .linklevel import N_BATCHES, measure_sinr
-from .moments import MomentTable, build_table
+from .moments import REL_TOL, MomentTable, build_table
 from .pilots import PilotPlan
-from .spectral import (Scheme, SinrInputs, asymptotic_sinr, kstar_asymptotic,
-                       sinr_mrc, sinr_pzfc)
+from .spectral import Scheme, SinrInputs, asymptotic_sinr, kstar_asymptotic, sinr
 from .sweep import (default_k_grid, default_n_grid, sweep, write_optima_csv,
                     write_sweep_csv)
 
@@ -62,8 +62,6 @@ class RunManifest:
     k_cap: int | None = None
     beta_set: list[int] = field(default_factory=lambda: [1, 3, 4, 7])
     moment_samples: int = 10 ** 6
-    moment_rel_tol: float = 1e-3
-    moment_max_tiers: int = 12
     run_asymptotic: bool = False
     run_validation: bool = False
     validation_realizations: int = 20000
@@ -107,18 +105,28 @@ def _load_or_build_table(mode: InterferenceMode, manifest: RunManifest,
         if (table is not None and table.mode is mode
                 and table.kappa == template.pathloss_exponent
                 and table.n_samples == expect_samples and table.seed == expect_seed
-                and table.rel_tol == manifest.moment_rel_tol
+                and table.rel_tol == REL_TOL
                 and table.min_frac == template.min_ue_distance_frac):
             return table
     table = build_table(template.pathloss_exponent, mode,
                         n_samples=manifest.moment_samples,
-                        rel_tol=manifest.moment_rel_tol,
-                        max_tiers=manifest.moment_max_tiers,
                         min_frac=template.min_ue_distance_frac,
                         seed=table_seed)
-    table.save(path)
-    written.append(path)
+    _write_atomic(path, table.save, written)
     return table
+
+
+def _write_atomic(path: Path, write, written: list[Path]) -> None:
+    """Call `write(tmp)` on a temporary sibling of `path`, then move it into
+    place: `path` holds either its old content or the complete new file."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    written.append(path)
 
 
 def _write_asymptotic_csv(path, tables: dict[InterferenceMode, MomentTable],
@@ -183,7 +191,7 @@ def run_validation(template: NetworkConfig,
         cells = [tuple(c) for c in cells]
         inputs = SinrInputs(config=cfg, moments=tables[mode], plan=plan,
                             tier_set=cells, scheme=scheme)
-        analytic = sinr_pzfc(inputs) if scheme is Scheme.PZFC else sinr_mrc(inputs)
+        analytic = sinr(inputs)
         measured = measure_sinr(cfg, plan, cells, mode, scheme,
                                 n_realizations, rng)
         ratio = measured.sinr / analytic
@@ -212,7 +220,9 @@ def run_validation(template: NetworkConfig,
 def run(manifest: RunManifest) -> dict:
     """Execute a manifest; returns {'written': [...], 'validation_passed': bool}.
 
-    Removes any file it wrote if a step fails part-way.
+    Every output is written to a temporary sibling and moved into place, so
+    no output path ever holds a partial file.  If a step fails part-way, the
+    files this run already wrote are removed too.
     """
     out_dir = Path(manifest.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -237,34 +247,31 @@ def run(manifest: RunManifest) -> dict:
         result = sweep(template, manifest.n_grid, k_grid, manifest.beta_set,
                        schemes, modes, tables)
 
-        sweep_path = out_dir / "sweep.csv"
-        write_sweep_csv(result, sweep_path)
-        written.append(sweep_path)
-        optima_path = out_dir / "optima.csv"
-        write_optima_csv(result, optima_path)
-        written.append(optima_path)
+        _write_atomic(out_dir / "sweep.csv",
+                      lambda tmp: write_sweep_csv(result, tmp), written)
+        _write_atomic(out_dir / "optima.csv",
+                      lambda tmp: write_optima_csv(result, tmp), written)
 
         if manifest.run_asymptotic:
-            asym_path = out_dir / "asymptotic.csv"
-            _write_asymptotic_csv(asym_path, tables, template,
-                                  manifest.beta_set, modes)
-            written.append(asym_path)
+            _write_atomic(out_dir / "asymptotic.csv",
+                          lambda tmp: _write_asymptotic_csv(
+                              tmp, tables, template, manifest.beta_set, modes),
+                          written)
 
         validation_passed = True
         if manifest.run_validation:
             report = run_validation(template, tables, seeds["validation"],
                                     manifest.validation_realizations)
             validation_passed = report["passed"]
-            val_path = out_dir / "validation.json"
-            with open(val_path, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=1)
-                fh.write("\n")
-            written.append(val_path)
+            text = json.dumps(report, indent=1) + "\n"
+            _write_atomic(out_dir / "validation.json",
+                          lambda tmp: tmp.write_text(text, encoding="utf-8"),
+                          written)
 
-        manifest_path = out_dir / "manifest.json"
-        with open(manifest_path, "w", encoding="utf-8") as fh:
-            fh.write(manifest.to_json())
-        written.append(manifest_path)
+        _write_atomic(out_dir / "manifest.json",
+                      lambda tmp: tmp.write_text(manifest.to_json(),
+                                                 encoding="utf-8"),
+                      written)
     except Exception:
         for path in written:
             try:

@@ -10,7 +10,9 @@ with absolute distances; they cancel out of every interference moment.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+import math
+import numbers
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError, InsufficientAntennas, PilotOverflow
@@ -18,19 +20,14 @@ from .errors import DomainError, InsufficientAntennas, PilotOverflow
 # Cluster sizes with a co-channel sublattice on the hexagonal grid.
 HEX_REUSE_FACTORS = (1, 3, 4, 7)
 
+_COUNT_FIELDS = ("n_antennas", "n_users", "coherence_block", "reuse_factor")
+_REAL_FIELDS = ("snr_linear", "pathloss_exponent", "cell_radius", "pathloss_ref",
+                "min_ue_distance_frac")
+
 
 def db_to_linear(value_db: float) -> float:
     """Convert a dB power ratio to linear scale."""
     return 10.0 ** (value_db / 10.0)
-
-
-def linear_to_db(value: float) -> float:
-    """Convert a linear power ratio to dB."""
-    import math
-
-    if value <= 0:
-        raise DomainError(f"dB conversion needs a positive ratio, got {value}")
-    return 10.0 * math.log10(value)
 
 
 class InterferenceMode(Enum):
@@ -77,11 +74,6 @@ class NetworkConfig:
         """sigma^2 / rho, the only way noise enters the closed forms."""
         return 1.0 / self.snr_linear
 
-    @property
-    def prelog(self) -> float:
-        """Fraction of the coherence block left for data, 1 - B/T."""
-        return 1.0 - self.pilot_len / self.coherence_block
-
     def with_schedule(self, n_antennas=None, n_users=None, reuse_factor=None) -> "NetworkConfig":
         """Copy of the config with a different (N, K, beta) operating point."""
         from dataclasses import replace
@@ -96,33 +88,31 @@ class NetworkConfig:
         return replace(self, **kwargs)
 
 
-def validate(config: NetworkConfig, pilot_len: int | None = None,
-             require_zf: bool = False) -> NetworkConfig:
+def validate(config: NetworkConfig, require_zf: bool = False) -> NetworkConfig:
     """Check every config invariant and return the record unchanged.
 
     Args:
         config: record to check.
-        pilot_len: pilot book size to check against the coherence block;
-            defaults to config.pilot_len.
         require_zf: also require N > B, needed whenever the full pilot book
             is orthogonalized at the receiver.
 
     Raises:
-        DomainError: a scalar is outside its domain.
+        DomainError: a scalar is outside its domain, a count is not an
+            integer or a real parameter is not a finite number.
         PilotOverflow: the pilot book does not fit in the coherence block.
         InsufficientAntennas: require_zf is set and N <= B.
     """
-    if pilot_len is None:
-        pilot_len = config.pilot_len
-
-    if config.n_antennas < 1:
-        raise DomainError(f"n_antennas must be >= 1, got {config.n_antennas}")
-    if config.n_users < 1:
-        raise DomainError(f"n_users must be >= 1, got {config.n_users}")
-    if config.coherence_block < 1:
-        raise DomainError(f"coherence_block must be >= 1, got {config.coherence_block}")
-    if config.reuse_factor < 1:
-        raise DomainError(f"reuse_factor must be >= 1, got {config.reuse_factor}")
+    for name in _COUNT_FIELDS:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
+            raise DomainError(f"{name} must be >= 1, got {value}")
+    for name in _REAL_FIELDS:
+        value = getattr(config, name)
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)):
+            raise DomainError(f"{name} must be a finite number, got {value!r}")
     if config.snr_linear <= 0:
         raise DomainError(f"snr_linear must be positive, got {config.snr_linear}")
     if config.pathloss_exponent < 2:
@@ -135,8 +125,7 @@ def validate(config: NetworkConfig, pilot_len: int | None = None,
         raise DomainError(
             f"min_ue_distance_frac must be in [0, 1), got {config.min_ue_distance_frac}")
 
-    if pilot_len < 1:
-        raise DomainError(f"pilot length must be >= 1, got {pilot_len}")
+    pilot_len = config.pilot_len
     if pilot_len > config.coherence_block:
         raise PilotOverflow(
             f"pilot length {pilot_len} exceeds coherence block {config.coherence_block}")
@@ -173,8 +162,3 @@ def load_config(path) -> NetworkConfig:
     """Load and validate a JSON configuration file."""
     with open(path, "r", encoding="utf-8") as fh:
         return config_from_dict(json.load(fh))
-
-
-def config_to_dict(config: NetworkConfig) -> dict:
-    """Plain-dict form of a config, suitable for JSON round-trips."""
-    return asdict(config)

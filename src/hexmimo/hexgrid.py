@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +27,6 @@ SQRT3 = math.sqrt(3.0)
 # Lattice basis for a unit-radius grid, as columns of a 2x2 matrix.
 _BASIS = np.array([[1.5, 0.0],
                    [SQRT3 / 2.0, SQRT3]])
-_BASIS_INV = np.linalg.inv(_BASIS)
 
 # Corners of the unit hexagon centered at the origin.
 _CORNERS = np.array([(math.cos(k * math.pi / 3.0), math.sin(k * math.pi / 3.0))
@@ -47,11 +46,6 @@ class CellIndex(NamedTuple):
 
     a1: int
     a2: int
-
-
-def offset_between(cell: CellIndex, reference: CellIndex) -> CellIndex:
-    """Relative index of `cell` as seen from `reference`."""
-    return CellIndex(cell.a1 - reference.a1, cell.a2 - reference.a2)
 
 
 def bs_position(cell: CellIndex, radius: float) -> np.ndarray:
@@ -88,30 +82,10 @@ def cells_within_tier(tier: int) -> list[CellIndex]:
 
 def contains(cell: CellIndex, point: np.ndarray, radius: float,
              tol: float = 1e-12) -> bool:
-    """Whether `point` lies in the closed hexagon of `cell`.
-
-    Points on shared edges are contained in both adjacent hexagons; use
-    `owning_cell` for a deterministic partition of the plane.
-    """
+    """Whether `point` lies in the closed hexagon of `cell`; points on shared
+    edges are contained in both adjacent hexagons."""
     w = (np.asarray(point, dtype=float) - bs_position(cell, radius)) / radius
     return bool(np.max(np.abs(_EDGE_AXES @ w)) <= _APOTHEM + tol)
-
-
-def owning_cell(point: np.ndarray, radius: float) -> CellIndex:
-    """Unique cell owning `point`: ties on shared boundaries go to the
-    lexicographically smallest cell index."""
-    point = np.asarray(point, dtype=float)
-    alpha = _BASIS_INV @ (point / radius)
-    base = np.floor(alpha).astype(int)
-    candidates = []
-    for d1 in (-1, 0, 1, 2):
-        for d2 in (-1, 0, 1, 2):
-            c = CellIndex(int(base[0]) + d1, int(base[1]) + d2)
-            if contains(c, point, radius):
-                candidates.append(c)
-    if not candidates:
-        raise DomainError(f"no cell found containing {point!r}")
-    return min(candidates)
 
 
 def reuse_group(cell: CellIndex, reuse_factor: int) -> int:
@@ -152,17 +126,6 @@ def _coset_ids(reuse_factor: int) -> dict[tuple[int, int], int]:
     return ids
 
 
-def co_channel_cells(cell: CellIndex, reuse_factor: int,
-                     cells: Iterable[CellIndex],
-                     include_self: bool = True) -> list[CellIndex]:
-    """Cells of `cells` sharing the reuse group of `cell`."""
-    g = reuse_group(cell, reuse_factor)
-    out = [c for c in cells if reuse_group(c, reuse_factor) == g]
-    if not include_self:
-        out = [c for c in out if c != cell]
-    return out
-
-
 def sample_ue_positions(cell: CellIndex, radius: float, min_frac: float,
                         rng: np.random.Generator, n: int) -> np.ndarray:
     """Sample n UE positions uniformly on the hexagon of `cell`, excluding a
@@ -189,12 +152,6 @@ def sample_ue_positions(cell: CellIndex, radius: float, min_frac: float,
         accepted[have:have + take] = pts[:take]
         have += take
     return radius * accepted + bs_position(cell, radius)
-
-
-def sample_ue_position(cell: CellIndex, radius: float, min_frac: float,
-                       rng: np.random.Generator) -> np.ndarray:
-    """Single uniform UE position in the hexagon with the BS exclusion disk."""
-    return sample_ue_positions(cell, radius, min_frac, rng, 1)[0]
 
 
 def worst_case_position(interferer_cell: CellIndex, victim_bs: CellIndex,

@@ -284,17 +284,16 @@ class MeasuredSinr:
 
 def measure_sinr(config: NetworkConfig, plan: PilotPlan, cells,
                  mode: InterferenceMode, scheme: Scheme, n_realizations: int,
-                 rng: np.random.Generator, n_batches: int = N_BATCHES,
-                 user: int = 1) -> MeasuredSinr:
-    """Estimate the effective SINR of one own-cell user by simulation.
+                 rng: np.random.Generator) -> MeasuredSinr:
+    """Estimate the effective SINR of own-cell user 1 by simulation.
 
     Positions, channels and noise are redrawn every realization (outer
     position averaging wrapping the channel/noise averaging); channels and
     noise are drawn as span coordinates (see the module docstring), so the
     antenna axis of every array here has length min(N, U + B).  The standard
-    error comes from batch means; `terms` decomposes the SINR denominator
-    into coherent signal, estimation gap, intra-cell interference, inter-cell
-    interference and noise.
+    error comes from N_BATCHES batch means; `terms` decomposes the SINR
+    denominator into coherent signal, estimation gap, intra-cell
+    interference, inter-cell interference and noise.
 
     Scale convention: per-block detection is invariant to any scalar on the
     beamformer, but the moments of g^H h are not invariant to a *random*
@@ -307,7 +306,7 @@ def measure_sinr(config: NetworkConfig, plan: PilotPlan, cells,
     inverse cancels the psi randomness again.
     """
     validate(config, require_zf=scheme is Scheme.PZFC)
-    if n_realizations < n_batches:
+    if n_realizations < N_BATCHES:
         raise DomainError("need at least one realization per batch")
     cells = _sorted_cells(cells)
     centers, cols = _layout(config, plan, cells)
@@ -315,25 +314,23 @@ def measure_sinr(config: NetworkConfig, plan: PilotPlan, cells,
     inv_snr = config.inv_snr
     rho = config.snr_linear
     n_users_total = len(cols)
-    u_own = user - 1                       # origin cell is first
-    if not 0 <= u_own < k:
-        raise IndexError(f"user {user} out of range [1, {k}]")
+    u_own = 0                              # user 1 of the origin cell, listed first
     i_target = cols[u_own]
     vmat = dft_pilot_matrix(b)
     pilot_rows = vmat.conj().T[cols]
     rhs = np.zeros(b)
     rhs[i_target] = 1.0
 
-    sizes = [n_realizations // n_batches] * n_batches
-    for i in range(n_realizations % n_batches):
+    sizes = [n_realizations // N_BATCHES] * N_BATCHES
+    for i in range(n_realizations % N_BATCHES):
         sizes[i] += 1
     dim = min(n, n_users_total + b)
     # cap per-draw array sizes; batches are accumulated over sub-chunks
     max_chunk = max(1, (1 << 22) // max(1, dim * n_users_total))
 
-    s1_sums = np.zeros(n_batches, dtype=complex)
-    pow_sums = np.zeros((n_batches, n_users_total))
-    gn_sums = np.zeros(n_batches)
+    s1_sums = np.zeros(N_BATCHES, dtype=complex)
+    pow_sums = np.zeros((N_BATCHES, n_users_total))
+    gn_sums = np.zeros(N_BATCHES)
 
     for bi, batch_size in enumerate(sizes):
         left = batch_size
@@ -371,9 +368,9 @@ def measure_sinr(config: NetworkConfig, plan: PilotPlan, cells,
         return coh / denom
 
     batch_sinrs = tuple(_sinr(s1_sums[i], pow_sums[i], gn_sums[i], counts[i])
-                        for i in range(n_batches))
+                        for i in range(N_BATCHES))
     sinr = _sinr(s1_sums.sum(), pow_sums.sum(axis=0), gn_sums.sum(), counts.sum())
-    std_error = float(np.std(batch_sinrs, ddof=1) / math.sqrt(n_batches))
+    std_error = float(np.std(batch_sinrs, ddof=1) / math.sqrt(N_BATCHES))
 
     total = counts.sum()
     pow_mean = pow_sums.sum(axis=0) / total

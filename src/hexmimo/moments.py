@@ -35,6 +35,8 @@ from .hexgrid import (CellIndex, bs_position, cells_in_tier,
 
 _FORMAT = "hexmimo-moments"
 _VERSION = 1
+REL_TOL = 1e-3    # stop once the newest tier adds less than this share of mu1
+_MAX_TIERS = 12
 
 
 @dataclass(frozen=True)
@@ -153,80 +155,28 @@ def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
     return mean, float(values.std(ddof=1) / math.sqrt(n))
 
 
-def compute_moment(offset: CellIndex, kappa: float, gamma: int,
-                   mode: InterferenceMode, n_samples: int = 10 ** 6,
-                   rng: np.random.Generator | None = None,
-                   min_frac: float = 0.14) -> tuple[float, float]:
-    """Coupling moment of order gamma for one cell offset.
-
-    Returns (value, standard_error).  The result does not depend on the cell
-    radius or the pathloss reference.  In worst-case mode the position is
-    deterministic and the standard error is 0; the second moment is computed
-    as the exact square of the first, so Jensen's inequality holds with
-    equality bit-for-bit.
-    """
-    if kappa < 2:
-        raise DomainError(f"pathloss exponent must be >= 2, got {kappa}")
-    if gamma not in (1, 2):
-        raise DomainError(f"gamma must be 1 or 2, got {gamma}")
-    offset = CellIndex(*offset)
-
-    if offset == (0, 0):
-        if mode is InterferenceMode.WORST_CASE:
-            raise DomainError("own cell has no worst-case interferer position")
-        # power control makes the own-cell ratio identically 1
-        return 1.0, 0.0
-
-    if mode is InterferenceMode.WORST_CASE:
-        x = _worst_ratio_pow(offset, kappa)
-        return (x if gamma == 1 else x * x), 0.0
-
-    if n_samples < 1:
-        raise DomainError(f"n_samples must be >= 1, got {n_samples}")
-    if rng is None:
-        rng = np.random.default_rng()
-
-    # chunked accumulation so n_samples = 1e7+ stays memory-friendly
-    total = 0
-    acc = 0.0
-    acc_sq = 0.0
-    chunk = 1 << 20
-    while total < n_samples:
-        m = min(chunk, n_samples - total)
-        pool = sample_ue_positions(CellIndex(0, 0), 1.0, min_frac, rng, m)
-        serving_sq = pool[:, 0] ** 2 + pool[:, 1] ** 2
-        x = _ratio_pow_pool(offset, kappa, pool, serving_sq)
-        y = x if gamma == 1 else x * x
-        acc += float(y.sum())
-        acc_sq += float((y * y).sum())
-        total += m
-    mean = acc / total
-    if total < 2:
-        return mean, math.inf
-    var = max(0.0, (acc_sq - total * mean * mean) / (total - 1))
-    return mean, math.sqrt(var / total)
-
-
 def build_table(kappa: float, mode: InterferenceMode, *,
-                n_samples: int = 10 ** 6, rel_tol: float = 1e-3,
-                max_tiers: int = 12, min_frac: float = 0.14,
+                n_samples: int = 10 ** 6, min_frac: float = 0.14,
                 seed: int | None = 0) -> MomentTable:
     """Build the moment table by adaptive tier expansion.
 
     Tiers of cells are added until the newest tier contributes less than
-    `rel_tol` (relative) to the running total of first moments; contributions
+    `REL_TOL` (relative) to the running total of first moments; contributions
     decay like tier^(1 - kappa) per cell, so the loop terminates quickly for
-    kappa well above 2.
+    kappa well above 2.  Average mode draws one pool of `n_samples`
+    positions from `seed` and shares it across offsets; worst-case mode
+    draws nothing.
 
     Raises:
-        ConvergenceError: `max_tiers` tiers were added without meeting the
+        DomainError: kappa < 2 or n_samples < 1.
+        ConvergenceError: `_MAX_TIERS` tiers were added without meeting the
             tolerance (happens for kappa near 2, where the lattice sum
             converges too slowly for a practical cap).
     """
-    if kappa < 2:
+    if not kappa >= 2:  # NaN fails too
         raise DomainError(f"pathloss exponent must be >= 2, got {kappa}")
-    if rel_tol <= 0:
-        raise DomainError(f"rel_tol must be positive, got {rel_tol}")
+    if n_samples < 1:
+        raise DomainError(f"n_samples must be >= 1, got {n_samples}")
 
     average = mode is InterferenceMode.AVERAGE
     if average:
@@ -237,7 +187,7 @@ def build_table(kappa: float, mode: InterferenceMode, *,
     entries = {CellIndex(0, 0): MomentEntry(1.0, 1.0, 0.0, 0.0)}
     total_mu1 = 1.0
     converged = False
-    for tier in range(1, max_tiers + 1):
+    for tier in range(1, _MAX_TIERS + 1):
         tier_mu1 = 0.0
         for cell in cells_in_tier(tier):
             if average:
@@ -251,15 +201,15 @@ def build_table(kappa: float, mode: InterferenceMode, *,
             entries[cell] = MomentEntry(mu1, mu2, se1, se2)
             tier_mu1 += mu1
         total_mu1 += tier_mu1
-        if tier_mu1 <= rel_tol * total_mu1:
+        if tier_mu1 <= REL_TOL * total_mu1:
             converged = True
             break
     if not converged:
         raise ConvergenceError(
-            f"tier contribution still above rel_tol={rel_tol} after "
-            f"{max_tiers} tiers (kappa={kappa}, mode={mode.value})")
+            f"tier contribution still above rel_tol={REL_TOL} after "
+            f"{_MAX_TIERS} tiers (kappa={kappa}, mode={mode.value})")
 
     return MomentTable(mode=mode, kappa=kappa,
                        n_samples=n_samples if average else 0,
                        seed=seed if average else None,
-                       rel_tol=rel_tol, min_frac=min_frac, entries=entries)
+                       rel_tol=REL_TOL, min_frac=min_frac, entries=entries)

@@ -14,10 +14,8 @@ collide pilot-for-pilot and cells in different groups are orthogonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import DomainError
-from .hexgrid import CellIndex, co_channel_cells
 
 
 @dataclass(frozen=True)
@@ -59,9 +57,3 @@ def inner_product(i1: int, i2: int, pilot_len: int) -> float:
         raise IndexError(f"pilot indices must be in [1, {pilot_len}]")
     return float(pilot_len) if i1 == i2 else 0.0
 
-
-def copilot_cells(cell: CellIndex, reuse_factor: int,
-                  cells: Iterable[CellIndex],
-                  include_self: bool = True) -> list[CellIndex]:
-    """Cells of `cells` using the same pilot block as `cell`."""
-    return co_channel_cells(cell, reuse_factor, cells, include_self=include_self)

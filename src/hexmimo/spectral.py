@@ -163,20 +163,14 @@ def asymptotic_sinr_from_sums(sums: CopilotSums) -> float:
     return 1.0 / sums.mu2_others if sums.mu2_others > 0 else math.inf
 
 
-def sinr_mrc(inputs: SinrInputs) -> float:
-    """MRC SINR for a validated input bundle."""
+def sinr(inputs: SinrInputs) -> float:
+    """SINR of the combining scheme the input bundle was validated for."""
     sums = CopilotSums.from_table(inputs.moments, inputs.config.reuse_factor,
                                   inputs.tier_set)
-    return mrc_sinr_from_sums(sums, inputs.config.n_antennas,
-                              inputs.config.n_users, inputs.config.inv_snr)
-
-
-def sinr_pzfc(inputs: SinrInputs) -> float:
-    """PZFC SINR for a validated input bundle."""
-    sums = CopilotSums.from_table(inputs.moments, inputs.config.reuse_factor,
-                                  inputs.tier_set)
-    return pzfc_sinr_from_sums(sums, inputs.config.n_antennas,
-                               inputs.config.n_users, inputs.config.inv_snr)
+    from_sums = (pzfc_sinr_from_sums if inputs.scheme is Scheme.PZFC
+                 else mrc_sinr_from_sums)
+    return from_sums(sums, inputs.config.n_antennas, inputs.config.n_users,
+                     inputs.config.inv_snr)
 
 
 def asymptotic_sinr(moments: MomentTable, plan: PilotPlan,
@@ -189,11 +183,7 @@ def asymptotic_sinr(moments: MomentTable, plan: PilotPlan,
 def se_per_cell(inputs: SinrInputs) -> SeResult:
     """Per-cell spectral efficiency K * (1 - B/T) * log2(1 + SINR)."""
     cfg = inputs.config
-    if inputs.scheme is Scheme.MRC:
-        sinr = sinr_mrc(inputs)
-    else:
-        sinr = sinr_pzfc(inputs)
-    return se_from_sinr(sinr, cfg.n_users, cfg.pilot_len, cfg.coherence_block)
+    return se_from_sinr(sinr(inputs), cfg.n_users, cfg.pilot_len, cfg.coherence_block)
 
 
 def se_from_sinr(sinr: float, n_users: int, pilot_len: int,

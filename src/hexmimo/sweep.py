@@ -67,8 +67,7 @@ def _better(cand: SweepRow, best: SweepRow) -> bool:
 
 
 def sweep(template: NetworkConfig, n_grid, k_grid, beta_set, schemes, modes,
-          moments: dict[InterferenceMode, MomentTable],
-          tier_set=None) -> SweepResult:
+          moments: dict[InterferenceMode, MomentTable]) -> SweepResult:
     """Evaluate the SE over the full feasible grid and record per-N optima.
 
     Args:
@@ -77,9 +76,8 @@ def sweep(template: NetworkConfig, n_grid, k_grid, beta_set, schemes, modes,
         n_grid, k_grid, beta_set: grids to sweep (iterables of ints).
         schemes: iterable of Scheme.
         modes: iterable of InterferenceMode.
-        moments: one prebuilt MomentTable per requested mode.
-        tier_set: optional restriction of interfering cells; defaults to all
-            offsets covered by each table.
+        moments: one prebuilt MomentTable per requested mode; every offset
+            it covers interferes.
 
     Raises:
         EmptyFeasibleSet: some (N, scheme, mode) slice has no feasible (K, beta).
@@ -99,7 +97,7 @@ def sweep(template: NetworkConfig, n_grid, k_grid, beta_set, schemes, modes,
 
     for mode in modes:
         table = moments[mode]
-        sums_by_beta = {beta: CopilotSums.from_table(table, beta, tier_set)
+        sums_by_beta = {beta: CopilotSums.from_table(table, beta)
                         for beta in beta_set}
         feasible_k = {beta: [k for k in k_grid if beta * k <= t_block]
                       for beta in beta_set}

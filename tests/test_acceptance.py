@@ -21,8 +21,8 @@ from hexmimo.linklevel import (combine, estimate_book, estimation_error_scale,
                                measure_estimation_mse, measure_sinr)
 from hexmimo.pilots import PilotPlan
 from hexmimo.spectral import (Scheme, SinrInputs, asymptotic_sinr,
-                              kstar_asymptotic, sinr_mrc,
-                              sinr_mrc_generic, sinr_pzfc, sinr_pzfc_generic)
+                              kstar_asymptotic, sinr, sinr_mrc_generic,
+                              sinr_pzfc_generic)
 from hexmimo.sweep import default_k_grid, default_n_grid, optimal_schedule, sweep
 
 AVG = InterferenceMode.AVERAGE
@@ -75,7 +75,7 @@ def test_criterion_2_limit_convergence(fullres_tables):
     def at(n, scheme):
         cfg = BASE_TEMPLATE.with_schedule(n_antennas=n, n_users=k, reuse_factor=1)
         inp = SinrInputs(cfg, table, plan, TIER1, scheme)
-        return sinr_pzfc(inp) if scheme is Scheme.PZFC else sinr_mrc(inp)
+        return sinr(inp)
 
     gap9 = abs(at(10 ** 9, Scheme.MRC) - at(10 ** 9, Scheme.PZFC)) / limit
     rel6_m = abs(at(10 ** 6, Scheme.MRC) - limit) / limit
@@ -266,12 +266,11 @@ def test_criterion_7_property_suite(fullres_tables):
     mono = True
     table = fullres_tables[AVG]
     for scheme in (Scheme.MRC, Scheme.PZFC):
-        f = sinr_pzfc if scheme is Scheme.PZFC else sinr_mrc
-        seq = [f(SinrInputs(BASE_TEMPLATE.with_schedule(n_antennas=n),
+        seq = [sinr(SinrInputs(BASE_TEMPLATE.with_schedule(n_antennas=n),
                             table, PilotPlan(10, 1), scheme=scheme))
                for n in (11, 40, 160, 2500, 10 ** 4)]
         mono = mono and all(b > a for a, b in zip(seq, seq[1:]))
-        seq = [f(SinrInputs(
+        seq = [sinr(SinrInputs(
             NetworkConfig(128, 10, T_BLOCK, 1, snr), table, PilotPlan(10, 1),
             scheme=scheme)) for snr in (0.5, 2.0, 10.0, 80.0)]
         mono = mono and all(b > a for a, b in zip(seq, seq[1:]))
@@ -287,9 +286,9 @@ def test_criterion_7_property_suite(fullres_tables):
         im = SinrInputs(cfg, table, pl, tier2, Scheme.MRC)
         iz = SinrInputs(cfg, table, pl, tier2, Scheme.PZFC)
         collapse = collapse and math.isclose(
-            sinr_mrc(im), sinr_mrc_generic(im), rel_tol=1e-12)
+            sinr(im), sinr_mrc_generic(im), rel_tol=1e-12)
         collapse = collapse and math.isclose(
-            sinr_pzfc(iz), sinr_pzfc_generic(iz), rel_tol=1e-12)
+            sinr(iz), sinr_pzfc_generic(iz), rel_tol=1e-12)
     checks["collapse_equality"] = collapse
 
     ok = all(checks.values())
@@ -304,7 +303,7 @@ def test_criterion_8_oracle_vs_analytic(fullres_tables, tmp_path):
     table = fullres_tables[AVG]
     cfg = BASE_TEMPLATE.with_schedule(n_antennas=64, n_users=2, reuse_factor=1)
     plan = PilotPlan(2, 1)
-    analytic = sinr_mrc(SinrInputs(cfg, table, plan, TIER1))
+    analytic = sinr(SinrInputs(cfg, table, plan, TIER1))
     measured = measure_sinr(cfg, plan, TIER1, AVG, Scheme.MRC, 10 ** 5,
                             np.random.default_rng(4242))
     ratio = measured.sinr / analytic

@@ -1,0 +1,60 @@
+"""The benchmark's hold on the program, checked without running it.
+
+perfbench/child.py wraps public names of the program from outside and
+perfbench/run.py drives the CLI with fixed argument lists.  Both are read
+here, never changed: a rename or a removed flag then fails this suite, not
+only `python3 -m pytest perfbench`.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from hexmimo.cli import _build_parser
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  BENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(BENCH))  # run.py imports its sibling check.py
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(BENCH))
+    return module
+
+
+child = _load("child")
+run = _load("run")
+
+
+@pytest.mark.parametrize("module_name,path",
+                         [(m, p) for m, p, _, _ in child.SPANS + child.COUNTERS],
+                         ids=lambda v: v)
+def test_hooked_name_is_defined_by_its_owner(module_name, path):
+    # the rule Tracer.install applies: the owner's own __dict__ holds a callable
+    owner = importlib.import_module(module_name)
+    *outer, attr = path.split(".")
+    for part in outer:
+        owner = getattr(owner, part)
+    assert owner.__dict__.get(attr) is not None, f"{module_name}.{path}"
+    assert callable(getattr(owner, attr)), f"{module_name}.{path}"
+
+
+@pytest.mark.parametrize("smoke", [False, True])
+def test_benchmark_argv_parses(smoke):
+    parser = _build_parser()
+    for wl in run.workloads(smoke).values():
+        out = run.ROOT / "out"
+        for extra in (wl.args, run.PREP_ARGS):
+            argv = run.cli_argv(wl, 1, out, extra)
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"{wl.name}: the CLI rejects {argv}")

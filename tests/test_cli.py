@@ -146,6 +146,19 @@ def test_config_error_exit_code(tmp_path):
     cfg = small_config(tmp_path)
     assert run_cli(["--config", cfg, "--out", tmp_path / "o",
                     "--modes", "bogus"]) == 2
+    # values no run can use: non-finite reals, non-integer or bool counts
+    for override in ({"snr_linear": math.nan}, {"cell_radius": math.nan},
+                     {"pathloss_exponent": math.nan}, {"pathloss_ref": math.inf},
+                     {"coherence_block": 1000.5}, {"n_antennas": True}):
+        bad.write_text(json.dumps(override))
+        assert run_cli(["--config", bad, "--out", tmp_path / "o"]) == 2, override
+    # a manifest carrying the retired moment_rel_tol / moment_max_tiers keys
+    manifest = {"out_dir": str(tmp_path / "o"), "seed": 0, "modes": ["avg"],
+                "schemes": ["mrc"], "config": json.loads(cfg.read_text()),
+                "moment_rel_tol": 1e-3, "moment_max_tiers": 12}
+    bad.write_text(json.dumps(manifest))
+    assert run_cli(["--from-manifest", bad]) == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_failed_run_removes_partial_outputs(tmp_path, monkeypatch):
@@ -161,6 +174,31 @@ def test_failed_run_removes_partial_outputs(tmp_path, monkeypatch):
                     "--schemes", "mrc", *FAST_FLAGS]) == 1
     assert not (out / "sweep.csv").exists()
     assert not (out / "manifest.json").exists()
+
+
+def test_failed_write_leaves_no_partial_or_temporary_file(tmp_path, monkeypatch):
+    import hexmimo.cli as cli_mod
+
+    cfg = small_config(tmp_path)
+    out = tmp_path / "out"
+    args = ["--config", cfg, "--out", out, "--modes", "avg", "--schemes", "mrc",
+            "--asymptotic", *FAST_FLAGS]
+    assert run_cli(args) == 0
+    outputs = {p.name for p in out.iterdir()}
+    previous = (out / "optima.csv").read_bytes()
+
+    def write_half_then_fail(result, path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("N,scheme,mode,K_star,beta_star,sinr,se\n16,mrc,")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli_mod, "write_optima_csv", write_half_then_fail)
+    assert run_cli([*args, "--seed", "1"]) == 1
+    left = {p.name for p in out.iterdir()}
+    assert left <= outputs  # no temporary file stays behind
+    # the rerun removed what it wrote; the file it failed on keeps its old bytes
+    assert "sweep.csv" not in left and "moments_avg.json" not in left
+    assert (out / "optima.csv").read_bytes() == previous
 
 
 def test_console_entry_point(tmp_path):

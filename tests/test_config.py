@@ -1,10 +1,16 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexmimo.config import (InterferenceMode, NetworkConfig, config_from_dict,
-                            db_to_linear, linear_to_db, load_config, validate)
-from hexmimo.errors import DomainError, InsufficientAntennas, PilotOverflow
+                            db_to_linear, load_config, validate)
+from hexmimo.errors import (DomainError, InsufficientAntennas, PilotOverflow,
+                            UnsupportedReuse)
+from hexmimo.pilots import PilotPlan
+from hexmimo.spectral import Scheme, SinrInputs, se_per_cell
 
 
 def base_config(**overrides):
@@ -18,7 +24,6 @@ def test_valid_baseline_point():
     cfg = base_config()
     assert validate(cfg) is cfg
     assert cfg.pilot_len == 10
-    assert cfg.prelog == 1.0 - 10 / 1000
     assert cfg.inv_snr == 0.1
 
 
@@ -51,6 +56,19 @@ def test_insufficient_antennas_for_zero_forcing():
     ("cell_radius", 0.0),
     ("pathloss_ref", -2.0),
     ("min_ue_distance_frac", 1.0),
+    ("snr_linear", math.nan),
+    ("snr_linear", math.inf),
+    ("pathloss_exponent", math.nan),
+    ("pathloss_exponent", math.inf),
+    ("cell_radius", math.nan),
+    ("cell_radius", math.inf),
+    ("pathloss_ref", math.nan),
+    ("pathloss_ref", math.inf),
+    ("n_antennas", True),
+    ("n_antennas", 64.0),
+    ("n_users", 2.5),
+    ("coherence_block", 1000.5),
+    ("reuse_factor", "1"),
 ])
 def test_domain_errors(field, value):
     with pytest.raises(DomainError):
@@ -61,7 +79,6 @@ def test_snr_conversion_exact_at_round_db():
     assert db_to_linear(0.0) == 1.0
     assert db_to_linear(10.0) == 10.0
     assert db_to_linear(20.0) == 100.0
-    assert linear_to_db(100.0) == 20.0
 
 
 def test_config_from_dict_accepts_snr_db():
@@ -102,3 +119,42 @@ def test_with_schedule_replaces_operating_point():
 def test_interference_mode_values():
     assert InterferenceMode("avg") is InterferenceMode.AVERAGE
     assert InterferenceMode("worst") is InterferenceMode.WORST_CASE
+
+
+_VALID_FIELDS = {
+    "n_antennas": st.integers(1, 10 ** 4),
+    "n_users": st.integers(1, 500),
+    "coherence_block": st.integers(1, 5000),
+    "reuse_factor": st.sampled_from([1, 3, 4, 7]),
+    "snr_linear": st.floats(1e-3, 1e4),
+    "pathloss_exponent": st.floats(2.0, 6.0),
+    "cell_radius": st.floats(1.0, 1e4),
+    "pathloss_ref": st.floats(1e-6, 1e6),
+    "min_ue_distance_frac": st.floats(0.0, 0.99),
+}
+_ODD_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, True, False, None, "3", 0, -1]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-10 ** 6, 10 ** 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_any_config_is_rejected_or_gives_finite_se(data, avg_table, worst_table):
+    # a valid config with up to three fields replaced by arbitrary JSON-like values
+    raw = {name: data.draw(strategy, label=name)
+           for name, strategy in _VALID_FIELDS.items()}
+    for name in data.draw(st.sets(st.sampled_from(sorted(raw)), max_size=3),
+                          label="odd fields"):
+        raw[name] = data.draw(_ODD_VALUES, label=name)
+    table = data.draw(st.sampled_from([avg_table, worst_table]), label="table")
+    scheme = data.draw(st.sampled_from(list(Scheme)), label="scheme")
+    try:
+        cfg = config_from_dict(raw)
+        inputs = SinrInputs(config=cfg, moments=table,
+                            plan=PilotPlan(cfg.n_users, cfg.reuse_factor),
+                            scheme=scheme)
+        result = se_per_cell(inputs)
+    except (DomainError, PilotOverflow, InsufficientAntennas, UnsupportedReuse):
+        return
+    assert math.isfinite(result.se_per_cell) and result.se_per_cell >= 0.0

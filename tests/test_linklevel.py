@@ -7,13 +7,13 @@ import pytest
 from hexmimo.config import InterferenceMode, NetworkConfig
 from hexmimo.errors import DomainError, RankDeficient
 from hexmimo.hexgrid import CellIndex, cells_within_tier, worst_case_position
-from hexmimo.linklevel import (Realization, _span_coords, combine,
+from hexmimo.linklevel import (N_BATCHES, Realization, _span_coords, combine,
                                dft_pilot_matrix, estimate_book,
                                estimation_error_scale, generate, lmmse_estimate,
                                lmmse_estimate_kron, measure_estimation_mse,
                                measure_sinr)
 from hexmimo.pilots import PilotPlan
-from hexmimo.spectral import Scheme, SinrInputs, sinr_mrc
+from hexmimo.spectral import Scheme, SinrInputs, sinr
 
 AVG = InterferenceMode.AVERAGE
 WORST = InterferenceMode.WORST_CASE
@@ -255,7 +255,7 @@ def test_measured_sinr_matches_closed_form_single_cell():
     table = MomentTable(mode=AVG, kappa=3.5, n_samples=0, seed=None,
                         rel_tol=1e-3, min_frac=0.14,
                         entries={CellIndex(0, 0): MomentEntry(1., 1., 0., 0.)})
-    analytic = sinr_mrc(SinrInputs(cfg, table, plan, ((0, 0),)))
+    analytic = sinr(SinrInputs(cfg, table, plan, ((0, 0),)))
     measured = measure_sinr(cfg, plan, [(0, 0)], AVG, Scheme.MRC, 10000,
                             np.random.default_rng(18))
     assert abs(measured.sinr - analytic) < 4 * measured.std_error
@@ -269,7 +269,7 @@ def test_measured_sinr_matches_closed_form_single_cell():
 def test_measured_sinr_seven_cell_mrc(avg_table):
     cfg = make_config(n=64, k=2)
     plan = PilotPlan(2, 1)
-    analytic = sinr_mrc(SinrInputs(cfg, avg_table, plan, TIER1))
+    analytic = sinr(SinrInputs(cfg, avg_table, plan, TIER1))
     measured = measure_sinr(cfg, plan, TIER1, AVG, Scheme.MRC, 20000,
                             np.random.default_rng(19))
     assert abs(measured.sinr / analytic - 1.0) < 0.05
@@ -280,7 +280,7 @@ def test_measured_sinr_mrc_with_more_users_than_antennas(avg_table):
     # is K = 28, beta = 3 (84 pilots), and the closed form must hold there
     cfg = make_config(n=10, k=28, beta=3)
     plan = PilotPlan(28, 3)
-    analytic = sinr_mrc(SinrInputs(cfg, avg_table, plan, TIER1))
+    analytic = sinr(SinrInputs(cfg, avg_table, plan, TIER1))
     measured = measure_sinr(cfg, plan, TIER1, AVG, Scheme.MRC, 4000,
                             np.random.default_rng(20))
     assert abs(measured.sinr - analytic) < 3 * measured.std_error
@@ -296,7 +296,7 @@ def test_measured_and_analytic_approach_limit_together(avg_table):
     gaps = {}
     for n, n_real, seed in ((64, 12000, 22), (256, 8000, 23)):
         cfg = make_config(n=n, k=2)
-        analytic = sinr_mrc(SinrInputs(cfg, avg_table, plan, TIER1))
+        analytic = sinr(SinrInputs(cfg, avg_table, plan, TIER1))
         measured = measure_sinr(cfg, plan, TIER1, AVG, Scheme.MRC, n_real,
                                 np.random.default_rng(seed))
         assert abs(measured.sinr - analytic) < 4 * measured.std_error
@@ -385,9 +385,9 @@ def _explicit_samples(cfg, plan, cells, mode, scheme, n_real, rng):
 def test_span_shortcut_matches_explicit_path(scheme):
     cfg = make_config(n=8, k=2, beta=1)
     plan = PilotPlan(2, 1)
-    n_measured, n_explicit, n_batches = 20000, 4000, 20
+    n_measured, n_explicit = 20000, 4000
     measured = measure_sinr(cfg, plan, TIER1, AVG, scheme, n_measured,
-                            np.random.default_rng(31), n_batches=n_batches)
+                            np.random.default_rng(31))
     s1, power, g_norm = _explicit_samples(cfg, plan, TIER1, AVG, scheme,
                                           n_explicit, np.random.default_rng(32))
 
@@ -396,8 +396,8 @@ def test_span_shortcut_matches_explicit_path(scheme):
         return coherent / (power.mean() - coherent + g_norm.mean())
 
     batches = [sinr(*arrays) for arrays in zip(
-        *(a.reshape(n_batches, -1) for a in (s1, power, g_norm)))]
-    se = np.std(batches, ddof=1) / math.sqrt(n_batches)
+        *(a.reshape(N_BATCHES, -1) for a in (s1, power, g_norm)))]
+    se = np.std(batches, ddof=1) / math.sqrt(N_BATCHES)
     explicit = sinr(s1, power, g_norm)
     assert abs(measured.sinr - explicit) < 3 * math.hypot(measured.std_error, se)
 

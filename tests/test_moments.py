@@ -6,45 +6,34 @@ import pytest
 from hexmimo.config import InterferenceMode
 from hexmimo.errors import ConvergenceError, DomainError
 from hexmimo.hexgrid import CellIndex, bs_position, cells_in_tier, tier_of
-from hexmimo.moments import MomentTable, build_table, compute_moment
+from hexmimo.moments import MomentTable, build_table
 
 AVG = InterferenceMode.AVERAGE
 WORST = InterferenceMode.WORST_CASE
 
 
 def test_own_cell_moment_is_exactly_one():
-    for gamma in (1, 2):
-        value, se = compute_moment(CellIndex(0, 0), 3.5, gamma, AVG, n_samples=10)
-        assert value == 1.0 and se == 0.0
+    # power control makes the own-cell ratio identically 1: stored exactly,
+    # never estimated, however few samples the table draws
+    own = build_table(3.5, AVG, n_samples=10, seed=3).entry(CellIndex(0, 0))
+    assert (own.mu1, own.mu2, own.se1, own.se2) == (1.0, 1.0, 0.0, 0.0)
 
 
-def test_own_cell_worst_case_rejected():
-    with pytest.raises(DomainError):
-        compute_moment(CellIndex(0, 0), 3.5, 1, WORST)
-
-
-@pytest.mark.parametrize("kappa", [2.0, 3.5, 5.0])
+@pytest.mark.parametrize("kappa", [3.5, 5.0])
 def test_adjacent_worst_case_is_one(kappa):
     # shared-edge midpoint is equidistant from both BSs, so the ratio is 1
-    value, se = compute_moment(CellIndex(1, 0), kappa, 1, WORST)
-    assert math.isclose(value, 1.0, rel_tol=1e-12)
-    assert se == 0.0
-
-
-def test_worst_case_second_moment_is_exact_square():
-    for offset in [CellIndex(1, 0), CellIndex(1, 1), CellIndex(2, -1)]:
-        m1, _ = compute_moment(offset, 3.5, 1, WORST)
-        m2, _ = compute_moment(offset, 3.5, 2, WORST)
-        assert m2 == m1 * m1
+    entry = build_table(kappa, WORST).entry(CellIndex(1, 0))
+    assert math.isclose(entry.mu1, 1.0, rel_tol=1e-12)
+    assert entry.se1 == 0.0
 
 
 def test_invalid_arguments():
     with pytest.raises(DomainError):
-        compute_moment(CellIndex(1, 0), 1.5, 1, AVG)
+        build_table(1.5, AVG, n_samples=10)
     with pytest.raises(DomainError):
-        compute_moment(CellIndex(1, 0), 3.5, 3, AVG)
+        build_table(math.nan, WORST)
     with pytest.raises(DomainError):
-        compute_moment(CellIndex(1, 0), 3.5, 1, AVG, n_samples=0)
+        build_table(3.5, AVG, n_samples=0)
 
 
 def _triangle_hexagon_samples(rng, n, min_frac):
@@ -71,30 +60,26 @@ def _triangle_hexagon_samples(rng, n, min_frac):
     return out
 
 
-def test_adjacent_average_moment_against_independent_sampler():
+def test_adjacent_average_moment_against_independent_sampler(fullres_tables):
     # brute-force oracle with a structurally different hexagon sampler
     kappa = 3.5
     n = 10 ** 6
-    value, se = compute_moment(CellIndex(1, 0), kappa, 1, AVG, n_samples=n,
-                               rng=np.random.default_rng(100))
+    entry = fullres_tables[AVG].entry(CellIndex(1, 0))
     w = _triangle_hexagon_samples(np.random.default_rng(200), n, 0.14)
     b = bs_position(CellIndex(1, 0), 1.0)
     ratio = np.linalg.norm(w, axis=1) / np.linalg.norm(w + b, axis=1)
     samples = ratio ** kappa
     oracle = samples.mean()
     oracle_se = samples.std(ddof=1) / math.sqrt(n)
-    assert 0.0 < value < 1.0
-    assert abs(value - oracle) < 5.0 * math.hypot(se, oracle_se)
+    assert 0.0 < entry.mu1 < 1.0
+    assert abs(entry.mu1 - oracle) < 5.0 * math.hypot(entry.se1, oracle_se)
 
 
-def test_average_moment_reproducible_across_seeds():
-    # two independent seeds agree to ~3 significant digits at this sample size
-    a, se_a = compute_moment(CellIndex(1, 0), 3.5, 1, AVG, n_samples=2 * 10 ** 6,
-                             rng=np.random.default_rng(1))
-    b, se_b = compute_moment(CellIndex(1, 0), 3.5, 1, AVG, n_samples=2 * 10 ** 6,
-                             rng=np.random.default_rng(2))
-    assert abs(a - b) < 4.0 * math.hypot(se_a, se_b)
-    assert abs(a - b) / a < 5e-3
+def test_average_moment_reproducible_across_seeds(avg_table, fullres_tables):
+    # independent seeds and sample counts agree within their standard errors
+    a = avg_table.entry(CellIndex(1, 0))
+    b = fullres_tables[AVG].entry(CellIndex(1, 0))
+    assert abs(a.mu1 - b.mu1) < 4.0 * math.hypot(a.se1, b.se1)
 
 
 def test_jensen_holds_exactly_on_stored_values(avg_table, worst_table):
@@ -128,8 +113,7 @@ def test_moment_is_invariant_to_radius_and_reference():
     from hexmimo.hexgrid import sample_ue_positions
 
     kappa, n = 3.5, 10 ** 5
-    value, se = compute_moment(CellIndex(1, 0), kappa, 1, AVG, n_samples=n,
-                               rng=np.random.default_rng(42))
+    value = build_table(kappa, AVG, n_samples=n, seed=42).entry(CellIndex(1, 0)).mu1
     r = 250.0
     cell = CellIndex(1, 0)
     pts = sample_ue_positions(cell, r, 0.14, np.random.default_rng(42), n)

@@ -1,7 +1,11 @@
+import math
+
+import numpy as np
 import pytest
 
-from hexmimo.hexgrid import CellIndex, cells_in_tier, cells_within_tier, reuse_group
-from hexmimo.pilots import PilotPlan, copilot_cells, inner_product
+from hexmimo.hexgrid import (CellIndex, bs_position, cells_in_tier,
+                             cells_within_tier, reuse_group)
+from hexmimo.pilots import PilotPlan, inner_product
 
 
 def test_assign_examples_beta3():
@@ -63,32 +67,28 @@ def test_intra_cell_assignment_injective():
         assert len(set(idx)) == len(idx)
 
 
+def _copilot_mates(beta, cells, n_users=2):
+    """Cells other than the origin whose users reuse the origin's pilots,
+    found the way the link-level layout assigns pilots: assign(group, user)."""
+    plan = PilotPlan(n_users=n_users, reuse_factor=beta)
+    origin = [plan.assign(reuse_group(CellIndex(0, 0), beta), k)
+              for k in range(1, n_users + 1)]
+    return [c for c in cells if c != (0, 0)
+            and [plan.assign(reuse_group(c, beta), k)
+                 for k in range(1, n_users + 1)] == origin]
+
+
 def test_copilot_cells_universal_reuse():
     cells = cells_within_tier(2)
-    mates = copilot_cells(CellIndex(0, 0), 1, cells, include_self=False)
-    assert set(mates) == set(cells) - {CellIndex(0, 0)}
+    assert set(_copilot_mates(1, cells)) == set(cells) - {CellIndex(0, 0)}
 
 
 def test_copilot_cells_beta3_nearest_distance():
-    import math
-
-    import numpy as np
-
-    from hexmimo.hexgrid import bs_position
-
-    cells = cells_within_tier(4)
-    mates = copilot_cells(CellIndex(0, 0), 3, cells, include_self=False)
+    mates = _copilot_mates(3, cells_within_tier(4))
     dist = min(np.linalg.norm(bs_position(c, 1.0)) for c in mates)
     assert math.isclose(dist, 3.0, rel_tol=1e-12)  # sqrt(3 * 3) * r
 
 
 def test_copilot_cells_beta7_excludes_first_tier():
-    cells = cells_within_tier(3)
-    mates = copilot_cells(CellIndex(0, 0), 7, cells, include_self=False)
-    assert not set(mates) & set(cells_in_tier(1))
-
-
-def test_copilot_cells_include_self_flag():
-    cells = cells_within_tier(1)
-    with_self = copilot_cells(CellIndex(0, 0), 3, cells)
-    assert CellIndex(0, 0) in with_self
+    mates = _copilot_mates(7, cells_within_tier(3))
+    assert mates and not set(mates) & set(cells_in_tier(1))

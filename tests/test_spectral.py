@@ -11,8 +11,7 @@ from hexmimo.pilots import PilotPlan
 from hexmimo.spectral import (CopilotSums, Scheme, SinrInputs, asymptotic_se,
                               asymptotic_sinr, asymptotic_sinr_generic,
                               kstar_asymptotic, se_from_sinr, se_per_cell,
-                              sinr_mrc, sinr_mrc_generic, sinr_pzfc,
-                              sinr_pzfc_generic)
+                              sinr, sinr_mrc_generic, sinr_pzfc_generic)
 
 
 def synthetic_table(entries):
@@ -38,14 +37,14 @@ def test_single_cell_mrc_closed_form():
     for n, snr in [(10, 10.0), (50, 10.0), (100, 1.0)]:
         inp = make_inputs(SINGLE_CELL, n, 1, 1, snr=snr)
         expected = n / (1.0 + 1.0 / snr) ** 2
-        assert math.isclose(sinr_mrc(inp), expected, rel_tol=1e-12)
+        assert math.isclose(sinr(inp), expected, rel_tol=1e-12)
 
 
 def test_single_cell_mrc_general_k():
     # isolated cell, K users on B = K pilots: N*B / ((K + 1/snr)(B + 1/snr))
     inp = make_inputs(SINGLE_CELL, 200, 5, 1)
     expected = 200 * 5 / ((5 + 0.1) * (5 + 0.1))
-    assert math.isclose(sinr_mrc(inp), expected, rel_tol=1e-12)
+    assert math.isclose(sinr(inp), expected, rel_tol=1e-12)
 
 
 def test_single_cell_pzfc_grows_linearly_in_array_margin():
@@ -54,7 +53,7 @@ def test_single_cell_pzfc_grows_linearly_in_array_margin():
     for n in (2, 11, 101):
         inp = make_inputs(SINGLE_CELL, n, 1, 1, scheme=Scheme.PZFC)
         expected = (n - 1) / (0.1 * (1 + 1 + 0.1))
-        vals[n] = sinr_pzfc(inp)
+        vals[n] = sinr(inp)
         assert math.isclose(vals[n], expected, rel_tol=1e-12)
     assert math.isclose((vals[101] - vals[11]) / (vals[11] - vals[2]), 10.0,
                         rel_tol=1e-12)
@@ -74,7 +73,7 @@ def test_zero_interference_reduces_to_single_cell():
                              (0, 1): (tiny, tiny, 0.0, 0.0)})
     inp = make_inputs(table, 64, 3, 1)
     expected = 64 * 3 / ((3 + 0.1) * (3 + 0.1))
-    assert math.isclose(sinr_mrc(inp), expected, rel_tol=1e-9)
+    assert math.isclose(sinr(inp), expected, rel_tol=1e-9)
 
 
 @pytest.mark.parametrize("beta", [1, 3, 4, 7])
@@ -84,19 +83,18 @@ def test_finite_n_converges_to_common_limit(avg_table, beta, scheme):
     # 1 %-at-1e6 check applies to the strongly contaminated reuse factors only
     k = 3
     limit = asymptotic_sinr(avg_table, PilotPlan(k, beta))
-    f = sinr_pzfc if scheme is Scheme.PZFC else sinr_mrc
     if beta <= 3:
-        assert abs(f(make_inputs(avg_table, 10 ** 6, k, beta, scheme=scheme))
+        assert abs(sinr(make_inputs(avg_table, 10 ** 6, k, beta, scheme=scheme))
                    - limit) / limit < 1e-2
-    assert abs(f(make_inputs(avg_table, 10 ** 9, k, beta, scheme=scheme))
+    assert abs(sinr(make_inputs(avg_table, 10 ** 9, k, beta, scheme=scheme))
                - limit) / limit < 1e-3
 
 
 def test_mrc_and_pzfc_limits_agree(avg_table, worst_table):
     for table in (avg_table, worst_table):
         for beta in (1, 3):
-            m = sinr_mrc(make_inputs(table, 10 ** 9, 4, beta))
-            z = sinr_pzfc(make_inputs(table, 10 ** 9, 4, beta, scheme=Scheme.PZFC))
+            m = sinr(make_inputs(table, 10 ** 9, 4, beta))
+            z = sinr(make_inputs(table, 10 ** 9, 4, beta, scheme=Scheme.PZFC))
             assert abs(m - z) / m < 1e-3
 
 
@@ -107,9 +105,9 @@ def test_generic_equals_collapsed(avg_table, beta, k):
         inp_m = make_inputs(avg_table, n, k, beta, tier_set=tier_set)
         inp_z = make_inputs(avg_table, n, k, beta, tier_set=tier_set,
                             scheme=Scheme.PZFC)
-        assert math.isclose(sinr_mrc(inp_m), sinr_mrc_generic(inp_m),
+        assert math.isclose(sinr(inp_m), sinr_mrc_generic(inp_m),
                             rel_tol=1e-12)
-        assert math.isclose(sinr_pzfc(inp_z), sinr_pzfc_generic(inp_z),
+        assert math.isclose(sinr(inp_z), sinr_pzfc_generic(inp_z),
                             rel_tol=1e-12)
         assert math.isclose(asymptotic_sinr(avg_table, inp_m.plan, tier_set),
                             asymptotic_sinr_generic(inp_m), rel_tol=1e-12)
@@ -124,16 +122,14 @@ def test_generic_sinr_is_user_independent(avg_table):
 
 def test_sinr_strictly_increasing_in_n(avg_table):
     for scheme in (Scheme.MRC, Scheme.PZFC):
-        f = sinr_pzfc if scheme is Scheme.PZFC else sinr_mrc
         grid = [12, 30, 100, 316, 1000, 3162, 10000]
-        vals = [f(make_inputs(avg_table, n, 2, 1, scheme=scheme)) for n in grid]
+        vals = [sinr(make_inputs(avg_table, n, 2, 1, scheme=scheme)) for n in grid]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 def test_sinr_strictly_increasing_in_snr(avg_table):
     for scheme in (Scheme.MRC, Scheme.PZFC):
-        f = sinr_pzfc if scheme is Scheme.PZFC else sinr_mrc
-        vals = [f(make_inputs(avg_table, 128, 2, 1, scheme=scheme, snr=snr))
+        vals = [sinr(make_inputs(avg_table, 128, 2, 1, scheme=scheme, snr=snr))
                 for snr in (0.1, 1.0, 10.0, 100.0)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
@@ -141,8 +137,8 @@ def test_sinr_strictly_increasing_in_snr(avg_table):
 def test_active_rejection_wins_under_strong_interference(worst_table):
     # worst-case coupling, mid-size array: zero-forcing beats passive combining
     for k in (2, 10, 30):
-        m = sinr_mrc(make_inputs(worst_table, 500, k, 1))
-        z = sinr_pzfc(make_inputs(worst_table, 500, k, 1, scheme=Scheme.PZFC))
+        m = sinr(make_inputs(worst_table, 500, k, 1))
+        z = sinr(make_inputs(worst_table, 500, k, 1, scheme=Scheme.PZFC))
         assert z > m
 
 
