@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -74,10 +74,14 @@ class RunManifest:
     def from_json_file(cls, path) -> "RunManifest":
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
-        if unknown:
-            raise DomainError(f"unknown manifest keys: {sorted(unknown)}")
+        if not isinstance(data, dict):
+            raise DomainError("a manifest must be a JSON object")
+        fields = cls.__dataclass_fields__
+        unknown = sorted(set(data) - set(fields))
+        missing = sorted(name for name, f in fields.items() if name not in data
+                         and f.default is MISSING and f.default_factory is MISSING)
+        if unknown or missing:
+            raise DomainError(f"manifest keys unknown: {unknown}, missing: {missing}")
         return cls(**data)
 
 
@@ -331,7 +335,6 @@ def _manifest_from_args(args) -> RunManifest:
         if "snr_db" in user_cfg or "snr_linear" in user_cfg:
             config.pop("snr_db", None)
         config.update(user_cfg)
-    config_from_dict(config)  # fail fast on bad values
     return RunManifest(
         out_dir=args.out or "hexmimo_out",
         seed=args.seed,
@@ -351,10 +354,15 @@ def _manifest_from_args(args) -> RunManifest:
 
 def _check_manifest(manifest: RunManifest) -> None:
     """Reject run parameters that cannot be valid before any work starts."""
+    config_from_dict(manifest.config)
+    if not all((manifest.modes, manifest.schemes, manifest.beta_set, manifest.n_grid)):
+        raise DomainError("modes, schemes, reuse factors and antenna counts must not be empty")
     for mode in manifest.modes:
         InterferenceMode(mode)
     for scheme in manifest.schemes:
         Scheme(scheme)
+    if min(manifest.n_grid) < 1 or (manifest.k_cap is not None and manifest.k_cap < 1):
+        raise DomainError(f"N and k_cap must be >= 1, got {manifest.n_grid}, {manifest.k_cap}")
     bad = [b for b in manifest.beta_set if b not in HEX_REUSE_FACTORS]
     if bad:
         raise DomainError(f"reuse factors {bad} not in {list(HEX_REUSE_FACTORS)}")

@@ -119,6 +119,8 @@ def _sorted_cells(cells) -> tuple[CellIndex, ...]:
 
 def _layout(config: NetworkConfig, plan: PilotPlan, cells):
     """Static per-user metadata: cell centers and pilot columns."""
+    if plan.n_users != config.n_users or plan.reuse_factor != config.reuse_factor:
+        raise DomainError("pilot plan and config disagree on (K, beta)")
     k = plan.n_users
     centers = np.repeat(np.stack([bs_position(c, config.cell_radius) for c in cells]),
                         k, axis=0)
@@ -172,8 +174,6 @@ def generate(config: NetworkConfig, plan: PilotPlan, cells,
              mode: InterferenceMode, rng: np.random.Generator) -> Realization:
     """Draw one complete coherence-block realization at the victim BS."""
     validate(config)
-    if plan.n_users != config.n_users or plan.reuse_factor != config.reuse_factor:
-        raise DomainError("pilot plan and config disagree on (K, beta)")
     cells = _sorted_cells(cells)
     centers, cols = _layout(config, plan, cells)
     n, b = config.n_antennas, plan.pilot_len

@@ -13,7 +13,7 @@ Every expression exists in two algebraically equivalent forms:
   explicit pilot inner products (0 or B) -- slow, used as a cross-check;
 * a collapsed form in which the inner products are resolved against the
   reuse partition, leaving per-group moment sums -- O(#cells), used by the
-  sweep.
+  sweep on whole arrays of user counts.
 
 The per-cell spectral efficiency is K * (1 - B/T) * log2(1 + SINR): power
 control gives every user of the symmetric network the same SINR, and B of
@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .config import NetworkConfig, validate
 from .errors import DomainError, InsufficientAntennas
@@ -42,11 +44,11 @@ class Scheme(Enum):
 
 @dataclass(frozen=True)
 class SeResult:
-    """SINR and spectral efficiency of one operating point."""
+    """SINR and spectral efficiency of one operating point or an array of them."""
 
-    sinr: float        # effective SINR shared by all users (may be +inf)
-    se_per_cell: float  # bit/s/Hz/cell
-    prelog: float       # 1 - B/T
+    sinr: float | np.ndarray         # effective SINR shared by all users (may be +inf)
+    se_per_cell: float | np.ndarray  # bit/s/Hz/cell
+    prelog: float | np.ndarray       # 1 - B/T
 
 
 @dataclass(frozen=True)
@@ -126,28 +128,28 @@ class CopilotSums:
 # collapsed (fast) evaluations
 
 
-def mrc_sinr_from_sums(sums: CopilotSums, n_antennas: int, n_users: int,
-                       inv_snr: float) -> float:
-    """MRC SINR from precomputed copilot sums."""
+def mrc_sinr_from_sums(sums: CopilotSums, n_antennas: int, n_users,
+                       inv_snr: float):
+    """MRC SINR from precomputed copilot sums, elementwise over `n_users`."""
     n = float(n_antennas)
-    k = float(n_users)
-    b = float(sums.reuse_factor * n_users)
+    k = np.asarray(n_users, dtype=float)
+    b = sums.reuse_factor * k
     gain_deficit = (sums.mu1_total * k + inv_snr) / n
     pilot_power = b * sums.mu1_copilot + inv_snr
     contamination = b * (sums.mu2_others + sums.var_copilot / n)
     denom = gain_deficit * pilot_power + contamination
-    return b / denom if denom > 0 else math.inf
+    return _plain(np.divide(b, denom, out=np.full(denom.shape, math.inf),
+                            where=denom > 0))
 
 
-def pzfc_sinr_from_sums(sums: CopilotSums, n_antennas: int, n_users: int,
-                        inv_snr: float) -> float:
-    """PZFC SINR from precomputed copilot sums."""
+def pzfc_sinr_from_sums(sums: CopilotSums, n_antennas: int, n_users,
+                        inv_snr: float):
+    """PZFC SINR from precomputed copilot sums, elementwise over `n_users`."""
     n = float(n_antennas)
-    k = float(n_users)
-    b = float(sums.reuse_factor * n_users)
-    if n_antennas <= sums.reuse_factor * n_users:
-        raise InsufficientAntennas(
-            f"PZFC needs N > B, got N={n_antennas}, B={int(b)}")
+    k = np.asarray(n_users, dtype=float)
+    b = sums.reuse_factor * k
+    if np.any(n <= b):
+        raise InsufficientAntennas(f"PZFC needs N > B, got N={n_antennas}, B={int(np.max(b))}")
     contamination = b * (sums.mu2_others + sums.var_copilot / (n - b))
     # interference left after projecting out the B estimated directions
     rejected = sum(sq * b / (b * m1 + inv_snr)
@@ -155,7 +157,13 @@ def pzfc_sinr_from_sums(sums: CopilotSums, n_antennas: int, n_users: int,
     residual = k * (sums.mu1_total - rejected) + inv_snr
     pilot_power = (b * sums.mu1_copilot + inv_snr) / (n - b)
     denom = contamination + residual * pilot_power
-    return b / denom if denom > 0 else math.inf
+    return _plain(np.divide(b, denom, out=np.full(denom.shape, math.inf),
+                            where=denom > 0))
+
+
+def _plain(values: np.ndarray):
+    """A 0-d result as a Python float, so scalar callers get plain floats."""
+    return values.item() if values.ndim == 0 else values
 
 
 def asymptotic_sinr_from_sums(sums: CopilotSums) -> float:
@@ -186,17 +194,17 @@ def se_per_cell(inputs: SinrInputs) -> SeResult:
     return se_from_sinr(sinr(inputs), cfg.n_users, cfg.pilot_len, cfg.coherence_block)
 
 
-def se_from_sinr(sinr: float, n_users: int, pilot_len: int,
-                 coherence_block: int) -> SeResult:
-    """Spectral efficiency of one cell given the common per-user SINR."""
-    prelog = 1.0 - pilot_len / coherence_block
-    if prelog <= 0.0:
-        # whole block spent on pilots; no channel uses carry data
-        return SeResult(sinr=sinr, se_per_cell=0.0, prelog=max(prelog, 0.0))
-    if math.isinf(sinr):
-        return SeResult(sinr=sinr, se_per_cell=math.inf, prelog=prelog)
-    return SeResult(sinr=sinr, se_per_cell=n_users * prelog * math.log2(1.0 + sinr),
-                    prelog=prelog)
+def se_from_sinr(sinr, n_users, pilot_len, coherence_block: int) -> SeResult:
+    """Spectral efficiency of one cell given the common per-user SINR,
+    elementwise over arrays; 0 when pilots fill the block (B >= T)."""
+    sinr = np.asarray(sinr, dtype=float)
+    prelog = 1.0 - np.asarray(pilot_len) / coherence_block
+    # math.log2, not np.log2: the two differ in the last bit on some inputs
+    log = np.reshape([math.log2(1.0 + x) for x in sinr.ravel().tolist()], sinr.shape)
+    with np.errstate(invalid="ignore"):  # 0 * inf at B = T with infinite SINR
+        se = np.where(prelog > 0.0, n_users * prelog * log, 0.0)
+    return SeResult(sinr=_plain(sinr), se_per_cell=_plain(se),
+                    prelog=_plain(np.maximum(prelog, 0.0)))
 
 
 def asymptotic_se(moments: MomentTable, plan: PilotPlan, coherence_block: int,

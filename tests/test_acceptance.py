@@ -122,11 +122,11 @@ def test_criterion_4a_similarity_band(headline_sweep):
     # or more must come from an MRC optimum outside that shared domain.
     result, _ = headline_sweep
     n_range = [n for n in default_n_grid() if 10 <= n <= 200]
-    mrc_shared = dict.fromkeys(n_range, 0.0)
-    for r in result.rows:
-        if (r.scheme is Scheme.MRC and r.mode is AVG and r.n_antennas in mrc_shared
-                and r.reuse_factor * r.n_users < r.n_antennas):
-            mrc_shared[r.n_antennas] = max(mrc_shared[r.n_antennas], r.se)
+    rows = result.rows
+    shared = ((rows["scheme"] == Scheme.MRC.value) & (rows["mode"] == AVG.value)
+              & (rows["beta"] * rows["K"] < rows["N"]))
+    mrc_shared = {n: rows["se"][shared & (rows["N"] == n)].max(initial=0.0)
+                  for n in n_range}
 
     def gap(a, b):
         return abs(a - b) / max(a, b)

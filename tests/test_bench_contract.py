@@ -14,6 +14,9 @@ from pathlib import Path
 import pytest
 
 from hexmimo.cli import _build_parser
+from hexmimo.config import InterferenceMode, NetworkConfig
+from hexmimo.spectral import Scheme
+from hexmimo.sweep import sweep, write_sweep_csv
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -58,3 +61,20 @@ def test_benchmark_argv_parses(smoke):
                 parser.parse_args(argv)
             except SystemExit:
                 pytest.fail(f"{wl.name}: the CLI rejects {argv}")
+
+
+def test_sweep_attrs_read_a_real_sweep(tmp_path, avg_table, worst_table):
+    # the traced run reports sweep.rows, sweep.skipped and
+    # sweep.feasible_ratio from these attributes of the sweep's result
+    tables = {InterferenceMode.AVERAGE: avg_table,
+              InterferenceMode.WORST_CASE: worst_table}
+    args = (NetworkConfig(n_antennas=100, n_users=10, coherence_block=200,
+                          reuse_factor=1, snr_linear=10.0),
+            [8, 64], range(1, 41), [1, 3], [Scheme.MRC, Scheme.PZFC],
+            list(tables), tables)
+    result = sweep(*args)
+    attrs = child._sweep_attrs(args, {}, result)
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(result, path)
+    assert attrs["rows"] == len(path.read_text().splitlines()) - 1
+    assert attrs["skipped"] == sum(result.n_skipped.values()) > 0

@@ -158,6 +158,12 @@ def test_config_error_exit_code(tmp_path):
                 "moment_rel_tol": 1e-3, "moment_max_tiers": 12}
     bad.write_text(json.dumps(manifest))
     assert run_cli(["--from-manifest", bad]) == 2
+    # manifests missing a required field, or carrying a config no run can use
+    del manifest["moment_rel_tol"], manifest["moment_max_tiers"]
+    for broken in ({}, {k: v for k, v in manifest.items() if k != "config"},
+                   {**manifest, "config": {**manifest["config"], "cell_radius": -5}}):
+        bad.write_text(json.dumps(broken))
+        assert run_cli(["--from-manifest", bad]) == 2, broken
     assert not (tmp_path / "o").exists()
 
 
@@ -216,9 +222,17 @@ def test_console_entry_point(tmp_path):
 @pytest.mark.parametrize("flags", [["--realizations", "5"],
                                    ["--realizations", "0"],
                                    ["--samples", "0"],
-                                   ["--betas", "1,2"]],
+                                   ["--betas", "1,2"],
+                                   ["--k-cap", "0"],
+                                   ["--betas", ","],
+                                   ["--modes", ","],
+                                   ["--schemes", ","],
+                                   ["--n-points", "0"],
+                                   ["--n-min", "0"]],
                          ids=["realizations5", "realizations0", "samples0",
-                              "beta2"])
+                              "beta2", "kcap0", "betas-empty", "modes-empty",
+                              "schemes-empty", "npoints0", "nmin0"])
+@pytest.mark.filterwarnings("error")  # rejected by a check, not by numpy
 def test_invalid_run_values_exit_before_any_work(tmp_path, capsys, flags):
     cfg = small_config(tmp_path)
     out = tmp_path / "out"

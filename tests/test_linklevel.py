@@ -88,6 +88,15 @@ def test_generate_rejects_inconsistent_inputs():
                  np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("plan", [PilotPlan(2, 3), PilotPlan(3, 1)],
+                         ids=["beta", "users"])
+def test_measure_sinr_rejects_plan_that_disagrees_with_config(plan):
+    # config (K, beta) = (2, 1): the plan must not silently replace either
+    with pytest.raises(DomainError):
+        measure_sinr(make_config(n=64, k=2), plan, [(0, 0), (1, 0)], AVG,
+                     Scheme.MRC, 400, np.random.default_rng(0))
+
+
 def test_worst_mode_pins_interferers_to_cell_edge():
     cfg = make_config(n=4, k=2)
     plan = PilotPlan(2, 1)

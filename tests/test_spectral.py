@@ -173,6 +173,19 @@ def test_se_per_cell_arithmetic():
     assert math.isclose(res.prelog, 0.998, rel_tol=1e-12)
 
 
+def test_se_from_sinr_on_arrays_equals_the_scalar_formula():
+    # elementwise over arrays, bit for bit what math.log2 gives per point
+    rng = np.random.default_rng(3)
+    sinr = rng.exponential(5.0, 4000)
+    k = rng.integers(1, 200, 4000)
+    pilots = k * rng.choice([1, 3, 4, 7], 4000)
+    res = se_from_sinr(sinr, k, pilots, 1000)
+    expected = [0.0 if b >= 1000 else kk * (1.0 - b / 1000) * math.log2(1.0 + s)
+                for s, kk, b in zip(sinr.tolist(), k.tolist(), pilots.tolist())]
+    assert res.se_per_cell.tolist() == expected
+    assert res.prelog.tolist() == [max(1.0 - b / 1000, 0.0) for b in pilots.tolist()]
+
+
 def test_se_zero_when_block_is_all_pilots():
     res = se_from_sinr(37.5, 10, 1000, 1000)
     assert res.se_per_cell == 0.0 and res.prelog == 0.0

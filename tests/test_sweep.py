@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 
 from hexmimo.config import InterferenceMode, NetworkConfig
 from hexmimo.errors import EmptyFeasibleSet
-from hexmimo.spectral import Scheme
-from hexmimo.sweep import (SweepRow, _better, default_k_grid, default_n_grid,
+from hexmimo.pilots import PilotPlan
+from hexmimo.spectral import Scheme, SinrInputs, se_from_sinr, sinr
+from hexmimo.sweep import (ROW_DTYPE, _argmax, default_k_grid, default_n_grid,
                            optimal_schedule, sweep, write_optima_csv,
                            write_sweep_csv)
 
@@ -32,39 +34,38 @@ def test_default_grids():
 
 
 def test_every_row_is_feasible(small_sweep):
-    for row in small_sweep.rows:
-        assert row.reuse_factor * row.n_users <= 1000
-        if row.scheme is Scheme.PZFC:
-            assert row.n_antennas > row.reuse_factor * row.n_users
-        assert row.se >= 0.0
+    rows = small_sweep.rows
+    pilots = rows["beta"] * rows["K"]
+    assert np.all(pilots <= 1000)
+    zf = rows["scheme"] == Scheme.PZFC.value
+    assert np.all(rows["N"][zf] > pilots[zf])
+    assert np.all(rows["se"] >= 0.0)
 
 
 def test_optima_are_slice_maxima(small_sweep):
+    rows = small_sweep.rows
     for (n, scheme, mode), best in small_sweep.optima.items():
-        slice_rows = [r for r in small_sweep.rows
-                      if (r.n_antennas, r.scheme, r.mode) == (n, scheme, mode)]
-        assert best in slice_rows
-        assert best.se == max(r.se for r in slice_rows)
+        in_slice = ((rows["N"] == n) & (rows["scheme"] == scheme.value)
+                    & (rows["mode"] == mode.value))
+        assert in_slice[best]
+        assert rows["se"][best] == rows["se"][in_slice].max()
 
 
 def test_se_rows_increase_with_n(small_sweep):
     # for a fixed feasible (K, beta, scheme, mode), SE grows with N
-    by_point = {}
-    for r in small_sweep.rows:
-        by_point.setdefault((r.n_users, r.reuse_factor, r.scheme, r.mode), []).append(r)
-    checked = 0
-    for rows in by_point.values():
-        rows = sorted(rows, key=lambda r: r.n_antennas)
-        for a, b in zip(rows, rows[1:]):
-            assert b.se > a.se
-            checked += 1
-    assert checked > 50
+    point = ["mode", "scheme", "beta", "K"]
+    rows = np.sort(small_sweep.rows, order=point + ["N"])
+    same_point = np.ones(len(rows) - 1, dtype=bool)
+    for field in point:
+        same_point &= rows[field][1:] == rows[field][:-1]
+    assert np.all(rows["se"][1:][same_point] > rows["se"][:-1][same_point])
+    assert same_point.sum() > 50
 
 
 def test_determinism(avg_table):
     tables = {AVG: avg_table}
     args = (template(), [32, 128], range(1, 9), [1, 3], [Scheme.MRC], [AVG], tables)
-    assert sweep(*args).rows == sweep(*args).rows
+    assert np.array_equal(sweep(*args).rows, sweep(*args).rows)
 
 
 def test_optimal_schedule_lookup(small_sweep):
@@ -88,16 +89,24 @@ def test_skipped_points_are_counted(small_sweep):
 
 
 def test_tie_break_prefers_fewer_users_then_lower_reuse():
-    mk = lambda k, beta, se: SweepRow(64, k, beta, Scheme.MRC, AVG, 1.0, se)
-    assert _better(mk(3, 1, 5.0), mk(4, 1, 5.0))
-    assert not _better(mk(4, 1, 5.0), mk(3, 1, 5.0))
-    assert _better(mk(3, 1, 5.0), mk(3, 3, 5.0))
-    assert _better(mk(9, 7, 6.0), mk(3, 1, 5.0))
+    def pick(*candidates):  # (K, beta, SE) triples
+        rows = np.zeros(len(candidates), ROW_DTYPE)
+        rows["K"], rows["beta"], rows["se"] = zip(*candidates)
+        return candidates[_argmax(rows)]
+
+    assert pick((4, 1, 5.0), (3, 1, 5.0)) == (3, 1, 5.0)
+    assert pick((3, 1, 5.0), (4, 1, 5.0)) == (3, 1, 5.0)
+    assert pick((3, 3, 5.0), (3, 1, 5.0)) == (3, 1, 5.0)
+    assert pick((3, 1, 5.0), (9, 7, 6.0)) == (9, 7, 6.0)
+    assert pick((4, 1, 5.0), (3, 7, 5.0)) == (3, 7, 5.0)
+    assert pick((7, 3, 0.0), (3, 7, 0.0)) == (3, 7, 0.0)  # B = T = 21: no data
 
 
 def test_tie_break_in_full_sweep(avg_table):
-    # T = 21 with K = 7: both beta = 3 and beta = 7 give B = T, hence SE = 0;
-    # the tie resolves toward the smaller reuse factor
+    # T = 21 with K = 7: beta = 3 gives B = T, hence SE = 0, and beta = 7 is
+    # infeasible (B = 49 > T); a slice whose only point has SE = 0 still has
+    # that point as its optimum.  Ties at SE = 0 are picked in
+    # test_tie_break_prefers_fewer_users_then_lower_reuse.
     result = sweep(template(t_block=21), [64], [7], [3, 7], [Scheme.MRC], [AVG],
                    {AVG: avg_table})
     k, beta, se = optimal_schedule(result, 64, Scheme.MRC, AVG)
@@ -116,7 +125,7 @@ def test_csv_outputs(tmp_path, small_sweep):
     n, k, beta, scheme, mode, sinr, se = lines[1].split(",")
     assert scheme in ("mrc", "pzfc") and mode in ("avg", "worst")
     row = small_sweep.rows[0]
-    assert float(sinr) == row.sinr and float(se) == row.se  # full precision
+    assert float(sinr) == row["sinr"] and float(se) == row["se"]  # full precision
 
     lines = optima_path.read_text().splitlines()
     assert lines[0] == "N,scheme,mode,K_star,beta_star,sinr,se"
@@ -147,7 +156,47 @@ def test_mrc_schedules_at_least_as_many_users(avg_table):
 
 
 def test_rows_cover_declared_grid(small_sweep):
-    ns = {r.n_antennas for r in small_sweep.rows}
-    assert ns == {16, 64, 256, 1024}
-    assert {r.mode for r in small_sweep.rows} == {AVG, WORST}
-    assert {r.scheme for r in small_sweep.rows} == {Scheme.MRC, Scheme.PZFC}
+    rows = small_sweep.rows
+    assert set(rows["N"].tolist()) == {16, 64, 256, 1024}
+    assert set(rows["mode"].tolist()) == {AVG.value, WORST.value}
+    assert set(rows["scheme"].tolist()) == {Scheme.MRC.value, Scheme.PZFC.value}
+
+
+def test_columnar_sweep_equals_scalar_loop(avg_table, worst_table):
+    # the literal per-point loop: scalar sinr/se_from_sinr, max with the
+    # tie-break key; every value must match the columnar sweep exactly.
+    # At T = 21, (K, beta) = (21, 1), (7, 3) and (3, 7) fill the block with
+    # pilots (SE = 0), and PZFC skips every beta * K >= N at N = 4, 8, 30.
+    t_block, n_grid, k_grid, betas = 21, [4, 8, 30, 1000], range(1, 22), [1, 3, 7]
+    tables = {AVG: avg_table, WORST: worst_table}
+    schemes = [Scheme.MRC, Scheme.PZFC]
+    result = sweep(template(t_block), n_grid, k_grid, betas, schemes,
+                   [AVG, WORST], tables)
+    rows, optima, skipped = [], {}, {}
+    for mode in (AVG, WORST):
+        for n in n_grid:
+            for scheme in schemes:
+                key = (n, scheme, mode)
+                first, skipped[key] = len(rows), 0
+                for beta in betas:
+                    for k in k_grid:
+                        if beta * k > t_block:
+                            continue
+                        if scheme is Scheme.PZFC and n <= beta * k:
+                            skipped[key] += 1
+                            continue
+                        cfg = template(t_block).with_schedule(
+                            n_antennas=n, n_users=k, reuse_factor=beta)
+                        value = sinr(SinrInputs(cfg, tables[mode],
+                                                PilotPlan(k, beta),
+                                                scheme=scheme))
+                        se = se_from_sinr(value, k, beta * k, t_block).se_per_cell
+                        rows.append((n, k, beta, scheme.value, mode.value,
+                                     value, se))
+                optima[key] = max(rows[first:],
+                                  key=lambda r: (r[6], -r[1], -r[2]))
+    assert result.rows.tolist() == rows
+    assert {key: result.rows[i].item() for key, i in result.optima.items()} == optima
+    assert result.n_skipped == skipped
+    assert sum(r[6] == 0.0 for r in rows) > 1 and sum(skipped.values()) > 0
+    assert all(type(r[5]) is float and type(r[6]) is float for r in rows)
