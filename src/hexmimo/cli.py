@@ -332,6 +332,8 @@ def _manifest_from_args(args) -> RunManifest:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             user_cfg = json.load(fh)
+        if not isinstance(user_cfg, dict):
+            raise DomainError("a config file must hold a JSON object")
         if "snr_db" in user_cfg or "snr_linear" in user_cfg:
             config.pop("snr_db", None)
         config.update(user_cfg)
@@ -352,8 +354,35 @@ def _manifest_from_args(args) -> RunManifest:
     )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_types(manifest: RunManifest) -> None:
+    """Reject run values of the wrong JSON type, before any is compared."""
+    def ints(v):
+        return isinstance(v, list) and all(_is_int(x) for x in v)
+
+    def strs(v):
+        return isinstance(v, list) and all(isinstance(x, str) for x in v)
+
+    m = manifest
+    ok = {"out_dir": isinstance(m.out_dir, str), "seed": _is_int(m.seed),
+          "modes": strs(m.modes), "schemes": strs(m.schemes),
+          "config": isinstance(m.config, dict), "n_grid": ints(m.n_grid),
+          "k_cap": m.k_cap is None or _is_int(m.k_cap),
+          "beta_set": ints(m.beta_set), "moment_samples": _is_int(m.moment_samples),
+          "run_asymptotic": isinstance(m.run_asymptotic, bool),
+          "run_validation": isinstance(m.run_validation, bool),
+          "validation_realizations": _is_int(m.validation_realizations)}
+    bad = [name for name, good in ok.items() if not good]
+    if bad:
+        raise DomainError(f"manifest values of the wrong type: {bad}")
+
+
 def _check_manifest(manifest: RunManifest) -> None:
     """Reject run parameters that cannot be valid before any work starts."""
+    _check_types(manifest)
     config_from_dict(manifest.config)
     if not all((manifest.modes, manifest.schemes, manifest.beta_set, manifest.n_grid)):
         raise DomainError("modes, schemes, reuse factors and antenna counts must not be empty")
@@ -366,6 +395,8 @@ def _check_manifest(manifest: RunManifest) -> None:
     bad = [b for b in manifest.beta_set if b not in HEX_REUSE_FACTORS]
     if bad:
         raise DomainError(f"reuse factors {bad} not in {list(HEX_REUSE_FACTORS)}")
+    if manifest.seed < 0:
+        raise DomainError(f"seed must be >= 0, got {manifest.seed}")
     if manifest.moment_samples < 1:
         raise DomainError(f"samples must be >= 1, got {manifest.moment_samples}")
     if manifest.validation_realizations < N_BATCHES:

@@ -36,6 +36,7 @@ _CORNERS = np.array([(math.cos(k * math.pi / 3.0), math.sin(k * math.pi / 3.0))
 _EDGE_AXES = np.array([(math.cos(a), math.sin(a))
                        for a in (math.pi / 6.0, math.pi / 2.0, 5.0 * math.pi / 6.0)])
 _APOTHEM = SQRT3 / 2.0
+_SAMPLE_BLOCK = 2 ** 16  # rows per block of a rejection round's draw
 
 # Co-channel shift pair (i, j) per supported cluster size beta = i^2 + i*j + j^2.
 _REUSE_SHIFT = {1: (1, 0), 3: (1, 1), 4: (2, 0), 7: (2, 1)}
@@ -133,7 +134,11 @@ def sample_ue_positions(cell: CellIndex, radius: float, min_frac: float,
 
     Rejection sampling from the bounding box of the unit hexagon; the draw is
     made at unit radius and scaled afterwards, so a given generator state
-    yields the same (scaled) points for every radius.
+    yields the same (scaled) points for every radius.  Each rejection round
+    draws its rows in blocks of `_SAMPLE_BLOCK`, so the temporaries stay
+    bounded whatever n is.  Blocks are drawn in order, and a round's blocks
+    after the quota fills are still drawn and discarded: points and final
+    generator state are those of one draw of the whole round.
     """
     if not 0.0 <= min_frac < 1.0:
         raise DomainError(f"min_frac must be in [0, 1), got {min_frac}")
@@ -142,15 +147,18 @@ def sample_ue_positions(cell: CellIndex, radius: float, min_frac: float,
     # acceptance ratio ~ 0.73 for min_frac = 0.14
     while have < n:
         m = max(64, int(1.5 * (n - have)))
-        pts = rng.uniform(-1.0, 1.0, size=(m, 2))
-        pts[:, 1] *= _APOTHEM
-        inside = np.max(np.abs(pts @ _EDGE_AXES.T), axis=1) <= _APOTHEM
-        if min_frac > 0.0:
-            inside &= (pts[:, 0] ** 2 + pts[:, 1] ** 2) >= min_frac ** 2
-        pts = pts[inside]
-        take = min(n - have, pts.shape[0])
-        accepted[have:have + take] = pts[:take]
-        have += take
+        for start in range(0, m, _SAMPLE_BLOCK):
+            pts = rng.uniform(-1.0, 1.0, size=(min(_SAMPLE_BLOCK, m - start), 2))
+            if have == n:
+                continue
+            pts[:, 1] *= _APOTHEM
+            inside = np.max(np.abs(pts @ _EDGE_AXES.T), axis=1) <= _APOTHEM
+            if min_frac > 0.0:
+                inside &= (pts[:, 0] ** 2 + pts[:, 1] ** 2) >= min_frac ** 2
+            pts = pts[inside]
+            take = min(n - have, pts.shape[0])
+            accepted[have:have + take] = pts[:take]
+            have += take
     return radius * accepted + bs_position(cell, radius)
 
 

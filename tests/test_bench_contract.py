@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import hexmimo.moments
 from hexmimo.cli import _build_parser
 from hexmimo.config import InterferenceMode, NetworkConfig
 from hexmimo.spectral import Scheme
@@ -78,3 +79,20 @@ def test_sweep_attrs_read_a_real_sweep(tmp_path, avg_table, worst_table):
     write_sweep_csv(result, path)
     assert attrs["rows"] == len(path.read_text().splitlines()) - 1
     assert attrs["skipped"] == sum(result.n_skipped.values()) > 0
+
+
+def test_sample_counter_sees_the_moment_pool(monkeypatch):
+    # hexgrid.sample_* and moments.build_* in a traced run keep their meaning
+    # only while an average build draws its pool in one sampler call
+    calls = []
+    sampler = hexmimo.moments.sample_ue_positions
+
+    def counting(*args, **kwargs):
+        calls.append(child._arg(args, kwargs, 4, "n"))
+        return sampler(*args, **kwargs)
+
+    monkeypatch.setattr(hexmimo.moments, "sample_ue_positions", counting)
+    hexmimo.moments.build_table(3.5, InterferenceMode.AVERAGE, n_samples=1000)
+    assert calls == [1000]
+    hexmimo.moments.build_table(3.5, InterferenceMode.WORST_CASE)
+    assert calls == [1000]

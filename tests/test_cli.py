@@ -152,6 +152,10 @@ def test_config_error_exit_code(tmp_path):
                      {"coherence_block": 1000.5}, {"n_antennas": True}):
         bad.write_text(json.dumps(override))
         assert run_cli(["--config", bad, "--out", tmp_path / "o"]) == 2, override
+    # a config file that is valid JSON but not an object
+    for not_object in ([1], "snr_db", 3.5):
+        bad.write_text(json.dumps(not_object))
+        assert run_cli(["--config", bad, "--out", tmp_path / "o"]) == 2, not_object
     # a manifest carrying the retired moment_rel_tol / moment_max_tiers keys
     manifest = {"out_dir": str(tmp_path / "o"), "seed": 0, "modes": ["avg"],
                 "schemes": ["mrc"], "config": json.loads(cfg.read_text()),
@@ -160,8 +164,11 @@ def test_config_error_exit_code(tmp_path):
     assert run_cli(["--from-manifest", bad]) == 2
     # manifests missing a required field, or carrying a config no run can use
     del manifest["moment_rel_tol"], manifest["moment_max_tiers"]
+    # ... or carrying a run value of the wrong JSON type
     for broken in ({}, {k: v for k, v in manifest.items() if k != "config"},
-                   {**manifest, "config": {**manifest["config"], "cell_radius": -5}}):
+                   {**manifest, "config": {**manifest["config"], "cell_radius": -5}},
+                   {**manifest, "k_cap": "3"}, {**manifest, "config": [1]},
+                   {**manifest, "n_grid": [16, "64"]}, {**manifest, "seed": 1.5}):
         bad.write_text(json.dumps(broken))
         assert run_cli(["--from-manifest", bad]) == 2, broken
     assert not (tmp_path / "o").exists()
@@ -228,10 +235,11 @@ def test_console_entry_point(tmp_path):
                                    ["--modes", ","],
                                    ["--schemes", ","],
                                    ["--n-points", "0"],
-                                   ["--n-min", "0"]],
+                                   ["--n-min", "0"],
+                                   ["--seed", "-1"]],
                          ids=["realizations5", "realizations0", "samples0",
                               "beta2", "kcap0", "betas-empty", "modes-empty",
-                              "schemes-empty", "npoints0", "nmin0"])
+                              "schemes-empty", "npoints0", "nmin0", "seed-negative"])
 @pytest.mark.filterwarnings("error")  # rejected by a check, not by numpy
 def test_invalid_run_values_exit_before_any_work(tmp_path, capsys, flags):
     cfg = small_config(tmp_path)

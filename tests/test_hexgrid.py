@@ -148,6 +148,41 @@ def test_sample_positions_scale_exactly_with_radius():
     assert np.array_equal(2.0 * pts1, pts2)
 
 
+def _one_shot_sampler(cell, radius, min_frac, rng, n):
+    """Rejection sampling with each round drawn and tested as one array."""
+    apothem = SQRT3 / 2.0
+    axes = np.array([(math.cos(a), math.sin(a))
+                     for a in (math.pi / 6.0, math.pi / 2.0, 5.0 * math.pi / 6.0)])
+    accepted = np.empty((n, 2))
+    have = 0
+    while have < n:
+        m = max(64, int(1.5 * (n - have)))
+        pts = rng.uniform(-1.0, 1.0, size=(m, 2))
+        pts[:, 1] *= apothem
+        inside = np.max(np.abs(pts @ axes.T), axis=1) <= apothem
+        if min_frac > 0.0:
+            inside &= (pts[:, 0] ** 2 + pts[:, 1] ** 2) >= min_frac ** 2
+        pts = pts[inside]
+        take = min(n - have, pts.shape[0])
+        accepted[have:have + take] = pts[:take]
+        have += take
+    return radius * accepted + bs_position(cell, radius)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("n", [1, 43_690, 43_691, 100_000, 220_000])
+def test_blocked_sampler_matches_one_shot_draw(n, seed):
+    # 1.5 n rows per first round: just under, at and well past one block;
+    # at 220,000 the quota fills before the round's last, short block
+    cell = CellIndex(2, -1)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    pts = sample_ue_positions(cell, 250.0, 0.14, rng, n)
+    ref = _one_shot_sampler(cell, 250.0, 0.14, ref_rng, n)
+    assert np.array_equal(pts, ref)
+    # the generator ends where the one-shot draw leaves it
+    assert np.array_equal(rng.random(4), ref_rng.random(4))
+
+
 def test_worst_case_adjacent_is_shared_edge_midpoint():
     r = 250.0
     p = worst_case_position(CellIndex(0, 0), CellIndex(1, 0), r)

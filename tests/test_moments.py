@@ -1,12 +1,17 @@
+import concurrent.futures
 import math
+import os
+import sys
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from hexmimo.config import InterferenceMode
 from hexmimo.errors import ConvergenceError, DomainError
-from hexmimo.hexgrid import CellIndex, bs_position, cells_in_tier, tier_of
-from hexmimo.moments import MomentTable, build_table
+from hexmimo.hexgrid import (CellIndex, bs_position, cells_in_tier,
+                             sample_ue_positions, tier_of)
+from hexmimo.moments import REL_TOL, MomentEntry, MomentTable, build_table
 
 AVG = InterferenceMode.AVERAGE
 WORST = InterferenceMode.WORST_CASE
@@ -205,3 +210,81 @@ def test_offsets_ordering(avg_table):
     tiers = [tier_of(c) for c in offsets]
     assert tiers == sorted(tiers)
     assert offsets[0] == CellIndex(0, 0)
+
+
+def _ratio_pow_pool(offset, kappa, pool, serving_sq):
+    """ratio^kappa for the whole pool as one array expression."""
+    b = bs_position(offset, 1.0)
+    dx = pool[:, 0] + b[0]
+    dy = pool[:, 1] + b[1]
+    victim_sq = dx * dx + dy * dy
+    return (serving_sq / victim_sq) ** (kappa / 2.0)
+
+
+def _mean_and_se(values):
+    n = values.size
+    mean = float(values.mean())
+    if n < 2:
+        return mean, math.inf
+    return mean, float(values.std(ddof=1) / math.sqrt(n))
+
+
+@lru_cache(maxsize=None)
+def _reference_average_entries(kappa, n_samples, seed):
+    """The serial whole-array build: one fresh ratio array per offset and
+    numpy's own mean and std, tier by tier until the same stop rule holds."""
+    rng = np.random.default_rng(seed)
+    pool = sample_ue_positions(CellIndex(0, 0), 1.0, 0.14, rng, n_samples)
+    serving_sq = pool[:, 0] ** 2 + pool[:, 1] ** 2
+    entries = {CellIndex(0, 0): MomentEntry(1.0, 1.0, 0.0, 0.0)}
+    total_mu1 = 1.0
+    for tier in range(1, 13):
+        tier_mu1 = 0.0
+        for cell in cells_in_tier(tier):
+            x = _ratio_pow_pool(cell, kappa, pool, serving_sq)
+            mu1, se1 = _mean_and_se(x)
+            mu2, se2 = _mean_and_se(x * x)
+            entries[cell] = MomentEntry(mu1, mu2, se1, se2)
+            tier_mu1 += mu1
+        total_mu1 += tier_mu1
+        if tier_mu1 <= REL_TOL * total_mu1:
+            return entries
+    raise AssertionError("reference build did not converge")
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+@pytest.mark.parametrize("kappa", [3.5, 4.0])
+@pytest.mark.parametrize("n", [1, 10, 2 ** 15 + 1, 100_003])
+def test_blocked_parallel_build_equals_whole_array_reference(n, kappa, cpus,
+                                                            monkeypatch):
+    # below one block, across a block boundary, not a multiple of the block;
+    # one worker and more workers than this host may have cores
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the workers as often as possible
+    try:
+        table = build_table(kappa, AVG, n_samples=n, seed=n % 7)
+    finally:
+        sys.setswitchinterval(interval)
+    reference = _reference_average_entries(kappa, n, n % 7)
+    assert set(table.entries) == set(reference)
+    for cell, ref in reference.items():
+        got = table.entries[cell]
+        assert (got.mu1, got.mu2, got.se1, got.se2) == (ref.mu1, ref.mu2,
+                                                        ref.se1, ref.se2), cell
+
+
+def test_worker_count_is_capped_at_the_first_tier(monkeypatch):
+    # scratch is 16 bytes * n per worker: a many-core host must not scale it
+    sizes = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    build_table(3.5, AVG, n_samples=100, seed=0)
+    build_table(3.5, WORST)
+    assert sizes == [6]
