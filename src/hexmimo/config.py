@@ -145,7 +145,13 @@ def config_from_dict(data: dict) -> NetworkConfig:
     if "snr_db" in data:
         if "snr_linear" in data:
             raise DomainError("give either snr_linear or snr_db, not both")
-        data["snr_linear"] = db_to_linear(data.pop("snr_db"))
+        snr_db = data.pop("snr_db")
+        if isinstance(snr_db, bool) or not isinstance(snr_db, numbers.Real):
+            raise DomainError(f"snr_db must be a finite number, got {snr_db!r}")
+        try:
+            data["snr_linear"] = db_to_linear(snr_db)
+        except OverflowError:
+            raise DomainError(f"snr_db {snr_db!r} overflows the linear SNR") from None
 
     known = {f for f in NetworkConfig.__dataclass_fields__}
     unknown = set(data) - known

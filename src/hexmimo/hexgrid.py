@@ -138,12 +138,16 @@ def sample_ue_positions(cell: CellIndex, radius: float, min_frac: float,
     draws its rows in blocks of `_SAMPLE_BLOCK`, so the temporaries stay
     bounded whatever n is.  Blocks are drawn in order, and a round's blocks
     after the quota fills are still drawn and discarded: points and final
-    generator state are those of one draw of the whole round.
+    generator state are those of one draw of the whole round.  The edge test
+    of every block writes into the same two buffers.
     """
     if not 0.0 <= min_frac < 1.0:
         raise DomainError(f"min_frac must be in [0, 1), got {min_frac}")
     accepted = np.empty((n, 2))
     have = 0
+    rows = min(_SAMPLE_BLOCK, max(64, int(1.5 * n)))  # the largest block drawn
+    proj_buf = np.empty((rows, 3))
+    edge_buf = np.empty(rows)
     # acceptance ratio ~ 0.73 for min_frac = 0.14
     while have < n:
         m = max(64, int(1.5 * (n - have)))
@@ -152,7 +156,10 @@ def sample_ue_positions(cell: CellIndex, radius: float, min_frac: float,
             if have == n:
                 continue
             pts[:, 1] *= _APOTHEM
-            inside = np.max(np.abs(pts @ _EDGE_AXES.T), axis=1) <= _APOTHEM
+            proj = np.matmul(pts, _EDGE_AXES.T, out=proj_buf[:len(pts)])
+            np.abs(proj, out=proj)
+            edge = np.maximum(proj[:, 0], proj[:, 1], out=edge_buf[:len(pts)])
+            inside = np.maximum(edge, proj[:, 2], out=edge) <= _APOTHEM
             if min_frac > 0.0:
                 inside &= (pts[:, 0] ** 2 + pts[:, 1] ** 2) >= min_frac ** 2
             pts = pts[inside]

@@ -28,6 +28,10 @@ Goodman 1963).  Drawing R is exact in distribution and costs O(p^2) numbers
 per realization instead of O(N p).  `generate` keeps the explicit N-dim
 draws and serves as the cross-check for that shortcut.
 
+The received pilot block and the effective channels are fixed linear maps
+of R, so `measure_sinr` never forms them: it works on pilot coefficients of
+R (see its docstring).
+
 Everything here is deliberately independent of the closed-form module: the
 two must agree only through the physics.
 """
@@ -48,6 +52,7 @@ from .spectral import Scheme
 
 _COND_LIMIT = 1e12
 N_BATCHES = 20   # batch means behind measure_sinr's standard error
+_CHUNK_ELEMS = 1 << 22  # caps realizations x antennas x users per chunk
 
 
 def _ill_conditioned(gram: np.ndarray) -> np.ndarray:
@@ -58,19 +63,20 @@ def _ill_conditioned(gram: np.ndarray) -> np.ndarray:
     return ~(w[..., -1] < _COND_LIMIT * w[..., 0])
 
 
-def _span_coords(rng: np.random.Generator, m: int, n: int, p: int) -> np.ndarray:
-    """(m, d, p) coordinates of p i.i.d. CN(0, I_n) vectors in an orthonormal
-    basis of their span, d = min(n, p): the upper-trapezoidal Bartlett factor,
-    sqrt(Gamma(n - j, 1)) on the 0-based diagonal j and CN(0, 1) above it."""
-    d = min(n, p)
-    coords = np.zeros((m, d, p), dtype=complex)
+def _span_coords(rng: np.random.Generator, n: int, out: np.ndarray) -> np.ndarray:
+    """Fill `out`, of shape (m, d, p) with d = min(n, p), with the coordinates
+    of p i.i.d. CN(0, I_n) vectors in an orthonormal basis of their span: the
+    upper-trapezoidal Bartlett factor, sqrt(Gamma(n - j, 1)) on the 0-based
+    diagonal j and CN(0, 1) above it.  Entries below the diagonal are never
+    written, so `out` must hold zeros there.  Returns `out`."""
+    m, d, p = out.shape
     for j in range(d):  # strictly upper entries only, row by row
         pairs = rng.standard_normal((m, p - j - 1, 2))
-        coords[:, j, j + 1:] = pairs.view(complex)[..., 0]
-    coords *= math.sqrt(0.5)
+        pairs *= math.sqrt(0.5)
+        out[:, j, j + 1:] = pairs.view(complex)[..., 0]
     diag = np.arange(d)
-    coords[:, diag, diag] = np.sqrt(rng.standard_gamma(n - diag, size=(m, d)))
-    return coords
+    out[:, diag, diag] = np.sqrt(rng.standard_gamma(n - diag, size=(m, d)))
+    return out
 
 
 def dft_pilot_matrix(pilot_len: int) -> np.ndarray:
@@ -129,18 +135,27 @@ def _layout(config: NetworkConfig, plan: PilotPlan, cells):
     return centers, cols
 
 
-def _draw_positions(config: NetworkConfig, cells, mode: InterferenceMode,
+def _pinned_positions(config: NetworkConfig, cells,
+                      mode: InterferenceMode) -> dict[int, np.ndarray]:
+    """{cell rank: position} of the UEs that are not drawn: worst-case mode
+    pins out-of-cell UEs to the cell-edge point nearest the victim BS."""
+    if mode is not InterferenceMode.WORST_CASE:
+        return {}
+    return {ci: worst_case_position(cell, CellIndex(0, 0), config.cell_radius)
+            for ci, cell in enumerate(cells) if cell != (0, 0)}
+
+
+def _draw_positions(config: NetworkConfig, cells, pinned: dict[int, np.ndarray],
                     rng: np.random.Generator, n_real: int) -> np.ndarray:
-    """(n_real, U, 2) UE positions; worst-case mode pins out-of-cell UEs to
-    the cell-edge point nearest the victim BS."""
+    """(n_real, U, 2) UE positions: the `pinned` ones, the rest drawn."""
     k = config.n_users
     r = config.cell_radius
     frac = config.min_ue_distance_frac
     out = np.empty((n_real, len(cells) * k, 2))
     for ci, cell in enumerate(cells):
         sl = slice(ci * k, (ci + 1) * k)
-        if mode is InterferenceMode.WORST_CASE and cell != (0, 0):
-            out[:, sl, :] = worst_case_position(cell, CellIndex(0, 0), r)
+        if ci in pinned:
+            out[:, sl, :] = pinned[ci]
         else:
             pts = sample_ue_positions(cell, r, frac, rng, n_real * k)
             out[:, sl, :] = pts.reshape(n_real, k, 2)
@@ -178,7 +193,8 @@ def generate(config: NetworkConfig, plan: PilotPlan, cells,
     centers, cols = _layout(config, plan, cells)
     n, b = config.n_antennas, plan.pilot_len
 
-    positions = _draw_positions(config, cells, mode, rng, 1)[0]
+    positions = _draw_positions(config, cells,
+                                 _pinned_positions(config, cells, mode), rng, 1)[0]
     d_ratio, tx_power, d_victim = _distance_fields(config, centers, positions)
 
     shape = (n, len(cols))
@@ -289,11 +305,16 @@ def measure_sinr(config: NetworkConfig, plan: PilotPlan, cells,
 
     Positions, channels and noise are redrawn every realization (outer
     position averaging wrapping the channel/noise averaging); channels and
-    noise are drawn as span coordinates (see the module docstring), so the
-    antenna axis of every array here has length min(N, U + B).  The standard
-    error comes from N_BATCHES batch means; `terms` decomposes the SINR
-    denominator into coherent signal, estimation gap, intra-cell
-    interference, inter-cell interference and noise.
+    noise are drawn as the Bartlett factor R of their span (see the module
+    docstring), so the antenna axis of every array here has length
+    d = min(N, U + B).  The pilot block and the effective channels are never
+    formed: the pilot correlations Y~ V equal R C, with C holding
+    sqrt(rho d_u) B on user u's pilot column and the DFT rows for the noise,
+    and g^H h_u is (g^H R)_u sqrt(rho d_u).  R is drawn into one workspace
+    reused by every chunk of realizations.  The standard error comes from
+    N_BATCHES batch means; `terms` decomposes the SINR denominator into
+    coherent signal, estimation gap, intra-cell interference, inter-cell
+    interference and noise.
 
     Scale convention: per-block detection is invariant to any scalar on the
     beamformer, but the moments of g^H h are not invariant to a *random*
@@ -310,23 +331,30 @@ def measure_sinr(config: NetworkConfig, plan: PilotPlan, cells,
         raise DomainError("need at least one realization per batch")
     cells = _sorted_cells(cells)
     centers, cols = _layout(config, plan, cells)
-    n, k, b = config.n_antennas, config.n_users, plan.pilot_len
-    inv_snr = config.inv_snr
+    pinned = _pinned_positions(config, cells, mode)
+    n, b = config.n_antennas, plan.pilot_len
+    kappa = config.pathloss_exponent
     rho = config.snr_linear
     n_users_total = len(cols)
+    p = n_users_total + b
     u_own = 0                              # user 1 of the origin cell, listed first
     i_target = cols[u_own]
-    vmat = dft_pilot_matrix(b)
-    pilot_rows = vmat.conj().T[cols]
+    # MRC needs only the target pilot's correlation, zero-forcing all B
+    pilots = [i_target] if scheme is Scheme.MRC else list(range(b))
+    user_on_pilot = b * (cols[:, None] == np.array(pilots))    # (U, len(pilots))
     rhs = np.zeros(b)
     rhs[i_target] = 1.0
 
     sizes = [n_realizations // N_BATCHES] * N_BATCHES
     for i in range(n_realizations % N_BATCHES):
         sizes[i] += 1
-    dim = min(n, n_users_total + b)
+    dim = min(n, p)
     # cap per-draw array sizes; batches are accumulated over sub-chunks
-    max_chunk = max(1, (1 << 22) // max(1, dim * n_users_total))
+    max_chunk = max(1, _CHUNK_ELEMS // max(1, dim * n_users_total))
+    rows = min(max_chunk, sizes[0])
+    span_ws = np.zeros((rows, dim, p), dtype=complex)
+    coef_ws = np.empty((rows, p, len(pilots)), dtype=complex)
+    coef_ws[:, n_users_total:] = dft_pilot_matrix(b)[:, pilots]
 
     s1_sums = np.zeros(N_BATCHES, dtype=complex)
     pow_sums = np.zeros((N_BATCHES, n_users_total))
@@ -337,30 +365,40 @@ def measure_sinr(config: NetworkConfig, plan: PilotPlan, cells,
         while left > 0:
             n_chunk = min(left, max_chunk)
             left -= n_chunk
-            positions = _draw_positions(config, cells, mode, rng, n_chunk)
-            d_ratio, _, _ = _distance_fields(config, centers, positions)
-            coords = _span_coords(rng, n_chunk, n, n_users_total + b)
-            h_eff = np.sqrt(rho * d_ratio)[:, None, :] * coords[..., :n_users_total]
-            noise = coords[..., n_users_total:]
-            y_pilot = h_eff @ pilot_rows + noise
+            positions = _draw_positions(config, cells, pinned, rng, n_chunk)
+            serving = np.linalg.norm(positions - centers, axis=-1)
+            d_ratio = (serving / np.linalg.norm(positions, axis=-1)) ** kappa
+            amp = np.sqrt(rho * d_ratio)
+            span = _span_coords(rng, n, span_ws[:n_chunk])
+            coef = coef_ws[:n_chunk]
+            np.multiply(amp[:, :, None], user_on_pilot, out=coef[:, :n_users_total])
+            corr = span @ coef                          # Y~ V[:, pilots]
             if scheme is Scheme.MRC:
-                # raw pilot correlation: psi-free scale
-                g = (y_pilot @ vmat)[:, :, i_target]
+                g = corr[..., 0]  # raw pilot correlation: psi-free scale
             else:
-                psi = _psi(d_ratio, cols, b, inv_snr)
-                book = (y_pilot @ vmat) / psi[:, None, :]
-                gram = np.einsum("rnb,rnc->rbc", book.conj(), book)
+                psi = _psi(d_ratio, cols, b, config.inv_snr)
+                book = corr / psi[:, None, :]
+                gram = book.conj().transpose(0, 2, 1) @ book
                 if np.any(_ill_conditioned(gram)):
                     raise RankDeficient(
                         "estimated pilot book is numerically rank deficient")
                 x = np.linalg.solve(gram, np.broadcast_to(rhs, (n_chunk, b))[..., None])
                 g = (book @ x)[..., 0]
-            cross = np.einsum("rn,rnu->ru", g.conj(), h_eff)
+            cross = (g.conj()[:, None, :] @ span)[:, 0, :n_users_total] * amp
             s1_sums[bi] += cross[:, u_own].sum()
             pow_sums[bi] += (cross.real ** 2 + cross.imag ** 2).sum(axis=0)
             gn_sums[bi] += (g.real ** 2 + g.imag ** 2).sum()
 
+    return _measured(sizes, s1_sums, pow_sums, gn_sums, config.n_users)
+
+
+def _measured(sizes, s1_sums: np.ndarray, pow_sums: np.ndarray,
+              gn_sums: np.ndarray, n_own: int) -> MeasuredSinr:
+    """SINR, batch standard error and terms from per-batch sums of g^H h_own,
+    |g^H h_u|^2 (per user u, the first `n_own` in the victim cell) and
+    ||g||^2 over batches of `sizes` realizations."""
     counts = np.array(sizes, dtype=float)
+    u_own = 0
 
     def _sinr(s1_sum, pow_sum, gn_sum, count):
         coh = abs(s1_sum / count) ** 2
@@ -375,12 +413,12 @@ def measure_sinr(config: NetworkConfig, plan: PilotPlan, cells,
     total = counts.sum()
     pow_mean = pow_sums.sum(axis=0) / total
     coherent = abs(s1_sums.sum() / total) ** 2
-    own_cell = slice(0, k)
+    own_cell = slice(0, n_own)
     terms = {
         "signal": coherent,
         "estimation_gap": float(pow_mean[u_own] - coherent),
         "intra_cell": float(pow_mean[own_cell].sum() - pow_mean[u_own]),
-        "inter_cell": float(pow_mean[k:].sum()),
+        "inter_cell": float(pow_mean[n_own:].sum()),
         "noise": float(gn_sums.sum() / total),
         "denominator": float(pow_mean.sum() - coherent + gn_sums.sum() / total),
     }
@@ -410,7 +448,7 @@ def measure_estimation_mse(realization: Realization, n_realizations: int,
 
     err_sq = np.empty(n_realizations)
     done = 0
-    chunk = max(1, min(n_realizations, (1 << 22) // max(1, n * len(cols))))
+    chunk = max(1, min(n_realizations, _CHUNK_ELEMS // max(1, n * len(cols))))
     while done < n_realizations:
         m = min(chunk, n_realizations - done)
         scale = np.sqrt(cfg.snr_linear * dr / 2.0)[None, None, :]

@@ -149,7 +149,9 @@ def test_config_error_exit_code(tmp_path):
     # values no run can use: non-finite reals, non-integer or bool counts
     for override in ({"snr_linear": math.nan}, {"cell_radius": math.nan},
                      {"pathloss_exponent": math.nan}, {"pathloss_ref": math.inf},
-                     {"coherence_block": 1000.5}, {"n_antennas": True}):
+                     {"coherence_block": 1000.5}, {"n_antennas": True},
+                     {"snr_db": "10"}, {"snr_db": None}, {"snr_db": 4000},
+                     {"snr_linear": "10"}):
         bad.write_text(json.dumps(override))
         assert run_cli(["--config", bad, "--out", tmp_path / "o"]) == 2, override
     # a config file that is valid JSON but not an object

@@ -7,11 +7,14 @@ import pytest
 from hexmimo.config import InterferenceMode, NetworkConfig
 from hexmimo.errors import DomainError, RankDeficient
 from hexmimo.hexgrid import CellIndex, cells_within_tier, worst_case_position
-from hexmimo.linklevel import (N_BATCHES, Realization, _span_coords, combine,
-                               dft_pilot_matrix, estimate_book,
-                               estimation_error_scale, generate, lmmse_estimate,
-                               lmmse_estimate_kron, measure_estimation_mse,
-                               measure_sinr)
+from hexmimo import linklevel
+from hexmimo.linklevel import (N_BATCHES, Realization, _distance_fields,
+                               _draw_positions, _layout, _measured,
+                               _pinned_positions, _psi, _sorted_cells,
+                               _span_coords, combine, dft_pilot_matrix,
+                               estimate_book, estimation_error_scale, generate,
+                               lmmse_estimate, lmmse_estimate_kron,
+                               measure_estimation_mse, measure_sinr)
 from hexmimo.pilots import PilotPlan
 from hexmimo.spectral import Scheme, SinrInputs, sinr
 
@@ -352,7 +355,7 @@ def test_span_coordinates_have_the_wishart_moments(n, p):
     # N-dim CN(0, I_N) draws; d = min(N, p) rows
     m = 40000
     rng = np.random.default_rng(30)
-    coords = _span_coords(rng, m, n, p)
+    coords = _span_coords(rng, n, np.zeros((m, min(n, p), p), dtype=complex))
     assert coords.shape == (m, min(n, p), p)
     assert not np.tril(coords, -1).any()
     z = math.sqrt(0.5) * (rng.standard_normal((m, n, p))
@@ -390,9 +393,14 @@ def _explicit_samples(cfg, plan, cells, mode, scheme, n_real, rng):
     return s1, power, g_norm
 
 
-@pytest.mark.parametrize("scheme", [Scheme.MRC, Scheme.PZFC])
-def test_span_shortcut_matches_explicit_path(scheme):
-    cfg = make_config(n=8, k=2, beta=1)
+@pytest.mark.parametrize("scheme, snr", [
+    pytest.param(Scheme.MRC, 10.0, id="Scheme.MRC"),
+    pytest.param(Scheme.PZFC, 10.0, id="Scheme.PZFC"),
+    # pilot noise dominates the estimate: a wrong noise variance shows here
+    pytest.param(Scheme.MRC, 0.1, id="Scheme.MRC-low_snr"),
+])
+def test_span_shortcut_matches_explicit_path(scheme, snr):
+    cfg = make_config(n=8, k=2, beta=1, snr=snr)
     plan = PilotPlan(2, 1)
     n_measured, n_explicit = 20000, 4000
     measured = measure_sinr(cfg, plan, TIER1, AVG, scheme, n_measured,
@@ -420,3 +428,81 @@ def test_span_shortcut_matches_explicit_path(scheme):
             (terms["noise"], g_norm)):
         se = samples.std(ddof=1) / math.sqrt(n_explicit)
         assert abs(value - samples.mean()) < 4 * widen * se
+
+
+def _pilot_block_measure_sinr(config, plan, cells, mode, scheme, n_realizations,
+                              rng):
+    """measure_sinr's chunk loop as it was before it moved onto pilot
+    coefficients of R: every chunk forms the effective channels h_eff
+    (m x d x U) and the received pilot block y_pilot (m x d x B) from freshly
+    allocated span coordinates.  Same draws in the same order."""
+    cells = _sorted_cells(cells)
+    centers, cols = _layout(config, plan, cells)
+    pinned = _pinned_positions(config, cells, mode)
+    n, b = config.n_antennas, plan.pilot_len
+    n_users_total = len(cols)
+    i_target = cols[0]
+    vmat = dft_pilot_matrix(b)
+    pilot_rows = vmat.conj().T[cols]
+    rhs = np.zeros(b)
+    rhs[i_target] = 1.0
+    sizes = [n_realizations // N_BATCHES] * N_BATCHES
+    for i in range(n_realizations % N_BATCHES):
+        sizes[i] += 1
+    dim = min(n, n_users_total + b)
+    max_chunk = max(1, linklevel._CHUNK_ELEMS // max(1, dim * n_users_total))
+    s1_sums = np.zeros(N_BATCHES, dtype=complex)
+    pow_sums = np.zeros((N_BATCHES, n_users_total))
+    gn_sums = np.zeros(N_BATCHES)
+    for bi, batch_size in enumerate(sizes):
+        left = batch_size
+        while left > 0:
+            n_chunk = min(left, max_chunk)
+            left -= n_chunk
+            positions = _draw_positions(config, cells, pinned, rng, n_chunk)
+            d_ratio, _, _ = _distance_fields(config, centers, positions)
+            coords = _span_coords(rng, n, np.zeros(
+                (n_chunk, dim, n_users_total + b), dtype=complex))
+            h_eff = (np.sqrt(config.snr_linear * d_ratio)[:, None, :]
+                     * coords[..., :n_users_total])
+            y_pilot = h_eff @ pilot_rows + coords[..., n_users_total:]
+            if scheme is Scheme.MRC:
+                g = (y_pilot @ vmat)[:, :, i_target]
+            else:
+                psi = _psi(d_ratio, cols, b, config.inv_snr)
+                book = (y_pilot @ vmat) / psi[:, None, :]
+                gram = np.einsum("rnb,rnc->rbc", book.conj(), book)
+                x = np.linalg.solve(gram, np.broadcast_to(rhs, (n_chunk, b))[..., None])
+                g = (book @ x)[..., 0]
+            cross = np.einsum("rn,rnu->ru", g.conj(), h_eff)
+            s1_sums[bi] += cross[:, 0].sum()
+            pow_sums[bi] += (cross.real ** 2 + cross.imag ** 2).sum(axis=0)
+            gn_sums[bi] += (g.real ** 2 + g.imag ** 2).sum()
+    return _measured(sizes, s1_sums, pow_sums, gn_sums, config.n_users)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.MRC, Scheme.PZFC])
+@pytest.mark.parametrize("mode", [AVG, WORST])
+@pytest.mark.parametrize("k, beta, chunk_elems", [
+    (2, 3, None),   # one chunk per batch
+    (3, 1, 6720),   # 20 realizations per chunk: chunks of 20, 11 and 10
+], ids=["whole_batches", "split_batches"])
+def test_measure_sinr_matches_pilot_block_reference(scheme, mode, k, beta,
+                                                    chunk_elems, monkeypatch):
+    # complex pilots (B = 3 and 6) and a realization count not divisible by
+    # N_BATCHES; only the order of floating-point operations differs
+    if chunk_elems is not None:
+        monkeypatch.setattr(linklevel, "_CHUNK_ELEMS", chunk_elems)
+    cfg = make_config(n=16, k=k, beta=beta)
+    plan = PilotPlan(k, beta)
+    args = (cfg, plan, TIER1, mode, scheme, 1013)
+    got = measure_sinr(*args, np.random.default_rng(40))
+    ref = _pilot_block_measure_sinr(*args, np.random.default_rng(40))
+    assert got.n_realizations == ref.n_realizations == 1013
+    for name in ("sinr", "std_error", "batch_sinrs"):
+        np.testing.assert_allclose(getattr(got, name), getattr(ref, name),
+                                   rtol=1e-12, atol=0, err_msg=name)
+    assert set(got.terms) == set(ref.terms)
+    for name, value in ref.terms.items():
+        np.testing.assert_allclose(got.terms[name], value, rtol=1e-12, atol=0,
+                                   err_msg=name)
