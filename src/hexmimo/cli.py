@@ -384,8 +384,11 @@ def _check_manifest(manifest: RunManifest) -> None:
     """Reject run parameters that cannot be valid before any work starts."""
     _check_types(manifest)
     config_from_dict(manifest.config)
-    if not all((manifest.modes, manifest.schemes, manifest.beta_set, manifest.n_grid)):
+    lists = (manifest.modes, manifest.schemes, manifest.beta_set, manifest.n_grid)
+    if not all(lists):
         raise DomainError("modes, schemes, reuse factors and antenna counts must not be empty")
+    if any(len(set(values)) != len(values) for values in lists):
+        raise DomainError("modes, schemes, reuse factors and antenna counts must not repeat")
     for mode in manifest.modes:
         InterferenceMode(mode)
     for scheme in manifest.schemes:

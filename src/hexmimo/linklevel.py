@@ -16,21 +16,21 @@ with all expectations taken over channels, noise and UE positions.  The
 data phase is not simulated symbol by symbol; the bound depends only on
 these moments, which are estimated directly.
 
-`measure_sinr` draws its channels and pilot noise in the span of those
-vectors rather than in C^N.  Every quantity it forms (pilot correlations,
-estimated book, its Gram matrix and solve, g^H h_u, ||g||^2) is an inner
-product among the U unscaled channels and the B noise columns, p = U + B
-i.i.d. CN(0, I_N) vectors.  Their joint law is that of the columns of the
-d x p upper-trapezoidal factor R of the QR decomposition of the N x p
-Gaussian matrix, d = min(N, p): independent |R_jj|^2 ~ Gamma(N - j + 1, 1)
-on the diagonal and CN(0, 1) above it (the complex Bartlett decomposition,
-Goodman 1963).  Drawing R is exact in distribution and costs O(p^2) numbers
-per realization instead of O(N p).  `generate` keeps the explicit N-dim
-draws and serves as the cross-check for that shortcut.
-
-The received pilot block and the effective channels are fixed linear maps
-of R, so `measure_sinr` never forms them: it works on pilot coefficients of
-R (see its docstring).
+`measure_sinr` never draws channels or pilot noise in C^N.  Every quantity
+it forms (pilot correlations, estimated book, its Gram matrix and solve,
+g^H h_u, ||g||^2) is a function of W C, where W = Z^H Z is the p x p Gram
+matrix of the U unscaled channels and the B noise columns (p = U + B
+i.i.d. CN(0, I_N) vectors, so W is complex Wishart with N degrees of
+freedom) and C is the p x q matrix of pilot coefficients the combiner
+reads (q = 1 for MRC, B for zero-forcing).  W is unitarily invariant, so
+rotating span(C) onto the first q coordinates leaves its law unchanged;
+there W C needs only the first q rows of W's Bartlett factor: a q x q
+upper-triangular block R_q (|R_jj|^2 ~ Gamma(N - j, 1) on the 0-based
+diagonal, CN(0, 1) above it; Goodman 1963) and, for the remaining rows,
+one CN(0, I) vector.  Drawing that statistic is exact in
+distribution and costs O(q^2 + p) numbers per realization instead of the
+O(N p) of the explicit vectors.  `generate` keeps the explicit N-dim draws
+and serves as the cross-check for the shortcut.
 
 Everything here is deliberately independent of the closed-form module: the
 two must agree only through the physics.
@@ -52,7 +52,7 @@ from .spectral import Scheme
 
 _COND_LIMIT = 1e12
 N_BATCHES = 20   # batch means behind measure_sinr's standard error
-_CHUNK_ELEMS = 1 << 22  # caps realizations x antennas x users per chunk
+_CHUNK_ELEMS = 1 << 22  # caps the elements of a chunk's largest arrays
 
 
 def _ill_conditioned(gram: np.ndarray) -> np.ndarray:
@@ -63,20 +63,23 @@ def _ill_conditioned(gram: np.ndarray) -> np.ndarray:
     return ~(w[..., -1] < _COND_LIMIT * w[..., 0])
 
 
-def _span_coords(rng: np.random.Generator, n: int, out: np.ndarray) -> np.ndarray:
-    """Fill `out`, of shape (m, d, p) with d = min(n, p), with the coordinates
-    of p i.i.d. CN(0, I_n) vectors in an orthonormal basis of their span: the
-    upper-trapezoidal Bartlett factor, sqrt(Gamma(n - j, 1)) on the 0-based
-    diagonal j and CN(0, 1) above it.  Entries below the diagonal are never
-    written, so `out` must hold zeros there.  Returns `out`."""
-    m, d, p = out.shape
-    for j in range(d):  # strictly upper entries only, row by row
-        pairs = rng.standard_normal((m, p - j - 1, 2))
-        pairs *= math.sqrt(0.5)
-        out[:, j, j + 1:] = pairs.view(complex)[..., 0]
-    diag = np.arange(d)
-    out[:, diag, diag] = np.sqrt(rng.standard_gamma(n - diag, size=(m, d)))
+def _bartlett_block(rng: np.random.Generator, n: int, m: int, q: int) -> np.ndarray:
+    """(m, q, q) upper-triangular complex Bartlett factors of q x q Wishart
+    matrices with n >= q degrees of freedom: sqrt(Gamma(n - j, 1)) on the
+    0-based diagonal j and CN(0, 1) above it."""
+    out = np.zeros((m, q, q), dtype=complex)
+    rows, cols = np.triu_indices(q, 1)
+    out[:, rows, cols] = _complex_normal(rng, (m, rows.size))
+    diag = np.arange(q)
+    out[:, diag, diag] = np.sqrt(rng.standard_gamma(n - diag, size=(m, q)))
     return out
+
+
+def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """CN(0, 1) entries of the given shape."""
+    pairs = rng.standard_normal((*shape, 2))
+    pairs *= math.sqrt(0.5)
+    return pairs.view(complex)[..., 0]
 
 
 def dft_pilot_matrix(pilot_len: int) -> np.ndarray:
@@ -304,17 +307,26 @@ def measure_sinr(config: NetworkConfig, plan: PilotPlan, cells,
     """Estimate the effective SINR of own-cell user 1 by simulation.
 
     Positions, channels and noise are redrawn every realization (outer
-    position averaging wrapping the channel/noise averaging); channels and
-    noise are drawn as the Bartlett factor R of their span (see the module
-    docstring), so the antenna axis of every array here has length
-    d = min(N, U + B).  The pilot block and the effective channels are never
-    formed: the pilot correlations Y~ V equal R C, with C holding
-    sqrt(rho d_u) B on user u's pilot column and the DFT rows for the noise,
-    and g^H h_u is (g^H R)_u sqrt(rho d_u).  R is drawn into one workspace
-    reused by every chunk of realizations.  The standard error comes from
-    N_BATCHES batch means; `terms` decomposes the SINR denominator into
-    coherent signal, estimation gap, intra-cell interference, inter-cell
-    interference and noise.
+    position averaging wrapping the channel/noise averaging).  Channels and
+    noise enter only through W C (see the module docstring).  The pilot
+    correlations are Y~ V = Z C, with C holding sqrt(rho d_u) B on user u's
+    pilot column and the DFT rows for the noise; the combiner is g = Z C y
+    and g^H h_u = (W C y)_u^* sqrt(rho d_u), ||g||^2 = y^H C^H W C y.
+    G = C^H C is diagonal (each user sits on one pilot, the DFT columns are
+    orthogonal), so its Cholesky factor T is its square root.  With R_q the
+    q x q Bartlett block and v = R_q T y,
+
+        W C y = ||v|| xi + C (T^-1 R_q^H v - G^-1 C^H xi ||v||),
+        ||g||^2 = ||v||^2,
+
+    for xi ~ CN(0, I_p) independent of R_q; this holds for any N >= q.  Only
+    the U user rows of W C y are read, and the noise rows of C enter only
+    through C^H xi, where they add CN(0, B I_q).  MRC has q = 1 and y = 1;
+    zero-forcing has the Gram matrix D^-1 T R_q^H R_q T D^-1 of the
+    estimated book (D = diag(psi)) and y = D^-1 gram^-1 e.  The standard
+    error comes from N_BATCHES batch means; `terms` decomposes the SINR
+    denominator into coherent signal, estimation gap, intra-cell
+    interference, inter-cell interference and noise.
 
     Scale convention: per-block detection is invariant to any scalar on the
     beamformer, but the moments of g^H h are not invariant to a *random*
@@ -336,25 +348,21 @@ def measure_sinr(config: NetworkConfig, plan: PilotPlan, cells,
     kappa = config.pathloss_exponent
     rho = config.snr_linear
     n_users_total = len(cols)
-    p = n_users_total + b
     u_own = 0                              # user 1 of the origin cell, listed first
     i_target = cols[u_own]
     # MRC needs only the target pilot's correlation, zero-forcing all B
     pilots = [i_target] if scheme is Scheme.MRC else list(range(b))
-    user_on_pilot = b * (cols[:, None] == np.array(pilots))    # (U, len(pilots))
-    rhs = np.zeros(b)
+    q = len(pilots)
+    user_on_pilot = b * (cols[:, None] == np.array(pilots)).astype(float)  # (U, q)
+    rhs = np.zeros((b, 1))
     rhs[i_target] = 1.0
 
     sizes = [n_realizations // N_BATCHES] * N_BATCHES
     for i in range(n_realizations % N_BATCHES):
         sizes[i] += 1
-    dim = min(n, p)
-    # cap per-draw array sizes; batches are accumulated over sub-chunks
-    max_chunk = max(1, _CHUNK_ELEMS // max(1, dim * n_users_total))
-    rows = min(max_chunk, sizes[0])
-    span_ws = np.zeros((rows, dim, p), dtype=complex)
-    coef_ws = np.empty((rows, p, len(pilots)), dtype=complex)
-    coef_ws[:, n_users_total:] = dft_pilot_matrix(b)[:, pilots]
+    # cap per-draw array sizes at m x p x q; batches are accumulated over
+    # sub-chunks
+    max_chunk = max(1, _CHUNK_ELEMS // ((n_users_total + b) * q))
 
     s1_sums = np.zeros(N_BATCHES, dtype=complex)
     pow_sums = np.zeros((N_BATCHES, n_users_total))
@@ -368,26 +376,39 @@ def measure_sinr(config: NetworkConfig, plan: PilotPlan, cells,
             positions = _draw_positions(config, cells, pinned, rng, n_chunk)
             serving = np.linalg.norm(positions - centers, axis=-1)
             d_ratio = (serving / np.linalg.norm(positions, axis=-1)) ** kappa
+            # user rows of C: amp * user_on_pilot.  The contractions with
+            # user_on_pilot run in einsum: a BLAS call here would keep a
+            # second OpenBLAS thread spinning through the whole loop
             amp = np.sqrt(rho * d_ratio)
-            span = _span_coords(rng, n, span_ws[:n_chunk])
-            coef = coef_ws[:n_chunk]
-            np.multiply(amp[:, :, None], user_on_pilot, out=coef[:, :n_users_total])
-            corr = span @ coef                          # Y~ V[:, pilots]
+            g_diag = np.einsum("mu,uj->mj", rho * d_ratio, user_on_pilot ** 2) + b
+            t = np.sqrt(g_diag)
+            r_q = _bartlett_block(rng, n, n_chunk, q)
             if scheme is Scheme.MRC:
-                g = corr[..., 0]  # raw pilot correlation: psi-free scale
+                ty = t  # y = 1: the raw pilot correlation, psi-free scale
             else:
                 psi = _psi(d_ratio, cols, b, config.inv_snr)
-                book = corr / psi[:, None, :]
-                gram = book.conj().transpose(0, 2, 1) @ book
+                ty = t / psi
+                a = r_q * ty[:, None, :]                # R_q T D^-1
+                gram = a.conj().transpose(0, 2, 1) @ a
                 if np.any(_ill_conditioned(gram)):
                     raise RankDeficient(
                         "estimated pilot book is numerically rank deficient")
-                x = np.linalg.solve(gram, np.broadcast_to(rhs, (n_chunk, b))[..., None])
-                g = (book @ x)[..., 0]
-            cross = (g.conj()[:, None, :] @ span)[:, 0, :n_users_total] * amp
+                ty = ty * np.linalg.solve(gram, rhs)[..., 0]
+            v = (r_q @ ty[..., None])[..., 0]           # R_q T y
+            v_norm_sq = (v.real ** 2 + v.imag ** 2).sum(axis=1)
+            v_norm = np.sqrt(v_norm_sq)
+            xi = _complex_normal(rng, (n_chunk, n_users_total + q))
+            c_xi = (np.einsum("mu,uj->mj", amp * xi[:, :n_users_total], user_on_pilot)
+                    + math.sqrt(b) * xi[:, n_users_total:])  # C^H xi
+            # T^-1 R_q^H v - G^-1 C^H xi ||v||, then the user rows of W C y
+            z = ((r_q.conj().transpose(0, 2, 1) @ v[..., None])[..., 0] / t
+                 - c_xi * v_norm[:, None] / g_diag)
+            wcy = (v_norm[:, None] * xi[:, :n_users_total]
+                   + amp * np.einsum("mj,uj->mu", z, user_on_pilot))
+            cross = wcy.conj() * amp
             s1_sums[bi] += cross[:, u_own].sum()
             pow_sums[bi] += (cross.real ** 2 + cross.imag ** 2).sum(axis=0)
-            gn_sums[bi] += (g.real ** 2 + g.imag ** 2).sum()
+            gn_sums[bi] += v_norm_sq.sum()
 
     return _measured(sizes, s1_sums, pow_sums, gn_sums, config.n_users)
 

@@ -121,7 +121,22 @@ class MomentTable:
                                                    rec["se1"], rec["se2"])
             for rec in data["entries"]
         }
-        return cls(mode=InterferenceMode(data["mode"]), kappa=data["kappa"],
+        if not all(type(mu) in (int, float) and 0 < mu < math.inf
+                   for e in entries.values() for mu in (e.mu1, e.mu2)):
+            raise DomainError("moment table holds a non-finite or non-positive moment")
+        mode = InterferenceMode(data["mode"])
+        # the entries must be exactly those the build keeps: the exact own
+        # cell, then complete tiers up to the first one that meets REL_TOL
+        try:
+            kept = _expand_tiers(data["kappa"], mode,
+                                 lambda cells: [entries[c] for c in cells])
+        except (KeyError, ConvergenceError):
+            kept = None
+        if (kept != entries or len(data["entries"]) != len(entries)
+                or data["max_tier"] != max(map(tier_of, entries))):
+            raise DomainError("moment table offsets are not the converged tiers "
+                              f"0..{data['max_tier']}")
+        return cls(mode=mode, kappa=data["kappa"],
                    n_samples=data["n_samples"], seed=data["seed"],
                    rel_tol=data["rel_tol"], min_frac=data["min_frac"],
                    entries=entries)

@@ -170,7 +170,8 @@ def test_config_error_exit_code(tmp_path):
     for broken in ({}, {k: v for k, v in manifest.items() if k != "config"},
                    {**manifest, "config": {**manifest["config"], "cell_radius": -5}},
                    {**manifest, "k_cap": "3"}, {**manifest, "config": [1]},
-                   {**manifest, "n_grid": [16, "64"]}, {**manifest, "seed": 1.5}):
+                   {**manifest, "n_grid": [16, "64"]}, {**manifest, "seed": 1.5},
+                   {**manifest, "n_grid": [16, 16]}):
         bad.write_text(json.dumps(broken))
         assert run_cli(["--from-manifest", bad]) == 2, broken
     assert not (tmp_path / "o").exists()
@@ -238,10 +239,14 @@ def test_console_entry_point(tmp_path):
                                    ["--schemes", ","],
                                    ["--n-points", "0"],
                                    ["--n-min", "0"],
-                                   ["--seed", "-1"]],
+                                   ["--seed", "-1"],
+                                   ["--modes", "avg,avg"],
+                                   ["--schemes", "mrc,mrc"],
+                                   ["--betas", "1,1"]],
                          ids=["realizations5", "realizations0", "samples0",
                               "beta2", "kcap0", "betas-empty", "modes-empty",
-                              "schemes-empty", "npoints0", "nmin0", "seed-negative"])
+                              "schemes-empty", "npoints0", "nmin0", "seed-negative",
+                              "modes-repeated", "schemes-repeated", "betas-repeated"])
 @pytest.mark.filterwarnings("error")  # rejected by a check, not by numpy
 def test_invalid_run_values_exit_before_any_work(tmp_path, capsys, flags):
     cfg = small_config(tmp_path)
@@ -253,7 +258,19 @@ def test_invalid_run_values_exit_before_any_work(tmp_path, capsys, flags):
     assert not out.exists()  # no table built, no output written
 
 
-@pytest.mark.parametrize("corrupt", ["{", "[1]", "entries-missing"])
+# edits of a valid table file whose header still matches the run
+_TABLE_EDITS = {
+    "entries-missing": lambda data: data.pop("entries"),
+    # tier 1 cut short, its one entry broken
+    "entries-truncated": lambda data: data.update(entries=data["entries"][:1] + [
+        {"offset": [1, 0], "mu1": math.nan, "mu2": -1.0, "se1": 0.0, "se2": 0.0}]),
+    "mu-nan": lambda data: data["entries"][3].update(mu1=math.nan),
+    # complete tiers 0..2 only: short of the tier the stop rule keeps
+    "tiers-dropped": lambda data: data.update(max_tier=2, entries=data["entries"][:19]),
+}
+
+
+@pytest.mark.parametrize("corrupt", ["{", "[1]", *_TABLE_EDITS])
 def test_corrupt_moment_cache_is_rebuilt(tmp_path, corrupt):
     cfg = small_config(tmp_path)
     out = tmp_path / "out"
@@ -263,9 +280,9 @@ def test_corrupt_moment_cache_is_rebuilt(tmp_path, corrupt):
     cache = out / "moments_avg.json"
     first = {n: (out / n).read_bytes()
              for n in ("sweep.csv", "optima.csv", "moments_avg.json")}
-    if corrupt == "entries-missing":
+    if corrupt in _TABLE_EDITS:
         data = json.loads(cache.read_text())
-        del data["entries"]
+        _TABLE_EDITS[corrupt](data)
         corrupt = json.dumps(data)
     cache.write_text(corrupt)
 

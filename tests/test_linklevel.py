@@ -8,15 +8,16 @@ from hexmimo.config import InterferenceMode, NetworkConfig
 from hexmimo.errors import DomainError, RankDeficient
 from hexmimo.hexgrid import CellIndex, cells_within_tier, worst_case_position
 from hexmimo import linklevel
-from hexmimo.linklevel import (N_BATCHES, Realization, _distance_fields,
-                               _draw_positions, _layout, _measured,
-                               _pinned_positions, _psi, _sorted_cells,
-                               _span_coords, combine, dft_pilot_matrix,
+from hexmimo.linklevel import (N_BATCHES, Realization, _bartlett_block,
+                               _distance_fields, _draw_positions, _layout,
+                               _measured, _pinned_positions, _psi,
+                               _sorted_cells, combine, dft_pilot_matrix,
                                estimate_book, estimation_error_scale, generate,
                                lmmse_estimate, lmmse_estimate_kron,
                                measure_estimation_mse, measure_sinr)
 from hexmimo.pilots import PilotPlan
 from hexmimo.spectral import Scheme, SinrInputs, sinr
+from hexmimo.sweep import default_k_grid, optimal_schedule, sweep
 
 AVG = InterferenceMode.AVERAGE
 WORST = InterferenceMode.WORST_CASE
@@ -349,15 +350,26 @@ def _gram_statistics(gram, n):
             "eig_min": np.linalg.eigvalsh(gram)[:, 0]}
 
 
-@pytest.mark.parametrize("n, p", [(8, 5), (3, 6)])
-def test_span_coordinates_have_the_wishart_moments(n, p):
-    # R^H R from the Bartlett coordinates against the same Gram from explicit
-    # N-dim CN(0, I_N) draws; d = min(N, p) rows
-    m = 40000
-    rng = np.random.default_rng(30)
-    coords = _span_coords(rng, n, np.zeros((m, min(n, p), p), dtype=complex))
-    assert coords.shape == (m, min(n, p), p)
-    assert not np.tril(coords, -1).any()
+def _span_coords(rng, n, out):
+    """Fill `out`, of shape (m, d, p) with d = min(n, p), with the coordinates
+    of p i.i.d. CN(0, I_n) vectors in an orthonormal basis of their span: the
+    upper-trapezoidal Bartlett factor, sqrt(Gamma(n - j, 1)) on the 0-based
+    diagonal j and CN(0, 1) above it.  Entries below the diagonal are never
+    written, so `out` must hold zeros there.  Returns `out`."""
+    m, d, p = out.shape
+    for j in range(d):  # strictly upper entries only, row by row
+        pairs = rng.standard_normal((m, p - j - 1, 2))
+        pairs *= math.sqrt(0.5)
+        out[:, j, j + 1:] = pairs.view(complex)[..., 0]
+    diag = np.arange(d)
+    out[:, diag, diag] = np.sqrt(rng.standard_gamma(n - diag, size=(m, d)))
+    return out
+
+
+def _assert_wishart_moments(coords, n, rng):
+    """R^H R from Bartlett coordinates (m, d, p) against the same Gram from
+    explicit N-dim CN(0, I_N) draws, and both against the known means."""
+    m, _, p = coords.shape
     z = math.sqrt(0.5) * (rng.standard_normal((m, n, p))
                           + 1j * rng.standard_normal((m, n, p)))
     span = _gram_statistics(np.einsum("rdj,rdk->rjk", coords.conj(), coords), n)
@@ -372,6 +384,27 @@ def test_span_coordinates_have_the_wishart_moments(n, p):
         if name in expected:
             assert np.all(np.abs(mean_s - expected[name]) < 4 * se_s), name
             assert np.all(np.abs(mean_f - expected[name]) < 4 * se_f), name
+
+
+@pytest.mark.parametrize("n, p", [(8, 5), (3, 6)])
+def test_span_coordinates_have_the_wishart_moments(n, p):
+    # the test references' span draw, d = min(N, p) rows
+    m = 40000
+    rng = np.random.default_rng(30)
+    coords = _span_coords(rng, n, np.zeros((m, min(n, p), p), dtype=complex))
+    assert coords.shape == (m, min(n, p), p)
+    assert not np.tril(coords, -1).any()
+    _assert_wishart_moments(coords, n, rng)
+
+
+@pytest.mark.parametrize("n, q", [(8, 5), (6, 6), (9, 1)])
+def test_bartlett_block_has_the_wishart_moments(n, q):
+    # measure_sinr's q x q block, N >= q; q = 1 is MRC's sqrt(Gamma(N, 1))
+    rng = np.random.default_rng(33)
+    block = _bartlett_block(rng, n, 40000, q)
+    assert block.shape == (40000, q, q)
+    assert not np.tril(block, -1).any()
+    _assert_wishart_moments(block, n, rng)
 
 
 def _explicit_samples(cfg, plan, cells, mode, scheme, n_real, rng):
@@ -433,9 +466,10 @@ def test_span_shortcut_matches_explicit_path(scheme, snr):
 def _pilot_block_measure_sinr(config, plan, cells, mode, scheme, n_realizations,
                               rng):
     """measure_sinr's chunk loop as it was before it moved onto pilot
-    coefficients of R: every chunk forms the effective channels h_eff
-    (m x d x U) and the received pilot block y_pilot (m x d x B) from freshly
-    allocated span coordinates.  Same draws in the same order."""
+    coefficients of R (`_bartlett_measure_sinr`): every chunk forms the
+    effective channels h_eff (m x d x U) and the received pilot block y_pilot
+    (m x d x B) from freshly allocated span coordinates.  Same draws in the
+    same order."""
     cells = _sorted_cells(cells)
     centers, cols = _layout(config, plan, cells)
     pinned = _pinned_positions(config, cells, mode)
@@ -481,22 +515,80 @@ def _pilot_block_measure_sinr(config, plan, cells, mode, scheme, n_realizations,
     return _measured(sizes, s1_sums, pow_sums, gn_sums, config.n_users)
 
 
-@pytest.mark.parametrize("scheme", [Scheme.MRC, Scheme.PZFC])
-@pytest.mark.parametrize("mode", [AVG, WORST])
-@pytest.mark.parametrize("k, beta, chunk_elems", [
-    (2, 3, None),   # one chunk per batch
-    (3, 1, 6720),   # 20 realizations per chunk: chunks of 20, 11 and 10
-], ids=["whole_batches", "split_batches"])
-def test_measure_sinr_matches_pilot_block_reference(scheme, mode, k, beta,
-                                                    chunk_elems, monkeypatch):
+def _bartlett_measure_sinr(config, plan, cells, mode, scheme, n_realizations,
+                           rng):
+    """measure_sinr as it was before it drew only W C: every chunk draws the
+    full span factor R (m x d x p, `_span_coords`) and works on the pilot
+    coefficients C of R, corr = R C, and g^H h_u = (g^H R)_u sqrt(rho d_u).
+    Same draws in the same order as `_pilot_block_measure_sinr`."""
+    cells = _sorted_cells(cells)
+    centers, cols = _layout(config, plan, cells)
+    pinned = _pinned_positions(config, cells, mode)
+    n, b = config.n_antennas, plan.pilot_len
+    n_users_total = len(cols)
+    p = n_users_total + b
+    i_target = cols[0]
+    pilots = [i_target] if scheme is Scheme.MRC else list(range(b))
+    user_on_pilot = b * (cols[:, None] == np.array(pilots))
+    noise_coef = dft_pilot_matrix(b)[:, pilots]
+    rhs = np.zeros(b)
+    rhs[i_target] = 1.0
+    sizes = [n_realizations // N_BATCHES] * N_BATCHES
+    for i in range(n_realizations % N_BATCHES):
+        sizes[i] += 1
+    dim = min(n, p)
+    max_chunk = max(1, linklevel._CHUNK_ELEMS // max(1, dim * n_users_total))
+    s1_sums = np.zeros(N_BATCHES, dtype=complex)
+    pow_sums = np.zeros((N_BATCHES, n_users_total))
+    gn_sums = np.zeros(N_BATCHES)
+    for bi, batch_size in enumerate(sizes):
+        left = batch_size
+        while left > 0:
+            n_chunk = min(left, max_chunk)
+            left -= n_chunk
+            positions = _draw_positions(config, cells, pinned, rng, n_chunk)
+            d_ratio, _, _ = _distance_fields(config, centers, positions)
+            amp = np.sqrt(config.snr_linear * d_ratio)
+            span = _span_coords(rng, n, np.zeros((n_chunk, dim, p), dtype=complex))
+            coef = np.concatenate(
+                [amp[:, :, None] * user_on_pilot,
+                 np.broadcast_to(noise_coef, (n_chunk, b, len(pilots)))], axis=1)
+            corr = span @ coef
+            if scheme is Scheme.MRC:
+                g = corr[..., 0]
+            else:
+                psi = _psi(d_ratio, cols, b, config.inv_snr)
+                book = corr / psi[:, None, :]
+                gram = book.conj().transpose(0, 2, 1) @ book
+                x = np.linalg.solve(gram, np.broadcast_to(rhs, (n_chunk, b))[..., None])
+                g = (book @ x)[..., 0]
+            cross = (g.conj()[:, None, :] @ span)[:, 0, :n_users_total] * amp
+            s1_sums[bi] += cross[:, 0].sum()
+            pow_sums[bi] += (cross.real ** 2 + cross.imag ** 2).sum(axis=0)
+            gn_sums[bi] += (g.real ** 2 + g.imag ** 2).sum()
+    return _measured(sizes, s1_sums, pow_sums, gn_sums, config.n_users)
+
+
+_REFERENCE_CASES = [
+    pytest.param(scheme, mode, 16, k, beta, chunk_elems,
+                 id=f"{scheme}-{mode}-{name}")
+    for name, k, beta, chunk_elems in [
+        ("whole_batches", 2, 3, None),   # one chunk per batch
+        ("split_batches", 3, 1, 6720)]   # the span references: chunks of 20, 11, 10
+    for mode in (AVG, WORST) for scheme in (Scheme.MRC, Scheme.PZFC)]
+
+
+@pytest.mark.parametrize("scheme, mode, n, k, beta, chunk_elems", _REFERENCE_CASES)
+def test_bartlett_reference_matches_pilot_block_reference(scheme, mode, n, k, beta,
+                                                          chunk_elems, monkeypatch):
     # complex pilots (B = 3 and 6) and a realization count not divisible by
     # N_BATCHES; only the order of floating-point operations differs
     if chunk_elems is not None:
         monkeypatch.setattr(linklevel, "_CHUNK_ELEMS", chunk_elems)
-    cfg = make_config(n=16, k=k, beta=beta)
+    cfg = make_config(n=n, k=k, beta=beta)
     plan = PilotPlan(k, beta)
     args = (cfg, plan, TIER1, mode, scheme, 1013)
-    got = measure_sinr(*args, np.random.default_rng(40))
+    got = _bartlett_measure_sinr(*args, np.random.default_rng(40))
     ref = _pilot_block_measure_sinr(*args, np.random.default_rng(40))
     assert got.n_realizations == ref.n_realizations == 1013
     for name in ("sinr", "std_error", "batch_sinrs"):
@@ -506,3 +598,62 @@ def test_measure_sinr_matches_pilot_block_reference(scheme, mode, k, beta,
     for name, value in ref.terms.items():
         np.testing.assert_allclose(got.terms[name], value, rtol=1e-12, atol=0,
                                    err_msg=name)
+
+
+@pytest.mark.parametrize("scheme, mode, n, k, beta, chunk_elems", [
+    *_REFERENCE_CASES,
+    # zero-forcing one antenna above its B = 6 pilots: q = B < N < p = 20
+    *(pytest.param(Scheme.PZFC, mode, 7, 2, 3, None, id=f"Scheme.PZFC-{mode}-n7")
+      for mode in (AVG, WORST))])
+def test_measure_sinr_matches_bartlett_reference_in_law(scheme, mode, n, k, beta,
+                                                        chunk_elems, monkeypatch):
+    # the W C draw against the full span draw, on independent streams; with
+    # chunk_elems patched, measure_sinr splits each 500-realization batch too
+    # (into chunks of 93 for zero-forcing, 280 for MRC)
+    if chunk_elems is not None:
+        monkeypatch.setattr(linklevel, "_CHUNK_ELEMS", chunk_elems)
+    cfg = make_config(n=n, k=k, beta=beta)
+    plan = PilotPlan(k, beta)
+    args = (cfg, plan, TIER1, mode, scheme, 10000)
+    got = measure_sinr(*args, np.random.default_rng(41))
+    ref = _bartlett_measure_sinr(*args, np.random.default_rng(42))
+    assert got.n_realizations == 10000
+    z = (got.sinr - ref.sinr) / math.hypot(got.std_error, ref.std_error)
+    assert abs(z) < 4, (got.sinr, ref.sinr, z)
+
+
+_ORACLE_N = (10, 20, 33, 53)   # default-grid antenna counts
+
+
+@pytest.fixture(scope="module")
+def sweep_optima(avg_table, worst_table):
+    template = make_config(n=100, k=10)
+    return sweep(template, _ORACLE_N, default_k_grid(template.coherence_block),
+                 [1, 3, 4, 7], [Scheme.MRC, Scheme.PZFC], [AVG, WORST],
+                 {AVG: avg_table, WORST: worst_table})
+
+
+@pytest.mark.parametrize("n", _ORACLE_N)
+@pytest.mark.parametrize("scheme, mode", [(Scheme.MRC, AVG), (Scheme.MRC, WORST),
+                                          (Scheme.PZFC, AVG), (Scheme.PZFC, WORST)])
+def test_oracle_checks_the_sweep_optima(sweep_optima, avg_table, worst_table,
+                                        scheme, mode, n):
+    # the oracle at the schedule the sweep returns (MRC at N = 10 schedules
+    # K = 28, beta = 3: p = 280), on the tier-1 cells, gated by run_validation's
+    # rule; average-mode zero-forcing only as a lower bound, since its closed
+    # form under-states the SINR at beta > 1
+    k, beta, _ = optimal_schedule(sweep_optima, n, scheme, mode)
+    cfg = make_config(n=n, k=k, beta=beta)
+    plan = PilotPlan(k, beta)
+    table = avg_table if mode is AVG else worst_table
+    analytic = sinr(SinrInputs(cfg, table, plan, TIER1, scheme))
+    measured = measure_sinr(cfg, plan, TIER1, mode, scheme, 4000,
+                            np.random.default_rng(50 + n))
+    ratio = measured.sinr / analytic
+    print(f"{scheme.value} {mode.value} N={n} K*={k} beta*={beta}: "
+          f"measured/analytic {ratio:.4f}")
+    within_3se = abs(measured.sinr - analytic) <= 3 * measured.std_error
+    if scheme is Scheme.PZFC and mode is AVG:
+        assert measured.sinr >= analytic - 3 * measured.std_error, ratio
+    else:
+        assert abs(ratio - 1.0) <= 0.05 or within_3se, ratio

@@ -198,6 +198,29 @@ def test_serialization_rejects_unknown_format(tmp_path):
         MomentTable.load(path)
 
 
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda d: d["entries"].pop(), id="tier-cut"),
+    # complete tiers 0..2 only: short of the tier the stop rule keeps
+    pytest.param(lambda d: d.update(max_tier=2, entries=d["entries"][:19]),
+                 id="tiers-dropped"),
+    pytest.param(lambda d: d["entries"][0].update(mu1=2.0), id="own-cell"),
+    pytest.param(lambda d: d["entries"].append(dict(d["entries"][1])),
+                 id="offset-repeated"),
+    pytest.param(lambda d: d["entries"][-1].update(offset=[10 ** 9, 0]),
+                 id="offset-far"),
+    pytest.param(lambda d: d.update(max_tier=d["max_tier"] + 1), id="max-tier"),
+    pytest.param(lambda d: d["entries"][2].update(mu1=math.nan), id="mu1-nan"),
+    pytest.param(lambda d: d["entries"][2].update(mu2=math.inf), id="mu2-inf"),
+    pytest.param(lambda d: d["entries"][2].update(mu2=0.0), id="mu2-zero"),
+    pytest.param(lambda d: d["entries"][2].update(mu1="1.0"), id="mu1-string"),
+])
+def test_serialization_rejects_incomplete_or_invalid_entries(worst_table, edit):
+    data = worst_table.to_dict()
+    edit(data)
+    with pytest.raises(DomainError):
+        MomentTable.from_dict(data)
+
+
 def test_entry_lookup_errors(avg_table):
     far = CellIndex(40, 40)
     assert not avg_table.covers([far])
