@@ -32,8 +32,8 @@ from .linklevel import N_BATCHES, measure_sinr
 from .moments import REL_TOL, MomentTable, build_table
 from .pilots import PilotPlan
 from .spectral import Scheme, SinrInputs, asymptotic_sinr, kstar_asymptotic, sinr
-from .sweep import (default_k_grid, default_n_grid, sweep, write_optima_csv,
-                    write_sweep_csv)
+from .sweep import (default_k_grid, default_n_grid, max_users, sweep,
+                    write_optima_csv, write_sweep_csv)
 
 _DEFAULT_CONFIG = {
     "n_antennas": 100,       # placeholder; the sweep overrides N
@@ -383,7 +383,7 @@ def _check_types(manifest: RunManifest) -> None:
 def _check_manifest(manifest: RunManifest) -> None:
     """Reject run parameters that cannot be valid before any work starts."""
     _check_types(manifest)
-    config_from_dict(manifest.config)
+    template = config_from_dict(manifest.config)
     lists = (manifest.modes, manifest.schemes, manifest.beta_set, manifest.n_grid)
     if not all(lists):
         raise DomainError("modes, schemes, reuse factors and antenna counts must not be empty")
@@ -398,6 +398,12 @@ def _check_manifest(manifest: RunManifest) -> None:
     bad = [b for b in manifest.beta_set if b not in HEX_REUSE_FACTORS]
     if bad:
         raise DomainError(f"reuse factors {bad} not in {list(HEX_REUSE_FACTORS)}")
+    # the run's user counts start at K = 1 (k_cap >= 1)
+    for n in manifest.n_grid:
+        for scheme in manifest.schemes:
+            if all(max_users(n, Scheme(scheme), beta, template.coherence_block) < 1
+                   for beta in manifest.beta_set):
+                raise DomainError(f"no feasible (K, beta) at N={n} for scheme={scheme}")
     if manifest.seed < 0:
         raise DomainError(f"seed must be >= 0, got {manifest.seed}")
     if manifest.moment_samples < 1:

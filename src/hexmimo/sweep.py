@@ -2,18 +2,35 @@
 
 For every antenna count N the sweep evaluates the closed-form per-cell SE of
 each feasible (K, beta) pair and each combining scheme, in each interference
-mode, and records the argmax.  Feasibility: beta * K <= T always, and N > beta * K
-for the zero-forcing combiner.  Ties are broken toward smaller K, then
-smaller beta (fewer scheduled users and less pilot overhead at equal SE).
+mode, and records the argmax.  Feasibility (`max_users`): beta * K <= T
+always, and N > beta * K for the zero-forcing combiner.  Ties are broken
+toward smaller K, then smaller beta (fewer scheduled users and less pilot
+overhead at equal SE).
 
 Each (mode, N, scheme, beta) slice is one array expression over its feasible
 K, and the result is columnar: one structured array whose fields are the
-columns of sweep.csv.  The closed forms run on precomputed moment tables, so
-results are deterministic given the tables.
+columns of sweep.csv.  The sweep counts every slice's rows first, allocates
+that array once and fills each slice in place.  The closed forms run on
+precomputed moment tables, so results are deterministic given the tables.
+
+Writing sweep.csv costs far more than the sweep (about 3 us per row, two
+float reprs of it, against well under 1 us to evaluate it).  The writer
+splits the rows into runs of equal (N, beta, scheme, mode), which are
+contiguous in sweep order, formats each run's constant fields once and only
+K and the two floats per row.  It cuts the rows into spans of equal length
+and formats them in order.  When the process may run on more than one CPU
+and there are at least `_POOL_MIN_ROWS` rows, the spans are formatted by a
+pool of forked workers: starting and stopping the pool costs about 20 ms,
+which that many rows repay on two CPUs.  The workers inherit the rows
+through the fork, so only span bounds and the formatted bytes cross the
+pipes, and the parent writes each span as it arrives, in order.  Smaller
+sweeps format in process and never import `multiprocessing`.  Both paths
+write the same bytes.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +45,8 @@ from .spectral import (CopilotSums, Scheme, mrc_sinr_from_sums,
 ROW_DTYPE = np.dtype([("N", np.int64), ("K", np.int64), ("beta", np.int64),
                       ("scheme", "U4"), ("mode", "U5"),
                       ("sinr", np.float64), ("se", np.float64)])
-_WRITE_CHUNK = 1 << 14  # rows held as Python objects at once while writing
+_SPAN_ROWS = 1 << 14      # rows held as Python objects at once while writing
+_POOL_MIN_ROWS = 1 << 15  # about 0.1 s of formatting, 5x the pool's start-up
 
 
 @dataclass
@@ -56,6 +74,13 @@ def default_k_grid(coherence_block: int) -> list[int]:
     return list(range(1, (coherence_block + 1) // 2 + 1))
 
 
+def max_users(n: int, scheme: Scheme, beta: int, t_block: int) -> int:
+    """The largest K that `scheme` can schedule at (N, beta): beta * K <= T
+    pilots fit the coherence block, and zero-forcing needs N > beta * K."""
+    k_max = t_block // beta
+    return min(k_max, (n - 1) // beta) if scheme is Scheme.PZFC else k_max
+
+
 def _argmax(rows: np.ndarray) -> int:
     """Index of the largest SE, ties to fewer users, then lower reuse."""
     return int(np.lexsort((rows["beta"], rows["K"], -rows["se"]))[0])
@@ -80,39 +105,45 @@ def sweep(template: NetworkConfig, n_grid, k_grid, beta_set, schemes, modes,
     n_grid = sorted(set(int(n) for n in n_grid))
     k_grid = np.array(sorted(set(int(k) for k in k_grid)), dtype=np.int64)
     beta_set = sorted(set(int(b) for b in beta_set))
-    schemes = list(schemes)
+    schemes, modes = list(schemes), list(modes)
     t_block, inv_snr = template.coherence_block, template.inv_snr
-    feasible_k = {beta: k_grid[beta * k_grid <= t_block] for beta in beta_set}
     # built per call, so wrappers installed on this module's names see every call
     from_sums = {Scheme.MRC: mrc_sinr_from_sums, Scheme.PZFC: pzfc_sinr_from_sums}
 
-    parts, bounds, n_skipped, n_rows = [], {}, {}, 0  # bounds: slice -> rows
+    sums = {mode: {beta: CopilotSums.from_table(moments[mode], beta) for beta in beta_set}
+            for mode in modes}
+
+    def n_feasible(n, scheme, beta):  # the feasible K are a prefix of k_grid
+        return int(np.searchsorted(k_grid, max_users(n, scheme, beta, t_block), "right"))
+
+    # feasibility does not depend on the mode: size every slice once
+    sizes, skipped = {}, {}
+    for n in n_grid:
+        for scheme in schemes:
+            sizes[n, scheme] = [n_feasible(n, scheme, beta) for beta in beta_set]
+            skipped[n, scheme] = (sum(n_feasible(n, Scheme.MRC, beta) for beta in beta_set)
+                                  - sum(sizes[n, scheme]))
+            if modes and not any(sizes[n, scheme]):
+                raise EmptyFeasibleSet(f"no feasible (K, beta) at N={n} for "
+                                       f"scheme={scheme.value}, mode={modes[0].value}")
+
+    rows = np.empty(len(modes) * sum(map(sum, sizes.values())), ROW_DTYPE)
+    optima, n_skipped, stop = {}, {}, 0
     for mode in modes:
-        sums = {beta: CopilotSums.from_table(moments[mode], beta) for beta in beta_set}
         for n in n_grid:
             for scheme in schemes:
-                key, start = (n, scheme, mode), n_rows
-                n_skipped[key] = 0
-                for beta in beta_set:
-                    k = feasible_k[beta]
-                    if scheme is Scheme.PZFC:
-                        k = k[beta * k < n]
-                        n_skipped[key] += len(feasible_k[beta]) - len(k)
-                    sinr = from_sums[scheme](sums[beta], n, k, inv_snr)
+                key, first = (n, scheme, mode), stop
+                n_skipped[key] = skipped[n, scheme]
+                for beta, size in zip(beta_set, sizes[n, scheme]):
+                    k = k_grid[:size]
+                    sinr = from_sums[scheme](sums[mode][beta], n, k, inv_snr)
                     se = se_from_sinr(sinr, k, beta * k, t_block).se_per_cell
-                    part = np.empty(len(k), ROW_DTYPE)
+                    start, stop = stop, stop + size
+                    part = rows[start:stop]  # a view: filled in place
                     for name, column in zip(ROW_DTYPE.names, (n, k, beta, scheme.value,
                                                               mode.value, sinr, se)):
                         part[name] = column
-                    parts.append(part)
-                    n_rows += len(k)
-                if n_rows == start:
-                    raise EmptyFeasibleSet(f"no feasible (K, beta) at N={n} for "
-                                           f"scheme={scheme.value}, mode={mode.value}")
-                bounds[key] = (start, n_rows)
-
-    rows = np.concatenate(parts) if parts else np.empty(0, ROW_DTYPE)
-    optima = {key: start + _argmax(rows[start:stop]) for key, (start, stop) in bounds.items()}
+                optima[key] = first + _argmax(rows[first:stop])
     return SweepResult(rows=rows, optima=optima, n_skipped=n_skipped)
 
 
@@ -127,14 +158,63 @@ def optimal_schedule(result: SweepResult, n_antennas: int, scheme: Scheme,
     return k, beta, se
 
 
+def _format_rows(rows: np.ndarray) -> bytes:
+    """The sweep.csv lines of `rows`, each the same bytes as
+    `"%d,%d,%d,%s,%s,%r,%r\\n" % row` over `rows.tolist()`."""
+    first = np.zeros(len(rows), dtype=bool)  # first[i]: row i starts a run
+    first[:1] = True
+    for name in ("N", "beta", "scheme", "mode"):
+        first[1:] |= rows[name][1:] != rows[name][:-1]
+    bounds = [*np.flatnonzero(first).tolist(), len(rows)]
+    k, sinr, se = rows["K"].tolist(), rows["sinr"].tolist(), rows["se"].tolist()
+    lines = []
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        n, _, beta, scheme, mode, _, _ = rows[start].item()
+        head, middle = f"{n},", f",{beta},{scheme},{mode},"
+        lines += [f"{head}{kk}{middle}{x!r},{y!r}\n" for kk, x, y in
+                  zip(k[start:stop], sinr[start:stop], se[start:stop])]
+    return "".join(lines).encode("utf-8")
+
+
+_inherited_rows = None  # set only in a pool worker, by _inherit_rows
+
+
+def _inherit_rows(rows: np.ndarray) -> None:
+    global _inherited_rows
+    _inherited_rows = rows
+
+
+def _format_inherited_span(start: int, stop: int) -> bytes:
+    return _format_rows(_inherited_rows[start:stop])
+
+
 def write_sweep_csv(result: SweepResult, path) -> None:
     """One CSV row per evaluated grid point (floats at full precision)."""
     rows = result.rows
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(ROW_DTYPE.names) + "\n")
-        for start in range(0, len(rows), _WRITE_CHUNK):
-            fh.writelines("%d,%d,%d,%s,%s,%r,%r\n" % r
-                          for r in rows[start:start + _WRITE_CHUNK].tolist())
+    workers = len(os.sched_getaffinity(0)) if len(rows) >= _POOL_MIN_ROWS else 1
+    # a multiple of the worker count, so every worker formats as many rows
+    n_spans = min(workers * -(-len(rows) // (workers * _SPAN_ROWS)), len(rows))
+    spans = [(len(rows) * i // n_spans, len(rows) * (i + 1) // n_spans)
+             for i in range(n_spans)]
+    workers = min(workers, n_spans)
+
+    def write(texts):
+        with open(path, "wb") as fh:
+            fh.write((",".join(ROW_DTYPE.names) + "\n").encode("utf-8"))
+            fh.writelines(texts)
+
+    if workers < 2:
+        write(_format_rows(rows[start:stop]) for start, stop in spans)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, not spawn: the workers inherit the rows instead of receiving a
+    # pickled copy, and they only format strings (no threads, no BLAS).
+    # `map` forks them before `write` opens the file.
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_inherit_rows, initargs=(rows,)) as executor:
+        write(executor.map(_format_inherited_span, *zip(*spans)))
 
 
 def write_optima_csv(result: SweepResult, path) -> None:

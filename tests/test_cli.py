@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import subprocess
@@ -229,33 +230,85 @@ def test_console_entry_point(tmp_path):
     assert (out / "sweep.csv").exists()
 
 
-@pytest.mark.parametrize("flags", [["--realizations", "5"],
-                                   ["--realizations", "0"],
-                                   ["--samples", "0"],
-                                   ["--betas", "1,2"],
-                                   ["--k-cap", "0"],
-                                   ["--betas", ","],
-                                   ["--modes", ","],
-                                   ["--schemes", ","],
-                                   ["--n-points", "0"],
-                                   ["--n-min", "0"],
-                                   ["--seed", "-1"],
-                                   ["--modes", "avg,avg"],
-                                   ["--schemes", "mrc,mrc"],
-                                   ["--betas", "1,1"]],
+@pytest.mark.parametrize("flags,config", [(["--realizations", "5"], {}),
+                                          (["--realizations", "0"], {}),
+                                          (["--samples", "0"], {}),
+                                          (["--betas", "1,2"], {}),
+                                          (["--k-cap", "0"], {}),
+                                          (["--betas", ","], {}),
+                                          (["--modes", ","], {}),
+                                          (["--schemes", ","], {}),
+                                          (["--n-points", "0"], {}),
+                                          (["--n-min", "0"], {}),
+                                          (["--seed", "-1"], {}),
+                                          (["--modes", "avg,avg"], {}),
+                                          (["--schemes", "mrc,mrc"], {}),
+                                          (["--betas", "1,1"], {}),
+                                          # zero-forcing needs N > beta * K >= 1
+                                          (["--n-min", "1", "--n-max", "1",
+                                            "--n-points", "1", "--schemes", "pzfc"], {}),
+                                          # no beta * K <= T with beta = 7 > T
+                                          (["--betas", "7"], {"t_block": 5, "n_users": 1})],
                          ids=["realizations5", "realizations0", "samples0",
                               "beta2", "kcap0", "betas-empty", "modes-empty",
                               "schemes-empty", "npoints0", "nmin0", "seed-negative",
-                              "modes-repeated", "schemes-repeated", "betas-repeated"])
+                              "modes-repeated", "schemes-repeated", "betas-repeated",
+                              "pzfc-infeasible", "block-below-beta"])
 @pytest.mark.filterwarnings("error")  # rejected by a check, not by numpy
-def test_invalid_run_values_exit_before_any_work(tmp_path, capsys, flags):
-    cfg = small_config(tmp_path)
+def test_invalid_run_values_exit_before_any_work(tmp_path, capsys, flags, config):
+    cfg = small_config(tmp_path, **config)
     out = tmp_path / "out"
     code = run_cli(["--config", cfg, "--out", out, "--modes", "avg",
                     "--schemes", "mrc", "--validate", *FAST_FLAGS, *flags])
     assert code == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()  # no table built, no output written
+
+
+def test_failed_pool_worker_leaves_no_output_and_no_process(tmp_path, capsys,
+                                                           monkeypatch):
+    import multiprocessing
+    import os
+
+    sweep_module = importlib.import_module("hexmimo.sweep")
+    parent, format_rows = os.getpid(), sweep_module._format_rows
+
+    def fail_in_worker(rows):
+        if os.getpid() != parent:
+            raise RuntimeError("forced failure in a pool worker")
+        return format_rows(rows)
+
+    # the fork carries the patched formatter into the workers
+    monkeypatch.setattr(sweep_module, "_format_rows", fail_in_worker)
+    monkeypatch.setattr(sweep_module, "_POOL_MIN_ROWS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cfg = small_config(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli(["--config", cfg, "--out", out, "--modes", "avg",
+                    "--schemes", "mrc", *FAST_FLAGS]) == 1
+    assert "forced failure in a pool worker" in capsys.readouterr().err
+    # no sweep.csv, no .sweep.csv.tmp and no moments_avg.json written before it
+    assert list(out.iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
+def test_small_runs_never_import_the_process_pool(tmp_path):
+    # a sweep below the pool threshold formats in process; importing the
+    # pool would add to every run's start-up time and memory
+    cfg = small_config(tmp_path)
+    out = tmp_path / "out"
+    code = ("import sys\n"
+            "from hexmimo.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print([m for m in ('multiprocessing', 'concurrent.futures.process')"
+            " if m in sys.modules])\n")
+    proc = subprocess.run([sys.executable, "-c", code, "--config", str(cfg),
+                           "--out", str(out), *FAST_FLAGS],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    rows = len((out / "sweep.csv").read_text().splitlines()) - 1
+    assert 0 < rows < importlib.import_module("hexmimo.sweep")._POOL_MIN_ROWS
 
 
 # edits of a valid table file whose header still matches the run

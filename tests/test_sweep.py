@@ -1,3 +1,7 @@
+import importlib
+import math
+import os
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,8 @@ from hexmimo.sweep import (ROW_DTYPE, _argmax, default_k_grid, default_n_grid,
                            optimal_schedule, sweep, write_optima_csv,
                            write_sweep_csv)
 
+# the package exports the function `sweep` under the module's name
+sweep_module = importlib.import_module("hexmimo.sweep")
 AVG = InterferenceMode.AVERAGE
 WORST = InterferenceMode.WORST_CASE
 
@@ -23,6 +29,66 @@ def small_sweep(avg_table, worst_table):
     tables = {AVG: avg_table, WORST: worst_table}
     return sweep(template(), [16, 64, 256, 1024], range(1, 13), [1, 3],
                  [Scheme.MRC, Scheme.PZFC], [AVG, WORST], tables)
+
+
+@pytest.fixture(scope="module")
+def edge_args(avg_table, worst_table):
+    # T = 21: (K, beta) = (21, 1), (7, 3) and (3, 7) fill the block with
+    # pilots (SE = 0), and PZFC skips every beta * K >= N at N = 4, 8, 30
+    tables = {AVG: avg_table, WORST: worst_table}
+    return (template(21), [4, 8, 30, 1000], range(1, 22), [1, 3, 7],
+            [Scheme.MRC, Scheme.PZFC], [AVG, WORST], tables)
+
+
+def reference_sweep_csv(rows) -> bytes:
+    """The per-row formatter the writer replaced: the expected bytes."""
+    lines = ["N,K,beta,scheme,mode,sinr,se\n"]
+    lines += ["%d,%d,%d,%s,%s,%r,%r\n" % row for row in rows.tolist()]
+    return "".join(lines).encode("utf-8")
+
+
+def hand_built_rows():
+    # runs of (N, beta, scheme, mode) of length 1 next to longer ones, and
+    # floats whose repr takes every form
+    rows = np.zeros(8, ROW_DTYPE)
+    rows["N"] = [10, 10, 10, 11, 11, 11, 11, 10]
+    rows["K"] = [1, 2, 3, 1, 1, 1, 2, 1]
+    rows["beta"] = [1, 1, 3, 3, 3, 3, 3, 3]
+    rows["scheme"] = ["mrc", "mrc", "mrc", "mrc", "pzfc", "pzfc", "pzfc", "pzfc"]
+    rows["mode"] = ["avg", "avg", "avg", "avg", "avg", "worst", "worst", "worst"]
+    rows["sinr"] = [0.0, math.inf, 1e-05, 1e16, 5e-324, 0.1 + 0.2, 2.5, 1e-300]
+    rows["se"] = [0.0, 1e16, 0.1 + 0.2, 5e-324, 1e-05, math.inf, 0.0, 123.456]
+    return rows
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+@pytest.mark.parametrize("rows", ["sweep", "hand-built", "empty"])
+def test_sweep_csv_bytes_equal_the_per_row_formatter(tmp_path, monkeypatch,
+                                                    edge_args, rows, cpus):
+    # cpus = 1 formats in process; cpus = 4 on a pool of forked workers
+    if rows == "sweep":
+        result = sweep(*edge_args)
+        assert any(result.n_skipped.values()) and np.any(result.rows["se"] == 0.0)
+    else:
+        result = sweep_module.SweepResult(
+            rows=hand_built_rows() if rows == "hand-built" else np.empty(0, ROW_DTYPE),
+            optima={}, n_skipped={})
+    monkeypatch.setattr(sweep_module, "_POOL_MIN_ROWS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(result, path)
+    assert path.read_bytes() == reference_sweep_csv(result.rows)
+
+
+def test_one_shot_iterators_give_the_same_sweep(edge_args):
+    # the sweep walks the grid twice (count, then fill): it must not consume
+    # an iterator in the first pass
+    *grids, tables = edge_args[1:]
+    listed = sweep(edge_args[0], *grids, tables)
+    once = sweep(edge_args[0], *((v for v in grid) for grid in grids), tables)
+    assert once.rows.tolist() == listed.rows.tolist()
+    assert once.optima == listed.optima
+    assert once.n_skipped == listed.n_skipped
 
 
 def test_default_grids():
@@ -162,18 +228,14 @@ def test_rows_cover_declared_grid(small_sweep):
     assert set(rows["scheme"].tolist()) == {Scheme.MRC.value, Scheme.PZFC.value}
 
 
-def test_columnar_sweep_equals_scalar_loop(avg_table, worst_table):
+def test_columnar_sweep_equals_scalar_loop(edge_args):
     # the literal per-point loop: scalar sinr/se_from_sinr, max with the
-    # tie-break key; every value must match the columnar sweep exactly.
-    # At T = 21, (K, beta) = (21, 1), (7, 3) and (3, 7) fill the block with
-    # pilots (SE = 0), and PZFC skips every beta * K >= N at N = 4, 8, 30.
-    t_block, n_grid, k_grid, betas = 21, [4, 8, 30, 1000], range(1, 22), [1, 3, 7]
-    tables = {AVG: avg_table, WORST: worst_table}
-    schemes = [Scheme.MRC, Scheme.PZFC]
-    result = sweep(template(t_block), n_grid, k_grid, betas, schemes,
-                   [AVG, WORST], tables)
+    # tie-break key; every value must match the columnar sweep exactly
+    result = sweep(*edge_args)
+    config, n_grid, k_grid, betas, schemes, modes, tables = edge_args
+    t_block = config.coherence_block
     rows, optima, skipped = [], {}, {}
-    for mode in (AVG, WORST):
+    for mode in modes:
         for n in n_grid:
             for scheme in schemes:
                 key = (n, scheme, mode)
@@ -185,7 +247,7 @@ def test_columnar_sweep_equals_scalar_loop(avg_table, worst_table):
                         if scheme is Scheme.PZFC and n <= beta * k:
                             skipped[key] += 1
                             continue
-                        cfg = template(t_block).with_schedule(
+                        cfg = config.with_schedule(
                             n_antennas=n, n_users=k, reuse_factor=beta)
                         value = sinr(SinrInputs(cfg, tables[mode],
                                                 PilotPlan(k, beta),
