@@ -13,7 +13,7 @@ from .moments import MomentTable, build_table
 from .pilots import PilotPlan, inner_product
 from .spectral import (Scheme, SeResult, SinrInputs, asymptotic_se,
                        asymptotic_sinr, kstar_asymptotic, se_per_cell, sinr)
-from .sweep import SweepResult, optimal_schedule, sweep
+from .sweep import SweepResult, optimal_schedule
 from .linklevel import (Realization, combine, generate, lmmse_estimate,
                         measure_sinr)
 
@@ -25,6 +25,5 @@ __all__ = [
     "SweepResult", "asymptotic_se", "asymptotic_sinr", "bs_position",
     "build_table", "combine", "db_to_linear", "generate", "inner_product",
     "kstar_asymptotic", "lmmse_estimate", "load_config", "measure_sinr",
-    "optimal_schedule", "reuse_group", "se_per_cell", "sinr", "sweep",
-    "validate",
+    "optimal_schedule", "reuse_group", "se_per_cell", "sinr", "validate",
 ]

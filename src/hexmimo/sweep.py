@@ -20,12 +20,12 @@ contiguous in sweep order, formats each run's constant fields once and only
 K and the two floats per row.  It cuts the rows into spans of equal length
 and formats them in order.  When the process may run on more than one CPU
 and there are at least `_POOL_MIN_ROWS` rows, the spans are formatted by a
-pool of forked workers: starting and stopping the pool costs about 20 ms,
-which that many rows repay on two CPUs.  The workers inherit the rows
-through the fork, so only span bounds and the formatted bytes cross the
-pipes, and the parent writes each span as it arrives, in order.  Smaller
-sweeps format in process and never import `multiprocessing`.  Both paths
-write the same bytes.
+pool of forked workers (`_fork.fork_map`): starting and stopping the pool
+costs about 20 ms, which that many rows repay on two CPUs.  The workers
+inherit the rows through the fork, so only span indices and the formatted
+bytes cross the pipes, and the parent writes each span as it arrives, in
+order.  Smaller sweeps format in process and never import
+`multiprocessing`.  Both paths write the same bytes.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fork import fork_map
 from .config import InterferenceMode, NetworkConfig, validate
 from .errors import DomainError, EmptyFeasibleSet
 from .moments import MomentTable
@@ -176,18 +177,6 @@ def _format_rows(rows: np.ndarray) -> bytes:
     return "".join(lines).encode("utf-8")
 
 
-_inherited_rows = None  # set only in a pool worker, by _inherit_rows
-
-
-def _inherit_rows(rows: np.ndarray) -> None:
-    global _inherited_rows
-    _inherited_rows = rows
-
-
-def _format_inherited_span(start: int, stop: int) -> bytes:
-    return _format_rows(_inherited_rows[start:stop])
-
-
 def write_sweep_csv(result: SweepResult, path) -> None:
     """One CSV row per evaluated grid point (floats at full precision)."""
     rows = result.rows
@@ -196,25 +185,14 @@ def write_sweep_csv(result: SweepResult, path) -> None:
     n_spans = min(workers * -(-len(rows) // (workers * _SPAN_ROWS)), len(rows))
     spans = [(len(rows) * i // n_spans, len(rows) * (i + 1) // n_spans)
              for i in range(n_spans)]
-    workers = min(workers, n_spans)
 
-    def write(texts):
+    # the pool forks before the file is opened; its workers only format
+    # strings (no threads, no BLAS)
+    with fork_map(lambda start, stop: _format_rows(rows[start:stop]),
+                  spans, workers) as texts:
         with open(path, "wb") as fh:
             fh.write((",".join(ROW_DTYPE.names) + "\n").encode("utf-8"))
             fh.writelines(texts)
-
-    if workers < 2:
-        write(_format_rows(rows[start:stop]) for start, stop in spans)
-        return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # fork, not spawn: the workers inherit the rows instead of receiving a
-    # pickled copy, and they only format strings (no threads, no BLAS).
-    # `map` forks them before `write` opens the file.
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_inherit_rows, initargs=(rows,)) as executor:
-        write(executor.map(_format_inherited_span, *zip(*spans)))
 
 
 def write_optima_csv(result: SweepResult, path) -> None:

@@ -1,13 +1,17 @@
-import importlib
 import json
 import math
+import multiprocessing
+import os
 import subprocess
 import sys
 
 import pytest
 
+import hexmimo.cli as cli_module
+import hexmimo.sweep as sweep_module
 from hexmimo.cli import main
 from hexmimo.config import InterferenceMode
+from hexmimo.errors import RankDeficient
 from hexmimo.moments import MomentTable
 
 FAST_FLAGS = ["--n-min", "16", "--n-max", "64", "--n-points", "3",
@@ -267,10 +271,6 @@ def test_invalid_run_values_exit_before_any_work(tmp_path, capsys, flags, config
 
 def test_failed_pool_worker_leaves_no_output_and_no_process(tmp_path, capsys,
                                                            monkeypatch):
-    import multiprocessing
-    import os
-
-    sweep_module = importlib.import_module("hexmimo.sweep")
     parent, format_rows = os.getpid(), sweep_module._format_rows
 
     def fail_in_worker(rows):
@@ -292,23 +292,86 @@ def test_failed_pool_worker_leaves_no_output_and_no_process(tmp_path, capsys,
     assert multiprocessing.active_children() == []
 
 
+def test_failed_oracle_worker_leaves_no_output_and_no_process(tmp_path, capsys,
+                                                             monkeypatch):
+    parent, measure_sinr = os.getpid(), cli_module.measure_sinr
+
+    def fail_in_worker(*args):
+        if os.getpid() != parent:
+            raise RankDeficient("forced rank deficiency in an oracle worker")
+        return measure_sinr(*args)
+
+    monkeypatch.setattr(cli_module, "measure_sinr", fail_in_worker)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cfg = small_config(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli(["--config", cfg, "--out", out, "--modes", "avg",
+                    "--schemes", "mrc", "--validate", "--realizations", "400",
+                    *FAST_FLAGS]) == 1
+    assert "forced rank deficiency in an oracle worker" in capsys.readouterr().err
+    # sweep.csv, optima.csv and moments_avg.json were written, then removed
+    assert list(out.iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
+def test_fixture_streams_do_not_depend_on_modes_or_cpus(tmp_path, monkeypatch):
+    # fixture i draws from child i of the validation seed: leaving out the
+    # worst-case fixtures moves no average one, and the pool (2 CPUs) writes
+    # the same report as the in-process loop (1 CPU)
+    cfg = small_config(tmp_path, t_block=1000)
+    out = tmp_path / "out"
+
+    def validation(modes, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert run_cli(["--config", cfg, "--out", out, "--seed", "3",
+                        "--modes", modes, "--schemes", "mrc", "--validate",
+                        "--realizations", "2000", *FAST_FLAGS]) == 0
+        return (out / "validation.json").read_bytes()
+
+    both = validation("avg,worst", 2)
+    assert validation("avg,worst", 1) == both
+    avg_only = json.loads(validation("avg", 1))["fixtures"]
+    assert [f for f in json.loads(both)["fixtures"] if f["mode"] == "avg"] == avg_only
+    assert {f["name"] for f in avg_only} >= {"seven_cell_pzfc_avg_large_n"}
+
+
+def _pool_modules_after_run(args, one_cpu=False):
+    """(exit code, the process-pool modules imported) of one run in a fresh
+    interpreter."""
+    code = ("import os, sys\n"
+            + ("os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+               if one_cpu else "")
+            + "from hexmimo.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print([m for m in ('multiprocessing', 'concurrent.futures.process')"
+              " if m in sys.modules])\n"
+              "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout.splitlines()[-1]
+
+
 def test_small_runs_never_import_the_process_pool(tmp_path):
     # a sweep below the pool threshold formats in process; importing the
     # pool would add to every run's start-up time and memory
     cfg = small_config(tmp_path)
     out = tmp_path / "out"
-    code = ("import sys\n"
-            "from hexmimo.cli import main\n"
-            "assert main(sys.argv[1:]) == 0\n"
-            "print([m for m in ('multiprocessing', 'concurrent.futures.process')"
-            " if m in sys.modules])\n")
-    proc = subprocess.run([sys.executable, "-c", code, "--config", str(cfg),
-                           "--out", str(out), *FAST_FLAGS],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert _pool_modules_after_run(["--config", cfg, "--out", out,
+                                    *FAST_FLAGS]) == (0, "[]")
     rows = len((out / "sweep.csv").read_text().splitlines()) - 1
-    assert 0 < rows < importlib.import_module("hexmimo.sweep")._POOL_MIN_ROWS
+    assert 0 < rows < sweep_module._POOL_MIN_ROWS
+
+
+def test_validation_on_one_cpu_never_imports_the_process_pool(tmp_path):
+    # on one CPU the oracle's fixtures run in process; whether this small
+    # run's fixtures pass does not matter here
+    cfg = small_config(tmp_path, t_block=1000)
+    out = tmp_path / "out"
+    code, modules = _pool_modules_after_run(
+        ["--config", cfg, "--out", out, "--modes", "avg", "--schemes", "mrc",
+         "--validate", "--realizations", "2000", *FAST_FLAGS], one_cpu=True)
+    assert code in (0, 1) and modules == "[]"
+    assert json.loads((out / "validation.json").read_text())["fixtures"]
 
 
 # edits of a valid table file whose header still matches the run

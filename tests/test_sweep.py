@@ -1,10 +1,11 @@
-import importlib
 import math
 import os
+import types
 
 import numpy as np
 import pytest
 
+import hexmimo.sweep as sweep_module
 from hexmimo.config import InterferenceMode, NetworkConfig
 from hexmimo.errors import EmptyFeasibleSet
 from hexmimo.pilots import PilotPlan
@@ -13,8 +14,6 @@ from hexmimo.sweep import (ROW_DTYPE, _argmax, default_k_grid, default_n_grid,
                            optimal_schedule, sweep, write_optima_csv,
                            write_sweep_csv)
 
-# the package exports the function `sweep` under the module's name
-sweep_module = importlib.import_module("hexmimo.sweep")
 AVG = InterferenceMode.AVERAGE
 WORST = InterferenceMode.WORST_CASE
 
@@ -78,6 +77,13 @@ def test_sweep_csv_bytes_equal_the_per_row_formatter(tmp_path, monkeypatch,
     path = tmp_path / "sweep.csv"
     write_sweep_csv(result, path)
     assert path.read_bytes() == reference_sweep_csv(result.rows)
+
+
+def test_package_attribute_is_the_sweep_module():
+    # `import hexmimo.sweep as m` binds the package attribute, which the
+    # function `sweep` must not shadow
+    assert isinstance(sweep_module, types.ModuleType)
+    assert sweep_module.sweep is sweep
 
 
 def test_one_shot_iterators_give_the_same_sweep(edge_args):
