@@ -17,20 +17,24 @@ data phase is not simulated symbol by symbol; the bound depends only on
 these moments, which are estimated directly.
 
 `measure_sinr` never draws channels or pilot noise in C^N.  Every quantity
-it forms (pilot correlations, estimated book, its Gram matrix and solve,
-g^H h_u, ||g||^2) is a function of W C, where W = Z^H Z is the p x p Gram
-matrix of the U unscaled channels and the B noise columns (p = U + B
-i.i.d. CN(0, I_N) vectors, so W is complex Wishart with N degrees of
-freedom) and C is the p x q matrix of pilot coefficients the combiner
-reads (q = 1 for MRC, B for zero-forcing).  W is unitarily invariant, so
-rotating span(C) onto the first q coordinates leaves its law unchanged;
-there W C needs only the first q rows of W's Bartlett factor: a q x q
-upper-triangular block R_q (|R_jj|^2 ~ Gamma(N - j, 1) on the 0-based
-diagonal, CN(0, 1) above it; Goodman 1963) and, for the remaining rows,
-one CN(0, I) vector.  Drawing that statistic is exact in
-distribution and costs O(q^2 + p) numbers per realization instead of the
-O(N p) of the explicit vectors.  `generate` keeps the explicit N-dim draws
-and serves as the cross-check for the shortcut.
+it forms (pilot correlations, the combiner, g^H h_u, ||g||^2) is a function
+of W C, where W = Z^H Z is the p x p Gram matrix of the U unscaled channels
+and the B noise columns (p = U + B i.i.d. CN(0, I_N) vectors, so W is
+complex Wishart with N degrees of freedom) and C is the p x q matrix of
+pilot coefficients the combiner reads (q = 1 for MRC, B for zero-forcing).
+W is unitarily invariant, so rotating span(C) onto the first q coordinates
+leaves its law unchanged; there W C needs only the first q rows of W's
+Bartlett factor: a q x q upper-triangular block R_q and, for the remaining
+rows, one CN(0, I) vector.  The combiners read R_q only through R_q^H v and
+||v|| with v = R_q T y, and both have one-number laws.  MRC's 1 x 1 block
+is sqrt(Gamma(N, 1)).  Zero-forcing's y = D^-1 gram^-1 e_i makes
+R_q^H v = (psi_i / t_i) e_i fixed given the positions and
+||v||^2 = (psi_i / t_i)^2 (W_q^-1)_ii with W_q = R_q^H R_q; by the
+Schur-complement property of the complex Wishart matrix (Goodman 1963),
+1 / (W_q^-1)_ii ~ Gamma(N - B + 1, 1).  So every realization costs one
+Gamma draw and U + q normals for either combiner, exact in distribution,
+instead of the O(N p) numbers of the explicit vectors.  `generate` keeps
+the explicit N-dim draws and serves as the cross-check for the shortcut.
 
 Everything here is deliberately independent of the closed-form module: the
 two must agree only through the physics.
@@ -50,29 +54,8 @@ from .hexgrid import (CellIndex, bs_position, reuse_group, sample_ue_positions,
 from .pilots import PilotPlan
 from .spectral import Scheme
 
-_COND_LIMIT = 1e12
 N_BATCHES = 20   # batch means behind measure_sinr's standard error
 _CHUNK_ELEMS = 1 << 22  # caps the elements of a chunk's largest arrays
-
-
-def _ill_conditioned(gram: np.ndarray) -> np.ndarray:
-    """Where a (stack of) Hermitian Gram matrices has condition number
-    lambda_max / lambda_min of at least _COND_LIMIT, or an undefined one
-    (zero or non-finite spectrum)."""
-    w = np.linalg.eigvalsh(gram)
-    return ~(w[..., -1] < _COND_LIMIT * w[..., 0])
-
-
-def _bartlett_block(rng: np.random.Generator, n: int, m: int, q: int) -> np.ndarray:
-    """(m, q, q) upper-triangular complex Bartlett factors of q x q Wishart
-    matrices with n >= q degrees of freedom: sqrt(Gamma(n - j, 1)) on the
-    0-based diagonal j and CN(0, 1) above it."""
-    out = np.zeros((m, q, q), dtype=complex)
-    rows, cols = np.triu_indices(q, 1)
-    out[:, rows, cols] = _complex_normal(rng, (m, rows.size))
-    diag = np.arange(q)
-    out[:, diag, diag] = np.sqrt(rng.standard_gamma(n - diag, size=(m, q)))
-    return out
 
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -165,16 +148,76 @@ def _draw_positions(config: NetworkConfig, cells, pinned: dict[int, np.ndarray],
     return out
 
 
+def _squared_distances(positions: np.ndarray, centers: np.ndarray):
+    """(serving_sq, victim_sq): squared distances of positions (..., U, 2) to
+    their serving BS (`centers`) and to the victim BS at the origin."""
+    rel = positions - centers
+    return (rel[..., 0] ** 2 + rel[..., 1] ** 2,
+            positions[..., 0] ** 2 + positions[..., 1] ** 2)
+
+
 def _distance_fields(config: NetworkConfig, centers: np.ndarray,
                      positions: np.ndarray):
     """(d_ratio, tx_power, d_victim) for positions of shape (..., U, 2)."""
-    kappa = config.pathloss_exponent
-    serving = np.linalg.norm(positions - centers, axis=-1)
-    victim = np.linalg.norm(positions, axis=-1)
-    d_ratio = (serving / victim) ** kappa
-    tx_power = config.snr_linear * serving ** kappa / config.pathloss_ref
-    d_victim = config.pathloss_ref / victim ** kappa
+    half_kappa = config.pathloss_exponent / 2
+    serving_sq, victim_sq = _squared_distances(positions, centers)
+    d_ratio = (serving_sq / victim_sq) ** half_kappa
+    tx_power = config.snr_linear * serving_sq ** half_kappa / config.pathloss_ref
+    d_victim = config.pathloss_ref / victim_sq ** half_kappa
     return d_ratio, tx_power, d_victim
+
+
+def _ratio_sampler(config: NetworkConfig, cells, centers: np.ndarray,
+                   mode: InterferenceMode):
+    """draw(rng, m) -> (m, U) victim-to-serving variance ratios d_ratio.
+
+    The drawn cells are sampled in cell order, the stream `_draw_positions`
+    consumes; the pinned users' ratios are computed once, here."""
+    k = config.n_users
+    half_kappa = config.pathloss_exponent / 2
+    pinned = _pinned_positions(config, cells, mode)
+    fixed = []
+    for ci, position in pinned.items():
+        sl = slice(ci * k, (ci + 1) * k)
+        serving_sq, victim_sq = _squared_distances(position, centers[sl])
+        fixed.append((sl, (serving_sq / victim_sq) ** half_kappa))
+    drawn = [(slice(ci * k, (ci + 1) * k), cell) for ci, cell in enumerate(cells)
+             if ci not in pinned]
+
+    def draw(rng: np.random.Generator, m: int) -> np.ndarray:
+        out = np.empty((m, len(centers)))
+        for sl, ratio in fixed:
+            out[:, sl] = ratio
+        for sl, cell in drawn:
+            pts = sample_ue_positions(cell, config.cell_radius,
+                                      config.min_ue_distance_frac, rng, m * k)
+            serving_sq, victim_sq = _squared_distances(pts.reshape(m, k, 2),
+                                                       centers[sl])
+            out[:, sl] = (serving_sq / victim_sq) ** half_kappa
+        return out
+
+    return draw
+
+
+def _slot_summer(slot: np.ndarray, q: int):
+    """sums(x) -> (m, q): the columns of x (m, U) summed over the users of
+    each slot j < q (`slot` holds each user's slot); users in slot q are left
+    out.  One gather and one `np.add.reduceat` per call."""
+    order = np.argsort(slot, kind="stable")
+    order = order[slot[order] < q]
+    counts = np.bincount(slot[order], minlength=q)
+    filled = np.flatnonzero(counts)
+    starts = np.concatenate(([0], np.cumsum(counts[filled])[:-1]))
+
+    def sums(x: np.ndarray) -> np.ndarray:
+        part = np.add.reduceat(x[:, order], starts, axis=1)
+        if filled.size == q:
+            return part
+        out = np.zeros((x.shape[0], q), dtype=x.dtype)
+        out[:, filled] = part
+        return out
+
+    return sums
 
 
 def _psi(d_ratio: np.ndarray, cols: np.ndarray, pilot_len: int,
@@ -283,7 +326,10 @@ def combine(realization: Realization, scheme: Scheme, user: int) -> np.ndarray:
     if scheme is Scheme.MRC:
         return book[:, i]
     gram = book.conj().T @ book
-    if _ill_conditioned(gram):
+    w = np.linalg.eigvalsh(gram)
+    # condition number lambda_max / lambda_min of at least 1e12, or an
+    # undefined one (zero or non-finite spectrum)
+    if not w[-1] < 1e12 * w[0]:
         raise RankDeficient("estimated pilot book is numerically rank deficient")
     rhs = np.zeros(gram.shape[0])
     rhs[i] = 1.0
@@ -313,20 +359,32 @@ def measure_sinr(config: NetworkConfig, plan: PilotPlan, cells,
     pilot column and the DFT rows for the noise; the combiner is g = Z C y
     and g^H h_u = (W C y)_u^* sqrt(rho d_u), ||g||^2 = y^H C^H W C y.
     G = C^H C is diagonal (each user sits on one pilot, the DFT columns are
-    orthogonal), so its Cholesky factor T is its square root.  With R_q the
-    q x q Bartlett block and v = R_q T y,
+    orthogonal), g_j = B^2 rho sum_{u on pilot j} d_u + B = B rho psi_j with
+    the pilot-direction powers psi (sigma^2 = 1, so 1 / SNR = 1 / rho), and
+    its Cholesky factor T is its square root.  With R_q the q x q Bartlett
+    block and v = R_q T y,
 
         W C y = ||v|| xi + C (T^-1 R_q^H v - G^-1 C^H xi ||v||),
         ||g||^2 = ||v||^2,
 
     for xi ~ CN(0, I_p) independent of R_q; this holds for any N >= q.  Only
     the U user rows of W C y are read, and the noise rows of C enter only
-    through C^H xi, where they add CN(0, B I_q).  MRC has q = 1 and y = 1;
-    zero-forcing has the Gram matrix D^-1 T R_q^H R_q T D^-1 of the
-    estimated book (D = diag(psi)) and y = D^-1 gram^-1 e.  The standard
-    error comes from N_BATCHES batch means; `terms` decomposes the SINR
-    denominator into coherent signal, estimation gap, intra-cell
-    interference, inter-cell interference and noise.
+    through C^H xi, where they add CN(0, B I_q).  Both combiners make
+    T^-1 R_q^H v = a e_i, a multiple of the target pilot's unit vector, and
+    one draw X ~ Gamma(N - q + 1, 1) per realization sets a and ||v||:
+
+    - MRC (q = 1, y = 1): R_q = sqrt(X), a = X and ||v||^2 = g_i X.
+    - zero-forcing (q = B, y = D^-1 gram^-1 e_i, with D = diag(psi) and
+      gram = D^-1 T W_q T D^-1 the Gram matrix of the estimated book):
+      a = psi_i / g_i = 1 / (B rho) and ||v||^2 = (psi_i / t_i)^2 (W_q^-1)_ii
+      = g_i / ((B rho)^2 X), where X = 1 / (W_q^-1)_ii is the Schur
+      complement of the complex Wishart W_q (Goodman 1963).
+
+    A drawn ||v||^2 that is zero or not finite is a singular W_q (or a zero
+    MRC direction) and raises RankDeficient.  The standard error comes from
+    N_BATCHES batch means; `terms` decomposes the SINR denominator into
+    coherent signal, estimation gap, intra-cell interference, inter-cell
+    interference and noise.
 
     Scale convention: per-block detection is invariant to any scalar on the
     beamformer, but the moments of g^H h are not invariant to a *random*
@@ -343,26 +401,26 @@ def measure_sinr(config: NetworkConfig, plan: PilotPlan, cells,
         raise DomainError("need at least one realization per batch")
     cells = _sorted_cells(cells)
     centers, cols = _layout(config, plan, cells)
-    pinned = _pinned_positions(config, cells, mode)
+    draw_d_ratio = _ratio_sampler(config, cells, centers, mode)
     n, b = config.n_antennas, plan.pilot_len
-    kappa = config.pathloss_exponent
     rho = config.snr_linear
     n_users_total = len(cols)
     u_own = 0                              # user 1 of the origin cell, listed first
     i_target = cols[u_own]
-    # MRC needs only the target pilot's correlation, zero-forcing all B
-    pilots = [i_target] if scheme is Scheme.MRC else list(range(b))
-    q = len(pilots)
-    user_on_pilot = b * (cols[:, None] == np.array(pilots)).astype(float)  # (U, q)
-    rhs = np.zeros((b, 1))
-    rhs[i_target] = 1.0
+    # MRC needs only the target pilot's correlation (slot 0), zero-forcing
+    # all B; slot q holds the users on no pilot C reads
+    if scheme is Scheme.MRC:
+        q, i_slot, slot = 1, 0, np.where(cols == i_target, 0, 1)
+    else:
+        q, i_slot, slot = b, i_target, cols
+    pilot_sums = _slot_summer(slot, q)
 
     sizes = [n_realizations // N_BATCHES] * N_BATCHES
     for i in range(n_realizations % N_BATCHES):
         sizes[i] += 1
-    # cap per-draw array sizes at m x p x q; batches are accumulated over
+    # cap per-draw array sizes at m x (U + q); batches are accumulated over
     # sub-chunks
-    max_chunk = max(1, _CHUNK_ELEMS // ((n_users_total + b) * q))
+    max_chunk = max(1, _CHUNK_ELEMS // (n_users_total + q))
 
     s1_sums = np.zeros(N_BATCHES, dtype=complex)
     pow_sums = np.zeros((N_BATCHES, n_users_total))
@@ -373,38 +431,30 @@ def measure_sinr(config: NetworkConfig, plan: PilotPlan, cells,
         while left > 0:
             n_chunk = min(left, max_chunk)
             left -= n_chunk
-            positions = _draw_positions(config, cells, pinned, rng, n_chunk)
-            serving = np.linalg.norm(positions - centers, axis=-1)
-            d_ratio = (serving / np.linalg.norm(positions, axis=-1)) ** kappa
-            # user rows of C: amp * user_on_pilot.  The contractions with
-            # user_on_pilot run in einsum: a BLAS call here would keep a
-            # second OpenBLAS thread spinning through the whole loop
-            amp = np.sqrt(rho * d_ratio)
-            g_diag = np.einsum("mu,uj->mj", rho * d_ratio, user_on_pilot ** 2) + b
-            t = np.sqrt(g_diag)
-            r_q = _bartlett_block(rng, n, n_chunk, q)
+            d_ratio = draw_d_ratio(rng, n_chunk)
+            amp = np.sqrt(rho * d_ratio)             # user rows of C: amp B
+            g = (b * b * rho) * pilot_sums(d_ratio) + b
+            g_i = g[:, i_slot]
+            x = rng.standard_gamma(n - q + 1, size=n_chunk)
             if scheme is Scheme.MRC:
-                ty = t  # y = 1: the raw pilot correlation, psi-free scale
+                a = x  # y = 1: the raw pilot correlation, psi-free scale
+                v_norm_sq = g_i * x
             else:
-                psi = _psi(d_ratio, cols, b, config.inv_snr)
-                ty = t / psi
-                a = r_q * ty[:, None, :]                # R_q T D^-1
-                gram = a.conj().transpose(0, 2, 1) @ a
-                if np.any(_ill_conditioned(gram)):
-                    raise RankDeficient(
-                        "estimated pilot book is numerically rank deficient")
-                ty = ty * np.linalg.solve(gram, rhs)[..., 0]
-            v = (r_q @ ty[..., None])[..., 0]           # R_q T y
-            v_norm_sq = (v.real ** 2 + v.imag ** 2).sum(axis=1)
+                a = 1.0 / (b * rho)  # psi_i / g_i: G = B rho diag(psi)
+                v_norm_sq = g_i * a * a / x
+            if not np.all((v_norm_sq > 0) & (v_norm_sq < np.inf)):
+                raise RankDeficient("a drawn combiner norm ||v||^2 is not finite "
+                                    "and positive: W_q is singular")
             v_norm = np.sqrt(v_norm_sq)
             xi = _complex_normal(rng, (n_chunk, n_users_total + q))
-            c_xi = (np.einsum("mu,uj->mj", amp * xi[:, :n_users_total], user_on_pilot)
+            c_xi = (b * pilot_sums(amp * xi[:, :n_users_total])
                     + math.sqrt(b) * xi[:, n_users_total:])  # C^H xi
-            # T^-1 R_q^H v - G^-1 C^H xi ||v||, then the user rows of W C y
-            z = ((r_q.conj().transpose(0, 2, 1) @ v[..., None])[..., 0] / t
-                 - c_xi * v_norm[:, None] / g_diag)
-            wcy = (v_norm[:, None] * xi[:, :n_users_total]
-                   + amp * np.einsum("mj,uj->mu", z, user_on_pilot))
+            # B (T^-1 R_q^H v - G^-1 C^H xi ||v||); column q stays 0
+            bz = np.zeros((n_chunk, q + 1), dtype=complex)
+            np.multiply(c_xi, (-b * v_norm)[:, None] / g, out=bz[:, :q])
+            bz[:, i_slot] += b * a
+            # the user rows of W C y
+            wcy = v_norm[:, None] * xi[:, :n_users_total] + amp * bz[:, slot]
             cross = wcy.conj() * amp
             s1_sums[bi] += cross[:, u_own].sum()
             pow_sums[bi] += (cross.real ** 2 + cross.imag ** 2).sum(axis=0)

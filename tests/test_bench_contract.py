@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import hexmimo.moments
-from hexmimo.cli import _build_parser
+from hexmimo.cli import _build_parser, _validation_fixtures
 from hexmimo.config import InterferenceMode, NetworkConfig
 from hexmimo.spectral import Scheme
 from hexmimo.sweep import sweep, write_sweep_csv
@@ -62,6 +62,14 @@ def test_benchmark_argv_parses(smoke):
                 parser.parse_args(argv)
             except SystemExit:
                 pytest.fail(f"{wl.name}: the CLI rejects {argv}")
+
+
+def test_bench_fixtures_are_the_validation_fixtures():
+    # the traced run reports linklevel.<name>_s for each name in FIXTURES; a
+    # renamed or reordered fixture must fail here, not read 0 there
+    template = NetworkConfig(n_antennas=100, n_users=10, coherence_block=200,
+                             reuse_factor=1, snr_linear=10.0)
+    assert run.FIXTURES == tuple(f[0] for f in _validation_fixtures(template))
 
 
 def test_sweep_attrs_read_a_real_sweep(tmp_path, avg_table, worst_table):

@@ -8,7 +8,7 @@ from hexmimo.config import InterferenceMode, NetworkConfig
 from hexmimo.errors import DomainError, RankDeficient
 from hexmimo.hexgrid import CellIndex, cells_within_tier, worst_case_position
 from hexmimo import linklevel
-from hexmimo.linklevel import (N_BATCHES, Realization, _bartlett_block,
+from hexmimo.linklevel import (N_BATCHES, Realization, _complex_normal,
                                _distance_fields, _draw_positions, _layout,
                                _measured, _pinned_positions, _psi,
                                _sorted_cells, combine, dft_pilot_matrix,
@@ -18,6 +18,7 @@ from hexmimo.linklevel import (N_BATCHES, Realization, _bartlett_block,
 from hexmimo.pilots import PilotPlan
 from hexmimo.spectral import Scheme, SinrInputs, sinr
 from hexmimo.sweep import default_k_grid, optimal_schedule, sweep
+from scipy import stats
 
 AVG = InterferenceMode.AVERAGE
 WORST = InterferenceMode.WORST_CASE
@@ -397,9 +398,22 @@ def test_span_coordinates_have_the_wishart_moments(n, p):
     _assert_wishart_moments(coords, n, rng)
 
 
+def _bartlett_block(rng, n, m, q):
+    """(m, q, q) upper-triangular complex Bartlett factors of q x q Wishart
+    matrices with n >= q degrees of freedom: sqrt(Gamma(n - j, 1)) on the
+    0-based diagonal j and CN(0, 1) above it."""
+    out = np.zeros((m, q, q), dtype=complex)
+    rows, cols = np.triu_indices(q, 1)
+    out[:, rows, cols] = _complex_normal(rng, (m, rows.size))
+    diag = np.arange(q)
+    out[:, diag, diag] = np.sqrt(rng.standard_gamma(n - diag, size=(m, q)))
+    return out
+
+
 @pytest.mark.parametrize("n, q", [(8, 5), (6, 6), (9, 1)])
 def test_bartlett_block_has_the_wishart_moments(n, q):
-    # measure_sinr's q x q block, N >= q; q = 1 is MRC's sqrt(Gamma(N, 1))
+    # the q x q block of the Gram/solve reference, N >= q; q = 1 is MRC's
+    # sqrt(Gamma(N, 1))
     rng = np.random.default_rng(33)
     block = _bartlett_block(rng, n, 40000, q)
     assert block.shape == (40000, q, q)
@@ -609,7 +623,7 @@ def test_measure_sinr_matches_bartlett_reference_in_law(scheme, mode, n, k, beta
                                                         chunk_elems, monkeypatch):
     # the W C draw against the full span draw, on independent streams; with
     # chunk_elems patched, measure_sinr splits each 500-realization batch too
-    # (into chunks of 93 for zero-forcing, 280 for MRC)
+    # (into chunks of 280 for zero-forcing, 305 for MRC)
     if chunk_elems is not None:
         monkeypatch.setattr(linklevel, "_CHUNK_ELEMS", chunk_elems)
     cfg = make_config(n=n, k=k, beta=beta)
@@ -622,7 +636,164 @@ def test_measure_sinr_matches_bartlett_reference_in_law(scheme, mode, n, k, beta
     assert abs(z) < 4, (got.sinr, ref.sinr, z)
 
 
-_ORACLE_N = (10, 20, 33, 53)   # default-grid antenna counts
+def _gram_solve_ty(r_q, ty, rhs):
+    """T y of the zero-forcing combiner, y = D^-1 gram^-1 e_i, from Bartlett
+    blocks r_q (m, q, q) and the diagonals of T D^-1 (m, q): the Gram matrix
+    of the estimated book R_q T D^-1 and its solve against rhs = e_i."""
+    a = r_q * ty[:, None, :]
+    gram = a.conj().transpose(0, 2, 1) @ a
+    return ty * np.linalg.solve(gram, rhs)[..., 0]
+
+
+def _gram_solve_measure_sinr(config, plan, cells, mode, scheme, n_realizations,
+                             rng):
+    """measure_sinr as it was before its one-Gamma draw: every chunk draws the
+    q x q Bartlett block R_q (`_bartlett_block`) and, for zero-forcing, forms
+    the Gram matrix of the estimated book and solves it.  MRC draws the same
+    numbers in the same order as measure_sinr while a batch fits one chunk
+    under both chunk rules."""
+    cells = _sorted_cells(cells)
+    centers, cols = _layout(config, plan, cells)
+    pinned = _pinned_positions(config, cells, mode)
+    n, b = config.n_antennas, plan.pilot_len
+    rho = config.snr_linear
+    n_users_total = len(cols)
+    i_target = cols[0]
+    pilots = [i_target] if scheme is Scheme.MRC else list(range(b))
+    q = len(pilots)
+    user_on_pilot = b * (cols[:, None] == np.array(pilots)).astype(float)  # (U, q)
+    rhs = np.zeros((b, 1))
+    rhs[i_target] = 1.0
+    sizes = [n_realizations // N_BATCHES] * N_BATCHES
+    for i in range(n_realizations % N_BATCHES):
+        sizes[i] += 1
+    max_chunk = max(1, linklevel._CHUNK_ELEMS // ((n_users_total + b) * q))
+    s1_sums = np.zeros(N_BATCHES, dtype=complex)
+    pow_sums = np.zeros((N_BATCHES, n_users_total))
+    gn_sums = np.zeros(N_BATCHES)
+    for bi, batch_size in enumerate(sizes):
+        left = batch_size
+        while left > 0:
+            n_chunk = min(left, max_chunk)
+            left -= n_chunk
+            positions = _draw_positions(config, cells, pinned, rng, n_chunk)
+            d_ratio, _, _ = _distance_fields(config, centers, positions)
+            amp = np.sqrt(rho * d_ratio)
+            g_diag = (rho * d_ratio) @ user_on_pilot ** 2 + b
+            t = np.sqrt(g_diag)
+            r_q = _bartlett_block(rng, n, n_chunk, q)
+            if scheme is Scheme.MRC:
+                ty = t
+            else:
+                psi = _psi(d_ratio, cols, b, config.inv_snr)
+                ty = _gram_solve_ty(r_q, t / psi, rhs)
+            v = (r_q @ ty[..., None])[..., 0]           # R_q T y
+            v_norm_sq = (v.real ** 2 + v.imag ** 2).sum(axis=1)
+            v_norm = np.sqrt(v_norm_sq)
+            xi = _complex_normal(rng, (n_chunk, n_users_total + q))
+            c_xi = ((amp * xi[:, :n_users_total]) @ user_on_pilot
+                    + math.sqrt(b) * xi[:, n_users_total:])  # C^H xi
+            z = ((r_q.conj().transpose(0, 2, 1) @ v[..., None])[..., 0] / t
+                 - c_xi * v_norm[:, None] / g_diag)
+            wcy = v_norm[:, None] * xi[:, :n_users_total] + amp * (z @ user_on_pilot.T)
+            cross = wcy.conj() * amp
+            s1_sums[bi] += cross[:, 0].sum()
+            pow_sums[bi] += (cross.real ** 2 + cross.imag ** 2).sum(axis=0)
+            gn_sums[bi] += v_norm_sq.sum()
+    return _measured(sizes, s1_sums, pow_sums, gn_sums, config.n_users)
+
+
+def _wishart_inverse_diag(r_q, i):
+    """(W_q^-1)_ii for W_q = R_q^H R_q, per block of r_q (m, q, q)."""
+    return np.linalg.inv(r_q.conj().transpose(0, 2, 1) @ r_q)[:, i, i].real
+
+
+@pytest.mark.parametrize("n, b, i", [(20, 12, 0), (20, 12, 5), (64, 2, 1)])
+def test_gram_solve_norm_is_the_schur_complement(n, b, i):
+    # same draws: the Gram/solve combiner's v = R_q T y has R_q^H v = s e_i
+    # and ||v||^2 = s^2 (W_q^-1)_ii, s = psi_i / t_i, for any T and D
+    rng = np.random.default_rng(60)
+    m = 200
+    r_q = _bartlett_block(rng, n, m, b)
+    t = np.sqrt(b + rng.uniform(0.0, 1e3, (m, b)))
+    psi = rng.uniform(0.1, 10.0, (m, b))
+    rhs = np.zeros((b, 1))
+    rhs[i] = 1.0
+    v = (r_q @ _gram_solve_ty(r_q, t / psi, rhs)[..., None])[..., 0]
+    s = psi[:, i] / t[:, i]
+    np.testing.assert_allclose((v.real ** 2 + v.imag ** 2).sum(axis=1),
+                               s ** 2 * _wishart_inverse_diag(r_q, i),
+                               rtol=1e-12, atol=0)
+    r_h_v = (r_q.conj().transpose(0, 2, 1) @ v[..., None])[..., 0]
+    np.testing.assert_allclose(r_h_v / s[:, None], np.eye(b)[np.full(m, i)],
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, b, i", [(20, 12, 0), (20, 12, 5), (13, 6, 2),
+                                     (10, 9, 8), (64, 2, 1)])
+def test_schur_complement_is_gamma(n, b, i):
+    # 1 / (W_q^-1)_ii ~ Gamma(N - B + 1, 1) for a complex Wishart W_q with N
+    # degrees of freedom, at every index i (Goodman 1963)
+    x = 1.0 / _wishart_inverse_diag(_bartlett_block(np.random.default_rng(61), n,
+                                                    20000, b), i)
+    assert stats.kstest(x, stats.gamma(n - b + 1).cdf).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("mode", [AVG, WORST])
+def test_measure_sinr_keeps_the_mrc_stream(mode):
+    # MRC's 1 x 1 block is sqrt(Gamma(N, 1)): the Gram/solve reference draws
+    # the same numbers, so only the order of floating-point operations differs
+    args = (make_config(n=16, k=2, beta=3), PilotPlan(2, 3), TIER1, mode,
+            Scheme.MRC, 1013)
+    got = measure_sinr(*args, np.random.default_rng(62))
+    ref = _gram_solve_measure_sinr(*args, np.random.default_rng(62))
+    for name in ("sinr", "std_error", "batch_sinrs"):
+        np.testing.assert_allclose(getattr(got, name), getattr(ref, name),
+                                   rtol=1e-12, atol=0, err_msg=name)
+    for name, value in ref.terms.items():
+        np.testing.assert_allclose(got.terms[name], value, rtol=1e-12, atol=0,
+                                   err_msg=name)
+
+
+@pytest.mark.parametrize("mode", [AVG, WORST])
+@pytest.mark.parametrize("n, k, beta", [(16, 2, 3), (7, 2, 3), (13, 4, 3)],
+                         ids=["n16", "n7", "n13"])
+def test_measure_sinr_matches_gram_solve_reference_in_law(mode, n, k, beta):
+    # the one-Gamma zero-forcing draw against the Gram/solve loop on
+    # independent streams: B = 6 at N = 16 and N = 7, B = 12 at N = 13
+    cfg = make_config(n=n, k=k, beta=beta)
+    args = (cfg, PilotPlan(k, beta), TIER1, mode, Scheme.PZFC, 10000)
+    got = measure_sinr(*args, np.random.default_rng(63))
+    ref = _gram_solve_measure_sinr(*args, np.random.default_rng(64))
+    z = (got.sinr - ref.sinr) / math.hypot(got.std_error, ref.std_error)
+    assert abs(z) < 4, (got.sinr, ref.sinr, z)
+
+
+class _FixedGamma:
+    """A generator whose standard_gamma returns `value`; the rest is rng's."""
+
+    def __init__(self, rng, value):
+        self._rng, self._value = rng, value
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def standard_gamma(self, shape, size=None):
+        return np.full(size, self._value)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.MRC, Scheme.PZFC])
+@pytest.mark.parametrize("value", [0.0, math.inf])
+def test_measure_sinr_rejects_a_degenerate_combiner_norm(scheme, value):
+    # a zero or infinite Schur complement makes ||v||^2 zero or infinite
+    rng = _FixedGamma(np.random.default_rng(65), value)
+    with np.errstate(divide="ignore"), pytest.raises(RankDeficient,
+                                                     match="not finite and positive"):
+        measure_sinr(make_config(n=16, k=2, beta=1), PilotPlan(2, 1), TIER1, AVG,
+                     scheme, 400, rng)
+
+
+_ORACLE_N = (10, 20, 33, 53, 85, 137, 221)   # default-grid antenna counts
 
 
 @pytest.fixture(scope="module")
