@@ -62,7 +62,6 @@ class RunManifest:
     n_grid: list[int] = field(default_factory=default_n_grid)
     k_cap: int | None = None
     beta_set: list[int] = field(default_factory=lambda: [1, 3, 4, 7])
-    moment_samples: int = 10 ** 6
     run_asymptotic: bool = False
     run_validation: bool = False
     validation_realizations: int = 20000
@@ -86,20 +85,17 @@ class RunManifest:
         return cls(**data)
 
 
-def _module_seeds(seed: int) -> dict[str, int]:
-    """Deterministic per-module seeds split from the single run seed."""
-    state = np.random.SeedSequence(seed).generate_state(4, dtype=np.uint64)
-    return {"moments_avg": int(state[0]), "moments_worst": int(state[1]),
-            "validation": int(state[2])}
+def _validation_seed(seed: int) -> int:
+    """The oracle's seed, split from the single run seed.  It is word 2 of
+    the seed sequence's state, so a given run seed keeps the validation
+    streams it has always had."""
+    return int(np.random.SeedSequence(seed).generate_state(3, dtype=np.uint64)[2])
 
 
 def _load_or_build_table(mode: InterferenceMode, manifest: RunManifest,
-                         template: NetworkConfig, table_seed: int,
-                         written: list[Path]) -> MomentTable:
+                         template: NetworkConfig, written: list[Path]) -> MomentTable:
     path = Path(manifest.out_dir) / f"moments_{mode.value}.json"
     manifest.moment_paths[mode.value] = str(path)
-    expect_samples = manifest.moment_samples if mode is InterferenceMode.AVERAGE else 0
-    expect_seed = table_seed if mode is InterferenceMode.AVERAGE else None
     if path.exists():
         try:
             table = MomentTable.load(path)
@@ -109,14 +105,11 @@ def _load_or_build_table(mode: InterferenceMode, manifest: RunManifest,
             table = None
         if (table is not None and table.mode is mode
                 and table.kappa == template.pathloss_exponent
-                and table.n_samples == expect_samples and table.seed == expect_seed
                 and table.rel_tol == REL_TOL
                 and table.min_frac == template.min_ue_distance_frac):
             return table
     table = build_table(template.pathloss_exponent, mode,
-                        n_samples=manifest.moment_samples,
-                        min_frac=template.min_ue_distance_frac,
-                        seed=table_seed)
+                        min_frac=template.min_ue_distance_frac)
     _write_atomic(path, table.save, written)
     return table
 
@@ -254,17 +247,11 @@ def run(manifest: RunManifest) -> dict:
     template = config_from_dict(manifest.config)
     modes = [InterferenceMode(m) for m in manifest.modes]
     schemes = [Scheme(s) for s in manifest.schemes]
-    seeds = _module_seeds(manifest.seed)
     written: list[Path] = []
 
     try:
-        tables = {
-            mode: _load_or_build_table(
-                mode, manifest, template,
-                seeds["moments_avg" if mode is InterferenceMode.AVERAGE
-                      else "moments_worst"], written)
-            for mode in modes
-        }
+        tables = {mode: _load_or_build_table(mode, manifest, template, written)
+                  for mode in modes}
 
         k_grid = default_k_grid(template.coherence_block)
         if manifest.k_cap is not None:
@@ -285,7 +272,7 @@ def run(manifest: RunManifest) -> dict:
 
         validation_passed = True
         if manifest.run_validation:
-            report = run_validation(template, tables, seeds["validation"],
+            report = run_validation(template, tables, _validation_seed(manifest.seed),
                                     manifest.validation_realizations)
             validation_passed = report["passed"]
             text = json.dumps(report, indent=1) + "\n"
@@ -333,8 +320,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-cap", type=int, default=None,
                    help="cap on swept user counts (default: T/2)")
     p.add_argument("--betas", default="1,3,4,7", help="comma list of reuse factors")
-    p.add_argument("--samples", type=int, default=10 ** 6,
-                   help="Monte Carlo samples per moment-table offset")
+    p.add_argument("--samples", type=int, default=None,
+                   help="ignored: moment tables are computed by quadrature "
+                        "(accepted so that existing command lines still run)")
     p.add_argument("--realizations", type=int, default=20000,
                    help="link-level realizations per validation fixture")
     p.add_argument("--from-manifest", dest="from_manifest",
@@ -368,7 +356,6 @@ def _manifest_from_args(args) -> RunManifest:
         n_grid=default_n_grid(args.n_min, args.n_max, args.n_points),
         k_cap=args.k_cap,
         beta_set=[int(b) for b in args.betas.split(",") if b.strip()],
-        moment_samples=args.samples,
         run_asymptotic=args.asymptotic,
         run_validation=args.validate,
         validation_realizations=args.realizations,
@@ -392,7 +379,7 @@ def _check_types(manifest: RunManifest) -> None:
           "modes": strs(m.modes), "schemes": strs(m.schemes),
           "config": isinstance(m.config, dict), "n_grid": ints(m.n_grid),
           "k_cap": m.k_cap is None or _is_int(m.k_cap),
-          "beta_set": ints(m.beta_set), "moment_samples": _is_int(m.moment_samples),
+          "beta_set": ints(m.beta_set),
           "run_asymptotic": isinstance(m.run_asymptotic, bool),
           "run_validation": isinstance(m.run_validation, bool),
           "validation_realizations": _is_int(m.validation_realizations)}
@@ -427,8 +414,6 @@ def _check_manifest(manifest: RunManifest) -> None:
                 raise DomainError(f"no feasible (K, beta) at N={n} for scheme={scheme}")
     if manifest.seed < 0:
         raise DomainError(f"seed must be >= 0, got {manifest.seed}")
-    if manifest.moment_samples < 1:
-        raise DomainError(f"samples must be >= 1, got {manifest.moment_samples}")
     if manifest.validation_realizations < N_BATCHES:
         raise DomainError(f"realizations must be >= {N_BATCHES} (one per batch), "
                           f"got {manifest.validation_realizations}")
@@ -436,6 +421,9 @@ def _check_manifest(manifest: RunManifest) -> None:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.samples is not None:
+        print("hexmimo: note: --samples is ignored; moment tables are computed "
+              "by quadrature", file=sys.stderr)
     try:
         manifest = _manifest_from_args(args)
         _check_manifest(manifest)

@@ -6,8 +6,8 @@ from hexmimo.moments import build_table
 
 @pytest.fixture(scope="session")
 def avg_table():
-    """Average-mode moment table at reduced sample count for module tests."""
-    return build_table(3.5, InterferenceMode.AVERAGE, n_samples=200_000, seed=1)
+    """Average-mode moment table at the default exponent and exclusion disk."""
+    return build_table(3.5, InterferenceMode.AVERAGE)
 
 
 @pytest.fixture(scope="session")
@@ -16,10 +16,7 @@ def worst_table():
 
 
 @pytest.fixture(scope="session")
-def fullres_tables():
-    """Full-resolution tables (1e6 samples/offset) for the acceptance suite."""
-    return {
-        InterferenceMode.AVERAGE: build_table(
-            3.5, InterferenceMode.AVERAGE, n_samples=10 ** 6, seed=2024),
-        InterferenceMode.WORST_CASE: build_table(3.5, InterferenceMode.WORST_CASE),
-    }
+def fullres_tables(avg_table, worst_table):
+    """Both tables of the default run, for the acceptance suite."""
+    return {InterferenceMode.AVERAGE: avg_table,
+            InterferenceMode.WORST_CASE: worst_table}

@@ -89,9 +89,9 @@ def test_sweep_attrs_read_a_real_sweep(tmp_path, avg_table, worst_table):
     assert attrs["skipped"] == sum(result.n_skipped.values()) > 0
 
 
-def test_sample_counter_sees_the_moment_pool(monkeypatch):
-    # hexgrid.sample_* and moments.build_* in a traced run keep their meaning
-    # only while an average build draws its pool in one sampler call
+def test_average_build_draws_no_samples(monkeypatch):
+    # the traced run's hexgrid.sample_* counters on hexmimo.moments must read
+    # 0: the average table is integrated, not sampled
     calls = []
     sampler = hexmimo.moments.sample_ue_positions
 
@@ -100,7 +100,6 @@ def test_sample_counter_sees_the_moment_pool(monkeypatch):
         return sampler(*args, **kwargs)
 
     monkeypatch.setattr(hexmimo.moments, "sample_ue_positions", counting)
-    hexmimo.moments.build_table(3.5, InterferenceMode.AVERAGE, n_samples=1000)
-    assert calls == [1000]
+    hexmimo.moments.build_table(3.5, InterferenceMode.AVERAGE)
     hexmimo.moments.build_table(3.5, InterferenceMode.WORST_CASE)
-    assert calls == [1000]
+    assert calls == []

@@ -15,7 +15,7 @@ from hexmimo.errors import RankDeficient
 from hexmimo.moments import MomentTable
 
 FAST_FLAGS = ["--n-min", "16", "--n-max", "64", "--n-points", "3",
-              "--k-cap", "12", "--betas", "1,3", "--samples", "20000"]
+              "--k-cap", "12", "--betas", "1,3"]
 
 
 def run_cli(args):
@@ -31,8 +31,9 @@ def small_config(tmp_path, t_block=200, **extra):
     return path
 
 
-def test_sweep_run_writes_all_outputs(tmp_path):
-    cfg = small_config(tmp_path)
+@pytest.mark.parametrize("kappa", [3.5, 4.0])
+def test_sweep_run_writes_all_outputs(tmp_path, kappa):
+    cfg = small_config(tmp_path, pathloss_exponent=kappa)
     out = tmp_path / "out"
     code = run_cli(["--config", cfg, "--out", out, "--seed", "5",
                     "--modes", "avg,worst", "--schemes", "mrc,pzfc",
@@ -134,7 +135,7 @@ def test_default_grid_optima_schedule_hundreds_of_users(tmp_path):
     # average-mode optimum schedules close to T/2 users
     out = tmp_path / "out"
     code = run_cli(["--out", out, "--seed", "0", "--modes", "avg",
-                    "--schemes", "mrc,pzfc", "--samples", "50000"])
+                    "--schemes", "mrc,pzfc"])
     assert code == 0
     rows = [line.split(",")
             for line in (out / "optima.csv").read_text().splitlines()[1:]]
@@ -169,8 +170,11 @@ def test_config_error_exit_code(tmp_path):
                 "moment_rel_tol": 1e-3, "moment_max_tiers": 12}
     bad.write_text(json.dumps(manifest))
     assert run_cli(["--from-manifest", bad]) == 2
-    # manifests missing a required field, or carrying a config no run can use
     del manifest["moment_rel_tol"], manifest["moment_max_tiers"]
+    # ... or the retired Monte Carlo sample count
+    bad.write_text(json.dumps({**manifest, "moment_samples": 10 ** 6}))
+    assert run_cli(["--from-manifest", bad]) == 2
+    # manifests missing a required field, or carrying a config no run can use
     # ... or carrying a run value of the wrong JSON type
     for broken in ({}, {k: v for k, v in manifest.items() if k != "config"},
                    {**manifest, "config": {**manifest["config"], "cell_radius": -5}},
@@ -214,6 +218,7 @@ def test_failed_write_leaves_no_partial_or_temporary_file(tmp_path, monkeypatch)
         raise OSError("disk full")
 
     monkeypatch.setattr(cli_mod, "write_optima_csv", write_half_then_fail)
+    (out / "moments_avg.json").unlink()  # so that the rerun writes the table
     assert run_cli([*args, "--seed", "1"]) == 1
     left = {p.name for p in out.iterdir()}
     assert left <= outputs  # no temporary file stays behind
@@ -236,7 +241,6 @@ def test_console_entry_point(tmp_path):
 
 @pytest.mark.parametrize("flags,config", [(["--realizations", "5"], {}),
                                           (["--realizations", "0"], {}),
-                                          (["--samples", "0"], {}),
                                           (["--betas", "1,2"], {}),
                                           (["--k-cap", "0"], {}),
                                           (["--betas", ","], {}),
@@ -253,7 +257,7 @@ def test_console_entry_point(tmp_path):
                                             "--n-points", "1", "--schemes", "pzfc"], {}),
                                           # no beta * K <= T with beta = 7 > T
                                           (["--betas", "7"], {"t_block": 5, "n_users": 1})],
-                         ids=["realizations5", "realizations0", "samples0",
+                         ids=["realizations5", "realizations0",
                               "beta2", "kcap0", "betas-empty", "modes-empty",
                               "schemes-empty", "npoints0", "nmin0", "seed-negative",
                               "modes-repeated", "schemes-repeated", "betas-repeated",
@@ -379,7 +383,7 @@ _TABLE_EDITS = {
     "entries-missing": lambda data: data.pop("entries"),
     # tier 1 cut short, its one entry broken
     "entries-truncated": lambda data: data.update(entries=data["entries"][:1] + [
-        {"offset": [1, 0], "mu1": math.nan, "mu2": -1.0, "se1": 0.0, "se2": 0.0}]),
+        {"offset": [1, 0], "mu1": math.nan, "mu2": -1.0}]),
     "mu-nan": lambda data: data["entries"][3].update(mu1=math.nan),
     # complete tiers 0..2 only: short of the tier the stop rule keeps
     "tiers-dropped": lambda data: data.update(max_tier=2, entries=data["entries"][:19]),
@@ -407,3 +411,48 @@ def test_corrupt_moment_cache_is_rebuilt(tmp_path, corrupt):
     assert table.mode is InterferenceMode.AVERAGE and table.entries
     for name, blob in first.items():
         assert (out / name).read_bytes() == blob
+
+
+def test_version_one_monte_carlo_cache_is_rebuilt(tmp_path):
+    # a Monte Carlo table of the previous file format, holding converged
+    # tiers whose moments are off by sampling error, is not trusted
+    cfg = small_config(tmp_path)
+    out = tmp_path / "out"
+    args = ["--config", cfg, "--out", out, "--seed", "4", "--modes", "avg",
+            "--schemes", "mrc", *FAST_FLAGS]
+    assert run_cli(args) == 0
+    cache = out / "moments_avg.json"
+    first = {n: (out / n).read_bytes()
+             for n in ("sweep.csv", "optima.csv", "moments_avg.json")}
+    data = json.loads(cache.read_text())
+    for rec in data["entries"][1:]:
+        rec.update(mu1=rec["mu1"] * 1.001, mu2=rec["mu2"] * 1.002,
+                   se1=rec["mu1"] * 1e-3, se2=rec["mu2"] * 2e-3)
+    MomentTable.from_dict(data)  # valid but for its version
+    data.update(version=1, n_samples=20000, seed=12345)
+    cache.write_text(json.dumps(data))
+
+    assert run_cli(args) == 0
+    for name, blob in first.items():
+        assert (out / name).read_bytes() == blob
+
+
+def test_samples_flag_is_ignored(tmp_path, capsys):
+    # accepted so that existing command lines still run; it changes no byte
+    cfg = small_config(tmp_path)
+
+    def outputs(name, *extra):
+        out = tmp_path / name
+        assert run_cli(["--config", cfg, "--out", out, "--seed", "2",
+                        "--modes", "avg,worst", "--schemes", "mrc",
+                        "--asymptotic", *FAST_FLAGS, *extra]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        return ({p.name: p.read_bytes() for p in out.iterdir()
+                 if p.name != "manifest.json"},
+                {k: v for k, v in manifest.items()
+                 if k not in ("out_dir", "moment_paths")},
+                capsys.readouterr().err)
+
+    plain, samples = outputs("plain"), outputs("samples", "--samples", "20000")
+    assert plain[:2] == samples[:2]
+    assert plain[2] == "" and "--samples is ignored" in samples[2]

@@ -266,9 +266,8 @@ def test_measured_sinr_matches_closed_form_single_cell():
 
     cfg = make_config(n=50, k=1)
     plan = PilotPlan(1, 1)
-    table = MomentTable(mode=AVG, kappa=3.5, n_samples=0, seed=None,
-                        rel_tol=1e-3, min_frac=0.14,
-                        entries={CellIndex(0, 0): MomentEntry(1., 1., 0., 0.)})
+    table = MomentTable(mode=AVG, kappa=3.5, rel_tol=1e-3, min_frac=0.14,
+                        entries={CellIndex(0, 0): MomentEntry(1., 1.)})
     analytic = sinr(SinrInputs(cfg, table, plan, ((0, 0),)))
     measured = measure_sinr(cfg, plan, [(0, 0)], AVG, Scheme.MRC, 10000,
                             np.random.default_rng(18))

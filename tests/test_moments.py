@@ -1,17 +1,14 @@
-import concurrent.futures
 import math
-import os
-import sys
-from functools import lru_cache
 
 import numpy as np
 import pytest
 
+import hexmimo.moments
 from hexmimo.config import InterferenceMode
 from hexmimo.errors import ConvergenceError, DomainError
-from hexmimo.hexgrid import (CellIndex, bs_position, cells_in_tier,
+from hexmimo.hexgrid import (CellIndex, bs_position, cells_in_tier, contains,
                              sample_ue_positions, tier_of)
-from hexmimo.moments import REL_TOL, MomentEntry, MomentTable, build_table
+from hexmimo.moments import MomentTable, _hexagon_rule, build_table
 
 AVG = InterferenceMode.AVERAGE
 WORST = InterferenceMode.WORST_CASE
@@ -19,9 +16,9 @@ WORST = InterferenceMode.WORST_CASE
 
 def test_own_cell_moment_is_exactly_one():
     # power control makes the own-cell ratio identically 1: stored exactly,
-    # never estimated, however few samples the table draws
-    own = build_table(3.5, AVG, n_samples=10, seed=3).entry(CellIndex(0, 0))
-    assert (own.mu1, own.mu2, own.se1, own.se2) == (1.0, 1.0, 0.0, 0.0)
+    # never integrated
+    own = build_table(3.5, AVG, min_frac=0.9).entry(CellIndex(0, 0))
+    assert (own.mu1, own.mu2) == (1.0, 1.0)
 
 
 @pytest.mark.parametrize("kappa", [3.5, 5.0])
@@ -29,16 +26,17 @@ def test_adjacent_worst_case_is_one(kappa):
     # shared-edge midpoint is equidistant from both BSs, so the ratio is 1
     entry = build_table(kappa, WORST).entry(CellIndex(1, 0))
     assert math.isclose(entry.mu1, 1.0, rel_tol=1e-12)
-    assert entry.se1 == 0.0
+    assert math.isclose(entry.mu2, 1.0, rel_tol=1e-12)
 
 
 def test_invalid_arguments():
     with pytest.raises(DomainError):
-        build_table(1.5, AVG, n_samples=10)
+        build_table(1.5, AVG)
     with pytest.raises(DomainError):
         build_table(math.nan, WORST)
-    with pytest.raises(DomainError):
-        build_table(3.5, AVG, n_samples=0)
+    for min_frac in (-0.1, 1.0, math.nan):
+        with pytest.raises(DomainError):
+            build_table(3.5, AVG, min_frac=min_frac)
 
 
 def _triangle_hexagon_samples(rng, n, min_frac):
@@ -77,14 +75,7 @@ def test_adjacent_average_moment_against_independent_sampler(fullres_tables):
     oracle = samples.mean()
     oracle_se = samples.std(ddof=1) / math.sqrt(n)
     assert 0.0 < entry.mu1 < 1.0
-    assert abs(entry.mu1 - oracle) < 5.0 * math.hypot(entry.se1, oracle_se)
-
-
-def test_average_moment_reproducible_across_seeds(avg_table, fullres_tables):
-    # independent seeds and sample counts agree within their standard errors
-    a = avg_table.entry(CellIndex(1, 0))
-    b = fullres_tables[AVG].entry(CellIndex(1, 0))
-    assert abs(a.mu1 - b.mu1) < 4.0 * math.hypot(a.se1, b.se1)
+    assert abs(entry.mu1 - oracle) < 4.0 * oracle_se
 
 
 def test_jensen_holds_exactly_on_stored_values(avg_table, worst_table):
@@ -101,31 +92,21 @@ def test_jensen_holds_exactly_on_stored_values(avg_table, worst_table):
 def test_table_has_exact_own_entry(avg_table, worst_table):
     for table in (avg_table, worst_table):
         own = table.entry(CellIndex(0, 0))
-        assert (own.mu1, own.mu2, own.se1, own.se2) == (1.0, 1.0, 0.0, 0.0)
+        assert (own.mu1, own.mu2) == (1.0, 1.0)
 
 
-def test_build_is_deterministic_per_seed():
-    t1 = build_table(3.5, AVG, n_samples=20000, seed=9)
-    t2 = build_table(3.5, AVG, n_samples=20000, seed=9)
-    assert t1.entries == t2.entries
-    t3 = build_table(3.5, AVG, n_samples=20000, seed=10)
-    assert t3.entries != t1.entries
-
-
-def test_moment_is_invariant_to_radius_and_reference():
+def test_moment_is_invariant_to_radius_and_reference(avg_table):
     # recompute the adjacent moment from positions laid out at r = 250:
     # the ratio cancels both the radius and the pathloss reference
-    from hexmimo.hexgrid import sample_ue_positions
-
     kappa, n = 3.5, 10 ** 5
-    value = build_table(kappa, AVG, n_samples=n, seed=42).entry(CellIndex(1, 0)).mu1
+    value = avg_table.entry(CellIndex(1, 0)).mu1
     r = 250.0
     cell = CellIndex(1, 0)
     pts = sample_ue_positions(cell, r, 0.14, np.random.default_rng(42), n)
     serving = np.linalg.norm(pts - bs_position(cell, r), axis=1)
     victim = np.linalg.norm(pts - bs_position(CellIndex(0, 0), r), axis=1)
-    scaled = float(((serving / victim) ** kappa).mean())
-    assert math.isclose(value, scaled, rel_tol=1e-11)
+    scaled = (serving / victim) ** kappa
+    assert abs(value - scaled.mean()) < 4.0 * scaled.std(ddof=1) / math.sqrt(n)
 
 
 def test_tier_decay_and_extension(avg_table):
@@ -142,25 +123,35 @@ def test_tier_decay_and_extension(avg_table):
 def test_first_tier_dominates_second(avg_table):
     t1 = [avg_table.entry(c) for c in cells_in_tier(1)]
     t2 = [avg_table.entry(c) for c in cells_in_tier(2)]
-    m1 = min(e.mu1 for e in t1)
-    m2 = max(e.mu1 for e in t2)
-    se = 3 * (max(e.se1 for e in t1) + max(e.se1 for e in t2))
-    assert m1 > m2 + se
+    assert min(e.mu1 for e in t1) > max(e.mu1 for e in t2)
 
 
-def test_lattice_symmetry_of_moments(avg_table):
-    # offsets related by 60-degree rotation carry equal moments up to MC error
-    def rot(c):
-        return CellIndex(-c.a2, c.a1 + c.a2)
+def _lattice_symmetries(cell):
+    """The 12 images of `cell` under the hexagonal lattice's point group: the
+    six 60-degree rotations, each with and without the reflection about the
+    x axis."""
+    images = []
+    for c in (cell, CellIndex(cell.a1, -cell.a1 - cell.a2)):  # the reflection
+        for _ in range(6):
+            images.append(c)
+            c = CellIndex(-c.a2, c.a1 + c.a2)  # rotation by 60 degrees
+    return images
 
-    for start in [CellIndex(1, 0), CellIndex(1, 1), CellIndex(2, 0)]:
-        orbit = [start]
-        for _ in range(5):
-            orbit.append(rot(orbit[-1]))
-        entries = [avg_table.entry(c) for c in orbit]
-        mean = sum(e.mu1 for e in entries) / len(entries)
-        for e in entries:
-            assert abs(e.mu1 - mean) < 3.0 * max(e.se1, 1e-12)
+
+@pytest.mark.parametrize("mode,kappa,min_frac", [(AVG, 3.5, 0.14), (AVG, 4.0, 0.0),
+                                                (AVG, 3.5, 0.9), (WORST, 3.5, 0.14)])
+def test_lattice_symmetry_of_moments(mode, kappa, min_frac):
+    # the average rule's nodes are invariant under the 12 symmetries, and the
+    # worst-case point is found by geometry alone, so offsets related by one
+    # carry equal moments up to rounding
+    images = _lattice_symmetries(CellIndex(2, 1))
+    assert len(set(images)) == 12 and {tier_of(c) for c in images} == {3}
+    table = build_table(kappa, mode, min_frac=min_frac)
+    for cell, entry in table.entries.items():
+        for image in _lattice_symmetries(cell):
+            other = table.entry(image)
+            assert math.isclose(other.mu1, entry.mu1, rel_tol=1e-13), (cell, image)
+            assert math.isclose(other.mu2, entry.mu2, rel_tol=1e-13), (cell, image)
 
 
 def test_worst_case_dominates_average(avg_table, worst_table):
@@ -170,13 +161,12 @@ def test_worst_case_dominates_average(avg_table, worst_table):
         if offset == (0, 0):
             continue
         a, w = avg_table.entry(offset), worst_table.entry(offset)
-        assert w.mu1 >= a.mu1 - 3 * a.se1
-        assert w.mu2 >= a.mu2 - 3 * a.se2
+        assert w.mu1 > a.mu1 and w.mu2 > a.mu2
 
 
 def test_convergence_error_near_kappa_two():
     with pytest.raises(ConvergenceError):
-        build_table(2.0, AVG, n_samples=2000, seed=0)
+        build_table(2.0, AVG)
 
 
 def test_serialization_roundtrip(tmp_path, avg_table):
@@ -185,10 +175,8 @@ def test_serialization_roundtrip(tmp_path, avg_table):
     loaded = MomentTable.load(path)
     assert loaded.entries == avg_table.entries
     assert loaded.mode is avg_table.mode
-    assert (loaded.kappa, loaded.n_samples, loaded.seed, loaded.rel_tol,
-            loaded.min_frac) == (avg_table.kappa, avg_table.n_samples,
-                                 avg_table.seed, avg_table.rel_tol,
-                                 avg_table.min_frac)
+    assert (loaded.kappa, loaded.rel_tol, loaded.min_frac) == (
+        avg_table.kappa, avg_table.rel_tol, avg_table.min_frac)
 
 
 def test_serialization_rejects_unknown_format(tmp_path):
@@ -235,79 +223,64 @@ def test_offsets_ordering(avg_table):
     assert offsets[0] == CellIndex(0, 0)
 
 
-def _ratio_pow_pool(offset, kappa, pool, serving_sq):
-    """ratio^kappa for the whole pool as one array expression."""
-    b = bs_position(offset, 1.0)
-    dx = pool[:, 0] + b[0]
-    dy = pool[:, 1] + b[1]
-    victim_sq = dx * dx + dy * dy
-    return (serving_sq / victim_sq) ** (kappa / 2.0)
+def _region_area(min_frac):
+    """Closed-form area of the unit hexagon minus the disk of radius
+    min_frac: past the apothem the disk reaches beyond every edge, and the
+    six circular segments outside the hexagon are added back."""
+    h = math.sqrt(3.0) / 2.0
+    area = 3.0 * math.sqrt(3.0) / 2.0 - math.pi * min_frac ** 2
+    if min_frac > h:
+        area += 6.0 * (min_frac ** 2 * math.acos(h / min_frac)
+                       - h * math.sqrt(min_frac ** 2 - h * h))
+    return area
 
 
-def _mean_and_se(values):
-    n = values.size
-    mean = float(values.mean())
-    if n < 2:
-        return mean, math.inf
-    return mean, float(values.std(ddof=1) / math.sqrt(n))
+@pytest.mark.parametrize("min_frac", [0.0, 0.14, 0.5, 0.9, 0.99])
+def test_rule_weights_sum_to_the_region_area(min_frac):
+    x, y, weight = _hexagon_rule(min_frac)
+    assert x.shape == y.shape == weight.shape == (12 * hexmimo.moments._NODES ** 2,)
+    assert np.all(weight > 0.0)
+    assert math.isclose(weight.sum(), _region_area(min_frac), rel_tol=1e-12)
+    # every node lies in the region
+    assert np.all(np.hypot(x, y) >= min_frac - 1e-15)
+    assert all(contains(CellIndex(0, 0), p, 1.0) for p in zip(x, y))
 
 
-@lru_cache(maxsize=None)
-def _reference_average_entries(kappa, n_samples, seed):
-    """The serial whole-array build: one fresh ratio array per offset and
-    numpy's own mean and std, tier by tier until the same stop rule holds."""
-    rng = np.random.default_rng(seed)
-    pool = sample_ue_positions(CellIndex(0, 0), 1.0, 0.14, rng, n_samples)
-    serving_sq = pool[:, 0] ** 2 + pool[:, 1] ** 2
-    entries = {CellIndex(0, 0): MomentEntry(1.0, 1.0, 0.0, 0.0)}
-    total_mu1 = 1.0
-    for tier in range(1, 13):
-        tier_mu1 = 0.0
-        for cell in cells_in_tier(tier):
-            x = _ratio_pow_pool(cell, kappa, pool, serving_sq)
-            mu1, se1 = _mean_and_se(x)
-            mu2, se2 = _mean_and_se(x * x)
-            entries[cell] = MomentEntry(mu1, mu2, se1, se2)
-            tier_mu1 += mu1
-        total_mu1 += tier_mu1
-        if tier_mu1 <= REL_TOL * total_mu1:
-            return entries
-    raise AssertionError("reference build did not converge")
-
-
-@pytest.mark.parametrize("cpus", [1, 4])
 @pytest.mark.parametrize("kappa", [3.5, 4.0])
-@pytest.mark.parametrize("n", [1, 10, 2 ** 15 + 1, 100_003])
-def test_blocked_parallel_build_equals_whole_array_reference(n, kappa, cpus,
-                                                            monkeypatch):
-    # below one block, across a block boundary, not a multiple of the block;
-    # one worker and more workers than this host may have cores
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # interleave the workers as often as possible
-    try:
-        table = build_table(kappa, AVG, n_samples=n, seed=n % 7)
-    finally:
-        sys.setswitchinterval(interval)
-    reference = _reference_average_entries(kappa, n, n % 7)
-    assert set(table.entries) == set(reference)
-    for cell, ref in reference.items():
-        got = table.entries[cell]
-        assert (got.mu1, got.mu2, got.se1, got.se2) == (ref.mu1, ref.mu2,
-                                                        ref.se1, ref.se2), cell
+def test_node_count_is_converged(kappa, monkeypatch):
+    table = build_table(kappa, AVG)
+    monkeypatch.setattr(hexmimo.moments, "_NODES", 2 * hexmimo.moments._NODES)
+    finer = build_table(kappa, AVG)
+    assert set(finer.entries) == set(table.entries)
+    for cell, entry in table.entries.items():
+        assert math.isclose(entry.mu1, finer.entries[cell].mu1, rel_tol=1e-12), cell
+        assert math.isclose(entry.mu2, finer.entries[cell].mu2, rel_tol=1e-12), cell
 
 
-def test_worker_count_is_capped_at_the_first_tier(monkeypatch):
-    # scratch is 16 bytes * n per worker: a many-core host must not scale it
-    sizes = []
+def _monte_carlo_moments(offsets, kappa, min_frac, n_samples, seed):
+    """The Monte Carlo estimator: one pool of uniform positions shared by
+    every offset, mean and standard error of ratio^kappa and ratio^(2 kappa)
+    per offset, each as one whole-array expression."""
+    pool = sample_ue_positions(CellIndex(0, 0), 1.0, min_frac,
+                               np.random.default_rng(seed), n_samples)
+    serving_sq = pool[:, 0] ** 2 + pool[:, 1] ** 2
+    out = {}
+    for cell in offsets:
+        b = bs_position(cell, 1.0)
+        victim_sq = (pool[:, 0] + b[0]) ** 2 + (pool[:, 1] + b[1]) ** 2
+        x = (serving_sq / victim_sq) ** (kappa / 2.0)
+        out[cell] = [(v.mean(), v.std(ddof=1) / math.sqrt(n_samples))
+                     for v in (x, x * x)]
+    return out
 
-    class Recording(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
-    build_table(3.5, AVG, n_samples=100, seed=0)
-    build_table(3.5, WORST)
-    assert sizes == [6]
+@pytest.mark.parametrize("kappa", [3.5, 4.0])
+@pytest.mark.parametrize("min_frac", [0.14, 0.9])
+def test_quadrature_within_monte_carlo_error(kappa, min_frac):
+    table = build_table(kappa, AVG, min_frac=min_frac)
+    offsets = table.offsets[1:]  # the own cell is exact
+    reference = _monte_carlo_moments(offsets, kappa, min_frac, 10 ** 5, seed=11)
+    for cell in offsets:
+        entry = table.entry(cell)
+        for mu, (mean, se) in zip((entry.mu1, entry.mu2), reference[cell]):
+            assert abs(mu - mean) < 4.0 * se, cell

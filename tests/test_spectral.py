@@ -15,13 +15,13 @@ from hexmimo.spectral import (CopilotSums, Scheme, SinrInputs, asymptotic_se,
 
 
 def synthetic_table(entries):
-    return MomentTable(mode=InterferenceMode.AVERAGE, kappa=3.5, n_samples=0,
-                       seed=None, rel_tol=1e-3, min_frac=0.14,
+    return MomentTable(mode=InterferenceMode.AVERAGE, kappa=3.5,
+                       rel_tol=1e-3, min_frac=0.14,
                        entries={CellIndex(*c): MomentEntry(*e)
                                 for c, e in entries.items()})
 
 
-SINGLE_CELL = synthetic_table({(0, 0): (1.0, 1.0, 0.0, 0.0)})
+SINGLE_CELL = synthetic_table({(0, 0): (1.0, 1.0)})
 
 
 def make_inputs(table, n, k, beta, scheme=Scheme.MRC, tier_set=None, snr=10.0):
@@ -68,9 +68,9 @@ def test_zero_interference_reduces_to_single_cell():
     # cross-cell moments forced to ~0: multi-cell MRC collapses to the
     # isolated-cell closed form
     tiny = 1e-300
-    table = synthetic_table({(0, 0): (1.0, 1.0, 0.0, 0.0),
-                             (1, 0): (tiny, tiny, 0.0, 0.0),
-                             (0, 1): (tiny, tiny, 0.0, 0.0)})
+    table = synthetic_table({(0, 0): (1.0, 1.0),
+                             (1, 0): (tiny, tiny),
+                             (0, 1): (tiny, tiny)})
     inp = make_inputs(table, 64, 3, 1)
     expected = 64 * 3 / ((3 + 0.1) * (3 + 0.1))
     assert math.isclose(sinr(inp), expected, rel_tol=1e-9)
@@ -160,9 +160,9 @@ def test_asymptotic_sinr_isolated_cell_is_infinite():
 
 
 def test_asymptotic_sinr_two_copilot_cells():
-    table = synthetic_table({(0, 0): (1.0, 1.0, 0.0, 0.0),
-                             (1, 0): (0.4, 0.25, 0.0, 0.0),
-                             (0, 1): (0.4, 0.25, 0.0, 0.0)})
+    table = synthetic_table({(0, 0): (1.0, 1.0),
+                             (1, 0): (0.4, 0.25),
+                             (0, 1): (0.4, 0.25)})
     assert math.isclose(asymptotic_sinr(table, PilotPlan(3, 1)), 2.0,
                         rel_tol=1e-12)
 
