@@ -437,6 +437,21 @@ def test_version_one_monte_carlo_cache_is_rebuilt(tmp_path):
         assert (out / name).read_bytes() == blob
 
 
+def test_moment_tables_do_not_depend_on_the_seed(tmp_path):
+    # the tables hold no sampling error, so runs at different seeds write
+    # the same table files
+    cfg = small_config(tmp_path)
+    tables = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"seed{seed}"
+        assert run_cli(["--config", cfg, "--out", out, "--seed", seed,
+                        "--modes", "avg,worst", "--schemes", "mrc",
+                        *FAST_FLAGS]) == 0
+        tables.append({name: (out / name).read_bytes()
+                       for name in ("moments_avg.json", "moments_worst.json")})
+    assert tables[0] == tables[1]
+
+
 def test_samples_flag_is_ignored(tmp_path, capsys):
     # accepted so that existing command lines still run; it changes no byte
     cfg = small_config(tmp_path)

@@ -95,6 +95,12 @@ def test_table_has_exact_own_entry(avg_table, worst_table):
         assert (own.mu1, own.mu2) == (1.0, 1.0)
 
 
+@pytest.mark.parametrize("mode", [AVG, WORST])
+def test_build_is_deterministic(mode):
+    # neither mode draws a random number: two builds agree bit for bit
+    assert build_table(3.5, mode).entries == build_table(3.5, mode).entries
+
+
 def test_moment_is_invariant_to_radius_and_reference(avg_table):
     # recompute the adjacent moment from positions laid out at r = 250:
     # the ratio cancels both the radius and the pathloss reference
@@ -255,6 +261,26 @@ def test_node_count_is_converged(kappa, monkeypatch):
     for cell, entry in table.entries.items():
         assert math.isclose(entry.mu1, finer.entries[cell].mu1, rel_tol=1e-12), cell
         assert math.isclose(entry.mu2, finer.entries[cell].mu2, rel_tol=1e-12), cell
+
+
+@pytest.mark.parametrize("kappa", [3.5, 4.0])
+@pytest.mark.parametrize("min_frac", [0.0, 0.14, 0.9])
+def test_tier_expression_equals_per_offset_sum(kappa, min_frac):
+    # the rule summed node by node for each offset on its own, against its
+    # own BS position: the tier-at-once array expression pairs every cell
+    # with its BS and normalizes by the region's area
+    table = build_table(kappa, AVG, min_frac=min_frac)
+    x, y, weight = _hexagon_rule(min_frac)
+    area = math.fsum(weight)
+    serving_sq = x * x + y * y
+    for cell in table.offsets[1:]:
+        b = bs_position(cell, 1.0)
+        ratio = (serving_sq / ((x + b[0]) ** 2 + (y + b[1]) ** 2)) ** (kappa / 2.0)
+        entry = table.entry(cell)
+        assert math.isclose(entry.mu1, math.fsum(weight * ratio) / area,
+                            rel_tol=1e-13), cell
+        assert math.isclose(entry.mu2, math.fsum(weight * ratio * ratio) / area,
+                            rel_tol=1e-13), cell
 
 
 def _monte_carlo_moments(offsets, kappa, min_frac, n_samples, seed):
