@@ -20,20 +20,20 @@ import json
 import math
 import os
 import sys
-from dataclasses import MISSING, asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from ._fork import fork_map
 from .config import (HEX_REUSE_FACTORS, InterferenceMode, NetworkConfig,
-                     config_from_dict)
+                     config_from_dict, record_from_json)
 from .errors import DomainError
 from .linklevel import N_BATCHES, measure_sinr
 from .moments import REL_TOL, MomentTable, build_table
 from .pilots import PilotPlan
 from .spectral import Scheme, SinrInputs, asymptotic_sinr, kstar_asymptotic, sinr
-from .sweep import (default_k_grid, default_n_grid, max_users, sweep,
+from .sweep import (N_MAX, default_k_grid, default_n_grid, max_users, sweep,
                     write_optima_csv, write_sweep_csv)
 
 _DEFAULT_CONFIG = {
@@ -73,16 +73,7 @@ class RunManifest:
     @classmethod
     def from_json_file(cls, path) -> "RunManifest":
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise DomainError("a manifest must be a JSON object")
-        fields = cls.__dataclass_fields__
-        unknown = sorted(set(data) - set(fields))
-        missing = sorted(name for name, f in fields.items() if name not in data
-                         and f.default is MISSING and f.default_factory is MISSING)
-        if unknown or missing:
-            raise DomainError(f"manifest keys unknown: {unknown}, missing: {missing}")
-        return cls(**data)
+            return record_from_json(cls, json.load(fh), "manifest")
 
 
 def _validation_seed(seed: int) -> int:
@@ -194,7 +185,7 @@ def run_validation(template: NetworkConfig,
         _, cells, k, beta, n, mode, scheme, _ = fixture
         if mode in tables:
             kept.append(fixture)
-            jobs.append((template.with_schedule(n_antennas=n, n_users=k, reuse_factor=beta),
+            jobs.append((replace(template, n_antennas=n, n_users=k, reuse_factor=beta),
                          PilotPlan(n_users=k, reuse_factor=beta),
                          [tuple(c) for c in cells], mode, scheme, n_realizations,
                          np.random.default_rng(stream)))
@@ -253,9 +244,7 @@ def run(manifest: RunManifest) -> dict:
         tables = {mode: _load_or_build_table(mode, manifest, template, written)
                   for mode in modes}
 
-        k_grid = default_k_grid(template.coherence_block)
-        if manifest.k_cap is not None:
-            k_grid = [k for k in k_grid if k <= manifest.k_cap]
+        k_grid = default_k_grid(template.coherence_block)[:manifest.k_cap]
         result = sweep(template, manifest.n_grid, k_grid, manifest.beta_set,
                        schemes, modes, tables)
 
@@ -362,35 +351,8 @@ def _manifest_from_args(args) -> RunManifest:
     )
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_types(manifest: RunManifest) -> None:
-    """Reject run values of the wrong JSON type, before any is compared."""
-    def ints(v):
-        return isinstance(v, list) and all(_is_int(x) for x in v)
-
-    def strs(v):
-        return isinstance(v, list) and all(isinstance(x, str) for x in v)
-
-    m = manifest
-    ok = {"out_dir": isinstance(m.out_dir, str), "seed": _is_int(m.seed),
-          "modes": strs(m.modes), "schemes": strs(m.schemes),
-          "config": isinstance(m.config, dict), "n_grid": ints(m.n_grid),
-          "k_cap": m.k_cap is None or _is_int(m.k_cap),
-          "beta_set": ints(m.beta_set),
-          "run_asymptotic": isinstance(m.run_asymptotic, bool),
-          "run_validation": isinstance(m.run_validation, bool),
-          "validation_realizations": _is_int(m.validation_realizations)}
-    bad = [name for name, good in ok.items() if not good]
-    if bad:
-        raise DomainError(f"manifest values of the wrong type: {bad}")
-
-
 def _check_manifest(manifest: RunManifest) -> None:
     """Reject run parameters that cannot be valid before any work starts."""
-    _check_types(manifest)
     template = config_from_dict(manifest.config)
     lists = (manifest.modes, manifest.schemes, manifest.beta_set, manifest.n_grid)
     if not all(lists):
@@ -403,6 +365,8 @@ def _check_manifest(manifest: RunManifest) -> None:
         Scheme(scheme)
     if min(manifest.n_grid) < 1 or (manifest.k_cap is not None and manifest.k_cap < 1):
         raise DomainError(f"N and k_cap must be >= 1, got {manifest.n_grid}, {manifest.k_cap}")
+    if max(manifest.n_grid) > N_MAX:
+        raise DomainError(f"N must be below 2^63, got {max(manifest.n_grid)}")
     bad = [b for b in manifest.beta_set if b not in HEX_REUSE_FACTORS]
     if bad:
         raise DomainError(f"reuse factors {bad} not in {list(HEX_REUSE_FACTORS)}")

@@ -9,20 +9,18 @@ with absolute distances; they cancel out of every interference moment.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import numbers
-from dataclasses import dataclass
+import types
+import typing
 from enum import Enum
 
 from .errors import DomainError, InsufficientAntennas, PilotOverflow
 
 # Cluster sizes with a co-channel sublattice on the hexagonal grid.
 HEX_REUSE_FACTORS = (1, 3, 4, 7)
-
-_COUNT_FIELDS = ("n_antennas", "n_users", "coherence_block", "reuse_factor")
-_REAL_FIELDS = ("snr_linear", "pathloss_exponent", "cell_radius", "pathloss_ref",
-                "min_ue_distance_frac")
 
 
 def db_to_linear(value_db: float) -> float:
@@ -37,7 +35,55 @@ class InterferenceMode(Enum):
     WORST_CASE = "worst"   # every out-of-cell UE at the cell edge nearest the victim BS
 
 
-@dataclass(frozen=True)
+def fits(value, hint) -> bool:
+    """Whether `value` is a value of the field annotation `hint`.
+
+    `int` takes any integer and `float` any finite real (numpy scalars
+    included); neither takes a bool.  `bool`, `str` and `dict` take exactly
+    that type, `list[X]` a list whose items fit X, and `X | None` also None.
+    """
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:
+        return any(fits(value, arm) for arm in args)
+    if origin is list:
+        return isinstance(value, list) and all(fits(item, *args) for item in value)
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is int:
+        return isinstance(value, numbers.Integral)
+    if hint is float:
+        try:
+            return isinstance(value, numbers.Real) and math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            return False
+    return isinstance(value, hint)
+
+
+def record_from_json(cls, data, what: str):
+    """Build the dataclass `cls` from the JSON value `data`.
+
+    Raises:
+        DomainError: `data` is not an object, names a key that is not a
+            field, omits a field without a default, or holds a value that
+            does not fit its field's annotation (see `fits`).
+    """
+    if not isinstance(data, dict):
+        raise DomainError(f"a {what} must be a JSON object, got {data!r}")
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(data) - set(hints))
+    missing = sorted(f.name for f in dataclasses.fields(cls) if f.name not in data
+                     and f.default is f.default_factory is dataclasses.MISSING)
+    wrong = sorted(name for name, value in data.items()
+                   if name in hints and not fits(value, hints[name]))
+    problems = [f"{label} {names}" for label, names in (
+        ("unknown keys", unknown), ("missing keys", missing),
+        ("values of the wrong type", wrong)) if names]
+    if problems:
+        raise DomainError(f"{what}: {'; '.join(problems)}")
+    return cls(**data)
+
+
+@dataclasses.dataclass(frozen=True)
 class NetworkConfig:
     """Scalar parameters of the multi-cell uplink.
 
@@ -74,18 +120,8 @@ class NetworkConfig:
         """sigma^2 / rho, the only way noise enters the closed forms."""
         return 1.0 / self.snr_linear
 
-    def with_schedule(self, n_antennas=None, n_users=None, reuse_factor=None) -> "NetworkConfig":
-        """Copy of the config with a different (N, K, beta) operating point."""
-        from dataclasses import replace
 
-        kwargs = {}
-        if n_antennas is not None:
-            kwargs["n_antennas"] = n_antennas
-        if n_users is not None:
-            kwargs["n_users"] = n_users
-        if reuse_factor is not None:
-            kwargs["reuse_factor"] = reuse_factor
-        return replace(self, **kwargs)
+_CONFIG_HINTS = typing.get_type_hints(NetworkConfig)
 
 
 def validate(config: NetworkConfig, require_zf: bool = False) -> NetworkConfig:
@@ -102,17 +138,13 @@ def validate(config: NetworkConfig, require_zf: bool = False) -> NetworkConfig:
         PilotOverflow: the pilot book does not fit in the coherence block.
         InsufficientAntennas: require_zf is set and N <= B.
     """
-    for name in _COUNT_FIELDS:
+    for name, hint in _CONFIG_HINTS.items():
         value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise DomainError(f"{name} must be an integer, got {value!r}")
-        if value < 1:
+        if not fits(value, hint):
+            kind = "an integer" if hint is int else "a finite number"
+            raise DomainError(f"{name} must be {kind}, got {value!r}")
+        if hint is int and value < 1:  # every integer field is a count
             raise DomainError(f"{name} must be >= 1, got {value}")
-    for name in _REAL_FIELDS:
-        value = getattr(config, name)
-        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                or not math.isfinite(value)):
-            raise DomainError(f"{name} must be a finite number, got {value!r}")
     if config.snr_linear <= 0:
         raise DomainError(f"snr_linear must be positive, got {config.snr_linear}")
     if config.pathloss_exponent < 2:
@@ -141,27 +173,18 @@ def config_from_dict(data: dict) -> NetworkConfig:
 
     Accepts ``snr_db`` as an alternative to ``snr_linear``.
     """
-    data = dict(data)
-    if "snr_db" in data:
+    if isinstance(data, dict) and "snr_db" in data:
+        data = dict(data)
         if "snr_linear" in data:
             raise DomainError("give either snr_linear or snr_db, not both")
         snr_db = data.pop("snr_db")
-        if isinstance(snr_db, bool) or not isinstance(snr_db, numbers.Real):
+        if not fits(snr_db, float):
             raise DomainError(f"snr_db must be a finite number, got {snr_db!r}")
         try:
             data["snr_linear"] = db_to_linear(snr_db)
         except OverflowError:
             raise DomainError(f"snr_db {snr_db!r} overflows the linear SNR") from None
-
-    known = {f for f in NetworkConfig.__dataclass_fields__}
-    unknown = set(data) - known
-    if unknown:
-        raise DomainError(f"unknown config keys: {sorted(unknown)}")
-    missing = {"n_antennas", "n_users", "coherence_block", "reuse_factor", "snr_linear"} - set(data)
-    if missing:
-        raise DomainError(f"missing config keys: {sorted(missing)}")
-
-    return validate(NetworkConfig(**data))
+    return validate(record_from_json(NetworkConfig, data, "config"))
 
 
 def load_config(path) -> NetworkConfig:

@@ -46,6 +46,7 @@ from .spectral import (CopilotSums, Scheme, mrc_sinr_from_sums,
 ROW_DTYPE = np.dtype([("N", np.int64), ("K", np.int64), ("beta", np.int64),
                       ("scheme", "U4"), ("mode", "U5"),
                       ("sinr", np.float64), ("se", np.float64)])
+N_MAX = int(np.iinfo(ROW_DTYPE["N"]).max)  # the largest antenna count a row holds
 _SPAN_ROWS = 1 << 14      # rows held as Python objects at once while writing
 _POOL_MIN_ROWS = 1 << 15  # about 0.1 s of formatting, 5x the pool's start-up
 
@@ -64,15 +65,16 @@ class SweepResult:
 def default_n_grid(n_min: int = 10, n_max: int = 10 ** 4,
                    n_points: int = 30) -> list[int]:
     """Log-spaced antenna grid, rounded to unique integers."""
-    if min(n_min, n_max) < 1:
-        raise DomainError(f"antenna counts must be >= 1, got {n_min}..{n_max}")
+    if min(n_min, n_max) < 1 or max(n_min, n_max) > N_MAX:
+        raise DomainError(f"antenna counts must be in [1, 2^63), got {n_min}..{n_max}")
     grid = np.logspace(np.log10(n_min), np.log10(n_max), n_points)
     return sorted(set(int(round(v)) for v in grid))
 
 
-def default_k_grid(coherence_block: int) -> list[int]:
-    """User counts 1 .. ceil(T/2); beyond T/2 every SE factor is decreasing."""
-    return list(range(1, (coherence_block + 1) // 2 + 1))
+def default_k_grid(coherence_block: int) -> range:
+    """User counts 1 .. ceil(T/2); beyond T/2 every SE factor is decreasing.
+    A range, so that a slice caps it without listing its T/2 counts."""
+    return range(1, (coherence_block + 1) // 2 + 1)
 
 
 def max_users(n: int, scheme: Scheme, beta: int, t_block: int) -> int:

@@ -10,6 +10,7 @@ and must lie outside that shared domain.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,7 +74,7 @@ def test_criterion_2_limit_convergence(fullres_tables):
     limit = asymptotic_sinr(table, plan, TIER1)
 
     def at(n, scheme):
-        cfg = BASE_TEMPLATE.with_schedule(n_antennas=n, n_users=k, reuse_factor=1)
+        cfg = replace(BASE_TEMPLATE, n_antennas=n, n_users=k, reuse_factor=1)
         inp = SinrInputs(cfg, table, plan, TIER1, scheme)
         return sinr(inp)
 
@@ -97,8 +98,7 @@ def test_criterion_3_lmmse_mse_oracle():
         k = int(rng.integers(1, 4))
         beta = int(rng.choice([1, 3]))
         cells = TIER1 if rng.random() < 0.7 else ((0, 0),)
-        cfg = BASE_TEMPLATE.with_schedule(n_antennas=n, n_users=k,
-                                           reuse_factor=beta)
+        cfg = replace(BASE_TEMPLATE, n_antennas=n, n_users=k, reuse_factor=beta)
         plan = PilotPlan(k, beta)
         real = generate(cfg, plan, cells, AVG, rng)
         cell = real.cells[int(rng.integers(0, len(real.cells)))]
@@ -266,7 +266,7 @@ def test_criterion_7_property_suite(fullres_tables):
     mono = True
     table = fullres_tables[AVG]
     for scheme in (Scheme.MRC, Scheme.PZFC):
-        seq = [sinr(SinrInputs(BASE_TEMPLATE.with_schedule(n_antennas=n),
+        seq = [sinr(SinrInputs(replace(BASE_TEMPLATE, n_antennas=n),
                             table, PilotPlan(10, 1), scheme=scheme))
                for n in (11, 40, 160, 2500, 10 ** 4)]
         mono = mono and all(b > a for a, b in zip(seq, seq[1:]))
@@ -280,8 +280,8 @@ def test_criterion_7_property_suite(fullres_tables):
     collapse = True
     tier2 = tuple(cells_within_tier(2))
     for beta, k in ((1, 2), (3, 1), (4, 2), (7, 1)):
-        cfg = BASE_TEMPLATE.with_schedule(n_antennas=max(8 * beta * k, 32),
-                                           n_users=k, reuse_factor=beta)
+        cfg = replace(BASE_TEMPLATE, n_antennas=max(8 * beta * k, 32),
+                      n_users=k, reuse_factor=beta)
         pl = PilotPlan(k, beta)
         im = SinrInputs(cfg, table, pl, tier2, Scheme.MRC)
         iz = SinrInputs(cfg, table, pl, tier2, Scheme.PZFC)
@@ -301,7 +301,7 @@ def test_criterion_7_property_suite(fullres_tables):
 def test_criterion_8_oracle_vs_analytic(fullres_tables, tmp_path):
     t0 = time.time()
     table = fullres_tables[AVG]
-    cfg = BASE_TEMPLATE.with_schedule(n_antennas=64, n_users=2, reuse_factor=1)
+    cfg = replace(BASE_TEMPLATE, n_antennas=64, n_users=2, reuse_factor=1)
     plan = PilotPlan(2, 1)
     analytic = sinr(SinrInputs(cfg, table, plan, TIER1))
     measured = measure_sinr(cfg, plan, TIER1, AVG, Scheme.MRC, 10 ** 5,

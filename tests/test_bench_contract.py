@@ -8,11 +8,14 @@ only `python3 -m pytest perfbench`.
 
 import importlib
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
+import hexmimo.cli
+import hexmimo.linklevel
 import hexmimo.moments
 from hexmimo.cli import _build_parser, _validation_fixtures
 from hexmimo.config import InterferenceMode, NetworkConfig
@@ -103,3 +106,33 @@ def test_average_build_draws_no_samples(monkeypatch):
     hexmimo.moments.build_table(3.5, InterferenceMode.AVERAGE)
     hexmimo.moments.build_table(3.5, InterferenceMode.WORST_CASE)
     assert calls == []
+
+
+def test_hook_attrs_read_real_calls(tmp_path, monkeypatch):
+    # the traced run reads moments.build's mode, linklevel.measure's
+    # realizations and hexgrid.sample's point count from argument positions:
+    # a reordered parameter must fail here, not mislabel a traced metric
+    calls = {}
+    for module, name in ((hexmimo.cli, "build_table"), (hexmimo.cli, "measure_sinr"),
+                         (hexmimo.linklevel, "sample_ue_positions")):
+        def recording(*args, _fn=getattr(module, name),
+                      _calls=calls.setdefault(name, []), **kwargs):
+            result = _fn(*args, **kwargs)
+            _calls.append((args, kwargs, result))
+            return result
+        monkeypatch.setattr(module, name, recording)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # oracle in process
+    hexmimo.cli.main(["--out", str(tmp_path / "out"), "--n-points", "1", "--k-cap", "1",
+                      "--validate", "--realizations", "400"])
+    hooks = {(m, p): f for m, p, _, f in child.SPANS + child.COUNTERS}
+
+    build = hooks["hexmimo.cli", "build_table"]
+    assert [build(*call)["mode"] for call in calls["build_table"]] == ["avg", "worst"]
+    measure = hooks["hexmimo.cli", "measure_sinr"]
+    assert [measure(*call) for call in calls["measure_sinr"]] == \
+        [{"realizations": 400}] * len(run.FIXTURES)
+    assert calls["sample_ue_positions"]
+    for owner in ("hexmimo.moments", "hexmimo.linklevel"):
+        units = hooks[owner, "sample_ue_positions"]
+        for args, kwargs, points in calls["sample_ue_positions"]:
+            assert units(args, kwargs) == len(points)

@@ -1,16 +1,22 @@
+import copy
 import json
 import math
 import multiprocessing
 import os
 import subprocess
 import sys
+import tempfile
+from dataclasses import asdict, fields
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import hexmimo.cli as cli_module
 import hexmimo.sweep as sweep_module
 from hexmimo.cli import main
-from hexmimo.config import InterferenceMode
+from hexmimo.config import InterferenceMode, NetworkConfig
 from hexmimo.errors import RankDeficient
 from hexmimo.moments import MomentTable
 
@@ -157,7 +163,7 @@ def test_config_error_exit_code(tmp_path):
                      {"pathloss_exponent": math.nan}, {"pathloss_ref": math.inf},
                      {"coherence_block": 1000.5}, {"n_antennas": True},
                      {"snr_db": "10"}, {"snr_db": None}, {"snr_db": 4000},
-                     {"snr_linear": "10"}):
+                     {"snr_linear": "10"}, {"snr_linear": 10 ** 400}):
         bad.write_text(json.dumps(override))
         assert run_cli(["--config", bad, "--out", tmp_path / "o"]) == 2, override
     # a config file that is valid JSON but not an object
@@ -180,7 +186,10 @@ def test_config_error_exit_code(tmp_path):
                    {**manifest, "config": {**manifest["config"], "cell_radius": -5}},
                    {**manifest, "k_cap": "3"}, {**manifest, "config": [1]},
                    {**manifest, "n_grid": [16, "64"]}, {**manifest, "seed": 1.5},
-                   {**manifest, "n_grid": [16, 16]}):
+                   {**manifest, "n_grid": [16, 16]}, {**manifest, "config_path": 5},
+                   {**manifest, "moment_paths": "x"},
+                   # the N column of sweep.csv is int64
+                   {**manifest, "n_grid": [2 ** 63]}):
         bad.write_text(json.dumps(broken))
         assert run_cli(["--from-manifest", bad]) == 2, broken
     assert not (tmp_path / "o").exists()
@@ -248,6 +257,8 @@ def test_console_entry_point(tmp_path):
                                           (["--schemes", ","], {}),
                                           (["--n-points", "0"], {}),
                                           (["--n-min", "0"], {}),
+                                          (["--n-max", "10000000000000000000"], {}),
+                                          (["--n-max", "100000000000000000000"], {}),
                                           (["--seed", "-1"], {}),
                                           (["--modes", "avg,avg"], {}),
                                           (["--schemes", "mrc,mrc"], {}),
@@ -259,7 +270,8 @@ def test_console_entry_point(tmp_path):
                                           (["--betas", "7"], {"t_block": 5, "n_users": 1})],
                          ids=["realizations5", "realizations0",
                               "beta2", "kcap0", "betas-empty", "modes-empty",
-                              "schemes-empty", "npoints0", "nmin0", "seed-negative",
+                              "schemes-empty", "npoints0", "nmin0", "nmax-int64",
+                              "nmax-uint64", "seed-negative",
                               "modes-repeated", "schemes-repeated", "betas-repeated",
                               "pzfc-infeasible", "block-below-beta"])
 @pytest.mark.filterwarnings("error")  # rejected by a check, not by numpy
@@ -271,6 +283,62 @@ def test_invalid_run_values_exit_before_any_work(tmp_path, capsys, flags, config
     assert code == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()  # no table built, no output written
+
+
+def test_k_cap_bounds_the_user_grid_of_a_huge_block(tmp_path):
+    # the run lists only the capped user counts, not all T/2 of them
+    cfg = small_config(tmp_path, t_block=10 ** 12)
+    out = tmp_path / "out"
+    assert run_cli(["--config", cfg, "--out", out, "--modes", "avg",
+                    "--schemes", "mrc", "--k-cap", "1", "--n-points", "1"]) == 0
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert rows and {row.split(",")[1] for row in rows} == {"1"}
+
+
+# JSON values that replace manifest or config values.  Huge scalar ints are
+# left out: a 2^63 realization count or block length is a valid endless run.
+_JSON_POOL = [None, True, "x", -1, 0, 1.5, math.nan, [], {}, [0], [1.5], [2 ** 63]]
+_DELETE = "<delete>"
+_TINY_MANIFEST = asdict(cli_module._manifest_from_args(cli_module._build_parser().parse_args(
+    ["--out", "out", "--modes", "worst", "--n-points", "1", "--k-cap", "1",
+     "--asymptotic", "--validate", "--realizations", "20"])))
+_MUTABLE_KEYS = sorted(_TINY_MANIFEST) + sorted(
+    f"config.{name}" for name in {*_TINY_MANIFEST["config"],
+                                  *(f.name for f in fields(NetworkConfig))})
+
+
+def _mutated(manifest, mutations):
+    """A copy of `manifest` with each (key, value) mutation applied in turn."""
+    manifest = copy.deepcopy(manifest)
+    for key, value in mutations:
+        owner = manifest
+        if key.startswith("config."):
+            owner, key = manifest.get("config"), key.removeprefix("config.")
+            if not isinstance(owner, dict):  # the config itself was replaced
+                continue
+        if value == _DELETE:
+            owner.pop(key, None)
+        else:
+            owner[key] = copy.deepcopy(value)
+    return manifest
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(st.sampled_from(_MUTABLE_KEYS),
+                          st.sampled_from([_DELETE, *_JSON_POOL])), max_size=3))
+def test_mutated_manifest_runs_or_is_refused_before_any_work(tmp_path, monkeypatch,
+                                                             mutations):
+    manifest = _mutated(_TINY_MANIFEST, mutations)
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    path = work.with_suffix(".json")
+    path.write_text(json.dumps(manifest))
+    monkeypatch.chdir(work)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # oracle in process
+    code = main(["--from-manifest", str(path)])
+    assert code in (0, 2)
+    if code == 2:
+        assert list(work.iterdir()) == []
 
 
 def test_failed_pool_worker_leaves_no_output_and_no_process(tmp_path, capsys,

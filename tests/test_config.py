@@ -1,12 +1,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexmimo.config import (InterferenceMode, NetworkConfig, config_from_dict,
-                            db_to_linear, load_config, validate)
+                            db_to_linear, fits, load_config, validate)
 from hexmimo.errors import (DomainError, InsufficientAntennas, PilotOverflow,
                             UnsupportedReuse)
 from hexmimo.pilots import PilotPlan
@@ -75,6 +76,26 @@ def test_domain_errors(field, value):
         validate(base_config(**{field: value}))
 
 
+def test_numpy_scalars_are_valid_values():
+    cfg = base_config(n_antennas=np.int64(64), n_users=np.int32(4),
+                      snr_linear=np.float64(10.0), cell_radius=np.float32(250.0))
+    assert validate(cfg) is cfg
+
+
+@pytest.mark.parametrize("value,hint,expected", [
+    (3, int, True), (np.uint8(3), int, True), (True, int, False), (3.0, int, False),
+    (1.5, float, True), (3, float, True), (math.nan, float, False),
+    (-math.inf, float, False), (10 ** 400, float, False), (False, float, False),
+    (True, bool, True), (1, bool, False), ("x", str, True), (None, str, False),
+    ({}, dict, True), ([], dict, False), ([1, 2], list[int], True),
+    ([1, True], list[int], False), ((1, 2), list[int], False),
+    (["a"], list[str], True), (None, str | None, True), (5, str | None, False),
+    (None, int | None, True), (2.0, int | None, False),
+])
+def test_fits_reads_the_annotation(value, hint, expected):
+    assert fits(value, hint) is expected
+
+
 def test_snr_conversion_exact_at_round_db():
     assert db_to_linear(0.0) == 1.0
     assert db_to_linear(10.0) == 10.0
@@ -107,13 +128,6 @@ def test_load_config_json_roundtrip(tmp_path):
     assert cfg.n_antennas == 128
     assert cfg.pilot_len == 24
     assert cfg.min_ue_distance_frac == 0.14  # default
-
-
-def test_with_schedule_replaces_operating_point():
-    cfg = base_config()
-    other = cfg.with_schedule(n_antennas=256, n_users=50, reuse_factor=3)
-    assert (other.n_antennas, other.n_users, other.reuse_factor) == (256, 50, 3)
-    assert other.coherence_block == cfg.coherence_block
 
 
 def test_interference_mode_values():
