@@ -13,7 +13,7 @@ Every expression exists in two algebraically equivalent forms:
   explicit pilot inner products (0 or B) -- slow, used as a cross-check;
 * a collapsed form in which the inner products are resolved against the
   reuse partition, leaving per-group moment sums -- O(#cells), used by the
-  sweep on whole arrays of user counts.
+  sweep on whole arrays of (N, K) pairs.
 
 The per-cell spectral efficiency is K * (1 - B/T) * log2(1 + SINR): power
 control gives every user of the symmetric network the same SINR, and B of
@@ -128,10 +128,11 @@ class CopilotSums:
 # collapsed (fast) evaluations
 
 
-def mrc_sinr_from_sums(sums: CopilotSums, n_antennas: int, n_users,
+def mrc_sinr_from_sums(sums: CopilotSums, n_antennas, n_users,
                        inv_snr: float):
-    """MRC SINR from precomputed copilot sums, elementwise over `n_users`."""
-    n = float(n_antennas)
+    """MRC SINR from precomputed copilot sums, elementwise over the
+    broadcast (`n_antennas`, `n_users`)."""
+    n = np.asarray(n_antennas, dtype=float)
     k = np.asarray(n_users, dtype=float)
     b = sums.reuse_factor * k
     gain_deficit = (sums.mu1_total * k + inv_snr) / n
@@ -142,14 +143,21 @@ def mrc_sinr_from_sums(sums: CopilotSums, n_antennas: int, n_users,
                             where=denom > 0))
 
 
-def pzfc_sinr_from_sums(sums: CopilotSums, n_antennas: int, n_users,
+def pzfc_sinr_from_sums(sums: CopilotSums, n_antennas, n_users,
                         inv_snr: float):
-    """PZFC SINR from precomputed copilot sums, elementwise over `n_users`."""
-    n = float(n_antennas)
+    """PZFC SINR from precomputed copilot sums, elementwise over the
+    broadcast (`n_antennas`, `n_users`).
+
+    Raises:
+        InsufficientAntennas: some pair has N <= B; the first one is named.
+    """
     k = np.asarray(n_users, dtype=float)
-    b = sums.reuse_factor * k
-    if np.any(n <= b):
-        raise InsufficientAntennas(f"PZFC needs N > B, got N={n_antennas}, B={int(np.max(b))}")
+    n, b = np.broadcast_arrays(np.asarray(n_antennas, dtype=float), sums.reuse_factor * k)
+    short = np.flatnonzero(n <= b)
+    if short.size:  # N <= B, both small enough to be exact as floats
+        first = short[0]
+        raise InsufficientAntennas(f"PZFC needs N > B, got N={int(n.flat[first])}, "
+                                   f"B={int(b.flat[first])}")
     contamination = b * (sums.mu2_others + sums.var_copilot / (n - b))
     # interference left after projecting out the B estimated directions
     rejected = sum(sq * b / (b * m1 + inv_snr)
@@ -200,7 +208,8 @@ def se_from_sinr(sinr, n_users, pilot_len, coherence_block: int) -> SeResult:
     sinr = np.asarray(sinr, dtype=float)
     prelog = 1.0 - np.asarray(pilot_len) / coherence_block
     # math.log2, not np.log2: the two differ in the last bit on some inputs
-    log = np.reshape([math.log2(1.0 + x) for x in sinr.ravel().tolist()], sinr.shape)
+    log = np.fromiter(map(math.log2, (1.0 + sinr).ravel().tolist()), float,
+                      count=sinr.size).reshape(sinr.shape)
     with np.errstate(invalid="ignore"):  # 0 * inf at B = T with infinite SINR
         se = np.where(prelog > 0.0, n_users * prelog * log, 0.0)
     return SeResult(sinr=_plain(sinr), se_per_cell=_plain(se),

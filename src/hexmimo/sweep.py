@@ -7,25 +7,27 @@ always, and N > beta * K for the zero-forcing combiner.  Ties are broken
 toward smaller K, then smaller beta (fewer scheduled users and less pilot
 overhead at equal SE).
 
-Each (mode, N, scheme, beta) slice is one array expression over its feasible
-K, and the result is columnar: one structured array whose fields are the
-columns of sweep.csv.  The sweep counts every slice's rows first, allocates
-that array once and fills each slice in place.  The closed forms run on
-precomputed moment tables, so results are deterministic given the tables.
+The result is columnar and split in two tables.  A run is the points of
+one (mode, N, scheme, beta), whose feasible K are a prefix of the K grid.
+`rows` holds only what varies within a run (K, SINR, SE); `runs` holds one
+record per non-empty run, in sweep order, with its constant fields and its
+[start, stop) range in `rows`.  The sweep sizes every run first, allocates
+both tables once, then evaluates each (mode, scheme, beta) as one array
+expression over every feasible (N, K) pair of the grid and scatters the
+values into the runs they belong to.  The closed forms run on precomputed
+moment tables, so results are deterministic given the tables.
 
-Writing sweep.csv costs far more than the sweep (about 3 us per row, two
-float reprs of it, against well under 1 us to evaluate it).  The writer
-splits the rows into runs of equal (N, beta, scheme, mode), which are
-contiguous in sweep order, formats each run's constant fields once and only
-K and the two floats per row.  It cuts the rows into spans of equal length
-and formats them in order.  When the process may run on more than one CPU
-and there are at least `_POOL_MIN_ROWS` rows, the spans are formatted by a
-pool of forked workers (`_fork.fork_map`): starting and stopping the pool
-costs about 20 ms, which that many rows repay on two CPUs.  The workers
-inherit the rows through the fork, so only span indices and the formatted
-bytes cross the pipes, and the parent writes each span as it arrives, in
-order.  Smaller sweeps format in process and never import
-`multiprocessing`.  Both paths write the same bytes.
+Writing sweep.csv costs far more than the sweep: two float reprs per row.
+The writer cuts the run table into spans of whole runs holding about equal
+numbers of rows, formats each run's constant fields once and only K and the
+two floats per row.  When the process may run on more than one CPU and
+there are at least `_POOL_MIN_ROWS` rows, the spans are formatted by a pool
+of forked workers (`_fork.fork_map`): starting and stopping the pool costs
+about 20 ms, which that many rows repay on two CPUs.  The workers inherit
+both tables through the fork, so only span indices and the formatted bytes
+cross the pipes, and the parent writes each span as it arrives, in order.
+Smaller sweeps format in process and never import `multiprocessing`.  Both
+paths write the same bytes.
 """
 
 from __future__ import annotations
@@ -42,22 +44,26 @@ from .moments import MomentTable
 from .spectral import (CopilotSums, Scheme, mrc_sinr_from_sums,
                        pzfc_sinr_from_sums, se_from_sinr)
 
-# one record per evaluated point; the field names are the sweep.csv header
-ROW_DTYPE = np.dtype([("N", np.int64), ("K", np.int64), ("beta", np.int64),
-                      ("scheme", "U4"), ("mode", "U5"),
-                      ("sinr", np.float64), ("se", np.float64)])
-N_MAX = int(np.iinfo(ROW_DTYPE["N"]).max)  # the largest antenna count a row holds
+# what varies within a run: one record per evaluated point
+ROW_DTYPE = np.dtype([("K", np.int64), ("sinr", np.float64), ("se", np.float64)])
+# one record per run of equal (mode, N, scheme, beta), its rows [start, stop)
+RUN_DTYPE = np.dtype([("mode", "U5"), ("N", np.int64), ("scheme", "U4"),
+                      ("beta", np.int64), ("start", np.int64), ("stop", np.int64)])
+N_MAX = int(np.iinfo(RUN_DTYPE["N"]).max)  # the largest antenna count a run holds
 _SPAN_ROWS = 1 << 14      # rows held as Python objects at once while writing
 _POOL_MIN_ROWS = 1 << 15  # about 0.1 s of formatting, 5x the pool's start-up
 
 
 @dataclass
 class SweepResult:
-    """`rows`: every evaluated point, a ROW_DTYPE array in sweep order
-    (mode, N, scheme, beta, K); `optima`: the index in `rows` of each
-    (N, scheme, mode) slice's argmax; `n_skipped`: PZFC points with N <= B."""
+    """`rows`: K, SINR and SE of every evaluated point, a ROW_DTYPE array;
+    `runs`: one RUN_DTYPE record per non-empty run of equal (mode, N,
+    scheme, beta), in sweep order, whose `start`/`stop` tile `rows` (within
+    a run, K ascends); `optima`: the index in `rows` of each (N, scheme,
+    mode) slice's argmax; `n_skipped`: PZFC points with N <= B."""
 
     rows: np.ndarray
+    runs: np.ndarray
     optima: dict[tuple[int, Scheme, InterferenceMode], int]
     n_skipped: dict[tuple[int, Scheme, InterferenceMode], int]
 
@@ -84,9 +90,15 @@ def max_users(n: int, scheme: Scheme, beta: int, t_block: int) -> int:
     return min(k_max, (n - 1) // beta) if scheme is Scheme.PZFC else k_max
 
 
-def _argmax(rows: np.ndarray) -> int:
-    """Index of the largest SE, ties to fewer users, then lower reuse."""
-    return int(np.lexsort((rows["beta"], rows["K"], -rows["se"]))[0])
+def _argmax(rows: np.ndarray, beta: np.ndarray) -> int:
+    """Index of the largest SE, ties to fewer users, then lower reuse
+    (`beta`: the reuse factor of each row)."""
+    return int(np.lexsort((beta, rows["K"], -rows["se"]))[0])
+
+
+def _runs_of(result: SweepResult, rows) -> np.ndarray:
+    """The run records holding the given row indices."""
+    return result.runs[np.searchsorted(result.runs["stop"], rows, "right")]
 
 
 def sweep(template: NetworkConfig, n_grid, k_grid, beta_set, schemes, modes,
@@ -119,35 +131,55 @@ def sweep(template: NetworkConfig, n_grid, k_grid, beta_set, schemes, modes,
     def n_feasible(n, scheme, beta):  # the feasible K are a prefix of k_grid
         return int(np.searchsorted(k_grid, max_users(n, scheme, beta, t_block), "right"))
 
-    # feasibility does not depend on the mode: size every slice once
-    sizes, skipped = {}, {}
-    for n in n_grid:
-        for scheme in schemes:
-            sizes[n, scheme] = [n_feasible(n, scheme, beta) for beta in beta_set]
-            skipped[n, scheme] = (sum(n_feasible(n, Scheme.MRC, beta) for beta in beta_set)
-                                  - sum(sizes[n, scheme]))
-            if modes and not any(sizes[n, scheme]):
+    # feasibility does not depend on the mode: size every run once
+    sizes = np.zeros((len(n_grid), len(schemes), len(beta_set)), np.int64)
+    skipped = {}
+    for i, n in enumerate(n_grid):
+        n_mrc = sum(n_feasible(n, Scheme.MRC, beta) for beta in beta_set)
+        for j, scheme in enumerate(schemes):
+            sizes[i, j] = [n_feasible(n, scheme, beta) for beta in beta_set]
+            skipped[n, scheme] = n_mrc - int(sizes[i, j].sum())
+            if modes and not sizes[i, j].any():
                 raise EmptyFeasibleSet(f"no feasible (K, beta) at N={n} for "
                                        f"scheme={scheme.value}, mode={modes[0].value}")
 
-    rows = np.empty(len(modes) * sum(map(sum, sizes.values())), ROW_DTYPE)
-    optima, n_skipped, stop = {}, {}, 0
-    for mode in modes:
-        for n in n_grid:
-            for scheme in schemes:
-                key, first = (n, scheme, mode), stop
+    # every (mode, N, scheme, beta) in sweep order; the empty ones hold no run
+    all_sizes = np.broadcast_to(sizes, (len(modes), *sizes.shape))
+    stops = np.cumsum(all_sizes).reshape(all_sizes.shape)
+    starts = stops - all_sizes
+    filled = np.flatnonzero(all_sizes)
+    runs = np.empty(len(filled), RUN_DTYPE)
+    for name, values, at in zip(("mode", "N", "scheme", "beta"),
+                                ([mode.value for mode in modes], n_grid,
+                                 [scheme.value for scheme in schemes], beta_set),
+                                np.unravel_index(filled, all_sizes.shape)):
+        runs[name] = np.array(values, RUN_DTYPE[name])[at]
+    runs["start"], runs["stop"] = starts.flat[filled], stops.flat[filled]
+
+    rows = np.empty(int(stops.flat[-1]) if stops.size else 0, ROW_DTYPE)
+    for m, mode in enumerate(modes):
+        for j, scheme in enumerate(schemes):
+            for b, beta in enumerate(beta_set):
+                size = sizes[:, j, b]
+                # every feasible (N, K) of this (mode, scheme, beta): the
+                # run of each N, and each point's place within its run
+                pos = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+                n, k = np.repeat(n_grid, size), k_grid[pos]
+                sinr = from_sums[scheme](sums[mode][beta], n, k, inv_snr)
+                se = se_from_sinr(sinr, k, beta * k, t_block).se_per_cell
+                dest = np.repeat(starts[m, :, j, b], size) + pos
+                rows["K"][dest], rows["sinr"][dest], rows["se"][dest] = k, sinr, se
+
+    optima, n_skipped = {}, {}
+    for m, mode in enumerate(modes):
+        for i, n in enumerate(n_grid):
+            for j, scheme in enumerate(schemes):
+                key = (n, scheme, mode)
                 n_skipped[key] = skipped[n, scheme]
-                for beta, size in zip(beta_set, sizes[n, scheme]):
-                    k = k_grid[:size]
-                    sinr = from_sums[scheme](sums[mode][beta], n, k, inv_snr)
-                    se = se_from_sinr(sinr, k, beta * k, t_block).se_per_cell
-                    start, stop = stop, stop + size
-                    part = rows[start:stop]  # a view: filled in place
-                    for name, column in zip(ROW_DTYPE.names, (n, k, beta, scheme.value,
-                                                              mode.value, sinr, se)):
-                        part[name] = column
-                optima[key] = first + _argmax(rows[first:stop])
-    return SweepResult(rows=rows, optima=optima, n_skipped=n_skipped)
+                first, stop = int(starts[m, i, j, 0]), int(stops[m, i, j, -1])
+                beta = np.repeat(beta_set, sizes[i, j])
+                optima[key] = first + _argmax(rows[first:stop], beta)
+    return SweepResult(rows=rows, runs=runs, optima=optima, n_skipped=n_skipped)
 
 
 def optimal_schedule(result: SweepResult, n_antennas: int, scheme: Scheme,
@@ -157,51 +189,51 @@ def optimal_schedule(result: SweepResult, n_antennas: int, scheme: Scheme,
     if key not in result.optima:
         raise KeyError(f"no sweep slice for N={n_antennas}, "
                        f"scheme={scheme.value}, mode={mode.value}")
-    _, k, beta, _, _, _, se = result.rows[result.optima[key]].item()
-    return k, beta, se
+    row = result.optima[key]
+    k, _, se = result.rows[row].item()
+    return k, int(_runs_of(result, row)["beta"]), se
 
 
-def _format_rows(rows: np.ndarray) -> bytes:
-    """The sweep.csv lines of `rows`, each the same bytes as
-    `"%d,%d,%d,%s,%s,%r,%r\\n" % row` over `rows.tolist()`."""
-    first = np.zeros(len(rows), dtype=bool)  # first[i]: row i starts a run
-    first[:1] = True
-    for name in ("N", "beta", "scheme", "mode"):
-        first[1:] |= rows[name][1:] != rows[name][:-1]
-    bounds = [*np.flatnonzero(first).tolist(), len(rows)]
-    k, sinr, se = rows["K"].tolist(), rows["sinr"].tolist(), rows["se"].tolist()
+def _format_runs(rows: np.ndarray, runs: np.ndarray) -> bytes:
+    """The sweep.csv lines of `runs`, each the same bytes as
+    `"%d,%d,%d,%s,%s,%r,%r\\n" % (N, K, beta, scheme, mode, sinr, se)`."""
     lines = []
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        n, _, beta, scheme, mode, _, _ = rows[start].item()
+    for mode, n, scheme, beta, start, stop in runs.tolist():
         head, middle = f"{n},", f",{beta},{scheme},{mode},"
-        lines += [f"{head}{kk}{middle}{x!r},{y!r}\n" for kk, x, y in
-                  zip(k[start:stop], sinr[start:stop], se[start:stop])]
+        part = rows[start:stop]
+        lines += [f"{head}{k}{middle}{x!r},{y!r}\n" for k, x, y in
+                  zip(part["K"].tolist(), part["sinr"].tolist(), part["se"].tolist())]
     return "".join(lines).encode("utf-8")
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:
     """One CSV row per evaluated grid point (floats at full precision)."""
-    rows = result.rows
+    rows, runs = result.rows, result.runs
     workers = len(os.sched_getaffinity(0)) if len(rows) >= _POOL_MIN_ROWS else 1
-    # a multiple of the worker count, so every worker formats as many rows
+    # a multiple of the worker count, so every worker formats about as many rows
     n_spans = min(workers * -(-len(rows) // (workers * _SPAN_ROWS)), len(rows))
-    spans = [(len(rows) * i // n_spans, len(rows) * (i + 1) // n_spans)
-             for i in range(n_spans)]
+    # each span ends at the first run boundary at or past its equal share of rows
+    shares = [len(rows) * i // n_spans for i in range(1, n_spans)]
+    cuts = [0, *np.searchsorted(runs["start"], shares).tolist(), len(runs)]
+    spans = [(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if lo < hi]
 
     # the pool forks before the file is opened; its workers only format
     # strings (no threads, no BLAS)
-    with fork_map(lambda start, stop: _format_rows(rows[start:stop]),
+    with fork_map(lambda lo, hi: _format_runs(rows, runs[lo:hi]),
                   spans, workers) as texts:
         with open(path, "wb") as fh:
-            fh.write((",".join(ROW_DTYPE.names) + "\n").encode("utf-8"))
+            fh.write(b"N,K,beta,scheme,mode,sinr,se\n")
             fh.writelines(texts)
 
 
 def write_optima_csv(result: SweepResult, path) -> None:
-    """One CSV row per (N, scheme, mode) slice with its argmax schedule."""
-    best = np.sort(result.rows[list(result.optima.values())],
-                   order=["mode", "N", "scheme"])
+    """One CSV row per (N, scheme, mode) slice with its argmax schedule,
+    sorted by (mode, N, scheme)."""
+    best = np.array(list(result.optima.values()), np.int64)
+    runs = _runs_of(result, best)
+    order = np.lexsort((runs["scheme"], runs["N"], runs["mode"]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("N,scheme,mode,K_star,beta_star,sinr,se\n")
         fh.writelines(f"{n},{scheme},{mode},{k},{beta},{sinr!r},{se!r}\n"
-                      for n, k, beta, scheme, mode, sinr, se in best.tolist())
+                      for (mode, n, scheme, beta, _, _), (k, sinr, se)
+                      in zip(runs[order].tolist(), result.rows[best[order]].tolist()))

@@ -122,10 +122,12 @@ def test_criterion_4a_similarity_band(headline_sweep):
     # or more must come from an MRC optimum outside that shared domain.
     result, _ = headline_sweep
     n_range = [n for n in default_n_grid() if 10 <= n <= 200]
-    rows = result.rows
-    shared = ((rows["scheme"] == Scheme.MRC.value) & (rows["mode"] == AVG.value)
-              & (rows["beta"] * rows["K"] < rows["N"]))
-    mrc_shared = {n: rows["se"][shared & (rows["N"] == n)].max(initial=0.0)
+    rows, runs = result.rows, result.runs
+    per_row = {name: np.repeat(runs[name], runs["stop"] - runs["start"])
+               for name in ("N", "beta", "scheme", "mode")}
+    shared = ((per_row["scheme"] == Scheme.MRC.value) & (per_row["mode"] == AVG.value)
+              & (per_row["beta"] * rows["K"] < per_row["N"]))
+    mrc_shared = {n: rows["se"][shared & (per_row["N"] == n)].max(initial=0.0)
                   for n in n_range}
 
     def gap(a, b):

@@ -343,15 +343,15 @@ def test_mutated_manifest_runs_or_is_refused_before_any_work(tmp_path, monkeypat
 
 def test_failed_pool_worker_leaves_no_output_and_no_process(tmp_path, capsys,
                                                            monkeypatch):
-    parent, format_rows = os.getpid(), sweep_module._format_rows
+    parent, format_runs = os.getpid(), sweep_module._format_runs
 
-    def fail_in_worker(rows):
+    def fail_in_worker(rows, runs):
         if os.getpid() != parent:
             raise RuntimeError("forced failure in a pool worker")
-        return format_rows(rows)
+        return format_runs(rows, runs)
 
     # the fork carries the patched formatter into the workers
-    monkeypatch.setattr(sweep_module, "_format_rows", fail_in_worker)
+    monkeypatch.setattr(sweep_module, "_format_runs", fail_in_worker)
     monkeypatch.setattr(sweep_module, "_POOL_MIN_ROWS", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     cfg = small_config(tmp_path)

@@ -10,7 +10,8 @@ from hexmimo.moments import MomentEntry, MomentTable
 from hexmimo.pilots import PilotPlan
 from hexmimo.spectral import (CopilotSums, Scheme, SinrInputs, asymptotic_se,
                               asymptotic_sinr, asymptotic_sinr_generic,
-                              kstar_asymptotic, se_from_sinr, se_per_cell,
+                              kstar_asymptotic, mrc_sinr_from_sums,
+                              pzfc_sinr_from_sums, se_from_sinr, se_per_cell,
                               sinr, sinr_mrc_generic, sinr_pzfc_generic)
 
 
@@ -62,6 +63,23 @@ def test_single_cell_pzfc_grows_linearly_in_array_margin():
 def test_pzfc_requires_antenna_margin():
     with pytest.raises(InsufficientAntennas):
         make_inputs(SINGLE_CELL, 4, 4, 1, scheme=Scheme.PZFC)
+
+
+@pytest.mark.parametrize("from_sums", [mrc_sinr_from_sums, pzfc_sinr_from_sums])
+def test_from_sums_is_elementwise_over_broadcast_n_and_k(avg_table, from_sums):
+    sums = CopilotSums.from_table(avg_table, 3)
+    n, k = np.array([[32], [100], [5000]]), np.array([1, 2, 7, 10])
+    grid = from_sums(sums, n, k, 0.1)
+    assert grid.tolist() == [[from_sums(sums, int(nn), int(kk), 0.1) for kk in k]
+                             for nn in n[:, 0]]
+    # paired (N, K) arrays, as the sweep passes them
+    assert from_sums(sums, n[:, 0], k[:3], 0.1).tolist() == grid.diagonal().tolist()
+
+
+def test_pzfc_from_sums_names_the_first_short_pair(avg_table):
+    sums = CopilotSums.from_table(avg_table, 3)
+    with pytest.raises(InsufficientAntennas, match=r"got N=12, B=12$"):
+        pzfc_sinr_from_sums(sums, np.array([100, 12, 10]), np.array([5, 4, 4]), 0.1)
 
 
 def test_zero_interference_reduces_to_single_cell():

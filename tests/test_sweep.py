@@ -11,9 +11,9 @@ from hexmimo.config import InterferenceMode, NetworkConfig
 from hexmimo.errors import EmptyFeasibleSet
 from hexmimo.pilots import PilotPlan
 from hexmimo.spectral import Scheme, SinrInputs, se_from_sinr, sinr
-from hexmimo.sweep import (ROW_DTYPE, _argmax, default_k_grid, default_n_grid,
-                           optimal_schedule, sweep, write_optima_csv,
-                           write_sweep_csv)
+from hexmimo.sweep import (ROW_DTYPE, RUN_DTYPE, _argmax, default_k_grid,
+                           default_n_grid, optimal_schedule, sweep,
+                           write_optima_csv, write_sweep_csv)
 
 AVG = InterferenceMode.AVERAGE
 WORST = InterferenceMode.WORST_CASE
@@ -40,25 +40,85 @@ def edge_args(avg_table, worst_table):
             [Scheme.MRC, Scheme.PZFC], [AVG, WORST], tables)
 
 
-def reference_sweep_csv(rows) -> bytes:
-    """The per-row formatter the writer replaced: the expected bytes."""
+# one record per evaluated point, every field of sweep.csv
+POINT_DTYPE = np.dtype([("N", np.int64), ("K", np.int64), ("beta", np.int64),
+                        ("scheme", "U4"), ("mode", "U5"),
+                        ("sinr", np.float64), ("se", np.float64)])
+
+
+def expanded(result) -> np.ndarray:
+    """`rows` with each run's constant fields repeated onto its rows."""
+    lengths = result.runs["stop"] - result.runs["start"]
+    points = np.empty(len(result.rows), POINT_DTYPE)
+    for name in POINT_DTYPE.names:
+        points[name] = (result.rows[name] if name in ROW_DTYPE.names
+                        else np.repeat(result.runs[name], lengths))
+    return points
+
+
+def reference_sweep_csv(points) -> bytes:
+    """The per-row formatter the writer replaced, over (N, K, beta, scheme,
+    mode, sinr, se) tuples: the expected bytes."""
     lines = ["N,K,beta,scheme,mode,sinr,se\n"]
-    lines += ["%d,%d,%d,%s,%s,%r,%r\n" % row for row in rows.tolist()]
+    lines += ["%d,%d,%d,%s,%s,%r,%r\n" % point for point in points]
     return "".join(lines).encode("utf-8")
 
 
-def hand_built_rows():
-    # runs of (N, beta, scheme, mode) of length 1 next to longer ones, and
+def reference_optima_csv(optima) -> bytes:
+    """optima.csv from the (N, K, beta, scheme, mode, sinr, se) tuple of each
+    slice's argmax, sorted by (mode, N, scheme)."""
+    lines = ["N,scheme,mode,K_star,beta_star,sinr,se\n"]
+    lines += [f"{n},{scheme},{mode},{k},{beta},{sinr!r},{se!r}\n"
+              for n, k, beta, scheme, mode, sinr, se
+              in sorted(optima.values(), key=lambda p: (p[4], p[0], p[3]))]
+    return "".join(lines).encode("utf-8")
+
+
+def scalar_sweep(config, n_grid, k_grid, betas, schemes, modes, tables):
+    """The literal per-point loop: scalar sinr/se_from_sinr, max with the
+    tie-break key.  (points, optima, skipped) in the caller's order."""
+    t_block = config.coherence_block
+    points, optima, skipped = [], {}, {}
+    for mode in modes:
+        for n in n_grid:
+            for scheme in schemes:
+                key = (n, scheme, mode)
+                first, skipped[key] = len(points), 0
+                for beta in betas:
+                    for k in k_grid:
+                        if beta * k > t_block:
+                            continue
+                        if scheme is Scheme.PZFC and n <= beta * k:
+                            skipped[key] += 1
+                            continue
+                        cfg = replace(config, n_antennas=n, n_users=k,
+                                      reuse_factor=beta)
+                        value = sinr(SinrInputs(cfg, tables[mode],
+                                                PilotPlan(k, beta),
+                                                scheme=scheme))
+                        se = se_from_sinr(value, k, beta * k, t_block).se_per_cell
+                        points.append((n, k, beta, scheme.value, mode.value,
+                                       value, se))
+                optima[key] = max(points[first:],
+                                  key=lambda p: (p[6], -p[1], -p[2]))
+    return points, optima, skipped
+
+
+def hand_built_result():
+    # runs of (mode, N, scheme, beta) of length 1 next to longer ones, and
     # floats whose repr takes every form
+    runs = np.zeros(5, RUN_DTYPE)
+    runs["mode"] = ["avg", "avg", "avg", "avg", "worst"]
+    runs["N"] = [10, 10, 11, 11, 10]
+    runs["scheme"] = ["mrc", "mrc", "mrc", "pzfc", "pzfc"]
+    runs["beta"] = [1, 3, 3, 3, 3]
+    runs["start"] = [0, 2, 3, 4, 5]
+    runs["stop"] = [2, 3, 4, 5, 8]
     rows = np.zeros(8, ROW_DTYPE)
-    rows["N"] = [10, 10, 10, 11, 11, 11, 11, 10]
-    rows["K"] = [1, 2, 3, 1, 1, 1, 2, 1]
-    rows["beta"] = [1, 1, 3, 3, 3, 3, 3, 3]
-    rows["scheme"] = ["mrc", "mrc", "mrc", "mrc", "pzfc", "pzfc", "pzfc", "pzfc"]
-    rows["mode"] = ["avg", "avg", "avg", "avg", "avg", "worst", "worst", "worst"]
+    rows["K"] = [1, 2, 3, 1, 1, 1, 2, 3]
     rows["sinr"] = [0.0, math.inf, 1e-05, 1e16, 5e-324, 0.1 + 0.2, 2.5, 1e-300]
     rows["se"] = [0.0, 1e16, 0.1 + 0.2, 5e-324, 1e-05, math.inf, 0.0, 123.456]
-    return rows
+    return sweep_module.SweepResult(rows=rows, runs=runs, optima={}, n_skipped={})
 
 
 @pytest.mark.parametrize("cpus", [1, 4])
@@ -69,15 +129,17 @@ def test_sweep_csv_bytes_equal_the_per_row_formatter(tmp_path, monkeypatch,
     if rows == "sweep":
         result = sweep(*edge_args)
         assert any(result.n_skipped.values()) and np.any(result.rows["se"] == 0.0)
+    elif rows == "hand-built":
+        result = hand_built_result()
     else:
-        result = sweep_module.SweepResult(
-            rows=hand_built_rows() if rows == "hand-built" else np.empty(0, ROW_DTYPE),
-            optima={}, n_skipped={})
+        result = sweep_module.SweepResult(rows=np.empty(0, ROW_DTYPE),
+                                          runs=np.empty(0, RUN_DTYPE),
+                                          optima={}, n_skipped={})
     monkeypatch.setattr(sweep_module, "_POOL_MIN_ROWS", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     path = tmp_path / "sweep.csv"
     write_sweep_csv(result, path)
-    assert path.read_bytes() == reference_sweep_csv(result.rows)
+    assert path.read_bytes() == reference_sweep_csv(expanded(result).tolist())
 
 
 def test_package_attribute_is_the_sweep_module():
@@ -94,6 +156,7 @@ def test_one_shot_iterators_give_the_same_sweep(edge_args):
     listed = sweep(edge_args[0], *grids, tables)
     once = sweep(edge_args[0], *((v for v in grid) for grid in grids), tables)
     assert once.rows.tolist() == listed.rows.tolist()
+    assert once.runs.tolist() == listed.runs.tolist()
     assert once.optima == listed.optima
     assert once.n_skipped == listed.n_skipped
 
@@ -109,7 +172,7 @@ def test_default_grids():
 
 
 def test_every_row_is_feasible(small_sweep):
-    rows = small_sweep.rows
+    rows = expanded(small_sweep)
     pilots = rows["beta"] * rows["K"]
     assert np.all(pilots <= 1000)
     zf = rows["scheme"] == Scheme.PZFC.value
@@ -118,7 +181,7 @@ def test_every_row_is_feasible(small_sweep):
 
 
 def test_optima_are_slice_maxima(small_sweep):
-    rows = small_sweep.rows
+    rows = expanded(small_sweep)
     for (n, scheme, mode), best in small_sweep.optima.items():
         in_slice = ((rows["N"] == n) & (rows["scheme"] == scheme.value)
                     & (rows["mode"] == mode.value))
@@ -129,7 +192,7 @@ def test_optima_are_slice_maxima(small_sweep):
 def test_se_rows_increase_with_n(small_sweep):
     # for a fixed feasible (K, beta, scheme, mode), SE grows with N
     point = ["mode", "scheme", "beta", "K"]
-    rows = np.sort(small_sweep.rows, order=point + ["N"])
+    rows = np.sort(expanded(small_sweep), order=point + ["N"])
     same_point = np.ones(len(rows) - 1, dtype=bool)
     for field in point:
         same_point &= rows[field][1:] == rows[field][:-1]
@@ -140,7 +203,9 @@ def test_se_rows_increase_with_n(small_sweep):
 def test_determinism(avg_table):
     tables = {AVG: avg_table}
     args = (template(), [32, 128], range(1, 9), [1, 3], [Scheme.MRC], [AVG], tables)
-    assert np.array_equal(sweep(*args).rows, sweep(*args).rows)
+    first, second = sweep(*args), sweep(*args)
+    assert np.array_equal(first.rows, second.rows)
+    assert np.array_equal(first.runs, second.runs)
 
 
 def test_optimal_schedule_lookup(small_sweep):
@@ -166,8 +231,8 @@ def test_skipped_points_are_counted(small_sweep):
 def test_tie_break_prefers_fewer_users_then_lower_reuse():
     def pick(*candidates):  # (K, beta, SE) triples
         rows = np.zeros(len(candidates), ROW_DTYPE)
-        rows["K"], rows["beta"], rows["se"] = zip(*candidates)
-        return candidates[_argmax(rows)]
+        rows["K"], beta, rows["se"] = zip(*candidates)
+        return candidates[_argmax(rows, np.array(beta))]
 
     assert pick((4, 1, 5.0), (3, 1, 5.0)) == (3, 1, 5.0)
     assert pick((3, 1, 5.0), (4, 1, 5.0)) == (3, 1, 5.0)
@@ -231,43 +296,69 @@ def test_mrc_schedules_at_least_as_many_users(avg_table):
 
 
 def test_rows_cover_declared_grid(small_sweep):
-    rows = small_sweep.rows
-    assert set(rows["N"].tolist()) == {16, 64, 256, 1024}
-    assert set(rows["mode"].tolist()) == {AVG.value, WORST.value}
-    assert set(rows["scheme"].tolist()) == {Scheme.MRC.value, Scheme.PZFC.value}
+    runs = small_sweep.runs
+    assert set(runs["N"].tolist()) == {16, 64, 256, 1024}
+    assert set(runs["mode"].tolist()) == {AVG.value, WORST.value}
+    assert set(runs["scheme"].tolist()) == {Scheme.MRC.value, Scheme.PZFC.value}
+    assert set(runs["beta"].tolist()) == {1, 3}
 
 
 def test_columnar_sweep_equals_scalar_loop(edge_args):
-    # the literal per-point loop: scalar sinr/se_from_sinr, max with the
-    # tie-break key; every value must match the columnar sweep exactly
+    # every value of the columnar sweep, expanded through its runs, must
+    # match the literal per-point loop exactly
     result = sweep(*edge_args)
-    config, n_grid, k_grid, betas, schemes, modes, tables = edge_args
-    t_block = config.coherence_block
-    rows, optima, skipped = [], {}, {}
-    for mode in modes:
-        for n in n_grid:
-            for scheme in schemes:
-                key = (n, scheme, mode)
-                first, skipped[key] = len(rows), 0
-                for beta in betas:
-                    for k in k_grid:
-                        if beta * k > t_block:
-                            continue
-                        if scheme is Scheme.PZFC and n <= beta * k:
-                            skipped[key] += 1
-                            continue
-                        cfg = replace(config, n_antennas=n, n_users=k,
-                                      reuse_factor=beta)
-                        value = sinr(SinrInputs(cfg, tables[mode],
-                                                PilotPlan(k, beta),
-                                                scheme=scheme))
-                        se = se_from_sinr(value, k, beta * k, t_block).se_per_cell
-                        rows.append((n, k, beta, scheme.value, mode.value,
-                                     value, se))
-                optima[key] = max(rows[first:],
-                                  key=lambda r: (r[6], -r[1], -r[2]))
-    assert result.rows.tolist() == rows
-    assert {key: result.rows[i].item() for key, i in result.optima.items()} == optima
+    points, optima, skipped = scalar_sweep(*edge_args)
+    rows = expanded(result).tolist()
+    assert rows == points
+    assert {key: rows[i] for key, i in result.optima.items()} == optima
     assert result.n_skipped == skipped
-    assert sum(r[6] == 0.0 for r in rows) > 1 and sum(skipped.values()) > 0
-    assert all(type(r[5]) is float and type(r[6]) is float for r in rows)
+    assert sum(p[6] == 0.0 for p in points) > 1 and sum(skipped.values()) > 0
+    assert all(type(p[5]) is float and type(p[6]) is float for p in points)
+
+
+def test_run_table_tiles_the_rows(edge_args, small_sweep):
+    assert ROW_DTYPE.itemsize == 24
+    schemes, modes = edge_args[4:6]
+    cases = [(sweep(*edge_args), modes, schemes),
+             (small_sweep, [AVG, WORST], [Scheme.MRC, Scheme.PZFC])]
+    for result, modes, schemes in cases:
+        runs = result.runs
+        # sweep order: mode, N, scheme, beta; modes and schemes as the caller gave them
+        order = [(modes.index(InterferenceMode(m)), n, schemes.index(Scheme(s)), b)
+                 for m, n, s, b, _, _ in runs.tolist()]
+        assert order == sorted(set(order))
+        assert np.all(runs["stop"] > runs["start"])
+        assert runs["start"][0] == 0 and runs["stop"][-1] == len(result.rows)
+        assert np.array_equal(runs["start"][1:], runs["stop"][:-1])
+        for start, stop in runs[["start", "stop"]].tolist():  # K ascends within a run
+            assert np.all(np.diff(result.rows["K"][start:stop]) > 0)
+
+
+def test_sweep_and_optima_follow_the_order_contract(tmp_path, monkeypatch, edge_args):
+    # sweep.csv follows the caller's mode and scheme order; optima.csv is
+    # sorted by (mode, N, scheme) whatever that order
+    config, n_grid, k_grid, betas, _, _, tables = edge_args
+    args = (config, n_grid, k_grid, betas, [Scheme.PZFC, Scheme.MRC], [WORST, AVG], tables)
+    points, optima, _ = scalar_sweep(*args)
+    result = sweep(*args)
+    for cpus in (1, 4):
+        monkeypatch.setattr(sweep_module, "_POOL_MIN_ROWS", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        write_sweep_csv(result, tmp_path / "sweep.csv")
+        assert (tmp_path / "sweep.csv").read_bytes() == reference_sweep_csv(points)
+    write_optima_csv(result, tmp_path / "optima.csv")
+    assert (tmp_path / "optima.csv").read_bytes() == reference_optima_csv(optima)
+    assert points[0][3:5] == ("pzfc", "worst")
+
+
+def test_se_from_sinr_is_math_log2_bit_for_bit(avg_table):
+    # with K = 1 and no pilots, the SE is log2(1 + SINR) itself: it must be
+    # math.log2's value on every element of a real sweep column; np.log2
+    # differs from it in the last bit on some of these SINRs where numpy
+    # uses a vectorized log2 (AVX-512 builds)
+    result = sweep(template(2000), default_n_grid(n_points=60), default_k_grid(2000),
+                   [1, 3, 4, 7], [Scheme.MRC, Scheme.PZFC], [AVG], {AVG: avg_table})
+    sinrs = result.rows["sinr"]
+    assert len(sinrs) > 10 ** 5
+    se = se_from_sinr(sinrs, 1, 0, 2000).se_per_cell
+    assert se.tolist() == [math.log2(1.0 + x) for x in sinrs.tolist()]
