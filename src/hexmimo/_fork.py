@@ -8,11 +8,12 @@ may be a closure and a job may hold large arrays: only job indices and
 results cross the pipes.  Below two workers it calls the function in
 process and never imports `multiprocessing`, which would add to every small
 run's start-up time and memory.  Both paths give the same results in the
-same order.
+same order.  `available_cpus` is the worker count both pools ask for.
 """
 
 from __future__ import annotations
 
+import os
 from contextlib import contextmanager
 
 _task = None  # (fn, jobs), set in each pool worker by `_inherit`
@@ -26,6 +27,13 @@ def _inherit(fn, jobs) -> None:
 def _run(index: int):
     fn, jobs = _task
     return fn(*jobs[index])
+
+
+def available_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one (Linux), else every CPU of the machine."""
+    getaffinity = getattr(os, "sched_getaffinity", None)  # looked up per call
+    return len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
 
 
 @contextmanager

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._fork import fork_map
+from ._fork import available_cpus, fork_map
 from .config import (HEX_REUSE_FACTORS, InterferenceMode, NetworkConfig,
                      config_from_dict, record_from_json)
 from .errors import DomainError
@@ -193,7 +193,7 @@ def run_validation(template: NetworkConfig,
     # The workers fork before this process runs any of the oracle's BLAS
     # products, and a run runs none before it gets here: OpenBLAS threads
     # left spinning in the parent could compete with the workers for CPUs.
-    with fork_map(measure_sinr, jobs, len(os.sched_getaffinity(0))) as results:
+    with fork_map(measure_sinr, jobs, available_cpus()) as results:
         # the closed forms, while the workers simulate
         analytic_all = [sinr(SinrInputs(config=cfg, moments=tables[mode], plan=plan,
                                         tier_set=cells, scheme=scheme))

@@ -34,6 +34,8 @@ from .hexgrid import CellIndex, reuse_group
 from .moments import MomentTable
 from .pilots import PilotPlan, inner_product
 
+_LOG2_CHUNK = 1 << 12  # SINRs held as Python floats at once by se_from_sinr
+
 
 class Scheme(Enum):
     """Receive combining scheme."""
@@ -208,8 +210,11 @@ def se_from_sinr(sinr, n_users, pilot_len, coherence_block: int) -> SeResult:
     sinr = np.asarray(sinr, dtype=float)
     prelog = 1.0 - np.asarray(pilot_len) / coherence_block
     # math.log2, not np.log2: the two differ in the last bit on some inputs
-    log = np.fromiter(map(math.log2, (1.0 + sinr).ravel().tolist()), float,
-                      count=sinr.size).reshape(sinr.shape)
+    arg, log = (1.0 + sinr).ravel(), np.empty(sinr.size)
+    for lo in range(0, arg.size, _LOG2_CHUNK):
+        chunk = arg[lo:lo + _LOG2_CHUNK].tolist()
+        log[lo:lo + len(chunk)] = np.fromiter(map(math.log2, chunk), float, len(chunk))
+    log = log.reshape(sinr.shape)
     with np.errstate(invalid="ignore"):  # 0 * inf at B = T with infinite SINR
         se = np.where(prelog > 0.0, n_users * prelog * log, 0.0)
     return SeResult(sinr=_plain(sinr), se_per_cell=_plain(se),

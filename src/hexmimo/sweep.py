@@ -17,27 +17,30 @@ expression over every feasible (N, K) pair of the grid and scatters the
 values into the runs they belong to.  The closed forms run on precomputed
 moment tables, so results are deterministic given the tables.
 
-Writing sweep.csv costs far more than the sweep: two float reprs per row.
-The writer cuts the run table into spans of whole runs holding about equal
-numbers of rows, formats each run's constant fields once and only K and the
-two floats per row.  When the process may run on more than one CPU and
-there are at least `_POOL_MIN_ROWS` rows, the spans are formatted by a pool
-of forked workers (`_fork.fork_map`): starting and stopping the pool costs
-about 20 ms, which that many rows repay on two CPUs.  The workers inherit
-both tables through the fork, so only span indices and the formatted bytes
-cross the pipes, and the parent writes each span as it arrives, in order.
-Smaller sweeps format in process and never import `multiprocessing`.  Both
-paths write the same bytes.
+sweep.csv is the run's largest output, with a float repr for each SINR
+and SE.  The writer cuts the run table into spans of whole runs holding
+about equal numbers of rows and lays out each span's lines as one 0x00-
+padded byte matrix: each run's constant fields formatted once, K and the
+floats by the numpy kernels of `_floatrepr`, which print them exactly as
+`str` and `repr` do; the padding is stripped at the end.  When the process
+may run on more than one CPU and there are at least `_POOL_MIN_ROWS` rows,
+the spans are formatted by a pool of forked workers (`_fork.fork_map`):
+starting and stopping the pool costs about 20 ms, a fifth of what that
+many rows take to format.  The workers inherit both tables through the
+fork, so only span indices and the formatted bytes cross the pipes, and
+the parent writes each span as it arrives, in order.  Smaller sweeps
+format in process and never import `multiprocessing`.  Both paths write
+the same bytes.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._fork import fork_map
+from ._floatrepr import float_reprs, int_digits
+from ._fork import available_cpus, fork_map
 from .config import InterferenceMode, NetworkConfig, validate
 from .errors import DomainError, EmptyFeasibleSet
 from .moments import MomentTable
@@ -50,8 +53,8 @@ ROW_DTYPE = np.dtype([("K", np.int64), ("sinr", np.float64), ("se", np.float64)]
 RUN_DTYPE = np.dtype([("mode", "U5"), ("N", np.int64), ("scheme", "U4"),
                       ("beta", np.int64), ("start", np.int64), ("stop", np.int64)])
 N_MAX = int(np.iinfo(RUN_DTYPE["N"]).max)  # the largest antenna count a run holds
-_SPAN_ROWS = 1 << 14      # rows held as Python objects at once while writing
-_POOL_MIN_ROWS = 1 << 15  # about 0.1 s of formatting, 5x the pool's start-up
+_SPAN_ROWS = 1 << 14      # rows laid out as one byte matrix: about 1 MiB
+_POOL_MIN_ROWS = 1 << 17  # about 0.1 s of formatting, 5x the pool's start-up
 
 
 @dataclass
@@ -194,22 +197,33 @@ def optimal_schedule(result: SweepResult, n_antennas: int, scheme: Scheme,
     return k, int(_runs_of(result, row)["beta"]), se
 
 
+def _padded(texts: list[bytes]) -> np.ndarray:
+    """One 0x00-padded row of bytes per text."""
+    return np.array(texts, np.bytes_).view(np.uint8).reshape(len(texts), -1)
+
+
 def _format_runs(rows: np.ndarray, runs: np.ndarray) -> bytes:
-    """The sweep.csv lines of `runs`, each the same bytes as
-    `"%d,%d,%d,%s,%s,%r,%r\\n" % (N, K, beta, scheme, mode, sinr, se)`."""
-    lines = []
-    for mode, n, scheme, beta, start, stop in runs.tolist():
-        head, middle = f"{n},", f",{beta},{scheme},{mode},"
-        part = rows[start:stop]
-        lines += [f"{head}{k}{middle}{x!r},{y!r}\n" for k, x, y in
-                  zip(part["K"].tolist(), part["sinr"].tolist(), part["se"].tolist())]
-    return "".join(lines).encode("utf-8")
+    """The sweep.csv lines of `runs`, consecutive records of a run table,
+    each the same bytes as `"%d,%d,%d,%s,%s,%r,%r\\n" % (N, K, beta, scheme,
+    mode, sinr, se)`.  The lines are laid out as one 0x00-padded byte
+    matrix; the padding is stripped at the end (no field holds 0x00)."""
+    part = rows[runs["start"][0]:runs["stop"][-1]]
+    n = len(part)
+    run_of = np.repeat(np.arange(len(runs)), runs["stop"] - runs["start"])
+    floats = float_reprs(np.concatenate((part["sinr"], part["se"])))
+    fields = [_padded([b"%d," % v for v in runs["N"].tolist()])[run_of],
+              int_digits(part["K"]),
+              _padded([f",{beta},{scheme},{mode},".encode()
+                       for mode, _, scheme, beta, _, _ in runs.tolist()])[run_of],
+              floats[:n], np.full((n, 1), ord(","), np.uint8), floats[n:],
+              np.full((n, 1), ord("\n"), np.uint8)]
+    return np.concatenate(fields, axis=1).tobytes().translate(None, b"\0")
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:
     """One CSV row per evaluated grid point (floats at full precision)."""
     rows, runs = result.rows, result.runs
-    workers = len(os.sched_getaffinity(0)) if len(rows) >= _POOL_MIN_ROWS else 1
+    workers = available_cpus() if len(rows) >= _POOL_MIN_ROWS else 1
     # a multiple of the worker count, so every worker formats about as many rows
     n_spans = min(workers * -(-len(rows) // (workers * _SPAN_ROWS)), len(rows))
     # each span ends at the first run boundary at or past its equal share of rows

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import hexmimo.cli as cli_module
 import hexmimo.sweep as sweep_module
+from hexmimo._fork import available_cpus
 from hexmimo.cli import main
 from hexmimo.config import InterferenceMode, NetworkConfig
 from hexmimo.errors import RankDeficient
@@ -405,6 +406,23 @@ def test_fixture_streams_do_not_depend_on_modes_or_cpus(tmp_path, monkeypatch):
     avg_only = json.loads(validation("avg", 1))["fixtures"]
     assert [f for f in json.loads(both)["fixtures"] if f["mode"] == "avg"] == avg_only
     assert {f["name"] for f in avg_only} >= {"seven_cell_pzfc_avg_large_n"}
+
+
+def test_cpu_count_without_an_affinity_call(tmp_path, monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity: the count falls back
+    # to os.cpu_count, and to 1 where that is unknown
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert available_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert available_cpus() == 1
+    # a run that asks for the count in the sweep writer and in the oracle
+    monkeypatch.setattr(sweep_module, "_POOL_MIN_ROWS", 0)
+    cfg = small_config(tmp_path, t_block=1000)
+    out = tmp_path / "out"
+    code = run_cli(["--config", cfg, "--out", out, "--modes", "avg", "--schemes", "mrc",
+                    "--validate", "--realizations", "400", *FAST_FLAGS])
+    assert code in (0, 1) and (out / "validation.json").exists()
 
 
 def _pool_modules_after_run(args, one_cpu=False):

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import hexmimo.spectral as spectral_module
 import hexmimo.sweep as sweep_module
 from hexmimo.config import InterferenceMode, NetworkConfig
 from hexmimo.errors import EmptyFeasibleSet
@@ -14,6 +15,7 @@ from hexmimo.spectral import Scheme, SinrInputs, se_from_sinr, sinr
 from hexmimo.sweep import (ROW_DTYPE, RUN_DTYPE, _argmax, default_k_grid,
                            default_n_grid, optimal_schedule, sweep,
                            write_optima_csv, write_sweep_csv)
+from test_floatrepr import REPR_EDGES
 
 AVG = InterferenceMode.AVERAGE
 WORST = InterferenceMode.WORST_CASE
@@ -105,19 +107,21 @@ def scalar_sweep(config, n_grid, k_grid, betas, schemes, modes, tables):
 
 
 def hand_built_result():
-    # runs of (mode, N, scheme, beta) of length 1 next to longer ones, and
-    # floats whose repr takes every form
-    runs = np.zeros(5, RUN_DTYPE)
-    runs["mode"] = ["avg", "avg", "avg", "avg", "worst"]
-    runs["N"] = [10, 10, 11, 11, 10]
-    runs["scheme"] = ["mrc", "mrc", "mrc", "pzfc", "pzfc"]
-    runs["beta"] = [1, 3, 3, 3, 3]
-    runs["start"] = [0, 2, 3, 4, 5]
-    runs["stop"] = [2, 3, 4, 5, 8]
-    rows = np.zeros(8, ROW_DTYPE)
-    rows["K"] = [1, 2, 3, 1, 1, 1, 2, 3]
-    rows["sinr"] = [0.0, math.inf, 1e-05, 1e16, 5e-324, 0.1 + 0.2, 2.5, 1e-300]
-    rows["se"] = [0.0, 1e16, 0.1 + 0.2, 5e-324, 1e-05, math.inf, 0.0, 123.456]
+    # runs of (mode, N, scheme, beta) of length 1 next to longer ones, floats
+    # whose repr takes every form and the edges of float_reprs' numpy path,
+    # and K from 1 to 19 digits
+    runs = np.zeros(6, RUN_DTYPE)
+    runs["mode"] = ["avg", "avg", "avg", "avg", "worst", "worst"]
+    runs["N"] = [10, 10, 11, 11, 10, 10 ** 18]
+    runs["scheme"] = ["mrc", "mrc", "mrc", "pzfc", "pzfc", "pzfc"]
+    runs["beta"] = [1, 3, 3, 3, 3, 7]
+    runs["start"] = [0, 2, 3, 4, 5, 8]
+    runs["stop"] = [2, 3, 4, 5, 8, 8 + len(REPR_EDGES)]
+    rows = np.zeros(8 + len(REPR_EDGES), ROW_DTYPE)
+    rows["K"] = ([1, 2, 3, 1, 1, 1, 2, 3]
+                 + [10 ** i - 1 for i in range(1, len(REPR_EDGES))] + [2 ** 63 - 1])
+    rows["sinr"] = [0.0, math.inf, 1e-05, 1e16, 5e-324, 0.1 + 0.2, 2.5, 1e-300] + REPR_EDGES
+    rows["se"] = [0.0, 1e16, 0.1 + 0.2, 5e-324, 1e-05, math.inf, 0.0, 123.456] + REPR_EDGES[::-1]
     return sweep_module.SweepResult(rows=rows, runs=runs, optima={}, n_skipped={})
 
 
@@ -359,6 +363,10 @@ def test_se_from_sinr_is_math_log2_bit_for_bit(avg_table):
     result = sweep(template(2000), default_n_grid(n_points=60), default_k_grid(2000),
                    [1, 3, 4, 7], [Scheme.MRC, Scheme.PZFC], [AVG], {AVG: avg_table})
     sinrs = result.rows["sinr"]
-    assert len(sinrs) > 10 ** 5
+    assert len(sinrs) > 10 ** 5 > 10 * spectral_module._LOG2_CHUNK
     se = se_from_sinr(sinrs, 1, 0, 2000).se_per_cell
     assert se.tolist() == [math.log2(1.0 + x) for x in sinrs.tolist()]
+    # a 2-D call whose last chunk is partial keeps each value in its place
+    grid = sinrs[-2 * (spectral_module._LOG2_CHUNK + 5):].reshape(2, -1)
+    assert se_from_sinr(grid, 1, 0, 2000).se_per_cell.tolist() == [
+        [math.log2(1.0 + x) for x in row] for row in grid.tolist()]
