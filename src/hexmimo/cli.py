@@ -38,7 +38,7 @@ from .sweep import (N_MAX, default_k_grid, default_n_grid, max_users, sweep,
 
 _DEFAULT_CONFIG = {
     "n_antennas": 100,       # placeholder; the sweep overrides N
-    "n_users": 10,           # placeholder; the sweep overrides K
+    "n_users": 1,            # placeholder; the sweep overrides K
     "coherence_block": 1000,
     "reuse_factor": 1,       # placeholder; the sweep overrides beta
     "snr_db": 10.0,
@@ -370,6 +370,10 @@ def _check_manifest(manifest: RunManifest) -> None:
     bad = [b for b in manifest.beta_set if b not in HEX_REUSE_FACTORS]
     if bad:
         raise DomainError(f"reuse factors {bad} not in {list(HEX_REUSE_FACTORS)}")
+    if manifest.run_asymptotic and template.coherence_block < 2 * max(manifest.beta_set):
+        raise DomainError("the asymptotic schedule needs T >= 2 beta for every reuse "
+                          f"factor, got T={template.coherence_block}, "
+                          f"beta={max(manifest.beta_set)}")
     # the run's user counts start at K = 1 (k_cap >= 1)
     for n in manifest.n_grid:
         for scheme in manifest.schemes:

@@ -73,22 +73,6 @@ def cells_in_tier(tier: int) -> list[CellIndex]:
     return out
 
 
-def cells_within_tier(tier: int) -> list[CellIndex]:
-    """All cells with ring distance <= tier, origin first, sorted per tier."""
-    out = []
-    for t in range(tier + 1):
-        out.extend(cells_in_tier(t))
-    return out
-
-
-def contains(cell: CellIndex, point: np.ndarray, radius: float,
-             tol: float = 1e-12) -> bool:
-    """Whether `point` lies in the closed hexagon of `cell`; points on shared
-    edges are contained in both adjacent hexagons."""
-    w = (np.asarray(point, dtype=float) - bs_position(cell, radius)) / radius
-    return bool(np.max(np.abs(_EDGE_AXES @ w)) <= _APOTHEM + tol)
-
-
 def reuse_group(cell: CellIndex, reuse_factor: int) -> int:
     """Reuse-group id of a cell, in {0, ..., beta - 1}.
 

@@ -33,8 +33,9 @@ R_q^H v = (psi_i / t_i) e_i fixed given the positions and
 Schur-complement property of the complex Wishart matrix (Goodman 1963),
 1 / (W_q^-1)_ii ~ Gamma(N - B + 1, 1).  So every realization costs one
 Gamma draw and U + q normals for either combiner, exact in distribution,
-instead of the O(N p) numbers of the explicit vectors.  `generate` keeps
-the explicit N-dim draws and serves as the cross-check for the shortcut.
+instead of the O(N p) numbers of the explicit vectors.  The explicit N-dim
+draws (`generate`, the LMMSE estimates and `combine`) live in
+`tests/reference.py`, where they serve as the cross-check for the shortcut.
 
 Everything here is deliberately independent of the closed-form module: the
 two must agree only through the physics.
@@ -63,41 +64,6 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     pairs = rng.standard_normal((*shape, 2))
     pairs *= math.sqrt(0.5)
     return pairs.view(complex)[..., 0]
-
-
-def dft_pilot_matrix(pilot_len: int) -> np.ndarray:
-    """B x B matrix of unit-modulus pilot columns with v^H v' = B * delta."""
-    a = np.arange(pilot_len)
-    return np.exp(-2j * np.pi * np.outer(a, a) / pilot_len)
-
-
-@dataclass
-class Realization:
-    """One coherence block at the victim BS (origin cell).
-
-    Users are indexed u = cell_rank * K + (k - 1) with `cells` sorted so the
-    origin cell comes first; `pilot_col` holds 0-based pilot columns.
-    """
-
-    config: NetworkConfig
-    plan: PilotPlan
-    cells: tuple[CellIndex, ...]
-    mode: InterferenceMode
-    positions: np.ndarray     # (U, 2) absolute UE coordinates
-    d_ratio: np.ndarray       # (U,) victim-to-serving channel variance ratio
-    tx_power: np.ndarray      # (U,) statistics-inverting uplink powers
-    pilot_col: np.ndarray     # (U,) int
-    pilot_matrix: np.ndarray  # (B, B) complex
-    channel: np.ndarray       # (N, U) raw channels to the victim BS
-    h_eff: np.ndarray         # (N, U) power-controlled effective channels
-    y_pilot: np.ndarray       # (N, B) received pilot block
-    psi: np.ndarray           # (B,) pilot-direction powers (real)
-
-    def user_index(self, cell: CellIndex, user: int) -> int:
-        """Flat index of user `user` (1-based) of `cell`."""
-        if not 1 <= user <= self.plan.n_users:
-            raise IndexError(f"user {user} out of range [1, {self.plan.n_users}]")
-        return self.cells.index(CellIndex(*cell)) * self.plan.n_users + (user - 1)
 
 
 def _sorted_cells(cells) -> tuple[CellIndex, ...]:
@@ -131,23 +97,6 @@ def _pinned_positions(config: NetworkConfig, cells,
             for ci, cell in enumerate(cells) if cell != (0, 0)}
 
 
-def _draw_positions(config: NetworkConfig, cells, pinned: dict[int, np.ndarray],
-                    rng: np.random.Generator, n_real: int) -> np.ndarray:
-    """(n_real, U, 2) UE positions: the `pinned` ones, the rest drawn."""
-    k = config.n_users
-    r = config.cell_radius
-    frac = config.min_ue_distance_frac
-    out = np.empty((n_real, len(cells) * k, 2))
-    for ci, cell in enumerate(cells):
-        sl = slice(ci * k, (ci + 1) * k)
-        if ci in pinned:
-            out[:, sl, :] = pinned[ci]
-        else:
-            pts = sample_ue_positions(cell, r, frac, rng, n_real * k)
-            out[:, sl, :] = pts.reshape(n_real, k, 2)
-    return out
-
-
 def _squared_distances(positions: np.ndarray, centers: np.ndarray):
     """(serving_sq, victim_sq): squared distances of positions (..., U, 2) to
     their serving BS (`centers`) and to the victim BS at the origin."""
@@ -156,23 +105,13 @@ def _squared_distances(positions: np.ndarray, centers: np.ndarray):
             positions[..., 0] ** 2 + positions[..., 1] ** 2)
 
 
-def _distance_fields(config: NetworkConfig, centers: np.ndarray,
-                     positions: np.ndarray):
-    """(d_ratio, tx_power, d_victim) for positions of shape (..., U, 2)."""
-    half_kappa = config.pathloss_exponent / 2
-    serving_sq, victim_sq = _squared_distances(positions, centers)
-    d_ratio = (serving_sq / victim_sq) ** half_kappa
-    tx_power = config.snr_linear * serving_sq ** half_kappa / config.pathloss_ref
-    d_victim = config.pathloss_ref / victim_sq ** half_kappa
-    return d_ratio, tx_power, d_victim
-
-
 def _ratio_sampler(config: NetworkConfig, cells, centers: np.ndarray,
                    mode: InterferenceMode):
     """draw(rng, m) -> (m, U) victim-to-serving variance ratios d_ratio.
 
-    The drawn cells are sampled in cell order, the stream `_draw_positions`
-    consumes; the pinned users' ratios are computed once, here."""
+    The drawn cells are sampled in cell order, the stream that the test
+    reference `_draw_positions` (tests/reference.py) consumes; the pinned
+    users' ratios are computed once, here."""
     k = config.n_users
     half_kappa = config.pathloss_exponent / 2
     pinned = _pinned_positions(config, cells, mode)
@@ -218,122 +157,6 @@ def _slot_summer(slot: np.ndarray, q: int):
         return out
 
     return sums
-
-
-def _psi(d_ratio: np.ndarray, cols: np.ndarray, pilot_len: int,
-         inv_snr: float) -> np.ndarray:
-    """Pilot-direction powers: psi_b = B * sum_{u on pilot b} d_ratio_u + inv_snr."""
-    out = np.full(d_ratio.shape[:-1] + (pilot_len,), inv_snr)
-    for b in range(pilot_len):
-        mask = cols == b
-        if mask.any():
-            out[..., b] += pilot_len * d_ratio[..., mask].sum(axis=-1)
-    return out
-
-
-def generate(config: NetworkConfig, plan: PilotPlan, cells,
-             mode: InterferenceMode, rng: np.random.Generator) -> Realization:
-    """Draw one complete coherence-block realization at the victim BS."""
-    validate(config)
-    cells = _sorted_cells(cells)
-    centers, cols = _layout(config, plan, cells)
-    n, b = config.n_antennas, plan.pilot_len
-
-    positions = _draw_positions(config, cells,
-                                 _pinned_positions(config, cells, mode), rng, 1)[0]
-    d_ratio, tx_power, d_victim = _distance_fields(config, centers, positions)
-
-    shape = (n, len(cols))
-    channel = np.sqrt(d_victim / 2.0) * (rng.standard_normal(shape)
-                                         + 1j * rng.standard_normal(shape))
-    h_eff = np.sqrt(tx_power) * channel
-    pilot_matrix = dft_pilot_matrix(b)
-    pilot_rows = pilot_matrix.conj().T[cols]            # (U, B), rows v^H
-    noise = math.sqrt(0.5) * (rng.standard_normal((n, b))
-                              + 1j * rng.standard_normal((n, b)))
-    y_pilot = h_eff @ pilot_rows + noise
-    psi = _psi(d_ratio, cols, b, config.inv_snr)
-
-    return Realization(config=config, plan=plan, cells=cells, mode=mode,
-                       positions=positions, d_ratio=d_ratio, tx_power=tx_power,
-                       pilot_col=cols, pilot_matrix=pilot_matrix,
-                       channel=channel, h_eff=h_eff, y_pilot=y_pilot, psi=psi)
-
-
-def estimate_book(realization: Realization) -> np.ndarray:
-    """N x B matrix of estimated directions, one per pilot sequence."""
-    return (realization.y_pilot @ realization.pilot_matrix) / realization.psi
-
-
-def lmmse_estimate(realization: Realization, cell: CellIndex, user: int) -> np.ndarray:
-    """LMMSE estimate of the effective channel of one user.
-
-    Scalar-denominator form: correlating the pilot block with the user's
-    pilot sequence and dividing by that pilot direction's total power, then
-    scaling by the user's victim-to-serving variance ratio.
-    """
-    u = realization.user_index(cell, user)
-    col = realization.pilot_col[u]
-    v = realization.pilot_matrix[:, col]
-    # variance-ratio scaling applied last: copilot users' estimates are then
-    # exactly proportional (they share the same pilot-direction vector)
-    return realization.d_ratio[u] * ((realization.y_pilot @ v) / realization.psi[col])
-
-
-def lmmse_estimate_kron(realization: Realization, cell: CellIndex,
-                        user: int) -> np.ndarray:
-    """LMMSE estimate via the explicit Kronecker/vectorized form.
-
-    Builds the full B x B pilot-domain covariance, applies its inverse on the
-    user's pilot, and lifts the result with kron(. , I_N) onto the vectorized
-    pilot block.  Algebraically identical to `lmmse_estimate`; kept as an
-    independent implementation for cross-checking (it inverts a matrix the
-    scalar form never forms).
-    """
-    u = realization.user_index(cell, user)
-    cfg = realization.config
-    vmat = realization.pilot_matrix
-    cols = realization.pilot_col
-    v_used = vmat[:, cols]                                # (B, U)
-    psi_mat = (v_used * realization.d_ratio) @ v_used.conj().T \
-        + cfg.inv_snr * np.eye(vmat.shape[0])
-    v = vmat[:, cols[u]]
-    row = np.conj(v.conj() @ np.linalg.inv(psi_mat))      # conj(v^H Psi^-1)
-    lift = np.kron(row, np.eye(cfg.n_antennas))
-    return realization.d_ratio[u] * (lift @ realization.y_pilot.flatten(order="F"))
-
-
-def estimation_error_scale(realization: Realization, cell: CellIndex,
-                           user: int) -> float:
-    """Per-antenna variance of the estimation error; the MSE is N times this."""
-    u = realization.user_index(cell, user)
-    cfg = realization.config
-    dr = realization.d_ratio[u]
-    b = realization.plan.pilot_len
-    col = realization.pilot_col[u]
-    return cfg.snr_linear * dr * (1.0 - dr * b / realization.psi[col])
-
-
-def combine(realization: Realization, scheme: Scheme, user: int) -> np.ndarray:
-    """Receive beamformer for own-cell user `user` (1-based).
-
-    MRC returns the estimated own channel direction; PZFC inverts the Gram
-    matrix of all B estimated directions to place a unit response on the
-    user's pilot direction and nulls on the other B - 1.
-    """
-    book = estimate_book(realization)
-    i = realization.pilot_col[realization.user_index(CellIndex(0, 0), user)]
-    if scheme is Scheme.MRC:
-        return book[:, i]
-    gram = book.conj().T @ book
-    w = np.linalg.eigvalsh(gram)
-    # condition number lambda_max / lambda_min of at least 1e12, or an
-    # undefined one (zero or non-finite spectrum)
-    if not w[-1] < 1e12 * w[0]:
-        raise RankDeficient("estimated pilot book is numerically rank deficient")
-    rhs = np.zeros(gram.shape[0])
-    rhs[i] = 1.0
-    return book @ np.linalg.solve(gram, rhs)
 
 
 @dataclass(frozen=True)
@@ -496,42 +319,3 @@ def _measured(sizes, s1_sums: np.ndarray, pow_sums: np.ndarray,
     return MeasuredSinr(sinr=float(sinr), std_error=std_error,
                         n_realizations=int(total), terms=terms,
                         batch_sinrs=batch_sinrs)
-
-
-def measure_estimation_mse(realization: Realization, n_realizations: int,
-                           rng: np.random.Generator, cell: CellIndex,
-                           user: int) -> tuple[float, float]:
-    """Empirical MSE of the LMMSE estimate at fixed UE positions.
-
-    Redraws channels and noise `n_realizations` times with the positions (and
-    hence the error covariance) of `realization` held fixed; returns the mean
-    squared error and its standard error.
-    """
-    cfg = realization.config
-    n, b = cfg.n_antennas, realization.plan.pilot_len
-    cols = realization.pilot_col
-    u = realization.user_index(cell, user)
-    dr = realization.d_ratio
-    vmat = realization.pilot_matrix
-    pilot_rows = vmat.conj().T[cols]
-    psi_col = realization.psi[cols[u]]
-    v = vmat[:, cols[u]]
-
-    err_sq = np.empty(n_realizations)
-    done = 0
-    chunk = max(1, min(n_realizations, _CHUNK_ELEMS // max(1, n * len(cols))))
-    while done < n_realizations:
-        m = min(chunk, n_realizations - done)
-        scale = np.sqrt(cfg.snr_linear * dr / 2.0)[None, None, :]
-        h_eff = scale * (rng.standard_normal((m, n, len(cols)))
-                         + 1j * rng.standard_normal((m, n, len(cols))))
-        noise = math.sqrt(0.5) * (rng.standard_normal((m, n, b))
-                                  + 1j * rng.standard_normal((m, n, b)))
-        y_pilot = h_eff @ pilot_rows + noise
-        est = dr[u] * (y_pilot @ v) / psi_col
-        diff = h_eff[:, :, u] - est
-        err_sq[done:done + m] = (diff.real ** 2 + diff.imag ** 2).sum(axis=1)
-        done += m
-    mse = float(err_sq.mean())
-    se = float(err_sq.std(ddof=1) / math.sqrt(n_realizations))
-    return mse, se

@@ -2,9 +2,11 @@
 
 A pilot book holds B = beta * K mutually orthogonal sequences of length B
 with inner product B on the diagonal and 0 off it.  The closed-form SINR
-expressions only consume these inner products, so pilots are represented by
-integer indices here; explicit sequences (DFT columns) are materialized only
-by the link-level simulator.
+expressions only consume these inner products, resolved against the reuse
+partition, so pilots are represented by integer indices here.  The explicit
+inner product and the explicit sequences (DFT columns) live in
+`tests/reference.py`, the references the tests compare the closed forms and
+the link-level oracle against.
 
 The book is split into beta blocks of K pilots.  All cells of reuse group g
 use block g, with user k taking slot k; cells in the same group therefore
@@ -48,12 +50,3 @@ class PilotPlan:
         if not 1 <= user <= self.n_users:
             raise IndexError(f"user {user} out of range [1, {self.n_users}]")
         return group * self.n_users + user
-
-
-def inner_product(i1: int, i2: int, pilot_len: int) -> float:
-    """Inner product of two pilot sequences from an orthogonal book:
-    B if the indices match, 0 otherwise."""
-    if not (1 <= i1 <= pilot_len and 1 <= i2 <= pilot_len):
-        raise IndexError(f"pilot indices must be in [1, {pilot_len}]")
-    return float(pilot_len) if i1 == i2 else 0.0
-

@@ -7,13 +7,12 @@ cost of an array-gain reduction from N to N - B.  Both admit closed forms in
 the coupling moments of the interfering cells and the pilot inner products,
 and both converge to the same pilot-contamination-limited SINR as N grows.
 
-Every expression exists in two algebraically equivalent forms:
-
-* a generic form that literally sums over every (cell, user) pair with
-  explicit pilot inner products (0 or B) -- slow, used as a cross-check;
-* a collapsed form in which the inner products are resolved against the
-  reuse partition, leaving per-group moment sums -- O(#cells), used by the
-  sweep on whole arrays of (N, K) pairs.
+Every expression is evaluated in collapsed form: the pilot inner products
+are resolved against the reuse partition, leaving per-group moment sums
+(`CopilotSums`) -- O(#cells), used by the sweep on whole arrays of (N, K)
+pairs.  The generic forms, which literally sum over every (cell, user) pair
+with explicit pilot inner products (0 or B), are algebraically equivalent
+and live in `tests/reference.py` as the tests' cross-check.
 
 The per-cell spectral efficiency is K * (1 - B/T) * log2(1 + SINR): power
 control gives every user of the symmetric network the same SINR, and B of
@@ -32,7 +31,7 @@ from .config import NetworkConfig, validate
 from .errors import DomainError, InsufficientAntennas
 from .hexgrid import CellIndex, reuse_group
 from .moments import MomentTable
-from .pilots import PilotPlan, inner_product
+from .pilots import PilotPlan
 
 _LOG2_CHUNK = 1 << 12  # SINRs held as Python floats at once by se_from_sinr
 
@@ -246,83 +245,3 @@ def kstar_asymptotic(coherence_block: int, reuse_factor: int) -> set[int]:
     best = max(score.values())
     return {k for k, s in score.items() if s == best}
 
-
-# ---------------------------------------------------------------------------
-# generic (literal) evaluations used to cross-check the collapsed forms
-
-
-def _pilot_indices(plan: PilotPlan, tier_set) -> list[list[int]]:
-    """Pilot index of every (cell, user) pair in the tier set."""
-    beta = plan.reuse_factor
-    return [[plan.assign(reuse_group(c, beta), m)
-             for m in range(1, plan.n_users + 1)] for c in tier_set]
-
-
-def sinr_mrc_generic(inputs: SinrInputs, user: int = 1) -> float:
-    """MRC SINR by literal summation over every (cell, user) pair."""
-    cfg = inputs.config
-    n, k, b, inv_snr = (float(cfg.n_antennas), cfg.n_users, cfg.pilot_len,
-                        cfg.inv_snr)
-    cells = inputs.tier_set
-    mu1 = [inputs.moments.entry(c).mu1 for c in cells]
-    mu2 = [inputs.moments.entry(c).mu2 for c in cells]
-    idx = _pilot_indices(inputs.plan, cells)
-    i_target = inputs.plan.assign(reuse_group(CellIndex(0, 0), cfg.reuse_factor), user)
-
-    gain_deficit = sum(mu1) * k / n + inv_snr / n
-    pilot_power = inv_snr
-    contamination = 0.0
-    for ci in range(len(cells)):
-        for m in range(k):
-            ip = inner_product(i_target, idx[ci][m], b)
-            pilot_power += mu1[ci] * ip
-            contamination += (mu2[ci] + (mu2[ci] - mu1[ci] ** 2) / n) * ip
-    denom = gain_deficit * pilot_power + contamination - b
-    return b / denom if denom > 0 else math.inf
-
-
-def sinr_pzfc_generic(inputs: SinrInputs, user: int = 1) -> float:
-    """PZFC SINR by literal summation over every (cell, user) pair."""
-    cfg = inputs.config
-    n, k, b, inv_snr = (float(cfg.n_antennas), cfg.n_users, cfg.pilot_len,
-                        cfg.inv_snr)
-    if cfg.n_antennas <= cfg.pilot_len:
-        raise InsufficientAntennas(
-            f"PZFC needs N > B, got N={cfg.n_antennas}, B={cfg.pilot_len}")
-    cells = inputs.tier_set
-    mu1 = [inputs.moments.entry(c).mu1 for c in cells]
-    mu2 = [inputs.moments.entry(c).mu2 for c in cells]
-    idx = _pilot_indices(inputs.plan, cells)
-    i_target = inputs.plan.assign(reuse_group(CellIndex(0, 0), cfg.reuse_factor), user)
-
-    contamination = 0.0
-    residual = inv_snr
-    pilot_power = inv_snr
-    for ci in range(len(cells)):
-        for m in range(k):
-            ip = inner_product(i_target, idx[ci][m], b)
-            contamination += (mu2[ci] + (mu2[ci] - mu1[ci] ** 2) / (n - b)) * ip
-            pilot_power += mu1[ci] * ip
-            # contamination of the pilot direction this user was estimated on
-            own_direction = inv_snr
-            for cj in range(len(cells)):
-                for m2 in range(k):
-                    own_direction += mu1[cj] * inner_product(idx[ci][m], idx[cj][m2], b)
-            residual += mu1[ci] * (1.0 - b * mu1[ci] / own_direction)
-    denom = contamination + residual * pilot_power / (n - b) - b
-    return b / denom if denom > 0 else math.inf
-
-
-def asymptotic_sinr_generic(inputs: SinrInputs, user: int = 1) -> float:
-    """Large-N SINR limit by literal summation."""
-    cfg = inputs.config
-    b = cfg.pilot_len
-    cells = inputs.tier_set
-    idx = _pilot_indices(inputs.plan, cells)
-    i_target = inputs.plan.assign(reuse_group(CellIndex(0, 0), cfg.reuse_factor), user)
-    denom = -float(b)
-    for ci, c in enumerate(cells):
-        mu2 = inputs.moments.entry(c).mu2
-        for m in range(cfg.n_users):
-            denom += mu2 * inner_product(i_target, idx[ci][m], b)
-    return b / denom if denom > 0 else math.inf

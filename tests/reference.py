@@ -1,0 +1,373 @@
+"""Reference implementations that the tests compare the library against.
+
+The library keeps one code path per job: the closed forms the sweep
+evaluates, and the link-level oracle `hexmimo.linklevel.measure_sinr`,
+which draws only W C.  The slower, literal forms of the same quantities
+live here, because only tests call them:
+
+* geometry: the tier disks around the origin and the closed-hexagon
+  membership test;
+* pilots: the inner product of two pilot sequences of an orthogonal book;
+* closed forms: the "generic" SINRs, which sum over every (cell, user) pair
+  with explicit pilot inner products, next to the library's collapsed forms;
+* link level: an explicit coherence block in C^N (`generate`, a
+  `Realization`), its LMMSE estimates in scalar and Kronecker form, the
+  estimated pilot book and the MRC and zero-forcing combiners built from it,
+  the estimation error, and the helpers that draw positions and pilot powers.
+  These cross-check the W C shortcut of `measure_sinr` and the LMMSE terms
+  of the closed forms.
+
+Import from a test module as ``from reference import ...``; pytest puts
+``tests/`` on the import path.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from hexmimo.config import InterferenceMode, NetworkConfig, validate
+from hexmimo.errors import InsufficientAntennas, RankDeficient
+from hexmimo.hexgrid import (_APOTHEM, _EDGE_AXES, CellIndex, bs_position,
+                             cells_in_tier, reuse_group, sample_ue_positions)
+from hexmimo.linklevel import (_CHUNK_ELEMS, _layout, _pinned_positions,
+                               _sorted_cells, _squared_distances)
+from hexmimo.pilots import PilotPlan
+from hexmimo.spectral import Scheme, SinrInputs
+
+
+# ---------------------------------------------------------------------------
+# geometry
+
+
+def cells_within_tier(tier: int) -> list[CellIndex]:
+    """All cells with ring distance <= tier, origin first, sorted per tier."""
+    out = []
+    for t in range(tier + 1):
+        out.extend(cells_in_tier(t))
+    return out
+
+
+def contains(cell: CellIndex, point: np.ndarray, radius: float,
+             tol: float = 1e-12) -> bool:
+    """Whether `point` lies in the closed hexagon of `cell`; points on shared
+    edges are contained in both adjacent hexagons."""
+    w = (np.asarray(point, dtype=float) - bs_position(cell, radius)) / radius
+    return bool(np.max(np.abs(_EDGE_AXES @ w)) <= _APOTHEM + tol)
+
+
+# ---------------------------------------------------------------------------
+# pilot inner products
+
+
+def inner_product(i1: int, i2: int, pilot_len: int) -> float:
+    """Inner product of two pilot sequences from an orthogonal book:
+    B if the indices match, 0 otherwise."""
+    if not (1 <= i1 <= pilot_len and 1 <= i2 <= pilot_len):
+        raise IndexError(f"pilot indices must be in [1, {pilot_len}]")
+    return float(pilot_len) if i1 == i2 else 0.0
+
+
+# ---------------------------------------------------------------------------
+# generic (literal) closed forms, checked against the collapsed ones
+
+
+def _pilot_indices(plan: PilotPlan, tier_set) -> list[list[int]]:
+    """Pilot index of every (cell, user) pair in the tier set."""
+    beta = plan.reuse_factor
+    return [[plan.assign(reuse_group(c, beta), m)
+             for m in range(1, plan.n_users + 1)] for c in tier_set]
+
+
+def sinr_mrc_generic(inputs: SinrInputs, user: int = 1) -> float:
+    """MRC SINR by literal summation over every (cell, user) pair."""
+    cfg = inputs.config
+    n, k, b, inv_snr = (float(cfg.n_antennas), cfg.n_users, cfg.pilot_len,
+                        cfg.inv_snr)
+    cells = inputs.tier_set
+    mu1 = [inputs.moments.entry(c).mu1 for c in cells]
+    mu2 = [inputs.moments.entry(c).mu2 for c in cells]
+    idx = _pilot_indices(inputs.plan, cells)
+    i_target = inputs.plan.assign(reuse_group(CellIndex(0, 0), cfg.reuse_factor), user)
+
+    gain_deficit = sum(mu1) * k / n + inv_snr / n
+    pilot_power = inv_snr
+    contamination = 0.0
+    for ci in range(len(cells)):
+        for m in range(k):
+            ip = inner_product(i_target, idx[ci][m], b)
+            pilot_power += mu1[ci] * ip
+            contamination += (mu2[ci] + (mu2[ci] - mu1[ci] ** 2) / n) * ip
+    denom = gain_deficit * pilot_power + contamination - b
+    return b / denom if denom > 0 else math.inf
+
+
+def sinr_pzfc_generic(inputs: SinrInputs, user: int = 1) -> float:
+    """PZFC SINR by literal summation over every (cell, user) pair."""
+    cfg = inputs.config
+    n, k, b, inv_snr = (float(cfg.n_antennas), cfg.n_users, cfg.pilot_len,
+                        cfg.inv_snr)
+    if cfg.n_antennas <= cfg.pilot_len:
+        raise InsufficientAntennas(
+            f"PZFC needs N > B, got N={cfg.n_antennas}, B={cfg.pilot_len}")
+    cells = inputs.tier_set
+    mu1 = [inputs.moments.entry(c).mu1 for c in cells]
+    mu2 = [inputs.moments.entry(c).mu2 for c in cells]
+    idx = _pilot_indices(inputs.plan, cells)
+    i_target = inputs.plan.assign(reuse_group(CellIndex(0, 0), cfg.reuse_factor), user)
+
+    contamination = 0.0
+    residual = inv_snr
+    pilot_power = inv_snr
+    for ci in range(len(cells)):
+        for m in range(k):
+            ip = inner_product(i_target, idx[ci][m], b)
+            contamination += (mu2[ci] + (mu2[ci] - mu1[ci] ** 2) / (n - b)) * ip
+            pilot_power += mu1[ci] * ip
+            # contamination of the pilot direction this user was estimated on
+            own_direction = inv_snr
+            for cj in range(len(cells)):
+                for m2 in range(k):
+                    own_direction += mu1[cj] * inner_product(idx[ci][m], idx[cj][m2], b)
+            residual += mu1[ci] * (1.0 - b * mu1[ci] / own_direction)
+    denom = contamination + residual * pilot_power / (n - b) - b
+    return b / denom if denom > 0 else math.inf
+
+
+def asymptotic_sinr_generic(inputs: SinrInputs, user: int = 1) -> float:
+    """Large-N SINR limit by literal summation."""
+    cfg = inputs.config
+    b = cfg.pilot_len
+    cells = inputs.tier_set
+    idx = _pilot_indices(inputs.plan, cells)
+    i_target = inputs.plan.assign(reuse_group(CellIndex(0, 0), cfg.reuse_factor), user)
+    denom = -float(b)
+    for ci, c in enumerate(cells):
+        mu2 = inputs.moments.entry(c).mu2
+        for m in range(cfg.n_users):
+            denom += mu2 * inner_product(i_target, idx[ci][m], b)
+    return b / denom if denom > 0 else math.inf
+
+
+# ---------------------------------------------------------------------------
+# explicit link level in C^N, checked against measure_sinr's W C draw
+
+
+def dft_pilot_matrix(pilot_len: int) -> np.ndarray:
+    """B x B matrix of unit-modulus pilot columns with v^H v' = B * delta."""
+    a = np.arange(pilot_len)
+    return np.exp(-2j * np.pi * np.outer(a, a) / pilot_len)
+
+
+@dataclass
+class Realization:
+    """One coherence block at the victim BS (origin cell).
+
+    Users are indexed u = cell_rank * K + (k - 1) with `cells` sorted so the
+    origin cell comes first; `pilot_col` holds 0-based pilot columns.
+    """
+
+    config: NetworkConfig
+    plan: PilotPlan
+    cells: tuple[CellIndex, ...]
+    mode: InterferenceMode
+    positions: np.ndarray     # (U, 2) absolute UE coordinates
+    d_ratio: np.ndarray       # (U,) victim-to-serving channel variance ratio
+    tx_power: np.ndarray      # (U,) statistics-inverting uplink powers
+    pilot_col: np.ndarray     # (U,) int
+    pilot_matrix: np.ndarray  # (B, B) complex
+    channel: np.ndarray       # (N, U) raw channels to the victim BS
+    h_eff: np.ndarray         # (N, U) power-controlled effective channels
+    y_pilot: np.ndarray       # (N, B) received pilot block
+    psi: np.ndarray           # (B,) pilot-direction powers (real)
+
+    def user_index(self, cell: CellIndex, user: int) -> int:
+        """Flat index of user `user` (1-based) of `cell`."""
+        if not 1 <= user <= self.plan.n_users:
+            raise IndexError(f"user {user} out of range [1, {self.plan.n_users}]")
+        return self.cells.index(CellIndex(*cell)) * self.plan.n_users + (user - 1)
+
+
+def _draw_positions(config: NetworkConfig, cells, pinned: dict[int, np.ndarray],
+                    rng: np.random.Generator, n_real: int) -> np.ndarray:
+    """(n_real, U, 2) UE positions: the `pinned` ones, the rest drawn."""
+    k = config.n_users
+    r = config.cell_radius
+    frac = config.min_ue_distance_frac
+    out = np.empty((n_real, len(cells) * k, 2))
+    for ci, cell in enumerate(cells):
+        sl = slice(ci * k, (ci + 1) * k)
+        if ci in pinned:
+            out[:, sl, :] = pinned[ci]
+        else:
+            pts = sample_ue_positions(cell, r, frac, rng, n_real * k)
+            out[:, sl, :] = pts.reshape(n_real, k, 2)
+    return out
+
+
+def _distance_fields(config: NetworkConfig, centers: np.ndarray,
+                     positions: np.ndarray):
+    """(d_ratio, tx_power, d_victim) for positions of shape (..., U, 2)."""
+    half_kappa = config.pathloss_exponent / 2
+    serving_sq, victim_sq = _squared_distances(positions, centers)
+    d_ratio = (serving_sq / victim_sq) ** half_kappa
+    tx_power = config.snr_linear * serving_sq ** half_kappa / config.pathloss_ref
+    d_victim = config.pathloss_ref / victim_sq ** half_kappa
+    return d_ratio, tx_power, d_victim
+
+
+def _psi(d_ratio: np.ndarray, cols: np.ndarray, pilot_len: int,
+         inv_snr: float) -> np.ndarray:
+    """Pilot-direction powers: psi_b = B * sum_{u on pilot b} d_ratio_u + inv_snr."""
+    out = np.full(d_ratio.shape[:-1] + (pilot_len,), inv_snr)
+    for b in range(pilot_len):
+        mask = cols == b
+        if mask.any():
+            out[..., b] += pilot_len * d_ratio[..., mask].sum(axis=-1)
+    return out
+
+
+def generate(config: NetworkConfig, plan: PilotPlan, cells,
+             mode: InterferenceMode, rng: np.random.Generator) -> Realization:
+    """Draw one complete coherence-block realization at the victim BS."""
+    validate(config)
+    cells = _sorted_cells(cells)
+    centers, cols = _layout(config, plan, cells)
+    n, b = config.n_antennas, plan.pilot_len
+
+    positions = _draw_positions(config, cells,
+                                 _pinned_positions(config, cells, mode), rng, 1)[0]
+    d_ratio, tx_power, d_victim = _distance_fields(config, centers, positions)
+
+    shape = (n, len(cols))
+    channel = np.sqrt(d_victim / 2.0) * (rng.standard_normal(shape)
+                                         + 1j * rng.standard_normal(shape))
+    h_eff = np.sqrt(tx_power) * channel
+    pilot_matrix = dft_pilot_matrix(b)
+    pilot_rows = pilot_matrix.conj().T[cols]            # (U, B), rows v^H
+    noise = math.sqrt(0.5) * (rng.standard_normal((n, b))
+                              + 1j * rng.standard_normal((n, b)))
+    y_pilot = h_eff @ pilot_rows + noise
+    psi = _psi(d_ratio, cols, b, config.inv_snr)
+
+    return Realization(config=config, plan=plan, cells=cells, mode=mode,
+                       positions=positions, d_ratio=d_ratio, tx_power=tx_power,
+                       pilot_col=cols, pilot_matrix=pilot_matrix,
+                       channel=channel, h_eff=h_eff, y_pilot=y_pilot, psi=psi)
+
+
+def estimate_book(realization: Realization) -> np.ndarray:
+    """N x B matrix of estimated directions, one per pilot sequence."""
+    return (realization.y_pilot @ realization.pilot_matrix) / realization.psi
+
+
+def lmmse_estimate(realization: Realization, cell: CellIndex, user: int) -> np.ndarray:
+    """LMMSE estimate of the effective channel of one user.
+
+    Scalar-denominator form: correlating the pilot block with the user's
+    pilot sequence and dividing by that pilot direction's total power, then
+    scaling by the user's victim-to-serving variance ratio.
+    """
+    u = realization.user_index(cell, user)
+    col = realization.pilot_col[u]
+    v = realization.pilot_matrix[:, col]
+    # variance-ratio scaling applied last: copilot users' estimates are then
+    # exactly proportional (they share the same pilot-direction vector)
+    return realization.d_ratio[u] * ((realization.y_pilot @ v) / realization.psi[col])
+
+
+def lmmse_estimate_kron(realization: Realization, cell: CellIndex,
+                        user: int) -> np.ndarray:
+    """LMMSE estimate via the explicit Kronecker/vectorized form.
+
+    Builds the full B x B pilot-domain covariance, applies its inverse on the
+    user's pilot, and lifts the result with kron(. , I_N) onto the vectorized
+    pilot block.  Algebraically identical to `lmmse_estimate`; kept as an
+    independent implementation for cross-checking (it inverts a matrix the
+    scalar form never forms).
+    """
+    u = realization.user_index(cell, user)
+    cfg = realization.config
+    vmat = realization.pilot_matrix
+    cols = realization.pilot_col
+    v_used = vmat[:, cols]                                # (B, U)
+    psi_mat = (v_used * realization.d_ratio) @ v_used.conj().T \
+        + cfg.inv_snr * np.eye(vmat.shape[0])
+    v = vmat[:, cols[u]]
+    row = np.conj(v.conj() @ np.linalg.inv(psi_mat))      # conj(v^H Psi^-1)
+    lift = np.kron(row, np.eye(cfg.n_antennas))
+    return realization.d_ratio[u] * (lift @ realization.y_pilot.flatten(order="F"))
+
+
+def estimation_error_scale(realization: Realization, cell: CellIndex,
+                           user: int) -> float:
+    """Per-antenna variance of the estimation error; the MSE is N times this."""
+    u = realization.user_index(cell, user)
+    cfg = realization.config
+    dr = realization.d_ratio[u]
+    b = realization.plan.pilot_len
+    col = realization.pilot_col[u]
+    return cfg.snr_linear * dr * (1.0 - dr * b / realization.psi[col])
+
+
+def combine(realization: Realization, scheme: Scheme, user: int) -> np.ndarray:
+    """Receive beamformer for own-cell user `user` (1-based).
+
+    MRC returns the estimated own channel direction; PZFC inverts the Gram
+    matrix of all B estimated directions to place a unit response on the
+    user's pilot direction and nulls on the other B - 1.
+    """
+    book = estimate_book(realization)
+    i = realization.pilot_col[realization.user_index(CellIndex(0, 0), user)]
+    if scheme is Scheme.MRC:
+        return book[:, i]
+    gram = book.conj().T @ book
+    w = np.linalg.eigvalsh(gram)
+    # condition number lambda_max / lambda_min of at least 1e12, or an
+    # undefined one (zero or non-finite spectrum)
+    if not w[-1] < 1e12 * w[0]:
+        raise RankDeficient("estimated pilot book is numerically rank deficient")
+    rhs = np.zeros(gram.shape[0])
+    rhs[i] = 1.0
+    return book @ np.linalg.solve(gram, rhs)
+
+
+def measure_estimation_mse(realization: Realization, n_realizations: int,
+                           rng: np.random.Generator, cell: CellIndex,
+                           user: int) -> tuple[float, float]:
+    """Empirical MSE of the LMMSE estimate at fixed UE positions.
+
+    Redraws channels and noise `n_realizations` times with the positions (and
+    hence the error covariance) of `realization` held fixed; returns the mean
+    squared error and its standard error.
+    """
+    cfg = realization.config
+    n, b = cfg.n_antennas, realization.plan.pilot_len
+    cols = realization.pilot_col
+    u = realization.user_index(cell, user)
+    dr = realization.d_ratio
+    vmat = realization.pilot_matrix
+    pilot_rows = vmat.conj().T[cols]
+    psi_col = realization.psi[cols[u]]
+    v = vmat[:, cols[u]]
+
+    err_sq = np.empty(n_realizations)
+    done = 0
+    chunk = max(1, min(n_realizations, _CHUNK_ELEMS // max(1, n * len(cols))))
+    while done < n_realizations:
+        m = min(chunk, n_realizations - done)
+        scale = np.sqrt(cfg.snr_linear * dr / 2.0)[None, None, :]
+        h_eff = scale * (rng.standard_normal((m, n, len(cols)))
+                         + 1j * rng.standard_normal((m, n, len(cols))))
+        noise = math.sqrt(0.5) * (rng.standard_normal((m, n, b))
+                                  + 1j * rng.standard_normal((m, n, b)))
+        y_pilot = h_eff @ pilot_rows + noise
+        est = dr[u] * (y_pilot @ v) / psi_col
+        diff = h_eff[:, :, u] - est
+        err_sq[done:done + m] = (diff.real ** 2 + diff.imag ** 2).sum(axis=1)
+        done += m
+    mse = float(err_sq.mean())
+    se = float(err_sq.std(ddof=1) / math.sqrt(n_realizations))
+    return mse, se

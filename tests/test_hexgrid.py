@@ -6,8 +6,10 @@ from scipy import stats
 
 from hexmimo.errors import DomainError, UnsupportedReuse
 from hexmimo.hexgrid import (CellIndex, bs_position, cells_in_tier,
-                             cells_within_tier, contains, reuse_group,
-                             sample_ue_positions, tier_of, worst_case_position)
+                             reuse_group, sample_ue_positions, tier_of,
+                             worst_case_position)
+
+from reference import cells_within_tier, contains
 
 SQRT3 = math.sqrt(3.0)
 

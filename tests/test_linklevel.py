@@ -6,19 +6,20 @@ import pytest
 
 from hexmimo.config import InterferenceMode, NetworkConfig
 from hexmimo.errors import DomainError, RankDeficient
-from hexmimo.hexgrid import CellIndex, cells_within_tier, worst_case_position
+from hexmimo.hexgrid import CellIndex, worst_case_position
 from hexmimo import linklevel
-from hexmimo.linklevel import (N_BATCHES, Realization, _complex_normal,
-                               _distance_fields, _draw_positions, _layout,
-                               _measured, _pinned_positions, _psi,
-                               _sorted_cells, combine, dft_pilot_matrix,
-                               estimate_book, estimation_error_scale, generate,
-                               lmmse_estimate, lmmse_estimate_kron,
-                               measure_estimation_mse, measure_sinr)
+from hexmimo.linklevel import (N_BATCHES, _complex_normal, _layout, _measured,
+                               _pinned_positions, _sorted_cells, measure_sinr)
 from hexmimo.pilots import PilotPlan
 from hexmimo.spectral import Scheme, SinrInputs, sinr
 from hexmimo.sweep import default_k_grid, optimal_schedule, sweep
 from scipy import stats
+
+from reference import (Realization, _distance_fields, _draw_positions, _psi,
+                       cells_within_tier, combine, dft_pilot_matrix,
+                       estimate_book, estimation_error_scale, generate,
+                       lmmse_estimate, lmmse_estimate_kron,
+                       measure_estimation_mse)
 
 AVG = InterferenceMode.AVERAGE
 WORST = InterferenceMode.WORST_CASE

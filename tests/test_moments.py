@@ -6,9 +6,11 @@ import pytest
 import hexmimo.moments
 from hexmimo.config import InterferenceMode
 from hexmimo.errors import ConvergenceError, DomainError
-from hexmimo.hexgrid import (CellIndex, bs_position, cells_in_tier, contains,
+from hexmimo.hexgrid import (CellIndex, bs_position, cells_in_tier,
                              sample_ue_positions, tier_of)
 from hexmimo.moments import MomentTable, _hexagon_rule, build_table
+
+from reference import contains
 
 AVG = InterferenceMode.AVERAGE
 WORST = InterferenceMode.WORST_CASE

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from hexmimo.hexgrid import (CellIndex, bs_position, cells_in_tier,
-                             cells_within_tier, reuse_group)
-from hexmimo.pilots import PilotPlan, inner_product
+from hexmimo.hexgrid import CellIndex, bs_position, cells_in_tier, reuse_group
+from hexmimo.pilots import PilotPlan
+
+from reference import cells_within_tier, inner_product
 
 
 def test_assign_examples_beta3():

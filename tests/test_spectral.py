@@ -5,14 +5,16 @@ import pytest
 
 from hexmimo.config import InterferenceMode, NetworkConfig
 from hexmimo.errors import DomainError, InsufficientAntennas
-from hexmimo.hexgrid import CellIndex, cells_within_tier
+from hexmimo.hexgrid import CellIndex
 from hexmimo.moments import MomentEntry, MomentTable
 from hexmimo.pilots import PilotPlan
 from hexmimo.spectral import (CopilotSums, Scheme, SinrInputs, asymptotic_se,
-                              asymptotic_sinr, asymptotic_sinr_generic,
-                              kstar_asymptotic, mrc_sinr_from_sums,
-                              pzfc_sinr_from_sums, se_from_sinr, se_per_cell,
-                              sinr, sinr_mrc_generic, sinr_pzfc_generic)
+                              asymptotic_sinr, kstar_asymptotic,
+                              mrc_sinr_from_sums, pzfc_sinr_from_sums,
+                              se_from_sinr, se_per_cell, sinr)
+
+from reference import (asymptotic_sinr_generic, cells_within_tier,
+                       sinr_mrc_generic, sinr_pzfc_generic)
 
 
 def synthetic_table(entries):
