@@ -10,7 +10,7 @@ from .config import (InterferenceMode, NetworkConfig, db_to_linear,
                      load_config, validate)
 from .hexgrid import CellIndex, bs_position, reuse_group
 from .moments import MomentTable, build_table
-from .pilots import PilotPlan
+from .pilots import Schedule
 from .spectral import (Scheme, SeResult, SinrInputs, asymptotic_se,
                        asymptotic_sinr, kstar_asymptotic, se_per_cell, sinr)
 from .sweep import SweepResult, optimal_schedule
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CellIndex", "InterferenceMode", "MomentTable", "NetworkConfig",
-    "PilotPlan", "Scheme", "SeResult", "SinrInputs", "SweepResult",
+    "Schedule", "Scheme", "SeResult", "SinrInputs", "SweepResult",
     "asymptotic_se", "asymptotic_sinr", "bs_position", "build_table",
     "db_to_linear", "kstar_asymptotic", "load_config", "measure_sinr",
     "optimal_schedule", "reuse_group", "se_per_cell", "sinr", "validate",

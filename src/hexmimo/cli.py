@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,22 +31,13 @@ from .config import (HEX_REUSE_FACTORS, InterferenceMode, NetworkConfig,
 from .errors import DomainError
 from .linklevel import N_BATCHES, measure_sinr
 from .moments import REL_TOL, MomentTable, build_table
-from .pilots import PilotPlan
+from .pilots import Schedule
 from .spectral import Scheme, SinrInputs, asymptotic_sinr, kstar_asymptotic, sinr
 from .sweep import (N_MAX, default_k_grid, default_n_grid, max_users, sweep,
                     write_optima_csv, write_sweep_csv)
 
-_DEFAULT_CONFIG = {
-    "n_antennas": 100,       # placeholder; the sweep overrides N
-    "n_users": 1,            # placeholder; the sweep overrides K
-    "coherence_block": 1000,
-    "reuse_factor": 1,       # placeholder; the sweep overrides beta
-    "snr_db": 10.0,
-    "pathloss_exponent": 3.5,
-    "cell_radius": 250.0,
-    "pathloss_ref": 1.0,
-    "min_ue_distance_frac": 0.14,
-}
+# the values NetworkConfig has no default for; the rest are its defaults
+_DEFAULT_CONFIG = {"coherence_block": 1000, "snr_db": 10.0}
 
 
 @dataclass
@@ -84,7 +75,7 @@ def _validation_seed(seed: int) -> int:
 
 
 def _load_or_build_table(mode: InterferenceMode, manifest: RunManifest,
-                         template: NetworkConfig, written: list[Path]) -> MomentTable:
+                         config: NetworkConfig, written: list[Path]) -> MomentTable:
     path = Path(manifest.out_dir) / f"moments_{mode.value}.json"
     manifest.moment_paths[mode.value] = str(path)
     if path.exists():
@@ -95,12 +86,12 @@ def _load_or_build_table(mode: InterferenceMode, manifest: RunManifest,
             # are ValueErrors): a cache miss, rebuilt below
             table = None
         if (table is not None and table.mode is mode
-                and table.kappa == template.pathloss_exponent
+                and table.kappa == config.pathloss_exponent
                 and table.rel_tol == REL_TOL
-                and table.min_frac == template.min_ue_distance_frac):
+                and table.min_frac == config.min_ue_distance_frac):
             return table
-    table = build_table(template.pathloss_exponent, mode,
-                        min_frac=template.min_ue_distance_frac)
+    table = build_table(config.pathloss_exponent, mode,
+                        min_frac=config.min_ue_distance_frac)
     _write_atomic(path, table.save, written)
     return table
 
@@ -119,26 +110,25 @@ def _write_atomic(path: Path, write, written: list[Path]) -> None:
 
 
 def _write_asymptotic_csv(path, tables: dict[InterferenceMode, MomentTable],
-                          template: NetworkConfig, beta_set, modes) -> None:
+                          config: NetworkConfig, beta_set, modes) -> None:
     """Large-N schedule per (mode, beta): K*, the T/(4 beta) data-fraction
     envelope, and the contamination-limited SE."""
-    t_block = template.coherence_block
+    t_block = config.coherence_block
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("mode,beta,K_star,prelog,se_limit\n")
         for mode in modes:
             table = tables[mode]
             for beta in beta_set:
                 k_star = min(kstar_asymptotic(t_block, beta))
-                plan = PilotPlan(n_users=k_star, reuse_factor=beta)
-                limit = asymptotic_sinr(table, plan)
+                limit = asymptotic_sinr(table, beta)
                 prelog = t_block / (4.0 * beta)
                 se_limit = math.inf if math.isinf(limit) else \
                     prelog * math.log2(1.0 + limit)
                 fh.write(f"{mode.value},{beta},{k_star},{prelog!r},{se_limit!r}\n")
 
 
-def _validation_fixtures(template: NetworkConfig):
-    """Small link-level fixtures: (name, cells, K, beta, N, mode, scheme, gated).
+def _validation_fixtures():
+    """Small link-level fixtures: (name, cells, schedule, mode, scheme, gated).
 
     The ungated average-mode zero-forcing fixture at N=64 sits where the
     closed form is conservative: measured/analytic is about 1.01 at beta=1
@@ -150,16 +140,17 @@ def _validation_fixtures(template: NetworkConfig):
     tier1 = [(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1), (1, -1), (-1, 1)]
     avg, worst = InterferenceMode.AVERAGE, InterferenceMode.WORST_CASE
     return [
-        ("single_cell_mrc", [(0, 0)], 1, 1, 50, avg, Scheme.MRC, True),
-        ("seven_cell_mrc_avg", tier1, 2, 1, 64, avg, Scheme.MRC, True),
-        ("seven_cell_mrc_worst", tier1, 2, 1, 64, worst, Scheme.MRC, True),
-        ("seven_cell_pzfc_worst", tier1, 2, 1, 64, worst, Scheme.PZFC, True),
-        ("seven_cell_pzfc_avg_large_n", tier1, 2, 1, 256, avg, Scheme.PZFC, True),
-        ("seven_cell_pzfc_avg", tier1, 2, 1, 64, avg, Scheme.PZFC, False),
+        ("single_cell_mrc", [(0, 0)], Schedule(50, 1, 1), avg, Scheme.MRC, True),
+        ("seven_cell_mrc_avg", tier1, Schedule(64, 2, 1), avg, Scheme.MRC, True),
+        ("seven_cell_mrc_worst", tier1, Schedule(64, 2, 1), worst, Scheme.MRC, True),
+        ("seven_cell_pzfc_worst", tier1, Schedule(64, 2, 1), worst, Scheme.PZFC, True),
+        ("seven_cell_pzfc_avg_large_n", tier1, Schedule(256, 2, 1), avg, Scheme.PZFC,
+         True),
+        ("seven_cell_pzfc_avg", tier1, Schedule(64, 2, 1), avg, Scheme.PZFC, False),
     ]
 
 
-def run_validation(template: NetworkConfig,
+def run_validation(config: NetworkConfig,
                    tables: dict[InterferenceMode, MomentTable],
                    seed: int, n_realizations: int) -> dict:
     """Measure each fixture's SINR by simulation and compare to the closed form.
@@ -178,30 +169,29 @@ def run_validation(template: NetworkConfig,
     denominator is always reported so any systematic residual is visible
     rather than suppressed.
     """
-    fixtures = _validation_fixtures(template)
+    fixtures = _validation_fixtures()
     streams = np.random.SeedSequence(seed).spawn(len(fixtures))
     kept, jobs = [], []
     for fixture, stream in zip(fixtures, streams):
-        _, cells, k, beta, n, mode, scheme, _ = fixture
+        _, cells, schedule, mode, scheme, _ = fixture
         if mode in tables:
             kept.append(fixture)
-            jobs.append((replace(template, n_antennas=n, n_users=k, reuse_factor=beta),
-                         PilotPlan(n_users=k, reuse_factor=beta),
-                         [tuple(c) for c in cells], mode, scheme, n_realizations,
-                         np.random.default_rng(stream)))
+            jobs.append((config, schedule, [tuple(c) for c in cells], mode, scheme,
+                         n_realizations, np.random.default_rng(stream)))
 
     # The workers fork before this process runs any of the oracle's BLAS
     # products, and a run runs none before it gets here: OpenBLAS threads
     # left spinning in the parent could compete with the workers for CPUs.
     with fork_map(measure_sinr, jobs, available_cpus()) as results:
         # the closed forms, while the workers simulate
-        analytic_all = [sinr(SinrInputs(config=cfg, moments=tables[mode], plan=plan,
-                                        tier_set=cells, scheme=scheme))
-                        for cfg, plan, cells, mode, scheme, _, _ in jobs]
+        analytic_all = [sinr(SinrInputs(config=config, moments=tables[mode],
+                                        schedule=schedule, tier_set=cells,
+                                        scheme=scheme))
+                        for _, schedule, cells, mode, scheme, _, _ in jobs]
         measured_all = list(results)
 
     report = {"n_realizations": n_realizations, "seed": seed, "fixtures": []}
-    for (name, cells, k, beta, n, mode, scheme, gated), analytic, measured in zip(
+    for (name, cells, schedule, mode, scheme, gated), analytic, measured in zip(
             kept, analytic_all, measured_all):
         ratio = measured.sinr / analytic
         passed = (abs(ratio - 1.0) <= 0.05
@@ -210,9 +200,9 @@ def run_validation(template: NetworkConfig,
             "name": name,
             "mode": mode.value,
             "scheme": scheme.value,
-            "n_antennas": n,
-            "n_users": k,
-            "reuse_factor": beta,
+            "n_antennas": schedule.n_antennas,
+            "n_users": schedule.n_users,
+            "reuse_factor": schedule.reuse_factor,
             "n_cells": len(cells),
             "gated": gated,
             "analytic_sinr": analytic,
@@ -235,17 +225,17 @@ def run(manifest: RunManifest) -> dict:
     """
     out_dir = Path(manifest.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    template = config_from_dict(manifest.config)
+    config = config_from_dict(manifest.config)
     modes = [InterferenceMode(m) for m in manifest.modes]
     schemes = [Scheme(s) for s in manifest.schemes]
     written: list[Path] = []
 
     try:
-        tables = {mode: _load_or_build_table(mode, manifest, template, written)
+        tables = {mode: _load_or_build_table(mode, manifest, config, written)
                   for mode in modes}
 
-        k_grid = default_k_grid(template.coherence_block)[:manifest.k_cap]
-        result = sweep(template, manifest.n_grid, k_grid, manifest.beta_set,
+        k_grid = default_k_grid(config.coherence_block)[:manifest.k_cap]
+        result = sweep(config, manifest.n_grid, k_grid, manifest.beta_set,
                        schemes, modes, tables)
 
         _write_atomic(out_dir / "sweep.csv",
@@ -256,12 +246,12 @@ def run(manifest: RunManifest) -> dict:
         if manifest.run_asymptotic:
             _write_atomic(out_dir / "asymptotic.csv",
                           lambda tmp: _write_asymptotic_csv(
-                              tmp, tables, template, manifest.beta_set, modes),
+                              tmp, tables, config, manifest.beta_set, modes),
                           written)
 
         validation_passed = True
         if manifest.run_validation:
-            report = run_validation(template, tables, _validation_seed(manifest.seed),
+            report = run_validation(config, tables, _validation_seed(manifest.seed),
                                     manifest.validation_realizations)
             validation_passed = report["passed"]
             text = json.dumps(report, indent=1) + "\n"
@@ -326,7 +316,8 @@ def _manifest_from_args(args) -> RunManifest:
         if args.out:
             manifest.out_dir = args.out
         return manifest
-    config = dict(_DEFAULT_CONFIG)
+    config = {**_DEFAULT_CONFIG, **{f.name: f.default for f in fields(NetworkConfig)
+                                     if f.default is not MISSING}}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             user_cfg = json.load(fh)
@@ -353,7 +344,7 @@ def _manifest_from_args(args) -> RunManifest:
 
 def _check_manifest(manifest: RunManifest) -> None:
     """Reject run parameters that cannot be valid before any work starts."""
-    template = config_from_dict(manifest.config)
+    config = config_from_dict(manifest.config)
     lists = (manifest.modes, manifest.schemes, manifest.beta_set, manifest.n_grid)
     if not all(lists):
         raise DomainError("modes, schemes, reuse factors and antenna counts must not be empty")
@@ -370,16 +361,19 @@ def _check_manifest(manifest: RunManifest) -> None:
     bad = [b for b in manifest.beta_set if b not in HEX_REUSE_FACTORS]
     if bad:
         raise DomainError(f"reuse factors {bad} not in {list(HEX_REUSE_FACTORS)}")
-    if manifest.run_asymptotic and template.coherence_block < 2 * max(manifest.beta_set):
+    if manifest.run_asymptotic and config.coherence_block < 2 * max(manifest.beta_set):
         raise DomainError("the asymptotic schedule needs T >= 2 beta for every reuse "
-                          f"factor, got T={template.coherence_block}, "
+                          f"factor, got T={config.coherence_block}, "
                           f"beta={max(manifest.beta_set)}")
     # the run's user counts start at K = 1 (k_cap >= 1)
     for n in manifest.n_grid:
         for scheme in manifest.schemes:
-            if all(max_users(n, Scheme(scheme), beta, template.coherence_block) < 1
+            if all(max_users(n, Scheme(scheme), beta, config.coherence_block) < 1
                    for beta in manifest.beta_set):
                 raise DomainError(f"no feasible (K, beta) at N={n} for scheme={scheme}")
+    if manifest.run_validation:
+        for _, _, schedule, _, scheme, _ in _validation_fixtures():
+            schedule.check(config.coherence_block, zero_forcing=scheme is Scheme.PZFC)
     if manifest.seed < 0:
         raise DomainError(f"seed must be >= 0, got {manifest.seed}")
     if manifest.validation_realizations < N_BATCHES:

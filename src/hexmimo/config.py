@@ -1,4 +1,6 @@
-"""Network configuration: every scalar shared by the analytic and link-level paths.
+"""Network configuration: the scalars of the network, shared by the analytic
+and link-level paths.  The operating point (N, K, beta) is not part of it:
+it is a `hexmimo.pilots.Schedule`, and the sweep ranges over it.
 
 The noise power sigma^2 is normalized to 1, so ``snr_linear`` is the uplink
 design SNR rho/sigma^2 and all formulas consume the single ratio
@@ -17,7 +19,7 @@ import types
 import typing
 from enum import Enum
 
-from .errors import DomainError, InsufficientAntennas, PilotOverflow
+from .errors import DomainError
 
 # Cluster sizes with a co-channel sublattice on the hexagonal grid.
 HEX_REUSE_FACTORS = (1, 3, 4, 7)
@@ -83,15 +85,24 @@ def record_from_json(cls, data, what: str):
     return cls(**data)
 
 
+def check_fields(record) -> None:
+    """Raise DomainError unless every field of the dataclass `record` fits
+    its annotation (see `fits`); an integer field holds a count, so >= 1."""
+    for name, hint in typing.get_type_hints(type(record)).items():
+        value = getattr(record, name)
+        if not fits(value, hint):
+            kind = "an integer" if hint is int else "a finite number"
+            raise DomainError(f"{name} must be {kind}, got {value!r}")
+        if hint is int and value < 1:
+            raise DomainError(f"{name} must be >= 1, got {value}")
+
+
 @dataclasses.dataclass(frozen=True)
 class NetworkConfig:
     """Scalar parameters of the multi-cell uplink.
 
     Attributes:
-        n_antennas: BS antennas N.
-        n_users: scheduled single-antenna users K per cell.
         coherence_block: coherence block length T in channel uses.
-        reuse_factor: pilot reuse factor beta; pilot book size is B = beta * K.
         snr_linear: design SNR rho/sigma^2 in linear scale.
         pathloss_exponent: distance exponent kappa >= 2.
         cell_radius: center-to-corner hexagon radius r in meters.
@@ -100,10 +111,7 @@ class NetworkConfig:
             fraction of the cell radius.
     """
 
-    n_antennas: int
-    n_users: int
     coherence_block: int
-    reuse_factor: int
     snr_linear: float
     pathloss_exponent: float = 3.5
     cell_radius: float = 250.0
@@ -111,40 +119,19 @@ class NetworkConfig:
     min_ue_distance_frac: float = 0.14
 
     @property
-    def pilot_len(self) -> int:
-        """Pilot book size B = beta * K."""
-        return self.reuse_factor * self.n_users
-
-    @property
     def inv_snr(self) -> float:
         """sigma^2 / rho, the only way noise enters the closed forms."""
         return 1.0 / self.snr_linear
 
 
-_CONFIG_HINTS = typing.get_type_hints(NetworkConfig)
-
-
-def validate(config: NetworkConfig, require_zf: bool = False) -> NetworkConfig:
+def validate(config: NetworkConfig) -> NetworkConfig:
     """Check every config invariant and return the record unchanged.
 
-    Args:
-        config: record to check.
-        require_zf: also require N > B, needed whenever the full pilot book
-            is orthogonalized at the receiver.
-
     Raises:
-        DomainError: a scalar is outside its domain, a count is not an
-            integer or a real parameter is not a finite number.
-        PilotOverflow: the pilot book does not fit in the coherence block.
-        InsufficientAntennas: require_zf is set and N <= B.
+        DomainError: a scalar is outside its domain, T is not an integer or
+            a real parameter is not a finite number.
     """
-    for name, hint in _CONFIG_HINTS.items():
-        value = getattr(config, name)
-        if not fits(value, hint):
-            kind = "an integer" if hint is int else "a finite number"
-            raise DomainError(f"{name} must be {kind}, got {value!r}")
-        if hint is int and value < 1:  # every integer field is a count
-            raise DomainError(f"{name} must be >= 1, got {value}")
+    check_fields(config)
     if config.snr_linear <= 0:
         raise DomainError(f"snr_linear must be positive, got {config.snr_linear}")
     if config.pathloss_exponent < 2:
@@ -156,15 +143,6 @@ def validate(config: NetworkConfig, require_zf: bool = False) -> NetworkConfig:
     if not 0.0 <= config.min_ue_distance_frac < 1.0:
         raise DomainError(
             f"min_ue_distance_frac must be in [0, 1), got {config.min_ue_distance_frac}")
-
-    pilot_len = config.pilot_len
-    if pilot_len > config.coherence_block:
-        raise PilotOverflow(
-            f"pilot length {pilot_len} exceeds coherence block {config.coherence_block}")
-    if require_zf and config.n_antennas <= pilot_len:
-        raise InsufficientAntennas(
-            f"zero-forcing over B={pilot_len} pilots needs N > B, got N={config.n_antennas}")
-
     return config
 
 

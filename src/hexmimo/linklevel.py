@@ -52,7 +52,7 @@ from .config import InterferenceMode, NetworkConfig, validate
 from .errors import DomainError, RankDeficient
 from .hexgrid import (CellIndex, bs_position, reuse_group, sample_ue_positions,
                       tier_of, worst_case_position)
-from .pilots import PilotPlan
+from .pilots import Schedule
 from .spectral import Scheme
 
 N_BATCHES = 20   # batch means behind measure_sinr's standard error
@@ -75,14 +75,12 @@ def _sorted_cells(cells) -> tuple[CellIndex, ...]:
     return cells
 
 
-def _layout(config: NetworkConfig, plan: PilotPlan, cells):
+def _layout(config: NetworkConfig, schedule: Schedule, cells):
     """Static per-user metadata: cell centers and pilot columns."""
-    if plan.n_users != config.n_users or plan.reuse_factor != config.reuse_factor:
-        raise DomainError("pilot plan and config disagree on (K, beta)")
-    k = plan.n_users
+    k = schedule.n_users
     centers = np.repeat(np.stack([bs_position(c, config.cell_radius) for c in cells]),
                         k, axis=0)
-    cols = np.array([plan.assign(reuse_group(c, plan.reuse_factor), m) - 1
+    cols = np.array([schedule.assign(reuse_group(c, schedule.reuse_factor), m) - 1
                      for c in cells for m in range(1, k + 1)], dtype=int)
     return centers, cols
 
@@ -105,14 +103,14 @@ def _squared_distances(positions: np.ndarray, centers: np.ndarray):
             positions[..., 0] ** 2 + positions[..., 1] ** 2)
 
 
-def _ratio_sampler(config: NetworkConfig, cells, centers: np.ndarray,
+def _ratio_sampler(config: NetworkConfig, k: int, cells, centers: np.ndarray,
                    mode: InterferenceMode):
-    """draw(rng, m) -> (m, U) victim-to-serving variance ratios d_ratio.
+    """draw(rng, m) -> (m, U) victim-to-serving variance ratios d_ratio of
+    `k` users per cell.
 
     The drawn cells are sampled in cell order, the stream that the test
     reference `_draw_positions` (tests/reference.py) consumes; the pinned
     users' ratios are computed once, here."""
-    k = config.n_users
     half_kappa = config.pathloss_exponent / 2
     pinned = _pinned_positions(config, cells, mode)
     fixed = []
@@ -170,7 +168,7 @@ class MeasuredSinr:
     batch_sinrs: tuple[float, ...]
 
 
-def measure_sinr(config: NetworkConfig, plan: PilotPlan, cells,
+def measure_sinr(config: NetworkConfig, schedule: Schedule, cells,
                  mode: InterferenceMode, scheme: Scheme, n_realizations: int,
                  rng: np.random.Generator) -> MeasuredSinr:
     """Estimate the effective SINR of own-cell user 1 by simulation.
@@ -219,13 +217,14 @@ def measure_sinr(config: NetworkConfig, plan: PilotPlan, cells,
     for zero-forcing it is the estimated-book combiner itself, whose gram
     inverse cancels the psi randomness again.
     """
-    validate(config, require_zf=scheme is Scheme.PZFC)
+    validate(config)
+    schedule.check(config.coherence_block, zero_forcing=scheme is Scheme.PZFC)
     if n_realizations < N_BATCHES:
         raise DomainError("need at least one realization per batch")
     cells = _sorted_cells(cells)
-    centers, cols = _layout(config, plan, cells)
-    draw_d_ratio = _ratio_sampler(config, cells, centers, mode)
-    n, b = config.n_antennas, plan.pilot_len
+    centers, cols = _layout(config, schedule, cells)
+    draw_d_ratio = _ratio_sampler(config, schedule.n_users, cells, centers, mode)
+    n, b = schedule.n_antennas, schedule.pilot_len
     rho = config.snr_linear
     n_users_total = len(cols)
     u_own = 0                              # user 1 of the origin cell, listed first
@@ -283,7 +282,7 @@ def measure_sinr(config: NetworkConfig, plan: PilotPlan, cells,
             pow_sums[bi] += (cross.real ** 2 + cross.imag ** 2).sum(axis=0)
             gn_sums[bi] += v_norm_sq.sum()
 
-    return _measured(sizes, s1_sums, pow_sums, gn_sums, config.n_users)
+    return _measured(sizes, s1_sums, pow_sums, gn_sums, schedule.n_users)
 
 
 def _measured(sizes, s1_sums: np.ndarray, pow_sums: np.ndarray,

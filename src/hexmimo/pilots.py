@@ -1,4 +1,4 @@
-"""Pilot books and UE-to-pilot assignment for fractional pilot reuse.
+"""The operating point (N, K, beta) and its pilot book for fractional reuse.
 
 A pilot book holds B = beta * K mutually orthogonal sequences of length B
 with inner product B on the diagonal and 0 off it.  The closed-form SINR
@@ -17,26 +17,40 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .config import check_fields
+from .errors import InsufficientAntennas, PilotOverflow
 
 
 @dataclass(frozen=True)
-class PilotPlan:
-    """Pilot book size and assignment rule for one reuse factor."""
+class Schedule:
+    """One operating point: N antennas serve K users per cell on a book of
+    B = beta * K pilots.  A field that is not an integer >= 1 raises
+    DomainError."""
 
+    n_antennas: int
     n_users: int
     reuse_factor: int
 
     def __post_init__(self):
-        if self.n_users < 1:
-            raise DomainError(f"n_users must be >= 1, got {self.n_users}")
-        if self.reuse_factor < 1:
-            raise DomainError(f"reuse_factor must be >= 1, got {self.reuse_factor}")
+        check_fields(self)
 
     @property
     def pilot_len(self) -> int:
         """Pilot book size B = beta * K."""
         return self.reuse_factor * self.n_users
+
+    def check(self, coherence_block: int, zero_forcing: bool = False) -> None:
+        """Raise PilotOverflow unless the pilot book fits a coherence block of
+        T channel uses (B <= T) and, for a `zero_forcing` receiver, which
+        orthogonalizes the whole book, InsufficientAntennas unless N > B."""
+        pilot_len = self.pilot_len
+        if pilot_len > coherence_block:
+            raise PilotOverflow(
+                f"pilot length {pilot_len} exceeds coherence block {coherence_block}")
+        if zero_forcing and self.n_antennas <= pilot_len:
+            raise InsufficientAntennas(
+                f"zero-forcing over B={pilot_len} pilots needs N > B, "
+                f"got N={self.n_antennas}")
 
     def assign(self, group: int, user: int) -> int:
         """Pilot index (1-based, in {1, ..., B}) of user `user` in a cell of

@@ -31,7 +31,7 @@ from .config import NetworkConfig, validate
 from .errors import DomainError, InsufficientAntennas
 from .hexgrid import CellIndex, reuse_group
 from .moments import MomentTable
-from .pilots import PilotPlan
+from .pilots import Schedule
 
 _LOG2_CHUNK = 1 << 12  # SINRs held as Python floats at once by se_from_sinr
 
@@ -58,16 +58,14 @@ class SinrInputs:
 
     config: NetworkConfig
     moments: MomentTable
-    plan: PilotPlan
+    schedule: Schedule
     tier_set: tuple[CellIndex, ...] | None = None
     scheme: Scheme = Scheme.MRC
 
     def __post_init__(self):
-        validate(self.config, require_zf=self.scheme is Scheme.PZFC)
-        if self.plan.n_users != self.config.n_users:
-            raise DomainError("pilot plan and config disagree on n_users")
-        if self.plan.reuse_factor != self.config.reuse_factor:
-            raise DomainError("pilot plan and config disagree on reuse_factor")
+        validate(self.config)
+        self.schedule.check(self.config.coherence_block,
+                            zero_forcing=self.scheme is Scheme.PZFC)
         tier_set = self.tier_set
         if tier_set is None:
             tier_set = tuple(self.moments.offsets)
@@ -182,25 +180,28 @@ def asymptotic_sinr_from_sums(sums: CopilotSums) -> float:
 
 def sinr(inputs: SinrInputs) -> float:
     """SINR of the combining scheme the input bundle was validated for."""
-    sums = CopilotSums.from_table(inputs.moments, inputs.config.reuse_factor,
+    schedule = inputs.schedule
+    sums = CopilotSums.from_table(inputs.moments, schedule.reuse_factor,
                                   inputs.tier_set)
     from_sums = (pzfc_sinr_from_sums if inputs.scheme is Scheme.PZFC
                  else mrc_sinr_from_sums)
-    return from_sums(sums, inputs.config.n_antennas, inputs.config.n_users,
+    return from_sums(sums, schedule.n_antennas, schedule.n_users,
                      inputs.config.inv_snr)
 
 
-def asymptotic_sinr(moments: MomentTable, plan: PilotPlan,
+def asymptotic_sinr(moments: MomentTable, reuse_factor: int,
                     tier_set=None) -> float:
-    """N -> infinity SINR limit for a reuse plan over a tier set."""
-    sums = CopilotSums.from_table(moments, plan.reuse_factor, tier_set)
+    """N -> infinity SINR limit at reuse factor beta over a tier set; it does
+    not depend on K."""
+    sums = CopilotSums.from_table(moments, reuse_factor, tier_set)
     return asymptotic_sinr_from_sums(sums)
 
 
 def se_per_cell(inputs: SinrInputs) -> SeResult:
     """Per-cell spectral efficiency K * (1 - B/T) * log2(1 + SINR)."""
-    cfg = inputs.config
-    return se_from_sinr(sinr(inputs), cfg.n_users, cfg.pilot_len, cfg.coherence_block)
+    schedule = inputs.schedule
+    return se_from_sinr(sinr(inputs), schedule.n_users, schedule.pilot_len,
+                        inputs.config.coherence_block)
 
 
 def se_from_sinr(sinr, n_users, pilot_len, coherence_block: int) -> SeResult:
@@ -220,11 +221,13 @@ def se_from_sinr(sinr, n_users, pilot_len, coherence_block: int) -> SeResult:
                     prelog=_plain(np.maximum(prelog, 0.0)))
 
 
-def asymptotic_se(moments: MomentTable, plan: PilotPlan, coherence_block: int,
-                  tier_set=None) -> SeResult:
-    """Large-N per-cell spectral efficiency of a reuse plan."""
-    sinr = asymptotic_sinr(moments, plan, tier_set)
-    return se_from_sinr(sinr, plan.n_users, plan.pilot_len, coherence_block)
+def asymptotic_se(moments: MomentTable, n_users: int, reuse_factor: int,
+                  coherence_block: int, tier_set=None) -> SeResult:
+    """Large-N per-cell spectral efficiency of K users at reuse factor beta."""
+    if n_users < 1:
+        raise DomainError(f"n_users must be >= 1, got {n_users}")
+    sinr = asymptotic_sinr(moments, reuse_factor, tier_set)
+    return se_from_sinr(sinr, n_users, reuse_factor * n_users, coherence_block)
 
 
 def kstar_asymptotic(coherence_block: int, reuse_factor: int) -> set[int]:

@@ -104,13 +104,12 @@ def _runs_of(result: SweepResult, rows) -> np.ndarray:
     return result.runs[np.searchsorted(result.runs["stop"], rows, "right")]
 
 
-def sweep(template: NetworkConfig, n_grid, k_grid, beta_set, schemes, modes,
+def sweep(config: NetworkConfig, n_grid, k_grid, beta_set, schemes, modes,
           moments: dict[InterferenceMode, MomentTable]) -> SweepResult:
     """Evaluate the SE over the full feasible grid and record per-N optima.
 
     Args:
-        template: supplies T, the SNR and the propagation constants; its
-            (N, K, beta) fields are ignored.
+        config: the network the grid is swept on.
         n_grid, k_grid, beta_set: grids to sweep (iterables of ints).
         schemes, modes: iterables of Scheme and of InterferenceMode.
         moments: one prebuilt MomentTable per requested mode; every offset
@@ -119,12 +118,12 @@ def sweep(template: NetworkConfig, n_grid, k_grid, beta_set, schemes, modes,
     Raises:
         EmptyFeasibleSet: some (N, scheme, mode) slice has no feasible (K, beta).
     """
-    validate(template)
+    validate(config)
     n_grid = sorted(set(int(n) for n in n_grid))
     k_grid = np.array(sorted(set(int(k) for k in k_grid)), dtype=np.int64)
     beta_set = sorted(set(int(b) for b in beta_set))
     schemes, modes = list(schemes), list(modes)
-    t_block, inv_snr = template.coherence_block, template.inv_snr
+    t_block, inv_snr = config.coherence_block, config.inv_snr
     # built per call, so wrappers installed on this module's names see every call
     from_sums = {Scheme.MRC: mrc_sinr_from_sums, Scheme.PZFC: pzfc_sinr_from_sums}
 

@@ -34,7 +34,7 @@ from hexmimo.hexgrid import (_APOTHEM, _EDGE_AXES, CellIndex, bs_position,
                              cells_in_tier, reuse_group, sample_ue_positions)
 from hexmimo.linklevel import (_CHUNK_ELEMS, _layout, _pinned_positions,
                                _sorted_cells, _squared_distances)
-from hexmimo.pilots import PilotPlan
+from hexmimo.pilots import Schedule
 from hexmimo.spectral import Scheme, SinrInputs
 
 
@@ -74,23 +74,23 @@ def inner_product(i1: int, i2: int, pilot_len: int) -> float:
 # generic (literal) closed forms, checked against the collapsed ones
 
 
-def _pilot_indices(plan: PilotPlan, tier_set) -> list[list[int]]:
+def _pilot_indices(schedule: Schedule, tier_set) -> list[list[int]]:
     """Pilot index of every (cell, user) pair in the tier set."""
-    beta = plan.reuse_factor
-    return [[plan.assign(reuse_group(c, beta), m)
-             for m in range(1, plan.n_users + 1)] for c in tier_set]
+    beta = schedule.reuse_factor
+    return [[schedule.assign(reuse_group(c, beta), m)
+             for m in range(1, schedule.n_users + 1)] for c in tier_set]
 
 
 def sinr_mrc_generic(inputs: SinrInputs, user: int = 1) -> float:
     """MRC SINR by literal summation over every (cell, user) pair."""
-    cfg = inputs.config
-    n, k, b, inv_snr = (float(cfg.n_antennas), cfg.n_users, cfg.pilot_len,
-                        cfg.inv_snr)
+    sched = inputs.schedule
+    n, k, b, inv_snr = (float(sched.n_antennas), sched.n_users, sched.pilot_len,
+                        inputs.config.inv_snr)
     cells = inputs.tier_set
     mu1 = [inputs.moments.entry(c).mu1 for c in cells]
     mu2 = [inputs.moments.entry(c).mu2 for c in cells]
-    idx = _pilot_indices(inputs.plan, cells)
-    i_target = inputs.plan.assign(reuse_group(CellIndex(0, 0), cfg.reuse_factor), user)
+    idx = _pilot_indices(sched, cells)
+    i_target = sched.assign(reuse_group(CellIndex(0, 0), sched.reuse_factor), user)
 
     gain_deficit = sum(mu1) * k / n + inv_snr / n
     pilot_power = inv_snr
@@ -106,17 +106,17 @@ def sinr_mrc_generic(inputs: SinrInputs, user: int = 1) -> float:
 
 def sinr_pzfc_generic(inputs: SinrInputs, user: int = 1) -> float:
     """PZFC SINR by literal summation over every (cell, user) pair."""
-    cfg = inputs.config
-    n, k, b, inv_snr = (float(cfg.n_antennas), cfg.n_users, cfg.pilot_len,
-                        cfg.inv_snr)
-    if cfg.n_antennas <= cfg.pilot_len:
+    sched = inputs.schedule
+    n, k, b, inv_snr = (float(sched.n_antennas), sched.n_users, sched.pilot_len,
+                        inputs.config.inv_snr)
+    if sched.n_antennas <= sched.pilot_len:
         raise InsufficientAntennas(
-            f"PZFC needs N > B, got N={cfg.n_antennas}, B={cfg.pilot_len}")
+            f"PZFC needs N > B, got N={sched.n_antennas}, B={sched.pilot_len}")
     cells = inputs.tier_set
     mu1 = [inputs.moments.entry(c).mu1 for c in cells]
     mu2 = [inputs.moments.entry(c).mu2 for c in cells]
-    idx = _pilot_indices(inputs.plan, cells)
-    i_target = inputs.plan.assign(reuse_group(CellIndex(0, 0), cfg.reuse_factor), user)
+    idx = _pilot_indices(sched, cells)
+    i_target = sched.assign(reuse_group(CellIndex(0, 0), sched.reuse_factor), user)
 
     contamination = 0.0
     residual = inv_snr
@@ -138,15 +138,15 @@ def sinr_pzfc_generic(inputs: SinrInputs, user: int = 1) -> float:
 
 def asymptotic_sinr_generic(inputs: SinrInputs, user: int = 1) -> float:
     """Large-N SINR limit by literal summation."""
-    cfg = inputs.config
-    b = cfg.pilot_len
+    sched = inputs.schedule
+    b = sched.pilot_len
     cells = inputs.tier_set
-    idx = _pilot_indices(inputs.plan, cells)
-    i_target = inputs.plan.assign(reuse_group(CellIndex(0, 0), cfg.reuse_factor), user)
+    idx = _pilot_indices(sched, cells)
+    i_target = sched.assign(reuse_group(CellIndex(0, 0), sched.reuse_factor), user)
     denom = -float(b)
     for ci, c in enumerate(cells):
         mu2 = inputs.moments.entry(c).mu2
-        for m in range(cfg.n_users):
+        for m in range(sched.n_users):
             denom += mu2 * inner_product(i_target, idx[ci][m], b)
     return b / denom if denom > 0 else math.inf
 
@@ -170,7 +170,7 @@ class Realization:
     """
 
     config: NetworkConfig
-    plan: PilotPlan
+    schedule: Schedule
     cells: tuple[CellIndex, ...]
     mode: InterferenceMode
     positions: np.ndarray     # (U, 2) absolute UE coordinates
@@ -185,15 +185,17 @@ class Realization:
 
     def user_index(self, cell: CellIndex, user: int) -> int:
         """Flat index of user `user` (1-based) of `cell`."""
-        if not 1 <= user <= self.plan.n_users:
-            raise IndexError(f"user {user} out of range [1, {self.plan.n_users}]")
-        return self.cells.index(CellIndex(*cell)) * self.plan.n_users + (user - 1)
+        k = self.schedule.n_users
+        if not 1 <= user <= k:
+            raise IndexError(f"user {user} out of range [1, {k}]")
+        return self.cells.index(CellIndex(*cell)) * k + (user - 1)
 
 
-def _draw_positions(config: NetworkConfig, cells, pinned: dict[int, np.ndarray],
-                    rng: np.random.Generator, n_real: int) -> np.ndarray:
-    """(n_real, U, 2) UE positions: the `pinned` ones, the rest drawn."""
-    k = config.n_users
+def _draw_positions(config: NetworkConfig, k: int, cells,
+                    pinned: dict[int, np.ndarray], rng: np.random.Generator,
+                    n_real: int) -> np.ndarray:
+    """(n_real, U, 2) positions of `k` UEs per cell: the `pinned` ones, the
+    rest drawn."""
     r = config.cell_radius
     frac = config.min_ue_distance_frac
     out = np.empty((n_real, len(cells) * k, 2))
@@ -229,16 +231,17 @@ def _psi(d_ratio: np.ndarray, cols: np.ndarray, pilot_len: int,
     return out
 
 
-def generate(config: NetworkConfig, plan: PilotPlan, cells,
+def generate(config: NetworkConfig, schedule: Schedule, cells,
              mode: InterferenceMode, rng: np.random.Generator) -> Realization:
     """Draw one complete coherence-block realization at the victim BS."""
     validate(config)
+    schedule.check(config.coherence_block)
     cells = _sorted_cells(cells)
-    centers, cols = _layout(config, plan, cells)
-    n, b = config.n_antennas, plan.pilot_len
+    centers, cols = _layout(config, schedule, cells)
+    n, b = schedule.n_antennas, schedule.pilot_len
 
-    positions = _draw_positions(config, cells,
-                                 _pinned_positions(config, cells, mode), rng, 1)[0]
+    positions = _draw_positions(config, schedule.n_users, cells,
+                                _pinned_positions(config, cells, mode), rng, 1)[0]
     d_ratio, tx_power, d_victim = _distance_fields(config, centers, positions)
 
     shape = (n, len(cols))
@@ -252,7 +255,7 @@ def generate(config: NetworkConfig, plan: PilotPlan, cells,
     y_pilot = h_eff @ pilot_rows + noise
     psi = _psi(d_ratio, cols, b, config.inv_snr)
 
-    return Realization(config=config, plan=plan, cells=cells, mode=mode,
+    return Realization(config=config, schedule=schedule, cells=cells, mode=mode,
                        positions=positions, d_ratio=d_ratio, tx_power=tx_power,
                        pilot_col=cols, pilot_matrix=pilot_matrix,
                        channel=channel, h_eff=h_eff, y_pilot=y_pilot, psi=psi)
@@ -297,7 +300,7 @@ def lmmse_estimate_kron(realization: Realization, cell: CellIndex,
         + cfg.inv_snr * np.eye(vmat.shape[0])
     v = vmat[:, cols[u]]
     row = np.conj(v.conj() @ np.linalg.inv(psi_mat))      # conj(v^H Psi^-1)
-    lift = np.kron(row, np.eye(cfg.n_antennas))
+    lift = np.kron(row, np.eye(realization.schedule.n_antennas))
     return realization.d_ratio[u] * (lift @ realization.y_pilot.flatten(order="F"))
 
 
@@ -307,7 +310,7 @@ def estimation_error_scale(realization: Realization, cell: CellIndex,
     u = realization.user_index(cell, user)
     cfg = realization.config
     dr = realization.d_ratio[u]
-    b = realization.plan.pilot_len
+    b = realization.schedule.pilot_len
     col = realization.pilot_col[u]
     return cfg.snr_linear * dr * (1.0 - dr * b / realization.psi[col])
 
@@ -344,7 +347,7 @@ def measure_estimation_mse(realization: Realization, n_realizations: int,
     squared error and its standard error.
     """
     cfg = realization.config
-    n, b = cfg.n_antennas, realization.plan.pilot_len
+    n, b = realization.schedule.n_antennas, realization.schedule.pilot_len
     cols = realization.pilot_col
     u = realization.user_index(cell, user)
     dr = realization.d_ratio

@@ -10,15 +10,13 @@ and must lie outside that shared domain.
 import json
 import math
 import time
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from hexmimo.config import InterferenceMode, NetworkConfig
 from hexmimo.hexgrid import CellIndex
 from hexmimo.linklevel import measure_sinr
-from hexmimo.pilots import PilotPlan
+from hexmimo.pilots import Schedule
 from hexmimo.spectral import (Scheme, SinrInputs, asymptotic_sinr,
                               kstar_asymptotic, sinr)
 from hexmimo.sweep import default_k_grid, default_n_grid, optimal_schedule, sweep
@@ -32,9 +30,8 @@ AVG = InterferenceMode.AVERAGE
 WORST = InterferenceMode.WORST_CASE
 TIER1 = tuple(cells_within_tier(1))
 T_BLOCK = 1000
-BASE_TEMPLATE = NetworkConfig(n_antennas=100, n_users=10,
-                               coherence_block=T_BLOCK, reuse_factor=1,
-                               snr_linear=10.0, pathloss_exponent=3.5)
+NETWORK = NetworkConfig(coherence_block=T_BLOCK, snr_linear=10.0,
+                        pathloss_exponent=3.5)
 
 
 def report(number, passed, detail, elapsed=None):
@@ -46,7 +43,7 @@ def report(number, passed, detail, elapsed=None):
 @pytest.fixture(scope="module")
 def headline_sweep(fullres_tables):
     t0 = time.time()
-    result = sweep(BASE_TEMPLATE, default_n_grid(), default_k_grid(T_BLOCK),
+    result = sweep(NETWORK, default_n_grid(), default_k_grid(T_BLOCK),
                    [1, 3, 4, 7], [Scheme.MRC, Scheme.PZFC], [AVG, WORST],
                    fullres_tables)
     return result, time.time() - t0
@@ -72,12 +69,10 @@ def test_criterion_2_limit_convergence(fullres_tables):
     t0 = time.time()
     table = fullres_tables[AVG]
     k = 10
-    plan = PilotPlan(k, 1)
-    limit = asymptotic_sinr(table, plan, TIER1)
+    limit = asymptotic_sinr(table, 1, TIER1)
 
     def at(n, scheme):
-        cfg = replace(BASE_TEMPLATE, n_antennas=n, n_users=k, reuse_factor=1)
-        inp = SinrInputs(cfg, table, plan, TIER1, scheme)
+        inp = SinrInputs(NETWORK, table, Schedule(n, k, 1), TIER1, scheme)
         return sinr(inp)
 
     gap9 = abs(at(10 ** 9, Scheme.MRC) - at(10 ** 9, Scheme.PZFC)) / limit
@@ -100,9 +95,7 @@ def test_criterion_3_lmmse_mse_oracle():
         k = int(rng.integers(1, 4))
         beta = int(rng.choice([1, 3]))
         cells = TIER1 if rng.random() < 0.7 else ((0, 0),)
-        cfg = replace(BASE_TEMPLATE, n_antennas=n, n_users=k, reuse_factor=beta)
-        plan = PilotPlan(k, beta)
-        real = generate(cfg, plan, cells, AVG, rng)
+        real = generate(NETWORK, Schedule(n, k, beta), cells, AVG, rng)
         cell = real.cells[int(rng.integers(0, len(real.cells)))]
         user = int(rng.integers(1, k + 1))
         mse, se = measure_estimation_mse(real, 10 ** 4, rng, cell, user)
@@ -235,26 +228,25 @@ def test_criterion_7_property_suite(fullres_tables):
 
     # scale invariance in (C, r): moment tables carry no radius dependence,
     # and the link-level ratios cancel (C, r) to float precision
-    plan = PilotPlan(2, 1)
-    kw = dict(n_users=2, coherence_block=T_BLOCK, reuse_factor=1,
-              snr_linear=10.0, n_antennas=16)
+    schedule = Schedule(16, 2, 1)
+    kw = dict(coherence_block=T_BLOCK, snr_linear=10.0)
     ra = generate(NetworkConfig(cell_radius=1.0, pathloss_ref=1.0, **kw),
-                  plan, TIER1, AVG, np.random.default_rng(5))
+                  schedule, TIER1, AVG, np.random.default_rng(5))
     rb = generate(NetworkConfig(cell_radius=250.0, pathloss_ref=7.3, **kw),
-                  plan, TIER1, AVG, np.random.default_rng(5))
+                  schedule, TIER1, AVG, np.random.default_rng(5))
     checks["scale_invariance"] = bool(np.allclose(ra.d_ratio, rb.d_ratio,
                                                   rtol=1e-12))
 
     # PZFC unit response and copilot-estimate proportionality on random draws
     unit, prop = True, True
     for _ in range(3):
-        cfg = NetworkConfig(32, 2, T_BLOCK, 3, 10.0)
-        real = generate(cfg, PilotPlan(2, 3), TIER1, AVG, rng)
+        real = generate(NetworkConfig(T_BLOCK, 10.0), Schedule(32, 2, 3), TIER1,
+                        AVG, rng)
         book = estimate_book(real)
         if np.linalg.cond(book.conj().T @ book) < 1e8:
             g = combine(real, Scheme.PZFC, 1)
             response = book.conj().T @ g
-            target = np.zeros(real.plan.pilot_len)
+            target = np.zeros(real.schedule.pilot_len)
             target[real.pilot_col[0]] = 1.0
             unit = unit and bool(np.allclose(response, target, atol=1e-10))
         own = lmmse_estimate(real, CellIndex(0, 0), 1)
@@ -270,12 +262,11 @@ def test_criterion_7_property_suite(fullres_tables):
     mono = True
     table = fullres_tables[AVG]
     for scheme in (Scheme.MRC, Scheme.PZFC):
-        seq = [sinr(SinrInputs(replace(BASE_TEMPLATE, n_antennas=n),
-                            table, PilotPlan(10, 1), scheme=scheme))
+        seq = [sinr(SinrInputs(NETWORK, table, Schedule(n, 10, 1), scheme=scheme))
                for n in (11, 40, 160, 2500, 10 ** 4)]
         mono = mono and all(b > a for a, b in zip(seq, seq[1:]))
         seq = [sinr(SinrInputs(
-            NetworkConfig(128, 10, T_BLOCK, 1, snr), table, PilotPlan(10, 1),
+            NetworkConfig(T_BLOCK, snr), table, Schedule(128, 10, 1),
             scheme=scheme)) for snr in (0.5, 2.0, 10.0, 80.0)]
         mono = mono and all(b > a for a, b in zip(seq, seq[1:]))
     checks["sinr_monotonicity"] = mono
@@ -284,11 +275,9 @@ def test_criterion_7_property_suite(fullres_tables):
     collapse = True
     tier2 = tuple(cells_within_tier(2))
     for beta, k in ((1, 2), (3, 1), (4, 2), (7, 1)):
-        cfg = replace(BASE_TEMPLATE, n_antennas=max(8 * beta * k, 32),
-                      n_users=k, reuse_factor=beta)
-        pl = PilotPlan(k, beta)
-        im = SinrInputs(cfg, table, pl, tier2, Scheme.MRC)
-        iz = SinrInputs(cfg, table, pl, tier2, Scheme.PZFC)
+        schedule = Schedule(max(8 * beta * k, 32), k, beta)
+        im = SinrInputs(NETWORK, table, schedule, tier2, Scheme.MRC)
+        iz = SinrInputs(NETWORK, table, schedule, tier2, Scheme.PZFC)
         collapse = collapse and math.isclose(
             sinr(im), sinr_mrc_generic(im), rel_tol=1e-12)
         collapse = collapse and math.isclose(
@@ -305,10 +294,9 @@ def test_criterion_7_property_suite(fullres_tables):
 def test_criterion_8_oracle_vs_analytic(fullres_tables, tmp_path):
     t0 = time.time()
     table = fullres_tables[AVG]
-    cfg = replace(BASE_TEMPLATE, n_antennas=64, n_users=2, reuse_factor=1)
-    plan = PilotPlan(2, 1)
-    analytic = sinr(SinrInputs(cfg, table, plan, TIER1))
-    measured = measure_sinr(cfg, plan, TIER1, AVG, Scheme.MRC, 10 ** 5,
+    schedule = Schedule(64, 2, 1)
+    analytic = sinr(SinrInputs(NETWORK, table, schedule, TIER1))
+    measured = measure_sinr(NETWORK, schedule, TIER1, AVG, Scheme.MRC, 10 ** 5,
                             np.random.default_rng(4242))
     ratio = measured.sinr / analytic
     elapsed = time.time() - t0

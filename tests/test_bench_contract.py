@@ -70,9 +70,8 @@ def test_benchmark_argv_parses(smoke):
 def test_bench_fixtures_are_the_validation_fixtures():
     # the traced run reports linklevel.<name>_s for each name in FIXTURES; a
     # renamed or reordered fixture must fail here, not read 0 there
-    template = NetworkConfig(n_antennas=100, n_users=10, coherence_block=200,
-                             reuse_factor=1, snr_linear=10.0)
-    assert run.FIXTURES == tuple(f[0] for f in _validation_fixtures(template))
+    template = NetworkConfig(coherence_block=200, snr_linear=10.0)
+    assert run.FIXTURES == tuple(f[0] for f in _validation_fixtures())
 
 
 def test_sweep_attrs_read_a_real_sweep(tmp_path, avg_table, worst_table):
@@ -80,8 +79,7 @@ def test_sweep_attrs_read_a_real_sweep(tmp_path, avg_table, worst_table):
     # sweep.feasible_ratio from these attributes of the sweep's result
     tables = {InterferenceMode.AVERAGE: avg_table,
               InterferenceMode.WORST_CASE: worst_table}
-    args = (NetworkConfig(n_antennas=100, n_users=10, coherence_block=200,
-                          reuse_factor=1, snr_linear=10.0),
+    args = (NetworkConfig(coherence_block=200, snr_linear=10.0),
             [8, 64], range(1, 41), [1, 3], [Scheme.MRC, Scheme.PZFC],
             list(tables), tables)
     result = sweep(*args)

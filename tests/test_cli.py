@@ -30,8 +30,7 @@ def run_cli(args):
 
 
 def small_config(tmp_path, t_block=200, **extra):
-    cfg = {"n_antennas": 64, "n_users": 4, "coherence_block": t_block,
-           "reuse_factor": 1, "snr_db": 10.0, "pathloss_exponent": 3.5}
+    cfg = {"coherence_block": t_block, "snr_db": 10.0, "pathloss_exponent": 3.5}
     cfg.update(extra)
     path = tmp_path / "net.json"
     path.write_text(json.dumps(cfg))
@@ -150,9 +149,9 @@ def test_default_grid_optima_schedule_hundreds_of_users(tmp_path):
     assert at_top["mrc"] > 400 and at_top["pzfc"] > 400
 
 
-def test_config_error_exit_code(tmp_path):
+def test_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"n_antennas": -5}))
+    bad.write_text(json.dumps({"coherence_block": -5}))
     assert run_cli(["--config", bad, "--out", tmp_path / "o"]) == 2
     assert run_cli(["--config", tmp_path / "missing.json",
                     "--out", tmp_path / "o"]) == 2
@@ -162,11 +161,17 @@ def test_config_error_exit_code(tmp_path):
     # values no run can use: non-finite reals, non-integer or bool counts
     for override in ({"snr_linear": math.nan}, {"cell_radius": math.nan},
                      {"pathloss_exponent": math.nan}, {"pathloss_ref": math.inf},
-                     {"coherence_block": 1000.5}, {"n_antennas": True},
+                     {"coherence_block": 1000.5}, {"coherence_block": True},
                      {"snr_db": "10"}, {"snr_db": None}, {"snr_db": 4000},
                      {"snr_linear": "10"}, {"snr_linear": 10 ** 400}):
         bad.write_text(json.dumps(override))
         assert run_cli(["--config", bad, "--out", tmp_path / "o"]) == 2, override
+    # N, K and beta come from the command line, never from a config
+    for override in ({"n_antennas": 5}, {"n_users": 300, "reuse_factor": 4}):
+        bad.write_text(json.dumps(override))
+        capsys.readouterr()
+        assert run_cli(["--config", bad, "--out", tmp_path / "o"]) == 2, override
+        assert "unknown keys" in capsys.readouterr().err, override
     # a config file that is valid JSON but not an object
     for not_object in ([1], "snr_db", 3.5):
         bad.write_text(json.dumps(not_object))
@@ -178,6 +183,11 @@ def test_config_error_exit_code(tmp_path):
     bad.write_text(json.dumps(manifest))
     assert run_cli(["--from-manifest", bad]) == 2
     del manifest["moment_rel_tol"], manifest["moment_max_tiers"]
+    # ... or a config naming K, as manifests once did
+    bad.write_text(json.dumps({**manifest, "config": {**manifest["config"], "n_users": 1}}))
+    capsys.readouterr()
+    assert run_cli(["--from-manifest", bad]) == 2
+    assert "unknown keys ['n_users']" in capsys.readouterr().err
     # ... or the retired Monte Carlo sample count
     bad.write_text(json.dumps({**manifest, "moment_samples": 10 ** 6}))
     assert run_cli(["--from-manifest", bad]) == 2
@@ -268,16 +278,20 @@ def test_console_entry_point(tmp_path):
                                           (["--n-min", "1", "--n-max", "1",
                                             "--n-points", "1", "--schemes", "pzfc"], {}),
                                           # no beta * K <= T with beta = 7 > T
-                                          (["--betas", "7"], {"t_block": 5, "n_users": 1}),
+                                          (["--betas", "7"], {"t_block": 5}),
                                           # K* = T / (2 beta) needs T >= 2 beta = 6
-                                          (["--asymptotic"], {"t_block": 5, "n_users": 1})],
+                                          (["--asymptotic"], {"t_block": 5}),
+                                          # the validation fixtures' B = 2 pilots
+                                          # exceed T = 1
+                                          (["--n-points", "2"], {"t_block": 1})],
                          ids=["realizations5", "realizations0",
                               "beta2", "kcap0", "betas-empty", "modes-empty",
                               "schemes-empty", "npoints0", "nmin0", "nmax-int64",
                               "nmax-uint64", "seed-negative",
                               "modes-repeated", "schemes-repeated", "betas-repeated",
                               "pzfc-infeasible", "block-below-beta",
-                              "asymptotic-block-below-2beta"])
+                              "asymptotic-block-below-2beta",
+                              "validate-block-below-fixture-pilots"])
 @pytest.mark.filterwarnings("error")  # rejected by a check, not by numpy
 def test_invalid_run_values_exit_before_any_work(tmp_path, capsys, flags, config):
     cfg = small_config(tmp_path, **config)
@@ -289,9 +303,8 @@ def test_invalid_run_values_exit_before_any_work(tmp_path, capsys, flags, config
     assert not out.exists()  # no table built, no output written
 
 
-def test_the_default_user_count_fits_a_short_block(tmp_path):
-    # the built-in config's K is a placeholder the sweep overrides, so a
-    # block too short for some other placeholder K still runs from K = 1
+def test_a_short_block_sweeps_from_one_user(tmp_path):
+    # every run sweeps K from 1, so a block of T = 5 runs K = 1, 2, 3
     cfg = tmp_path / "net.json"
     cfg.write_text(json.dumps({"coherence_block": 5}))
     out = tmp_path / "out"

@@ -10,22 +10,29 @@ from hexmimo.config import (InterferenceMode, NetworkConfig, config_from_dict,
                             db_to_linear, fits, load_config, validate)
 from hexmimo.errors import (DomainError, InsufficientAntennas, PilotOverflow,
                             UnsupportedReuse)
-from hexmimo.pilots import PilotPlan
+from hexmimo.pilots import Schedule
 from hexmimo.spectral import Scheme, SinrInputs, se_per_cell
 
 
 def base_config(**overrides):
-    base = dict(n_antennas=100, n_users=10, coherence_block=1000,
-                reuse_factor=1, snr_linear=10.0)
+    base = dict(coherence_block=1000, snr_linear=10.0)
     base.update(overrides)
     return NetworkConfig(**base)
+
+
+def base_schedule(**overrides):
+    base = dict(n_antennas=100, n_users=10, reuse_factor=1)
+    base.update(overrides)
+    return Schedule(**base)
 
 
 def test_valid_baseline_point():
     cfg = base_config()
     assert validate(cfg) is cfg
-    assert cfg.pilot_len == 10
     assert cfg.inv_snr == 0.1
+    schedule = base_schedule()
+    schedule.check(cfg.coherence_block)
+    assert schedule.pilot_len == 10
 
 
 def test_validate_is_idempotent():
@@ -34,23 +41,20 @@ def test_validate_is_idempotent():
 
 
 def test_pilot_overflow():
-    cfg = base_config(n_users=400, reuse_factor=3)
+    schedule = base_schedule(n_users=400, reuse_factor=3)
     with pytest.raises(PilotOverflow):
-        validate(cfg)  # B = 1200 > T = 1000
+        schedule.check(1000)  # B = 1200 > T = 1000
 
 
 def test_insufficient_antennas_for_zero_forcing():
-    cfg = base_config(n_antennas=30, n_users=10, reuse_factor=4)
-    validate(cfg)  # fine without zero forcing
+    schedule = base_schedule(n_antennas=30, n_users=10, reuse_factor=4)
+    schedule.check(1000)  # fine without zero forcing
     with pytest.raises(InsufficientAntennas):
-        validate(cfg, require_zf=True)  # B = 40 >= N = 30
+        schedule.check(1000, zero_forcing=True)  # B = 40 >= N = 30
 
 
 @pytest.mark.parametrize("field,value", [
-    ("n_antennas", 0),
-    ("n_users", 0),
     ("coherence_block", 0),
-    ("reuse_factor", 0),
     ("snr_linear", -1.0),
     ("snr_linear", 0.0),
     ("pathloss_exponent", 1.5),
@@ -65,21 +69,35 @@ def test_insufficient_antennas_for_zero_forcing():
     ("cell_radius", math.inf),
     ("pathloss_ref", math.nan),
     ("pathloss_ref", math.inf),
-    ("n_antennas", True),
-    ("n_antennas", 64.0),
-    ("n_users", 2.5),
     ("coherence_block", 1000.5),
-    ("reuse_factor", "1"),
+    ("coherence_block", True),
 ])
 def test_domain_errors(field, value):
     with pytest.raises(DomainError):
         validate(base_config(**{field: value}))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("n_antennas", 0),
+    ("n_users", 0),
+    ("reuse_factor", 0),
+    ("n_antennas", True),
+    ("n_antennas", 64.0),
+    ("n_users", 2.5),
+    ("reuse_factor", "1"),
+])
+def test_schedule_domain_errors(field, value):
+    with pytest.raises(DomainError):
+        base_schedule(**{field: value})
+
+
 def test_numpy_scalars_are_valid_values():
-    cfg = base_config(n_antennas=np.int64(64), n_users=np.int32(4),
-                      snr_linear=np.float64(10.0), cell_radius=np.float32(250.0))
+    cfg = base_config(coherence_block=np.int64(1000), snr_linear=np.float64(10.0),
+                      cell_radius=np.float32(250.0))
     assert validate(cfg) is cfg
+    schedule = Schedule(np.int64(64), np.int32(4), np.uint8(3))
+    schedule.check(cfg.coherence_block)
+    assert schedule.pilot_len == 12
 
 
 @pytest.mark.parametrize("value,hint,expected", [
@@ -103,30 +121,31 @@ def test_snr_conversion_exact_at_round_db():
 
 
 def test_config_from_dict_accepts_snr_db():
-    cfg = config_from_dict({"n_antennas": 64, "n_users": 4, "coherence_block": 500,
-                            "reuse_factor": 3, "snr_db": 10.0})
+    cfg = config_from_dict({"coherence_block": 500, "snr_db": 10.0})
     assert cfg.snr_linear == 10.0
     with pytest.raises(DomainError):
-        config_from_dict({"n_antennas": 64, "n_users": 4, "coherence_block": 500,
-                          "reuse_factor": 3, "snr_db": 10.0, "snr_linear": 10.0})
+        config_from_dict({"coherence_block": 500, "snr_db": 10.0, "snr_linear": 10.0})
 
 
 def test_config_from_dict_rejects_unknown_and_missing_keys():
-    with pytest.raises(DomainError):
-        config_from_dict({"n_antennas": 64, "bogus": 1})
-    with pytest.raises(DomainError):
-        config_from_dict({"n_antennas": 64})
+    with pytest.raises(DomainError, match="unknown keys"):
+        config_from_dict({"coherence_block": 64, "snr_db": 10.0, "bogus": 1})
+    with pytest.raises(DomainError, match="missing keys"):
+        config_from_dict({"coherence_block": 64})
+    # the schedule is no part of a config
+    for name in ("n_antennas", "n_users", "reuse_factor"):
+        with pytest.raises(DomainError, match="unknown keys"):
+            config_from_dict({"coherence_block": 64, "snr_db": 10.0, name: 1})
 
 
 def test_load_config_json_roundtrip(tmp_path):
     path = tmp_path / "net.json"
     path.write_text(json.dumps({
-        "n_antennas": 128, "n_users": 8, "coherence_block": 1000,
-        "reuse_factor": 3, "snr_db": 10.0, "pathloss_exponent": 3.5,
+        "coherence_block": 1000, "snr_db": 10.0, "pathloss_exponent": 3.5,
         "cell_radius": 250.0}))
     cfg = load_config(path)
-    assert cfg.n_antennas == 128
-    assert cfg.pilot_len == 24
+    assert cfg.coherence_block == 1000
+    assert cfg.snr_linear == 10.0
     assert cfg.min_ue_distance_frac == 0.14  # default
 
 
@@ -135,6 +154,7 @@ def test_interference_mode_values():
     assert InterferenceMode("worst") is InterferenceMode.WORST_CASE
 
 
+_SCHEDULE_FIELDS = ("n_antennas", "n_users", "reuse_factor")
 _VALID_FIELDS = {
     "n_antennas": st.integers(1, 10 ** 4),
     "n_users": st.integers(1, 500),
@@ -155,7 +175,8 @@ _ODD_VALUES = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_any_config_is_rejected_or_gives_finite_se(data, avg_table, worst_table):
-    # a valid config with up to three fields replaced by arbitrary JSON-like values
+    # a valid config and schedule with up to three fields replaced by
+    # arbitrary JSON-like values
     raw = {name: data.draw(strategy, label=name)
            for name, strategy in _VALID_FIELDS.items()}
     for name in data.draw(st.sets(st.sampled_from(sorted(raw)), max_size=3),
@@ -164,10 +185,9 @@ def test_any_config_is_rejected_or_gives_finite_se(data, avg_table, worst_table)
     table = data.draw(st.sampled_from([avg_table, worst_table]), label="table")
     scheme = data.draw(st.sampled_from(list(Scheme)), label="scheme")
     try:
-        cfg = config_from_dict(raw)
-        inputs = SinrInputs(config=cfg, moments=table,
-                            plan=PilotPlan(cfg.n_users, cfg.reuse_factor),
-                            scheme=scheme)
+        schedule = Schedule(*(raw.pop(name) for name in _SCHEDULE_FIELDS))
+        inputs = SinrInputs(config=config_from_dict(raw), moments=table,
+                            schedule=schedule, scheme=scheme)
         result = se_per_cell(inputs)
     except (DomainError, PilotOverflow, InsufficientAntennas, UnsupportedReuse):
         return

@@ -1,11 +1,13 @@
-"""The library's shape: every function is on the production path, no import
-is left unused, and the documented API runs as written.
+"""The library's shape: every function is on the production path, every
+config and schedule field is read, no import is left unused, and the
+documented API runs as written.
 
 Cross-check oracles that only tests call live in `tests/reference.py`, so a
 function in `src/hexmimo` that no run reaches is either public API or dead.
 """
 
 import ast
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,6 +15,8 @@ import sys
 from pathlib import Path
 
 import hexmimo
+from hexmimo.config import NetworkConfig
+from hexmimo.pilots import Schedule
 
 PACKAGE = Path(hexmimo.__file__).resolve().parent
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -21,10 +25,19 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 UNREACHED = {
     ("config", "load_config"): "library API: load and validate a config file",
     ("spectral", "se_per_cell"): "library API: SE of one validated operating point",
-    ("spectral", "asymptotic_se"): "library API: large-N SE of a reuse plan",
+    ("spectral", "asymptotic_se"): "library API: large-N SE of K users at reuse beta",
     ("sweep", "optimal_schedule"): "library API: look up an optimum of a sweep",
     ("_fork", "_inherit"): "runs only inside forked pool workers",
     ("_fork", "_run"): "runs only inside forked pool workers",
+}
+
+# the functions that check field values, whose reads do not count as uses
+FIELD_CHECKS = {("config", "validate"), ("pilots", "check")}
+
+# field -> why no library expression reads it
+UNREAD_FIELDS = {
+    "pathloss_ref": "cancels in every library expression; tests/reference.generate "
+                    "and acceptance criterion 7 use it",
 }
 
 # (module, name) -> why the import stays bound although the module never uses it
@@ -103,6 +116,28 @@ def test_every_library_function_is_on_the_production_path(tmp_path):
     assert api <= set(hexmimo.__all__)
 
 
+def _attributes_read(node, module: str) -> set:
+    """Attribute names that `node` reads, outside the FIELD_CHECKS functions."""
+    if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and (module, node.name) in FIELD_CHECKS):
+        return set()
+    read = {node.attr} if (isinstance(node, ast.Attribute)
+                           and isinstance(node.ctx, ast.Load)) else set()
+    for child in ast.iter_child_nodes(node):
+        read |= _attributes_read(child, module)
+    return read
+
+
+def test_every_config_and_schedule_field_is_read():
+    # a field nothing reads is a value a run records but never uses
+    network = {f.name for f in dataclasses.fields(NetworkConfig)}
+    schedule = {f.name for f in dataclasses.fields(Schedule)}
+    assert not network & schedule, "a value has two homes"
+    read = set().union(*(_attributes_read(tree, module)
+                         for module, _, tree in _modules()))
+    assert (network | schedule) - read == set(UNREAD_FIELDS)
+
+
 def _unused_imports(tree) -> set:
     """Names a module imports but never reads; `__all__` counts as a read."""
     bound = set()
@@ -129,10 +164,10 @@ def test_no_library_module_imports_a_name_it_does_not_use():
 def test_unused_import_check_sees_stale_and_used_names():
     tree = ast.parse("from __future__ import annotations\n"
                      "import numpy as np\nimport os.path\n"
-                     "from .pilots import PilotPlan, inner_product\n"
+                     "from .pilots import Schedule, inner_product\n"
                      "from .spectral import sinr\n"
                      "__all__ = ['sinr']\n"
-                     "def f(plan: PilotPlan):\n    return os.path.join\n")
+                     "def f(schedule: Schedule):\n    return os.path.join\n")
     assert _unused_imports(tree) == {"np", "inner_product"}
 
 

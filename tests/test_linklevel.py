@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from hexmimo.config import InterferenceMode, NetworkConfig
-from hexmimo.errors import DomainError, RankDeficient
+from hexmimo.errors import DomainError, PilotOverflow, RankDeficient
 from hexmimo.hexgrid import CellIndex, worst_case_position
 from hexmimo import linklevel
 from hexmimo.linklevel import (N_BATCHES, _complex_normal, _layout, _measured,
                                _pinned_positions, _sorted_cells, measure_sinr)
-from hexmimo.pilots import PilotPlan
+from hexmimo.pilots import Schedule
 from hexmimo.spectral import Scheme, SinrInputs, sinr
 from hexmimo.sweep import default_k_grid, optimal_schedule, sweep
 from scipy import stats
@@ -26,9 +26,8 @@ WORST = InterferenceMode.WORST_CASE
 TIER1 = tuple(cells_within_tier(1))
 
 
-def make_config(n=8, k=2, beta=1, snr=10.0, r=250.0, c_ref=1.0):
-    return NetworkConfig(n_antennas=n, n_users=k, coherence_block=1000,
-                         reuse_factor=beta, snr_linear=snr, cell_radius=r,
+def make_config(snr=10.0, r=250.0, c_ref=1.0):
+    return NetworkConfig(coherence_block=1000, snr_linear=snr, cell_radius=r,
                          pathloss_ref=c_ref)
 
 
@@ -41,12 +40,12 @@ def test_pilot_matrix_orthogonality(b):
 
 def test_effective_channel_gain_is_n_rho():
     # statistics-inverting power control: E{p ||h||^2} = N * rho for every UE
-    cfg = make_config(n=8, k=2)
-    plan = PilotPlan(2, 1)
+    cfg = make_config()
+    schedule = Schedule(8, 2, 1)
     rng = np.random.default_rng(3)
     gains = []
     for _ in range(3000):
-        real = generate(cfg, plan, TIER1, AVG, rng)
+        real = generate(cfg, schedule, TIER1, AVG, rng)
         u = real.user_index(CellIndex(0, 0), 1)
         gains.append(real.tx_power[u] * np.sum(np.abs(real.channel[:, u]) ** 2))
     gains = np.asarray(gains)
@@ -55,12 +54,12 @@ def test_effective_channel_gain_is_n_rho():
 
 
 def test_noise_variance_matches_model():
-    cfg = make_config(n=16, k=2)
-    plan = PilotPlan(2, 1)
+    cfg = make_config()
+    schedule = Schedule(16, 2, 1)
     rng = np.random.default_rng(4)
     samples = []
     for _ in range(300):
-        real = generate(cfg, plan, TIER1, AVG, rng)
+        real = generate(cfg, schedule, TIER1, AVG, rng)
         pilot_rows = real.pilot_matrix.conj().T[real.pilot_col]
         noise = real.y_pilot - real.h_eff @ pilot_rows
         samples.append(np.abs(noise) ** 2)
@@ -70,9 +69,9 @@ def test_noise_variance_matches_model():
 
 
 def test_generate_realization_layout():
-    cfg = make_config(n=4, k=3, beta=3)
-    plan = PilotPlan(3, 3)
-    real = generate(cfg, plan, TIER1, AVG, np.random.default_rng(0))
+    cfg = make_config()
+    schedule = Schedule(4, 3, 3)
+    real = generate(cfg, schedule, TIER1, AVG, np.random.default_rng(0))
     assert real.cells[0] == CellIndex(0, 0)
     assert real.h_eff.shape == (4, 7 * 3)
     assert real.psi.shape == (9,)
@@ -86,27 +85,18 @@ def test_generate_realization_layout():
 
 
 def test_generate_rejects_inconsistent_inputs():
-    cfg = make_config(n=4, k=2)
+    cfg = make_config()
+    with pytest.raises(PilotOverflow):  # B = 1200 > T = 1000
+        generate(cfg, Schedule(4, 400, 3), TIER1, AVG, np.random.default_rng(0))
     with pytest.raises(DomainError):
-        generate(cfg, PilotPlan(3, 1), TIER1, AVG, np.random.default_rng(0))
-    with pytest.raises(DomainError):
-        generate(cfg, PilotPlan(2, 1), [(1, 0), (0, 1)], AVG,
+        generate(cfg, Schedule(4, 2, 1), [(1, 0), (0, 1)], AVG,
                  np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("plan", [PilotPlan(2, 3), PilotPlan(3, 1)],
-                         ids=["beta", "users"])
-def test_measure_sinr_rejects_plan_that_disagrees_with_config(plan):
-    # config (K, beta) = (2, 1): the plan must not silently replace either
-    with pytest.raises(DomainError):
-        measure_sinr(make_config(n=64, k=2), plan, [(0, 0), (1, 0)], AVG,
-                     Scheme.MRC, 400, np.random.default_rng(0))
-
-
 def test_worst_mode_pins_interferers_to_cell_edge():
-    cfg = make_config(n=4, k=2)
-    plan = PilotPlan(2, 1)
-    real = generate(cfg, plan, TIER1, WORST, np.random.default_rng(1))
+    cfg = make_config()
+    schedule = Schedule(4, 2, 1)
+    real = generate(cfg, schedule, TIER1, WORST, np.random.default_rng(1))
     for cell in TIER1:
         if cell == (0, 0):
             continue
@@ -119,9 +109,9 @@ def test_worst_mode_pins_interferers_to_cell_edge():
 def test_kron_form_equals_scalar_form():
     # N=4, B=2 (real pilots) and B=4 (complex pilots, exercises conjugation)
     for k, beta in [(2, 1), (1, 4)]:
-        cfg = make_config(n=4, k=k, beta=beta)
-        plan = PilotPlan(k, beta)
-        real = generate(cfg, plan, TIER1, AVG, np.random.default_rng(8))
+        cfg = make_config()
+        schedule = Schedule(4, k, beta)
+        real = generate(cfg, schedule, TIER1, AVG, np.random.default_rng(8))
         for cell in real.cells[:2]:
             for user in range(1, k + 1):
                 a = lmmse_estimate(real, cell, user)
@@ -130,9 +120,9 @@ def test_kron_form_equals_scalar_form():
 
 
 def test_estimate_book_spans_the_estimates():
-    cfg = make_config(n=8, k=2, beta=3)
-    plan = PilotPlan(2, 3)
-    real = generate(cfg, plan, TIER1, AVG, np.random.default_rng(9))
+    cfg = make_config()
+    schedule = Schedule(8, 2, 3)
+    real = generate(cfg, schedule, TIER1, AVG, np.random.default_rng(9))
     book = estimate_book(real)
     for cell in real.cells:
         for user in (1, 2):
@@ -144,9 +134,9 @@ def test_estimate_book_spans_the_estimates():
 
 def test_copilot_estimates_exactly_proportional():
     # two UEs sharing a pilot differ only by the deterministic variance ratio
-    cfg = make_config(n=8, k=2, beta=1)
-    plan = PilotPlan(2, 1)
-    real = generate(cfg, plan, TIER1, AVG, np.random.default_rng(10))
+    cfg = make_config()
+    schedule = Schedule(8, 2, 1)
+    real = generate(cfg, schedule, TIER1, AVG, np.random.default_rng(10))
     own = lmmse_estimate(real, CellIndex(0, 0), 1)
     for cell in real.cells[1:]:
         u = real.user_index(cell, 1)
@@ -155,9 +145,9 @@ def test_copilot_estimates_exactly_proportional():
 
 
 def test_estimator_linearity():
-    cfg = make_config(n=8, k=2)
-    plan = PilotPlan(2, 1)
-    real = generate(cfg, plan, TIER1, AVG, np.random.default_rng(11))
+    cfg = make_config()
+    schedule = Schedule(8, 2, 1)
+    real = generate(cfg, schedule, TIER1, AVG, np.random.default_rng(11))
     scale = 2.0 - 3.0j
     scaled = dataclasses.replace(real, y_pilot=scale * real.y_pilot)
     a = lmmse_estimate(real, CellIndex(1, 0), 2)
@@ -166,9 +156,9 @@ def test_estimator_linearity():
 
 
 def test_noiseless_single_user_estimate_is_exact():
-    cfg = make_config(n=16, k=1, snr=1e12)
-    plan = PilotPlan(1, 1)
-    real = generate(cfg, plan, [(0, 0)], AVG, np.random.default_rng(12))
+    cfg = make_config(snr=1e12)
+    schedule = Schedule(16, 1, 1)
+    real = generate(cfg, schedule, [(0, 0)], AVG, np.random.default_rng(12))
     pilot_rows = real.pilot_matrix.conj().T[real.pilot_col]
     clean = dataclasses.replace(real, y_pilot=real.h_eff @ pilot_rows,
                                 psi=real.psi)
@@ -180,9 +170,9 @@ def test_empirical_mse_matches_error_covariance():
     # fixed positions, 4000 channel/noise redraws per fixture
     rng = np.random.default_rng(13)
     for k, beta, n in [(2, 1, 8), (1, 3, 12)]:
-        cfg = make_config(n=n, k=k, beta=beta)
-        plan = PilotPlan(k, beta)
-        real = generate(cfg, plan, TIER1, AVG, rng)
+        cfg = make_config()
+        schedule = Schedule(n, k, beta)
+        real = generate(cfg, schedule, TIER1, AVG, rng)
         for cell in (CellIndex(0, 0), CellIndex(1, 0)):
             mse, se = measure_estimation_mse(real, 4000, rng, cell, 1)
             predicted = n * estimation_error_scale(real, cell, 1)
@@ -190,10 +180,10 @@ def test_empirical_mse_matches_error_covariance():
 
 
 def test_lmmse_orthogonality_principle():
-    cfg = make_config(n=8, k=2)
-    plan = PilotPlan(2, 1)
+    cfg = make_config()
+    schedule = Schedule(8, 2, 1)
     rng = np.random.default_rng(14)
-    real0 = generate(cfg, plan, TIER1, AVG, rng)
+    real0 = generate(cfg, schedule, TIER1, AVG, rng)
     inner = []
     norms = []
     for _ in range(4000):
@@ -211,9 +201,9 @@ def test_lmmse_orthogonality_principle():
 def generate_fixed(template: Realization, rng) -> Realization:
     """Redraw channels and noise keeping the template's positions."""
     cfg = template.config
-    n = cfg.n_antennas
+    n = template.schedule.n_antennas
     n_users = len(template.pilot_col)
-    b = template.plan.pilot_len
+    b = template.schedule.pilot_len
     var = cfg.snr_linear * template.d_ratio
     h_eff = np.sqrt(var / 2.0) * (rng.standard_normal((n, n_users))
                                   + 1j * rng.standard_normal((n, n_users)))
@@ -226,32 +216,32 @@ def generate_fixed(template: Realization, rng) -> Realization:
 
 
 def test_pzfc_unit_response_and_suppression():
-    cfg = make_config(n=32, k=2, beta=1)
-    plan = PilotPlan(2, 1)
-    real = generate(cfg, plan, TIER1, AVG, np.random.default_rng(15))
+    cfg = make_config()
+    schedule = Schedule(32, 2, 1)
+    real = generate(cfg, schedule, TIER1, AVG, np.random.default_rng(15))
     book = estimate_book(real)
     i = real.pilot_col[real.user_index(CellIndex(0, 0), 1)]
     g = combine(real, Scheme.PZFC, 1)
     response = book.conj().T @ g
-    expected = np.zeros(plan.pilot_len)
+    expected = np.zeros(schedule.pilot_len)
     expected[i] = 1.0
     assert np.linalg.cond(book.conj().T @ book) < 1e8
     np.testing.assert_allclose(response, expected, atol=1e-10)
 
 
 def test_mrc_with_single_pilot_is_estimated_channel():
-    cfg = make_config(n=16, k=1, beta=1)
-    plan = PilotPlan(1, 1)
-    real = generate(cfg, plan, [(0, 0)], AVG, np.random.default_rng(16))
+    cfg = make_config()
+    schedule = Schedule(16, 1, 1)
+    real = generate(cfg, schedule, [(0, 0)], AVG, np.random.default_rng(16))
     g = combine(real, Scheme.MRC, 1)
     np.testing.assert_allclose(g, lmmse_estimate(real, CellIndex(0, 0), 1),
                                atol=1e-14)
 
 
 def test_combine_rank_deficient():
-    cfg = make_config(n=4, k=2, beta=1)
-    plan = PilotPlan(2, 1)
-    real = generate(cfg, plan, [(0, 0)], AVG, np.random.default_rng(17))
+    cfg = make_config()
+    schedule = Schedule(4, 2, 1)
+    real = generate(cfg, schedule, [(0, 0)], AVG, np.random.default_rng(17))
     # identical columns, and an all-zero book (undefined condition number)
     for degenerate in (np.ones((4, 2), dtype=complex),
                        np.zeros((4, 2), dtype=complex)):
@@ -265,12 +255,12 @@ def test_combine_rank_deficient():
 def test_measured_sinr_matches_closed_form_single_cell():
     from hexmimo.moments import MomentEntry, MomentTable
 
-    cfg = make_config(n=50, k=1)
-    plan = PilotPlan(1, 1)
+    cfg = make_config()
+    schedule = Schedule(50, 1, 1)
     table = MomentTable(mode=AVG, kappa=3.5, rel_tol=1e-3, min_frac=0.14,
                         entries={CellIndex(0, 0): MomentEntry(1., 1.)})
-    analytic = sinr(SinrInputs(cfg, table, plan, ((0, 0),)))
-    measured = measure_sinr(cfg, plan, [(0, 0)], AVG, Scheme.MRC, 10000,
+    analytic = sinr(SinrInputs(cfg, table, schedule, ((0, 0),)))
+    measured = measure_sinr(cfg, schedule, [(0, 0)], AVG, Scheme.MRC, 10000,
                             np.random.default_rng(18))
     assert abs(measured.sinr - analytic) < 4 * measured.std_error
     assert measured.std_error < 0.05 * analytic
@@ -281,10 +271,10 @@ def test_measured_sinr_matches_closed_form_single_cell():
 
 
 def test_measured_sinr_seven_cell_mrc(avg_table):
-    cfg = make_config(n=64, k=2)
-    plan = PilotPlan(2, 1)
-    analytic = sinr(SinrInputs(cfg, avg_table, plan, TIER1))
-    measured = measure_sinr(cfg, plan, TIER1, AVG, Scheme.MRC, 20000,
+    cfg = make_config()
+    schedule = Schedule(64, 2, 1)
+    analytic = sinr(SinrInputs(cfg, avg_table, schedule, TIER1))
+    measured = measure_sinr(cfg, schedule, TIER1, AVG, Scheme.MRC, 20000,
                             np.random.default_rng(19))
     assert abs(measured.sinr / analytic - 1.0) < 0.05
 
@@ -292,10 +282,10 @@ def test_measured_sinr_seven_cell_mrc(avg_table):
 def test_measured_sinr_mrc_with_more_users_than_antennas(avg_table):
     # MRC needs no N > beta K: at N = 10 the sweep's average-mode MRC optimum
     # is K = 28, beta = 3 (84 pilots), and the closed form must hold there
-    cfg = make_config(n=10, k=28, beta=3)
-    plan = PilotPlan(28, 3)
-    analytic = sinr(SinrInputs(cfg, avg_table, plan, TIER1))
-    measured = measure_sinr(cfg, plan, TIER1, AVG, Scheme.MRC, 4000,
+    cfg = make_config()
+    schedule = Schedule(10, 28, 3)
+    analytic = sinr(SinrInputs(cfg, avg_table, schedule, TIER1))
+    measured = measure_sinr(cfg, schedule, TIER1, AVG, Scheme.MRC, 4000,
                             np.random.default_rng(20))
     assert abs(measured.sinr - analytic) < 3 * measured.std_error
 
@@ -305,13 +295,13 @@ def test_measured_and_analytic_approach_limit_together(avg_table):
     # the contamination limit, with their ratio staying at 1
     from hexmimo.spectral import asymptotic_sinr
 
-    plan = PilotPlan(2, 1)
-    limit = asymptotic_sinr(avg_table, plan, TIER1)
+    limit = asymptotic_sinr(avg_table, 1, TIER1)
     gaps = {}
+    cfg = make_config()
     for n, n_real, seed in ((64, 12000, 22), (256, 8000, 23)):
-        cfg = make_config(n=n, k=2)
-        analytic = sinr(SinrInputs(cfg, avg_table, plan, TIER1))
-        measured = measure_sinr(cfg, plan, TIER1, AVG, Scheme.MRC, n_real,
+        schedule = Schedule(n, 2, 1)
+        analytic = sinr(SinrInputs(cfg, avg_table, schedule, TIER1))
+        measured = measure_sinr(cfg, schedule, TIER1, AVG, Scheme.MRC, n_real,
                                 np.random.default_rng(seed))
         assert abs(measured.sinr - analytic) < 4 * measured.std_error
         gaps[n] = limit - analytic
@@ -320,20 +310,19 @@ def test_measured_and_analytic_approach_limit_together(avg_table):
 
 def test_sinr_invariant_to_pathloss_reference_and_radius():
     # C and r cancel: same seed, different (C, r) give near-identical results
-    plan = PilotPlan(2, 1)
-    kwargs = dict(n=16, k=2)
-    a = measure_sinr(make_config(r=1.0, c_ref=1.0, **kwargs), plan, TIER1, AVG,
+    schedule = Schedule(16, 2, 1)
+    a = measure_sinr(make_config(r=1.0, c_ref=1.0), schedule, TIER1, AVG,
                      Scheme.MRC, 4000, np.random.default_rng(20))
-    b = measure_sinr(make_config(r=250.0, c_ref=7.3, **kwargs), plan, TIER1,
+    b = measure_sinr(make_config(r=250.0, c_ref=7.3), schedule, TIER1,
                      AVG, Scheme.MRC, 4000, np.random.default_rng(20))
     assert math.isclose(a.sinr, b.sinr, rel_tol=1e-9)
 
 
 def test_realization_scale_invariance_of_ratios():
-    plan = PilotPlan(2, 1)
-    ra = generate(make_config(n=4, k=2, r=1.0, c_ref=1.0), plan, TIER1, AVG,
+    schedule = Schedule(4, 2, 1)
+    ra = generate(make_config(r=1.0, c_ref=1.0), schedule, TIER1, AVG,
                   np.random.default_rng(21))
-    rb = generate(make_config(n=4, k=2, r=250.0, c_ref=7.3), plan, TIER1, AVG,
+    rb = generate(make_config(r=250.0, c_ref=7.3), schedule, TIER1, AVG,
                   np.random.default_rng(21))
     np.testing.assert_allclose(ra.d_ratio, rb.d_ratio, rtol=1e-12)
     np.testing.assert_allclose(ra.positions * 250.0, rb.positions, rtol=1e-12)
@@ -421,7 +410,7 @@ def test_bartlett_block_has_the_wishart_moments(n, q):
     _assert_wishart_moments(block, n, rng)
 
 
-def _explicit_samples(cfg, plan, cells, mode, scheme, n_real, rng):
+def _explicit_samples(cfg, schedule, cells, mode, scheme, n_real, rng):
     """Per-realization g^H h_own, sum_u |g^H h_u|^2 and ||g||^2 from explicit
     N-dim `generate` + `combine`, with measure_sinr's combiner scale
     convention (MRC: the raw pilot correlation, psi times the estimate)."""
@@ -429,7 +418,7 @@ def _explicit_samples(cfg, plan, cells, mode, scheme, n_real, rng):
     power = np.empty(n_real)
     g_norm = np.empty(n_real)
     for r in range(n_real):
-        real = generate(cfg, plan, cells, mode, rng)
+        real = generate(cfg, schedule, cells, mode, rng)
         g = combine(real, scheme, 1)
         if scheme is Scheme.MRC:
             g = g * real.psi[real.pilot_col[0]]
@@ -447,12 +436,12 @@ def _explicit_samples(cfg, plan, cells, mode, scheme, n_real, rng):
     pytest.param(Scheme.MRC, 0.1, id="Scheme.MRC-low_snr"),
 ])
 def test_span_shortcut_matches_explicit_path(scheme, snr):
-    cfg = make_config(n=8, k=2, beta=1, snr=snr)
-    plan = PilotPlan(2, 1)
+    cfg = make_config(snr=snr)
+    schedule = Schedule(8, 2, 1)
     n_measured, n_explicit = 20000, 4000
-    measured = measure_sinr(cfg, plan, TIER1, AVG, scheme, n_measured,
+    measured = measure_sinr(cfg, schedule, TIER1, AVG, scheme, n_measured,
                             np.random.default_rng(31))
-    s1, power, g_norm = _explicit_samples(cfg, plan, TIER1, AVG, scheme,
+    s1, power, g_norm = _explicit_samples(cfg, schedule, TIER1, AVG, scheme,
                                           n_explicit, np.random.default_rng(32))
 
     def sinr(s1, power, g_norm):
@@ -477,7 +466,7 @@ def test_span_shortcut_matches_explicit_path(scheme, snr):
         assert abs(value - samples.mean()) < 4 * widen * se
 
 
-def _pilot_block_measure_sinr(config, plan, cells, mode, scheme, n_realizations,
+def _pilot_block_measure_sinr(config, schedule, cells, mode, scheme, n_realizations,
                               rng):
     """measure_sinr's chunk loop as it was before it moved onto pilot
     coefficients of R (`_bartlett_measure_sinr`): every chunk forms the
@@ -485,9 +474,9 @@ def _pilot_block_measure_sinr(config, plan, cells, mode, scheme, n_realizations,
     (m x d x B) from freshly allocated span coordinates.  Same draws in the
     same order."""
     cells = _sorted_cells(cells)
-    centers, cols = _layout(config, plan, cells)
+    centers, cols = _layout(config, schedule, cells)
     pinned = _pinned_positions(config, cells, mode)
-    n, b = config.n_antennas, plan.pilot_len
+    n, b = schedule.n_antennas, schedule.pilot_len
     n_users_total = len(cols)
     i_target = cols[0]
     vmat = dft_pilot_matrix(b)
@@ -507,7 +496,8 @@ def _pilot_block_measure_sinr(config, plan, cells, mode, scheme, n_realizations,
         while left > 0:
             n_chunk = min(left, max_chunk)
             left -= n_chunk
-            positions = _draw_positions(config, cells, pinned, rng, n_chunk)
+            positions = _draw_positions(config, schedule.n_users, cells, pinned,
+                                        rng, n_chunk)
             d_ratio, _, _ = _distance_fields(config, centers, positions)
             coords = _span_coords(rng, n, np.zeros(
                 (n_chunk, dim, n_users_total + b), dtype=complex))
@@ -526,19 +516,19 @@ def _pilot_block_measure_sinr(config, plan, cells, mode, scheme, n_realizations,
             s1_sums[bi] += cross[:, 0].sum()
             pow_sums[bi] += (cross.real ** 2 + cross.imag ** 2).sum(axis=0)
             gn_sums[bi] += (g.real ** 2 + g.imag ** 2).sum()
-    return _measured(sizes, s1_sums, pow_sums, gn_sums, config.n_users)
+    return _measured(sizes, s1_sums, pow_sums, gn_sums, schedule.n_users)
 
 
-def _bartlett_measure_sinr(config, plan, cells, mode, scheme, n_realizations,
+def _bartlett_measure_sinr(config, schedule, cells, mode, scheme, n_realizations,
                            rng):
     """measure_sinr as it was before it drew only W C: every chunk draws the
     full span factor R (m x d x p, `_span_coords`) and works on the pilot
     coefficients C of R, corr = R C, and g^H h_u = (g^H R)_u sqrt(rho d_u).
     Same draws in the same order as `_pilot_block_measure_sinr`."""
     cells = _sorted_cells(cells)
-    centers, cols = _layout(config, plan, cells)
+    centers, cols = _layout(config, schedule, cells)
     pinned = _pinned_positions(config, cells, mode)
-    n, b = config.n_antennas, plan.pilot_len
+    n, b = schedule.n_antennas, schedule.pilot_len
     n_users_total = len(cols)
     p = n_users_total + b
     i_target = cols[0]
@@ -560,7 +550,8 @@ def _bartlett_measure_sinr(config, plan, cells, mode, scheme, n_realizations,
         while left > 0:
             n_chunk = min(left, max_chunk)
             left -= n_chunk
-            positions = _draw_positions(config, cells, pinned, rng, n_chunk)
+            positions = _draw_positions(config, schedule.n_users, cells, pinned,
+                                        rng, n_chunk)
             d_ratio, _, _ = _distance_fields(config, centers, positions)
             amp = np.sqrt(config.snr_linear * d_ratio)
             span = _span_coords(rng, n, np.zeros((n_chunk, dim, p), dtype=complex))
@@ -580,7 +571,7 @@ def _bartlett_measure_sinr(config, plan, cells, mode, scheme, n_realizations,
             s1_sums[bi] += cross[:, 0].sum()
             pow_sums[bi] += (cross.real ** 2 + cross.imag ** 2).sum(axis=0)
             gn_sums[bi] += (g.real ** 2 + g.imag ** 2).sum()
-    return _measured(sizes, s1_sums, pow_sums, gn_sums, config.n_users)
+    return _measured(sizes, s1_sums, pow_sums, gn_sums, schedule.n_users)
 
 
 _REFERENCE_CASES = [
@@ -599,9 +590,9 @@ def test_bartlett_reference_matches_pilot_block_reference(scheme, mode, n, k, be
     # N_BATCHES; only the order of floating-point operations differs
     if chunk_elems is not None:
         monkeypatch.setattr(linklevel, "_CHUNK_ELEMS", chunk_elems)
-    cfg = make_config(n=n, k=k, beta=beta)
-    plan = PilotPlan(k, beta)
-    args = (cfg, plan, TIER1, mode, scheme, 1013)
+    cfg = make_config()
+    schedule = Schedule(n, k, beta)
+    args = (cfg, schedule, TIER1, mode, scheme, 1013)
     got = _bartlett_measure_sinr(*args, np.random.default_rng(40))
     ref = _pilot_block_measure_sinr(*args, np.random.default_rng(40))
     assert got.n_realizations == ref.n_realizations == 1013
@@ -626,9 +617,9 @@ def test_measure_sinr_matches_bartlett_reference_in_law(scheme, mode, n, k, beta
     # (into chunks of 280 for zero-forcing, 305 for MRC)
     if chunk_elems is not None:
         monkeypatch.setattr(linklevel, "_CHUNK_ELEMS", chunk_elems)
-    cfg = make_config(n=n, k=k, beta=beta)
-    plan = PilotPlan(k, beta)
-    args = (cfg, plan, TIER1, mode, scheme, 10000)
+    cfg = make_config()
+    schedule = Schedule(n, k, beta)
+    args = (cfg, schedule, TIER1, mode, scheme, 10000)
     got = measure_sinr(*args, np.random.default_rng(41))
     ref = _bartlett_measure_sinr(*args, np.random.default_rng(42))
     assert got.n_realizations == 10000
@@ -645,7 +636,7 @@ def _gram_solve_ty(r_q, ty, rhs):
     return ty * np.linalg.solve(gram, rhs)[..., 0]
 
 
-def _gram_solve_measure_sinr(config, plan, cells, mode, scheme, n_realizations,
+def _gram_solve_measure_sinr(config, schedule, cells, mode, scheme, n_realizations,
                              rng):
     """measure_sinr as it was before its one-Gamma draw: every chunk draws the
     q x q Bartlett block R_q (`_bartlett_block`) and, for zero-forcing, forms
@@ -653,9 +644,9 @@ def _gram_solve_measure_sinr(config, plan, cells, mode, scheme, n_realizations,
     numbers in the same order as measure_sinr while a batch fits one chunk
     under both chunk rules."""
     cells = _sorted_cells(cells)
-    centers, cols = _layout(config, plan, cells)
+    centers, cols = _layout(config, schedule, cells)
     pinned = _pinned_positions(config, cells, mode)
-    n, b = config.n_antennas, plan.pilot_len
+    n, b = schedule.n_antennas, schedule.pilot_len
     rho = config.snr_linear
     n_users_total = len(cols)
     i_target = cols[0]
@@ -676,7 +667,8 @@ def _gram_solve_measure_sinr(config, plan, cells, mode, scheme, n_realizations,
         while left > 0:
             n_chunk = min(left, max_chunk)
             left -= n_chunk
-            positions = _draw_positions(config, cells, pinned, rng, n_chunk)
+            positions = _draw_positions(config, schedule.n_users, cells, pinned,
+                                        rng, n_chunk)
             d_ratio, _, _ = _distance_fields(config, centers, positions)
             amp = np.sqrt(rho * d_ratio)
             g_diag = (rho * d_ratio) @ user_on_pilot ** 2 + b
@@ -700,7 +692,7 @@ def _gram_solve_measure_sinr(config, plan, cells, mode, scheme, n_realizations,
             s1_sums[bi] += cross[:, 0].sum()
             pow_sums[bi] += (cross.real ** 2 + cross.imag ** 2).sum(axis=0)
             gn_sums[bi] += v_norm_sq.sum()
-    return _measured(sizes, s1_sums, pow_sums, gn_sums, config.n_users)
+    return _measured(sizes, s1_sums, pow_sums, gn_sums, schedule.n_users)
 
 
 def _wishart_inverse_diag(r_q, i):
@@ -743,7 +735,7 @@ def test_schur_complement_is_gamma(n, b, i):
 def test_measure_sinr_keeps_the_mrc_stream(mode):
     # MRC's 1 x 1 block is sqrt(Gamma(N, 1)): the Gram/solve reference draws
     # the same numbers, so only the order of floating-point operations differs
-    args = (make_config(n=16, k=2, beta=3), PilotPlan(2, 3), TIER1, mode,
+    args = (make_config(), Schedule(16, 2, 3), TIER1, mode,
             Scheme.MRC, 1013)
     got = measure_sinr(*args, np.random.default_rng(62))
     ref = _gram_solve_measure_sinr(*args, np.random.default_rng(62))
@@ -761,8 +753,7 @@ def test_measure_sinr_keeps_the_mrc_stream(mode):
 def test_measure_sinr_matches_gram_solve_reference_in_law(mode, n, k, beta):
     # the one-Gamma zero-forcing draw against the Gram/solve loop on
     # independent streams: B = 6 at N = 16 and N = 7, B = 12 at N = 13
-    cfg = make_config(n=n, k=k, beta=beta)
-    args = (cfg, PilotPlan(k, beta), TIER1, mode, Scheme.PZFC, 10000)
+    args = (make_config(), Schedule(n, k, beta), TIER1, mode, Scheme.PZFC, 10000)
     got = measure_sinr(*args, np.random.default_rng(63))
     ref = _gram_solve_measure_sinr(*args, np.random.default_rng(64))
     z = (got.sinr - ref.sinr) / math.hypot(got.std_error, ref.std_error)
@@ -789,7 +780,7 @@ def test_measure_sinr_rejects_a_degenerate_combiner_norm(scheme, value):
     rng = _FixedGamma(np.random.default_rng(65), value)
     with np.errstate(divide="ignore"), pytest.raises(RankDeficient,
                                                      match="not finite and positive"):
-        measure_sinr(make_config(n=16, k=2, beta=1), PilotPlan(2, 1), TIER1, AVG,
+        measure_sinr(make_config(), Schedule(16, 2, 1), TIER1, AVG,
                      scheme, 400, rng)
 
 
@@ -798,8 +789,8 @@ _ORACLE_N = (10, 20, 33, 53, 85, 137, 221)   # default-grid antenna counts
 
 @pytest.fixture(scope="module")
 def sweep_optima(avg_table, worst_table):
-    template = make_config(n=100, k=10)
-    return sweep(template, _ORACLE_N, default_k_grid(template.coherence_block),
+    config = make_config()
+    return sweep(config, _ORACLE_N, default_k_grid(config.coherence_block),
                  [1, 3, 4, 7], [Scheme.MRC, Scheme.PZFC], [AVG, WORST],
                  {AVG: avg_table, WORST: worst_table})
 
@@ -814,11 +805,11 @@ def test_oracle_checks_the_sweep_optima(sweep_optima, avg_table, worst_table,
     # rule; average-mode zero-forcing only as a lower bound, since its closed
     # form under-states the SINR at beta > 1
     k, beta, _ = optimal_schedule(sweep_optima, n, scheme, mode)
-    cfg = make_config(n=n, k=k, beta=beta)
-    plan = PilotPlan(k, beta)
+    cfg = make_config()
+    schedule = Schedule(n, k, beta)
     table = avg_table if mode is AVG else worst_table
-    analytic = sinr(SinrInputs(cfg, table, plan, TIER1, scheme))
-    measured = measure_sinr(cfg, plan, TIER1, mode, scheme, 4000,
+    analytic = sinr(SinrInputs(cfg, table, schedule, TIER1, scheme))
+    measured = measure_sinr(cfg, schedule, TIER1, mode, scheme, 4000,
                             np.random.default_rng(50 + n))
     ratio = measured.sinr / analytic
     print(f"{scheme.value} {mode.value} N={n} K*={k} beta*={beta}: "

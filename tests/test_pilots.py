@@ -4,38 +4,38 @@ import numpy as np
 import pytest
 
 from hexmimo.hexgrid import CellIndex, bs_position, cells_in_tier, reuse_group
-from hexmimo.pilots import PilotPlan
+from hexmimo.pilots import Schedule
 
 from reference import cells_within_tier, inner_product
 
 
 def test_assign_examples_beta3():
-    plan = PilotPlan(n_users=10, reuse_factor=3)
-    assert plan.pilot_len == 30
-    assert plan.assign(0, 1) == 1
-    assert plan.assign(2, 10) == 30
+    schedule = Schedule(n_antennas=100, n_users=10, reuse_factor=3)
+    assert schedule.pilot_len == 30
+    assert schedule.assign(0, 1) == 1
+    assert schedule.assign(2, 10) == 30
 
 
 def test_assign_universal_reuse_is_identity():
-    plan = PilotPlan(n_users=7, reuse_factor=1)
+    schedule = Schedule(n_antennas=100, n_users=7, reuse_factor=1)
     for k in range(1, 8):
-        assert plan.assign(0, k) == k
+        assert schedule.assign(0, k) == k
 
 
 def test_assign_is_bijective_onto_book():
-    plan = PilotPlan(n_users=4, reuse_factor=7)
-    seen = {plan.assign(g, k) for g in range(7) for k in range(1, 5)}
-    assert seen == set(range(1, plan.pilot_len + 1))
+    schedule = Schedule(n_antennas=100, n_users=4, reuse_factor=7)
+    seen = {schedule.assign(g, k) for g in range(7) for k in range(1, 5)}
+    assert seen == set(range(1, schedule.pilot_len + 1))
 
 
 def test_assign_out_of_range():
-    plan = PilotPlan(n_users=4, reuse_factor=3)
+    schedule = Schedule(n_antennas=100, n_users=4, reuse_factor=3)
     with pytest.raises(IndexError):
-        plan.assign(3, 1)
+        schedule.assign(3, 1)
     with pytest.raises(IndexError):
-        plan.assign(0, 0)
+        schedule.assign(0, 0)
     with pytest.raises(IndexError):
-        plan.assign(0, 5)
+        schedule.assign(0, 5)
 
 
 def test_inner_product_diagonal_and_off():
@@ -48,34 +48,35 @@ def test_inner_product_diagonal_and_off():
 
 def test_orthogonality_collapse_matches_reuse_partition():
     # inner product is B exactly when same reuse group and same user slot
-    plan = PilotPlan(n_users=3, reuse_factor=3)
-    b = plan.pilot_len
+    schedule = Schedule(n_antennas=100, n_users=3, reuse_factor=3)
+    b = schedule.pilot_len
     cells = cells_within_tier(2)
     for c1 in cells:
         for c2 in cells:
             g1, g2 = reuse_group(c1, 3), reuse_group(c2, 3)
             for k1 in range(1, 4):
                 for k2 in range(1, 4):
-                    ip = inner_product(plan.assign(g1, k1), plan.assign(g2, k2), b)
+                    ip = inner_product(schedule.assign(g1, k1),
+                                       schedule.assign(g2, k2), b)
                     same = (g1 == g2) and (k1 == k2)
                     assert ip == (b if same else 0.0)
 
 
 def test_intra_cell_assignment_injective():
-    plan = PilotPlan(n_users=9, reuse_factor=4)
+    schedule = Schedule(n_antennas=100, n_users=9, reuse_factor=4)
     for g in range(4):
-        idx = [plan.assign(g, k) for k in range(1, 10)]
+        idx = [schedule.assign(g, k) for k in range(1, 10)]
         assert len(set(idx)) == len(idx)
 
 
 def _copilot_mates(beta, cells, n_users=2):
     """Cells other than the origin whose users reuse the origin's pilots,
     found the way the link-level layout assigns pilots: assign(group, user)."""
-    plan = PilotPlan(n_users=n_users, reuse_factor=beta)
-    origin = [plan.assign(reuse_group(CellIndex(0, 0), beta), k)
+    schedule = Schedule(n_antennas=100, n_users=n_users, reuse_factor=beta)
+    origin = [schedule.assign(reuse_group(CellIndex(0, 0), beta), k)
               for k in range(1, n_users + 1)]
     return [c for c in cells if c != (0, 0)
-            and [plan.assign(reuse_group(c, beta), k)
+            and [schedule.assign(reuse_group(c, beta), k)
                  for k in range(1, n_users + 1)] == origin]
 
 

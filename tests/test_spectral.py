@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from hexmimo.config import InterferenceMode, NetworkConfig
-from hexmimo.errors import DomainError, InsufficientAntennas
+from hexmimo.errors import DomainError, InsufficientAntennas, PilotOverflow
 from hexmimo.hexgrid import CellIndex
 from hexmimo.moments import MomentEntry, MomentTable
-from hexmimo.pilots import PilotPlan
+from hexmimo.pilots import Schedule
 from hexmimo.spectral import (CopilotSums, Scheme, SinrInputs, asymptotic_se,
                               asymptotic_sinr, kstar_asymptotic,
                               mrc_sinr_from_sums, pzfc_sinr_from_sums,
@@ -28,10 +28,8 @@ SINGLE_CELL = synthetic_table({(0, 0): (1.0, 1.0)})
 
 
 def make_inputs(table, n, k, beta, scheme=Scheme.MRC, tier_set=None, snr=10.0):
-    cfg = NetworkConfig(n_antennas=n, n_users=k, coherence_block=1000,
-                        reuse_factor=beta, snr_linear=snr)
-    plan = PilotPlan(n_users=k, reuse_factor=beta)
-    return SinrInputs(config=cfg, moments=table, plan=plan,
+    cfg = NetworkConfig(coherence_block=1000, snr_linear=snr)
+    return SinrInputs(config=cfg, moments=table, schedule=Schedule(n, k, beta),
                       tier_set=tier_set, scheme=scheme)
 
 
@@ -102,7 +100,7 @@ def test_finite_n_converges_to_common_limit(avg_table, beta, scheme):
     # convergence is slower the weaker the contamination (large beta), so the
     # 1 %-at-1e6 check applies to the strongly contaminated reuse factors only
     k = 3
-    limit = asymptotic_sinr(avg_table, PilotPlan(k, beta))
+    limit = asymptotic_sinr(avg_table, beta)
     if beta <= 3:
         assert abs(sinr(make_inputs(avg_table, 10 ** 6, k, beta, scheme=scheme))
                    - limit) / limit < 1e-2
@@ -129,7 +127,7 @@ def test_generic_equals_collapsed(avg_table, beta, k):
                             rel_tol=1e-12)
         assert math.isclose(sinr(inp_z), sinr_pzfc_generic(inp_z),
                             rel_tol=1e-12)
-        assert math.isclose(asymptotic_sinr(avg_table, inp_m.plan, tier_set),
+        assert math.isclose(asymptotic_sinr(avg_table, beta, tier_set),
                             asymptotic_sinr_generic(inp_m), rel_tol=1e-12)
 
 
@@ -169,21 +167,21 @@ def test_asymptotic_se_argmax_is_kstar(avg_table):
     for beta in (1, 3, 4, 7):
         best_k, best_se = None, -1.0
         for k in range(1, t_block // beta + 1):
-            se = asymptotic_se(avg_table, PilotPlan(k, beta), t_block).se_per_cell
+            se = asymptotic_se(avg_table, k, beta, t_block).se_per_cell
             if se > best_se:
                 best_k, best_se = k, se
         assert best_k in kstar_asymptotic(t_block, beta)
 
 
 def test_asymptotic_sinr_isolated_cell_is_infinite():
-    assert asymptotic_sinr(SINGLE_CELL, PilotPlan(2, 1)) == math.inf
+    assert asymptotic_sinr(SINGLE_CELL, 1) == math.inf
 
 
 def test_asymptotic_sinr_two_copilot_cells():
     table = synthetic_table({(0, 0): (1.0, 1.0),
                              (1, 0): (0.4, 0.25),
                              (0, 1): (0.4, 0.25)})
-    assert math.isclose(asymptotic_sinr(table, PilotPlan(3, 1)), 2.0,
+    assert math.isclose(asymptotic_sinr(table, 1), 2.0,
                         rel_tol=1e-12)
 
 
@@ -226,10 +224,13 @@ def test_se_per_cell_consistent_with_sinr(avg_table):
 
 def test_asymptotic_se_closed_form_structure(avg_table):
     k, beta, t_block = 166, 3, 1000
-    res = asymptotic_se(avg_table, PilotPlan(k, beta), t_block)
+    res = asymptotic_se(avg_table, k, beta, t_block)
     sums = CopilotSums.from_table(avg_table, beta)
     expected = k * (1 - k * beta / t_block) * math.log2(1 + 1 / sums.mu2_others)
     assert math.isclose(res.se_per_cell, expected, rel_tol=1e-12)
+    for bad_k in (0, -3):  # no K users to schedule
+        with pytest.raises(DomainError):
+            asymptotic_se(avg_table, bad_k, beta, t_block)
 
 
 def test_kstar_examples():
@@ -264,14 +265,14 @@ def test_kstar_domain_error():
 
 
 def test_inputs_validation_errors(avg_table):
-    cfg = NetworkConfig(64, 3, 1000, 3, 10.0)
+    cfg = NetworkConfig(1000, 10.0)
+    with pytest.raises(PilotOverflow):
+        SinrInputs(NetworkConfig(8, 10.0), avg_table, Schedule(64, 3, 3))  # B > T
+    with pytest.raises(InsufficientAntennas):
+        SinrInputs(cfg, avg_table, Schedule(9, 3, 3), scheme=Scheme.PZFC)  # N <= B
     with pytest.raises(DomainError):
-        SinrInputs(cfg, avg_table, PilotPlan(4, 3))  # K mismatch
-    with pytest.raises(DomainError):
-        SinrInputs(cfg, avg_table, PilotPlan(3, 1))  # beta mismatch
-    with pytest.raises(DomainError):
-        SinrInputs(cfg, avg_table, PilotPlan(3, 3),
+        SinrInputs(cfg, avg_table, Schedule(64, 3, 3),
                    tier_set=((1, 0),))  # own cell missing
     with pytest.raises(DomainError):
-        SinrInputs(cfg, avg_table, PilotPlan(3, 3),
+        SinrInputs(cfg, avg_table, Schedule(64, 3, 3),
                    tier_set=((0, 0), (40, 40)))  # not covered

@@ -1,7 +1,6 @@
 import math
 import os
 import types
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ import hexmimo.spectral as spectral_module
 import hexmimo.sweep as sweep_module
 from hexmimo.config import InterferenceMode, NetworkConfig
 from hexmimo.errors import EmptyFeasibleSet
-from hexmimo.pilots import PilotPlan
+from hexmimo.pilots import Schedule
 from hexmimo.spectral import Scheme, SinrInputs, se_from_sinr, sinr
 from hexmimo.sweep import (ROW_DTYPE, RUN_DTYPE, _argmax, default_k_grid,
                            default_n_grid, optimal_schedule, sweep,
@@ -22,8 +21,7 @@ WORST = InterferenceMode.WORST_CASE
 
 
 def template(t_block=1000):
-    return NetworkConfig(n_antennas=100, n_users=10, coherence_block=t_block,
-                         reuse_factor=1, snr_linear=10.0)
+    return NetworkConfig(coherence_block=t_block, snr_linear=10.0)
 
 
 @pytest.fixture(scope="module")
@@ -93,10 +91,8 @@ def scalar_sweep(config, n_grid, k_grid, betas, schemes, modes, tables):
                         if scheme is Scheme.PZFC and n <= beta * k:
                             skipped[key] += 1
                             continue
-                        cfg = replace(config, n_antennas=n, n_users=k,
-                                      reuse_factor=beta)
-                        value = sinr(SinrInputs(cfg, tables[mode],
-                                                PilotPlan(k, beta),
+                        value = sinr(SinrInputs(config, tables[mode],
+                                                Schedule(n, k, beta),
                                                 scheme=scheme))
                         se = se_from_sinr(value, k, beta * k, t_block).se_per_cell
                         points.append((n, k, beta, scheme.value, mode.value,
@@ -280,11 +276,10 @@ def test_optimum_stays_below_asymptotic_ceiling(small_sweep, avg_table):
     # finite-N SE at the optimum never exceeds the large-N SE of the same
     # (K, beta) schedule
     from hexmimo.spectral import asymptotic_se
-    from hexmimo.pilots import PilotPlan
 
     for scheme in (Scheme.MRC, Scheme.PZFC):
         k, beta, se = optimal_schedule(small_sweep, 1024, scheme, AVG)
-        ceiling = asymptotic_se(avg_table, PilotPlan(k, beta), 1000).se_per_cell
+        ceiling = asymptotic_se(avg_table, k, beta, 1000).se_per_cell
         assert se < ceiling
 
 
