@@ -49,14 +49,12 @@ class RunManifest:
     modes: list[str]
     schemes: list[str]
     config: dict
-    config_path: str | None = None
     n_grid: list[int] = field(default_factory=default_n_grid)
     k_cap: int | None = None
     beta_set: list[int] = field(default_factory=lambda: [1, 3, 4, 7])
     run_asymptotic: bool = False
     run_validation: bool = False
     validation_realizations: int = 20000
-    moment_paths: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=1) + "\n"
@@ -74,10 +72,9 @@ def _validation_seed(seed: int) -> int:
     return int(np.random.SeedSequence(seed).generate_state(3, dtype=np.uint64)[2])
 
 
-def _load_or_build_table(mode: InterferenceMode, manifest: RunManifest,
+def _load_or_build_table(mode: InterferenceMode, out_dir: Path,
                          config: NetworkConfig, written: list[Path]) -> MomentTable:
-    path = Path(manifest.out_dir) / f"moments_{mode.value}.json"
-    manifest.moment_paths[mode.value] = str(path)
+    path = out_dir / f"moments_{mode.value}.json"
     if path.exists():
         try:
             table = MomentTable.load(path)
@@ -231,7 +228,7 @@ def run(manifest: RunManifest) -> dict:
     written: list[Path] = []
 
     try:
-        tables = {mode: _load_or_build_table(mode, manifest, config, written)
+        tables = {mode: _load_or_build_table(mode, out_dir, config, written)
                   for mode in modes}
 
         k_grid = default_k_grid(config.coherence_block)[:manifest.k_cap]
@@ -312,7 +309,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _manifest_from_args(args) -> RunManifest:
     if args.from_manifest:
         manifest = RunManifest.from_json_file(args.from_manifest)
-        manifest.moment_paths = {}
         if args.out:
             manifest.out_dir = args.out
         return manifest
@@ -332,7 +328,6 @@ def _manifest_from_args(args) -> RunManifest:
         modes=[m.strip() for m in args.modes.split(",") if m.strip()],
         schemes=[s.strip() for s in args.schemes.split(",") if s.strip()],
         config=config,
-        config_path=args.config,
         n_grid=default_n_grid(args.n_min, args.n_max, args.n_points),
         k_cap=args.k_cap,
         beta_set=[int(b) for b in args.betas.split(",") if b.strip()],

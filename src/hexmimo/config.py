@@ -5,8 +5,8 @@ it is a `hexmimo.pilots.Schedule`, and the sweep ranges over it.
 The noise power sigma^2 is normalized to 1, so ``snr_linear`` is the uplink
 design SNR rho/sigma^2 and all formulas consume the single ratio
 ``sigma^2 / rho = 1 / snr_linear``.  The pathloss reference ``C`` and the cell
-radius ``r`` are kept in the record because the link-level simulator works
-with absolute distances; they cancel out of every interference moment.
+radius ``r`` are not parameters: power control inverts each user's pathloss
+to its serving BS, so both cancel and every position is in units of r.
 """
 
 from __future__ import annotations
@@ -105,8 +105,6 @@ class NetworkConfig:
         coherence_block: coherence block length T in channel uses.
         snr_linear: design SNR rho/sigma^2 in linear scale.
         pathloss_exponent: distance exponent kappa >= 2.
-        cell_radius: center-to-corner hexagon radius r in meters.
-        pathloss_ref: pathloss reference C (cancels in all SINR expressions).
         min_ue_distance_frac: UE exclusion radius around the serving BS, as a
             fraction of the cell radius.
     """
@@ -114,8 +112,6 @@ class NetworkConfig:
     coherence_block: int
     snr_linear: float
     pathloss_exponent: float = 3.5
-    cell_radius: float = 250.0
-    pathloss_ref: float = 1.0
     min_ue_distance_frac: float = 0.14
 
     @property
@@ -136,10 +132,6 @@ def validate(config: NetworkConfig) -> NetworkConfig:
         raise DomainError(f"snr_linear must be positive, got {config.snr_linear}")
     if config.pathloss_exponent < 2:
         raise DomainError(f"pathloss_exponent must be >= 2, got {config.pathloss_exponent}")
-    if config.cell_radius <= 0:
-        raise DomainError(f"cell_radius must be positive, got {config.cell_radius}")
-    if config.pathloss_ref <= 0:
-        raise DomainError(f"pathloss_ref must be positive, got {config.pathloss_ref}")
     if not 0.0 <= config.min_ue_distance_frac < 1.0:
         raise DomainError(
             f"min_ue_distance_frac must be in [0, 1), got {config.min_ue_distance_frac}")

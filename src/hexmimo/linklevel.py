@@ -1,9 +1,10 @@
 """Link-level Monte Carlo validator for the closed-form SINR engine.
 
 Simulates the actual uplink at one victim BS (placed at the origin cell):
-UE positions are drawn per interference mode, channels are i.i.d. complex
-Gaussian with pathloss-dependent variance, transmit powers invert the average
-attenuation to the serving BS, pilots are DFT columns, and channel estimation
+UE positions are drawn per interference mode at unit cell radius, channels
+are i.i.d. complex Gaussian with pathloss-dependent variance, transmit powers
+invert the average attenuation to the serving BS (so the cell radius and the
+pathloss reference cancel), pilots are DFT columns, and channel estimation
 follows the linear MMSE estimator of the power-controlled effective channels.
 The effective SINR of a bound that treats interference and channel
 uncertainty as worst-case Gaussian noise is then
@@ -75,23 +76,23 @@ def _sorted_cells(cells) -> tuple[CellIndex, ...]:
     return cells
 
 
-def _layout(config: NetworkConfig, schedule: Schedule, cells):
-    """Static per-user metadata: cell centers and pilot columns."""
+def _layout(schedule: Schedule, cells):
+    """Static per-user metadata: cell centers (at unit radius) and pilot
+    columns."""
     k = schedule.n_users
-    centers = np.repeat(np.stack([bs_position(c, config.cell_radius) for c in cells]),
-                        k, axis=0)
+    centers = np.repeat(np.stack([bs_position(c, 1.0) for c in cells]), k, axis=0)
     cols = np.array([schedule.assign(reuse_group(c, schedule.reuse_factor), m) - 1
                      for c in cells for m in range(1, k + 1)], dtype=int)
     return centers, cols
 
 
-def _pinned_positions(config: NetworkConfig, cells,
-                      mode: InterferenceMode) -> dict[int, np.ndarray]:
+def _pinned_positions(cells, mode: InterferenceMode) -> dict[int, np.ndarray]:
     """{cell rank: position} of the UEs that are not drawn: worst-case mode
-    pins out-of-cell UEs to the cell-edge point nearest the victim BS."""
+    pins out-of-cell UEs to the cell-edge point nearest the victim BS (at
+    unit radius)."""
     if mode is not InterferenceMode.WORST_CASE:
         return {}
-    return {ci: worst_case_position(cell, CellIndex(0, 0), config.cell_radius)
+    return {ci: worst_case_position(cell, CellIndex(0, 0), 1.0)
             for ci, cell in enumerate(cells) if cell != (0, 0)}
 
 
@@ -112,7 +113,7 @@ def _ratio_sampler(config: NetworkConfig, k: int, cells, centers: np.ndarray,
     reference `_draw_positions` (tests/reference.py) consumes; the pinned
     users' ratios are computed once, here."""
     half_kappa = config.pathloss_exponent / 2
-    pinned = _pinned_positions(config, cells, mode)
+    pinned = _pinned_positions(cells, mode)
     fixed = []
     for ci, position in pinned.items():
         sl = slice(ci * k, (ci + 1) * k)
@@ -126,8 +127,8 @@ def _ratio_sampler(config: NetworkConfig, k: int, cells, centers: np.ndarray,
         for sl, ratio in fixed:
             out[:, sl] = ratio
         for sl, cell in drawn:
-            pts = sample_ue_positions(cell, config.cell_radius,
-                                      config.min_ue_distance_frac, rng, m * k)
+            pts = sample_ue_positions(cell, 1.0, config.min_ue_distance_frac,
+                                      rng, m * k)
             serving_sq, victim_sq = _squared_distances(pts.reshape(m, k, 2),
                                                        centers[sl])
             out[:, sl] = (serving_sq / victim_sq) ** half_kappa
@@ -174,7 +175,9 @@ def measure_sinr(config: NetworkConfig, schedule: Schedule, cells,
     """Estimate the effective SINR of own-cell user 1 by simulation.
 
     Positions, channels and noise are redrawn every realization (outer
-    position averaging wrapping the channel/noise averaging).  Channels and
+    position averaging wrapping the channel/noise averaging).  Positions are
+    drawn at unit cell radius: only the victim-to-serving distance ratios
+    enter, so the radius and the pathloss reference cancel.  Channels and
     noise enter only through W C (see the module docstring).  The pilot
     correlations are Y~ V = Z C, with C holding sqrt(rho d_u) B on user u's
     pilot column and the DFT rows for the noise; the combiner is g = Z C y
@@ -222,7 +225,7 @@ def measure_sinr(config: NetworkConfig, schedule: Schedule, cells,
     if n_realizations < N_BATCHES:
         raise DomainError("need at least one realization per batch")
     cells = _sorted_cells(cells)
-    centers, cols = _layout(config, schedule, cells)
+    centers, cols = _layout(schedule, cells)
     draw_d_ratio = _ratio_sampler(config, schedule.n_users, cells, centers, mode)
     n, b = schedule.n_antennas, schedule.pilot_len
     rho = config.snr_linear

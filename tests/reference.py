@@ -173,7 +173,7 @@ class Realization:
     schedule: Schedule
     cells: tuple[CellIndex, ...]
     mode: InterferenceMode
-    positions: np.ndarray     # (U, 2) absolute UE coordinates
+    positions: np.ndarray     # (U, 2) UE coordinates at the drawn cell radius
     d_ratio: np.ndarray       # (U,) victim-to-serving channel variance ratio
     tx_power: np.ndarray      # (U,) statistics-inverting uplink powers
     pilot_col: np.ndarray     # (U,) int
@@ -193,10 +193,9 @@ class Realization:
 
 def _draw_positions(config: NetworkConfig, k: int, cells,
                     pinned: dict[int, np.ndarray], rng: np.random.Generator,
-                    n_real: int) -> np.ndarray:
-    """(n_real, U, 2) positions of `k` UEs per cell: the `pinned` ones, the
-    rest drawn."""
-    r = config.cell_radius
+                    n_real: int, radius: float = 1.0) -> np.ndarray:
+    """(n_real, U, 2) positions of `k` UEs per cell on a grid of cell radius
+    `radius`: the `pinned` ones (given at that radius), the rest drawn."""
     frac = config.min_ue_distance_frac
     out = np.empty((n_real, len(cells) * k, 2))
     for ci, cell in enumerate(cells):
@@ -204,19 +203,20 @@ def _draw_positions(config: NetworkConfig, k: int, cells,
         if ci in pinned:
             out[:, sl, :] = pinned[ci]
         else:
-            pts = sample_ue_positions(cell, r, frac, rng, n_real * k)
+            pts = sample_ue_positions(cell, radius, frac, rng, n_real * k)
             out[:, sl, :] = pts.reshape(n_real, k, 2)
     return out
 
 
 def _distance_fields(config: NetworkConfig, centers: np.ndarray,
-                     positions: np.ndarray):
-    """(d_ratio, tx_power, d_victim) for positions of shape (..., U, 2)."""
+                     positions: np.ndarray, pathloss_ref: float = 1.0):
+    """(d_ratio, tx_power, d_victim) for positions of shape (..., U, 2), with
+    channel variance pathloss_ref / distance^kappa."""
     half_kappa = config.pathloss_exponent / 2
     serving_sq, victim_sq = _squared_distances(positions, centers)
     d_ratio = (serving_sq / victim_sq) ** half_kappa
-    tx_power = config.snr_linear * serving_sq ** half_kappa / config.pathloss_ref
-    d_victim = config.pathloss_ref / victim_sq ** half_kappa
+    tx_power = config.snr_linear * serving_sq ** half_kappa / pathloss_ref
+    d_victim = pathloss_ref / victim_sq ** half_kappa
     return d_ratio, tx_power, d_victim
 
 
@@ -232,17 +232,28 @@ def _psi(d_ratio: np.ndarray, cols: np.ndarray, pilot_len: int,
 
 
 def generate(config: NetworkConfig, schedule: Schedule, cells,
-             mode: InterferenceMode, rng: np.random.Generator) -> Realization:
-    """Draw one complete coherence-block realization at the victim BS."""
+             mode: InterferenceMode, rng: np.random.Generator, *,
+             radius: float = 1.0, pathloss_ref: float = 1.0) -> Realization:
+    """Draw one complete coherence-block realization at the victim BS.
+
+    The physics is in absolute units: positions on a grid of cell radius
+    `radius` and channel variance `pathloss_ref` / distance^kappa.  The
+    power control inverts the pathloss to the serving BS, so both cancel
+    from `d_ratio`, `h_eff` and `y_pilot` (to rounding), which is why the
+    library's `NetworkConfig` holds neither.
+    """
     validate(config)
     schedule.check(config.coherence_block)
     cells = _sorted_cells(cells)
-    centers, cols = _layout(config, schedule, cells)
+    centers, cols = _layout(schedule, cells)
+    centers = radius * centers
+    pinned = {ci: radius * p for ci, p in _pinned_positions(cells, mode).items()}
     n, b = schedule.n_antennas, schedule.pilot_len
 
-    positions = _draw_positions(config, schedule.n_users, cells,
-                                _pinned_positions(config, cells, mode), rng, 1)[0]
-    d_ratio, tx_power, d_victim = _distance_fields(config, centers, positions)
+    positions = _draw_positions(config, schedule.n_users, cells, pinned, rng, 1,
+                                radius)[0]
+    d_ratio, tx_power, d_victim = _distance_fields(config, centers, positions,
+                                                   pathloss_ref)
 
     shape = (n, len(cols))
     channel = np.sqrt(d_victim / 2.0) * (rng.standard_normal(shape)

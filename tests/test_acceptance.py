@@ -227,13 +227,12 @@ def test_criterion_7_property_suite(fullres_tables):
         for table in fullres_tables.values() for e in table.entries.values())
 
     # scale invariance in (C, r): moment tables carry no radius dependence,
-    # and the link-level ratios cancel (C, r) to float precision
+    # and the reference's link-level ratios cancel (C, r) to float precision
     schedule = Schedule(16, 2, 1)
-    kw = dict(coherence_block=T_BLOCK, snr_linear=10.0)
-    ra = generate(NetworkConfig(cell_radius=1.0, pathloss_ref=1.0, **kw),
-                  schedule, TIER1, AVG, np.random.default_rng(5))
-    rb = generate(NetworkConfig(cell_radius=250.0, pathloss_ref=7.3, **kw),
-                  schedule, TIER1, AVG, np.random.default_rng(5))
+    network = NetworkConfig(coherence_block=T_BLOCK, snr_linear=10.0)
+    ra = generate(network, schedule, TIER1, AVG, np.random.default_rng(5))
+    rb = generate(network, schedule, TIER1, AVG, np.random.default_rng(5),
+                  radius=250.0, pathloss_ref=7.3)
     checks["scale_invariance"] = bool(np.allclose(ra.d_ratio, rb.d_ratio,
                                                   rtol=1e-12))
 

@@ -70,7 +70,6 @@ def test_benchmark_argv_parses(smoke):
 def test_bench_fixtures_are_the_validation_fixtures():
     # the traced run reports linklevel.<name>_s for each name in FIXTURES; a
     # renamed or reordered fixture must fail here, not read 0 there
-    template = NetworkConfig(coherence_block=200, snr_linear=10.0)
     assert run.FIXTURES == tuple(f[0] for f in _validation_fixtures())
 
 

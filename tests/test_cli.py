@@ -56,7 +56,6 @@ def test_sweep_run_writes_all_outputs(tmp_path, kappa):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 5
     assert manifest["modes"] == ["avg", "worst"]
-    assert set(manifest["moment_paths"]) == {"avg", "worst"}
 
 
 def test_rerun_same_seed_is_byte_identical(tmp_path):
@@ -159,15 +158,17 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert run_cli(["--config", cfg, "--out", tmp_path / "o",
                     "--modes", "bogus"]) == 2
     # values no run can use: non-finite reals, non-integer or bool counts
-    for override in ({"snr_linear": math.nan}, {"cell_radius": math.nan},
-                     {"pathloss_exponent": math.nan}, {"pathloss_ref": math.inf},
+    for override in ({"snr_linear": math.nan}, {"min_ue_distance_frac": math.nan},
+                     {"pathloss_exponent": math.nan}, {"pathloss_exponent": math.inf},
                      {"coherence_block": 1000.5}, {"coherence_block": True},
                      {"snr_db": "10"}, {"snr_db": None}, {"snr_db": 4000},
                      {"snr_linear": "10"}, {"snr_linear": 10 ** 400}):
         bad.write_text(json.dumps(override))
         assert run_cli(["--config", bad, "--out", tmp_path / "o"]) == 2, override
-    # N, K and beta come from the command line, never from a config
-    for override in ({"n_antennas": 5}, {"n_users": 300, "reuse_factor": 4}):
+    # N, K and beta come from the command line, never from a config; the
+    # cell radius and pathloss reference cancel, so no config holds them
+    for override in ({"n_antennas": 5}, {"n_users": 300, "reuse_factor": 4},
+                     {"cell_radius": 250.0}, {"pathloss_ref": 1.0}):
         bad.write_text(json.dumps(override))
         capsys.readouterr()
         assert run_cli(["--config", bad, "--out", tmp_path / "o"]) == 2, override
@@ -191,14 +192,21 @@ def test_config_error_exit_code(tmp_path, capsys):
     # ... or the retired Monte Carlo sample count
     bad.write_text(json.dumps({**manifest, "moment_samples": 10 ** 6}))
     assert run_cli(["--from-manifest", bad]) == 2
+    # ... or the retired config path and moment-table paths
+    for retired in ({"config_path": "net.json"}, {"moment_paths": {}}):
+        bad.write_text(json.dumps({**manifest, **retired}))
+        capsys.readouterr()
+        assert run_cli(["--from-manifest", bad]) == 2, retired
+        assert "unknown keys" in capsys.readouterr().err, retired
     # manifests missing a required field, or carrying a config no run can use
     # ... or carrying a run value of the wrong JSON type
     for broken in ({}, {k: v for k, v in manifest.items() if k != "config"},
-                   {**manifest, "config": {**manifest["config"], "cell_radius": -5}},
+                   {**manifest, "config": {**manifest["config"],
+                                           "min_ue_distance_frac": -5}},
                    {**manifest, "k_cap": "3"}, {**manifest, "config": [1]},
                    {**manifest, "n_grid": [16, "64"]}, {**manifest, "seed": 1.5},
-                   {**manifest, "n_grid": [16, 16]}, {**manifest, "config_path": 5},
-                   {**manifest, "moment_paths": "x"},
+                   {**manifest, "n_grid": [16, 16]}, {**manifest, "out_dir": 5},
+                   {**manifest, "run_validation": "x"},
                    # the N column of sweep.csv is int64
                    {**manifest, "n_grid": [2 ** 63]}):
         bad.write_text(json.dumps(broken))
@@ -578,8 +586,7 @@ def test_samples_flag_is_ignored(tmp_path, capsys):
         manifest = json.loads((out / "manifest.json").read_text())
         return ({p.name: p.read_bytes() for p in out.iterdir()
                  if p.name != "manifest.json"},
-                {k: v for k, v in manifest.items()
-                 if k not in ("out_dir", "moment_paths")},
+                {k: v for k, v in manifest.items() if k != "out_dir"},
                 capsys.readouterr().err)
 
     plain, samples = outputs("plain"), outputs("samples", "--samples", "20000")

@@ -58,17 +58,17 @@ def test_insufficient_antennas_for_zero_forcing():
     ("snr_linear", -1.0),
     ("snr_linear", 0.0),
     ("pathloss_exponent", 1.5),
-    ("cell_radius", 0.0),
-    ("pathloss_ref", -2.0),
+    ("pathloss_exponent", -2.0),
     ("min_ue_distance_frac", 1.0),
+    ("min_ue_distance_frac", -0.1),
     ("snr_linear", math.nan),
     ("snr_linear", math.inf),
+    ("snr_linear", -math.inf),
     ("pathloss_exponent", math.nan),
     ("pathloss_exponent", math.inf),
-    ("cell_radius", math.nan),
-    ("cell_radius", math.inf),
-    ("pathloss_ref", math.nan),
-    ("pathloss_ref", math.inf),
+    ("min_ue_distance_frac", math.nan),
+    ("min_ue_distance_frac", math.inf),
+    ("min_ue_distance_frac", -math.inf),
     ("coherence_block", 1000.5),
     ("coherence_block", True),
 ])
@@ -93,7 +93,7 @@ def test_schedule_domain_errors(field, value):
 
 def test_numpy_scalars_are_valid_values():
     cfg = base_config(coherence_block=np.int64(1000), snr_linear=np.float64(10.0),
-                      cell_radius=np.float32(250.0))
+                      pathloss_exponent=np.float32(3.5))
     assert validate(cfg) is cfg
     schedule = Schedule(np.int64(64), np.int32(4), np.uint8(3))
     schedule.check(cfg.coherence_block)
@@ -141,12 +141,12 @@ def test_config_from_dict_rejects_unknown_and_missing_keys():
 def test_load_config_json_roundtrip(tmp_path):
     path = tmp_path / "net.json"
     path.write_text(json.dumps({
-        "coherence_block": 1000, "snr_db": 10.0, "pathloss_exponent": 3.5,
-        "cell_radius": 250.0}))
+        "coherence_block": 1000, "snr_db": 10.0, "min_ue_distance_frac": 0.1}))
     cfg = load_config(path)
     assert cfg.coherence_block == 1000
     assert cfg.snr_linear == 10.0
-    assert cfg.min_ue_distance_frac == 0.14  # default
+    assert cfg.min_ue_distance_frac == 0.1
+    assert cfg.pathloss_exponent == 3.5  # default
 
 
 def test_interference_mode_values():
@@ -162,8 +162,6 @@ _VALID_FIELDS = {
     "reuse_factor": st.sampled_from([1, 3, 4, 7]),
     "snr_linear": st.floats(1e-3, 1e4),
     "pathloss_exponent": st.floats(2.0, 6.0),
-    "cell_radius": st.floats(1.0, 1e4),
-    "pathloss_ref": st.floats(1e-6, 1e6),
     "min_ue_distance_frac": st.floats(0.0, 0.99),
 }
 _ODD_VALUES = st.one_of(

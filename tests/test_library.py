@@ -1,6 +1,6 @@
 """The library's shape: every function is on the production path, every
-config and schedule field is read, no import is left unused, and the
-documented API runs as written.
+config, schedule and manifest field is read, no import is left unused, and
+the documented API runs as written.
 
 Cross-check oracles that only tests call live in `tests/reference.py`, so a
 function in `src/hexmimo` that no run reaches is either public API or dead.
@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 import hexmimo
+from hexmimo.cli import RunManifest
 from hexmimo.config import NetworkConfig
 from hexmimo.pilots import Schedule
 
@@ -31,14 +32,12 @@ UNREACHED = {
     ("_fork", "_run"): "runs only inside forked pool workers",
 }
 
-# the functions that check field values, whose reads do not count as uses
-FIELD_CHECKS = {("config", "validate"), ("pilots", "check")}
+# the functions whose reads of a field do not count as uses: the checks of
+# field values, and the manifest's serializer, which records every field
+NOT_USES = {("config", "validate"), ("pilots", "check"), ("cli", "to_json")}
 
 # field -> why no library expression reads it
-UNREAD_FIELDS = {
-    "pathloss_ref": "cancels in every library expression; tests/reference.generate "
-                    "and acceptance criterion 7 use it",
-}
+UNREAD_FIELDS = {}
 
 # (module, name) -> why the import stays bound although the module never uses it
 UNUSED_IMPORTS = {
@@ -117,9 +116,9 @@ def test_every_library_function_is_on_the_production_path(tmp_path):
 
 
 def _attributes_read(node, module: str) -> set:
-    """Attribute names that `node` reads, outside the FIELD_CHECKS functions."""
+    """Attribute names that `node` reads, outside the NOT_USES functions."""
     if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and (module, node.name) in FIELD_CHECKS):
+            and (module, node.name) in NOT_USES):
         return set()
     read = {node.attr} if (isinstance(node, ast.Attribute)
                            and isinstance(node.ctx, ast.Load)) else set()
@@ -132,10 +131,11 @@ def test_every_config_and_schedule_field_is_read():
     # a field nothing reads is a value a run records but never uses
     network = {f.name for f in dataclasses.fields(NetworkConfig)}
     schedule = {f.name for f in dataclasses.fields(Schedule)}
+    manifest = {f.name for f in dataclasses.fields(RunManifest)}
     assert not network & schedule, "a value has two homes"
     read = set().union(*(_attributes_read(tree, module)
                          for module, _, tree in _modules()))
-    assert (network | schedule) - read == set(UNREAD_FIELDS)
+    assert (network | schedule | manifest) - read == set(UNREAD_FIELDS)
 
 
 def _unused_imports(tree) -> set:

@@ -26,9 +26,8 @@ WORST = InterferenceMode.WORST_CASE
 TIER1 = tuple(cells_within_tier(1))
 
 
-def make_config(snr=10.0, r=250.0, c_ref=1.0):
-    return NetworkConfig(coherence_block=1000, snr_linear=snr, cell_radius=r,
-                         pathloss_ref=c_ref)
+def make_config(snr=10.0):
+    return NetworkConfig(coherence_block=1000, snr_linear=snr)
 
 
 @pytest.mark.parametrize("b", [1, 2, 4, 6])
@@ -100,7 +99,7 @@ def test_worst_mode_pins_interferers_to_cell_edge():
     for cell in TIER1:
         if cell == (0, 0):
             continue
-        expected = worst_case_position(cell, CellIndex(0, 0), cfg.cell_radius)
+        expected = worst_case_position(cell, CellIndex(0, 0), 1.0)
         for k in (1, 2):
             u = real.user_index(cell, k)
             assert np.allclose(real.positions[u], expected, atol=1e-12)
@@ -308,22 +307,11 @@ def test_measured_and_analytic_approach_limit_together(avg_table):
     assert 0 < gaps[256] < gaps[64]
 
 
-def test_sinr_invariant_to_pathloss_reference_and_radius():
-    # C and r cancel: same seed, different (C, r) give near-identical results
-    schedule = Schedule(16, 2, 1)
-    a = measure_sinr(make_config(r=1.0, c_ref=1.0), schedule, TIER1, AVG,
-                     Scheme.MRC, 4000, np.random.default_rng(20))
-    b = measure_sinr(make_config(r=250.0, c_ref=7.3), schedule, TIER1,
-                     AVG, Scheme.MRC, 4000, np.random.default_rng(20))
-    assert math.isclose(a.sinr, b.sinr, rel_tol=1e-9)
-
-
 def test_realization_scale_invariance_of_ratios():
     schedule = Schedule(4, 2, 1)
-    ra = generate(make_config(r=1.0, c_ref=1.0), schedule, TIER1, AVG,
-                  np.random.default_rng(21))
-    rb = generate(make_config(r=250.0, c_ref=7.3), schedule, TIER1, AVG,
-                  np.random.default_rng(21))
+    ra = generate(make_config(), schedule, TIER1, AVG, np.random.default_rng(21))
+    rb = generate(make_config(), schedule, TIER1, AVG, np.random.default_rng(21),
+                  radius=250.0, pathloss_ref=7.3)
     np.testing.assert_allclose(ra.d_ratio, rb.d_ratio, rtol=1e-12)
     np.testing.assert_allclose(ra.positions * 250.0, rb.positions, rtol=1e-12)
 
@@ -410,15 +398,16 @@ def test_bartlett_block_has_the_wishart_moments(n, q):
     _assert_wishart_moments(block, n, rng)
 
 
-def _explicit_samples(cfg, schedule, cells, mode, scheme, n_real, rng):
+def _explicit_samples(cfg, schedule, cells, mode, scheme, n_real, rng, **units):
     """Per-realization g^H h_own, sum_u |g^H h_u|^2 and ||g||^2 from explicit
-    N-dim `generate` + `combine`, with measure_sinr's combiner scale
-    convention (MRC: the raw pilot correlation, psi times the estimate)."""
+    N-dim `generate` (`units`: its radius and pathloss_ref) + `combine`, with
+    measure_sinr's combiner scale convention (MRC: the raw pilot
+    correlation, psi times the estimate)."""
     s1 = np.empty(n_real, dtype=complex)
     power = np.empty(n_real)
     g_norm = np.empty(n_real)
     for r in range(n_real):
-        real = generate(cfg, schedule, cells, mode, rng)
+        real = generate(cfg, schedule, cells, mode, rng, **units)
         g = combine(real, scheme, 1)
         if scheme is Scheme.MRC:
             g = g * real.psi[real.pilot_col[0]]
@@ -429,20 +418,24 @@ def _explicit_samples(cfg, schedule, cells, mode, scheme, n_real, rng):
     return s1, power, g_norm
 
 
-@pytest.mark.parametrize("scheme, snr", [
-    pytest.param(Scheme.MRC, 10.0, id="Scheme.MRC"),
-    pytest.param(Scheme.PZFC, 10.0, id="Scheme.PZFC"),
+@pytest.mark.parametrize("scheme, snr, units", [
+    pytest.param(Scheme.MRC, 10.0, {}, id="Scheme.MRC"),
+    pytest.param(Scheme.PZFC, 10.0, {}, id="Scheme.PZFC"),
     # pilot noise dominates the estimate: a wrong noise variance shows here
-    pytest.param(Scheme.MRC, 0.1, id="Scheme.MRC-low_snr"),
+    pytest.param(Scheme.MRC, 0.1, {}, id="Scheme.MRC-low_snr"),
+    # the unit-radius shortcut against the physics in absolute units
+    pytest.param(Scheme.PZFC, 10.0, {"radius": 250.0, "pathloss_ref": 7.3},
+                 id="Scheme.PZFC-absolute_units"),
 ])
-def test_span_shortcut_matches_explicit_path(scheme, snr):
+def test_span_shortcut_matches_explicit_path(scheme, snr, units):
     cfg = make_config(snr=snr)
     schedule = Schedule(8, 2, 1)
     n_measured, n_explicit = 20000, 4000
     measured = measure_sinr(cfg, schedule, TIER1, AVG, scheme, n_measured,
                             np.random.default_rng(31))
     s1, power, g_norm = _explicit_samples(cfg, schedule, TIER1, AVG, scheme,
-                                          n_explicit, np.random.default_rng(32))
+                                          n_explicit, np.random.default_rng(32),
+                                          **units)
 
     def sinr(s1, power, g_norm):
         coherent = abs(s1.mean()) ** 2
@@ -474,8 +467,8 @@ def _pilot_block_measure_sinr(config, schedule, cells, mode, scheme, n_realizati
     (m x d x B) from freshly allocated span coordinates.  Same draws in the
     same order."""
     cells = _sorted_cells(cells)
-    centers, cols = _layout(config, schedule, cells)
-    pinned = _pinned_positions(config, cells, mode)
+    centers, cols = _layout(schedule, cells)
+    pinned = _pinned_positions(cells, mode)
     n, b = schedule.n_antennas, schedule.pilot_len
     n_users_total = len(cols)
     i_target = cols[0]
@@ -526,8 +519,8 @@ def _bartlett_measure_sinr(config, schedule, cells, mode, scheme, n_realizations
     coefficients C of R, corr = R C, and g^H h_u = (g^H R)_u sqrt(rho d_u).
     Same draws in the same order as `_pilot_block_measure_sinr`."""
     cells = _sorted_cells(cells)
-    centers, cols = _layout(config, schedule, cells)
-    pinned = _pinned_positions(config, cells, mode)
+    centers, cols = _layout(schedule, cells)
+    pinned = _pinned_positions(cells, mode)
     n, b = schedule.n_antennas, schedule.pilot_len
     n_users_total = len(cols)
     p = n_users_total + b
@@ -644,8 +637,8 @@ def _gram_solve_measure_sinr(config, schedule, cells, mode, scheme, n_realizatio
     numbers in the same order as measure_sinr while a batch fits one chunk
     under both chunk rules."""
     cells = _sorted_cells(cells)
-    centers, cols = _layout(config, schedule, cells)
-    pinned = _pinned_positions(config, cells, mode)
+    centers, cols = _layout(schedule, cells)
+    pinned = _pinned_positions(cells, mode)
     n, b = schedule.n_antennas, schedule.pilot_len
     rho = config.snr_linear
     n_users_total = len(cols)
