@@ -25,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._fork import available_cpus, fork_map
 from .config import (HEX_REUSE_FACTORS, InterferenceMode, NetworkConfig,
                      config_from_dict, record_from_json)
 from .errors import DomainError
@@ -61,14 +60,27 @@ class RunManifest:
 
     @classmethod
     def from_json_file(cls, path) -> "RunManifest":
+        """Read a manifest; a refused one is refused with its config's
+        problems too, so one error names every stale key."""
         with open(path, "r", encoding="utf-8") as fh:
-            return record_from_json(cls, json.load(fh), "manifest")
+            data = json.load(fh)
+        try:
+            return record_from_json(cls, data, "manifest")
+        except DomainError as exc:
+            config = data.get("config") if isinstance(data, dict) else None
+            if isinstance(config, dict):
+                try:
+                    config_from_dict(config)
+                except DomainError as config_exc:
+                    raise DomainError(f"{exc}; {config_exc}") from None
+            raise
 
 
 def _validation_seed(seed: int) -> int:
-    """The oracle's seed, split from the single run seed.  It is word 2 of
-    the seed sequence's state, so a given run seed keeps the validation
-    streams it has always had."""
+    """The oracle's seed, split from the single run seed: word 2 of the seed
+    sequence's state.  A run seed maps to the same oracle seed in every
+    version, but the draws made from it change whenever the oracle's
+    sampling does, so validation.json repeats only within one version."""
     return int(np.random.SeedSequence(seed).generate_state(3, dtype=np.uint64)[2])
 
 
@@ -155,10 +167,7 @@ def run_validation(config: NetworkConfig,
     Fixture i of `_validation_fixtures` draws from its own stream, child i
     of `SeedSequence(seed)`, so its result depends on the seed and on the
     fixture alone: a mode left out of `tables` skips its fixtures and moves
-    no other.  The simulations run on a pool of forked workers, one per CPU
-    of the process's affinity up to one per fixture, or in process on one
-    CPU; both give the same report.  The closed forms and the report stay
-    in this process, in fixture order.
+    no other.  The fixtures run in fixture order, in this process.
 
     A gated fixture passes when the measured value is within 5 % of the
     analytic one or within 3 batch standard errors of it; ungated fixtures
@@ -168,28 +177,14 @@ def run_validation(config: NetworkConfig,
     """
     fixtures = _validation_fixtures()
     streams = np.random.SeedSequence(seed).spawn(len(fixtures))
-    kept, jobs = [], []
-    for fixture, stream in zip(fixtures, streams):
-        _, cells, schedule, mode, scheme, _ = fixture
-        if mode in tables:
-            kept.append(fixture)
-            jobs.append((config, schedule, [tuple(c) for c in cells], mode, scheme,
-                         n_realizations, np.random.default_rng(stream)))
-
-    # The workers fork before this process runs any of the oracle's BLAS
-    # products, and a run runs none before it gets here: OpenBLAS threads
-    # left spinning in the parent could compete with the workers for CPUs.
-    with fork_map(measure_sinr, jobs, available_cpus()) as results:
-        # the closed forms, while the workers simulate
-        analytic_all = [sinr(SinrInputs(config=config, moments=tables[mode],
-                                        schedule=schedule, tier_set=cells,
-                                        scheme=scheme))
-                        for _, schedule, cells, mode, scheme, _, _ in jobs]
-        measured_all = list(results)
-
     report = {"n_realizations": n_realizations, "seed": seed, "fixtures": []}
-    for (name, cells, schedule, mode, scheme, gated), analytic, measured in zip(
-            kept, analytic_all, measured_all):
+    for (name, cells, schedule, mode, scheme, gated), stream in zip(fixtures, streams):
+        if mode not in tables:
+            continue
+        analytic = sinr(SinrInputs(config=config, moments=tables[mode],
+                                   schedule=schedule, tier_set=cells, scheme=scheme))
+        measured = measure_sinr(config, schedule, cells, mode, scheme, n_realizations,
+                                np.random.default_rng(stream))
         ratio = measured.sinr / analytic
         passed = (abs(ratio - 1.0) <= 0.05
                   or abs(measured.sinr - analytic) <= 3.0 * measured.std_error)

@@ -32,11 +32,13 @@ _BASIS = np.array([[1.5, 0.0],
 _CORNERS = np.array([(math.cos(k * math.pi / 3.0), math.sin(k * math.pi / 3.0))
                      for k in range(6)])
 
-# Outward edge normals (three axes; opposite edges share an axis).
-_EDGE_AXES = np.array([(math.cos(a), math.sin(a))
-                       for a in (math.pi / 6.0, math.pi / 2.0, 5.0 * math.pi / 6.0)])
+# The unit hexagon is three rhombi: 0-c0-c1-c2, with c0 = 1 and c2 = e^{i 2pi/3}
+# (so c1 = c0 + c2), and its rotations by 120 and 240 degrees.
+_C2 = complex(-0.5, SQRT3 / 2.0)
+_ROTATIONS = np.array([1.0, _C2, _C2.conjugate()])
+_AREA = 1.5 * SQRT3  # of the unit hexagon
 _APOTHEM = SQRT3 / 2.0
-_SAMPLE_BLOCK = 2 ** 16  # rows per block of a rejection round's draw
+_ROUND_ROWS = 1 << 18  # the most candidates one rejection round draws
 
 # Co-channel shift pair (i, j) per supported cluster size beta = i^2 + i*j + j^2.
 _REUSE_SHIFT = {1: (1, 0), 3: (1, 1), 4: (2, 0), 7: (2, 1)}
@@ -116,41 +118,43 @@ def sample_ue_positions(cell: CellIndex, radius: float, min_frac: float,
     """Sample n UE positions uniformly on the hexagon of `cell`, excluding a
     disk of radius min_frac * radius around the BS.
 
-    Rejection sampling from the bounding box of the unit hexagon; the draw is
-    made at unit radius and scaled afterwards, so a given generator state
-    yields the same (scaled) points for every radius.  Each rejection round
-    draws its rows in blocks of `_SAMPLE_BLOCK`, so the temporaries stay
-    bounded whatever n is.  Blocks are drawn in order, and a round's blocks
-    after the quota fills are still drawn and discarded: points and final
-    generator state are those of one draw of the whole round.  The edge test
-    of every block writes into the same two buffers.
+    Each candidate takes three uniforms u0, u1, u2: the point u0 + u1 c2 is
+    uniform on the rhombus 0-c0-c1-c2, and a turn by floor(3 u2) * 120
+    degrees makes it uniform on the hexagon.  Only the inner disk is
+    rejected: the acceptance is the hexagon's area outside it over the
+    hexagon's (0.976 at min_frac 0.14), and past the apothem the disk's
+    area inside the hexagon leaves out six caps.  Each round draws the
+    expected need plus four standard deviations of the accepted count, so
+    a second round is rare, but at most `_ROUND_ROWS` candidates, so memory
+    stays bounded as the acceptance falls toward 0 at min_frac 1.  The draw
+    is made at unit radius and scaled afterwards, so a given generator state
+    yields the same (scaled) points for every radius.
     """
     if not 0.0 <= min_frac < 1.0:
         raise DomainError(f"min_frac must be in [0, 1), got {min_frac}")
-    accepted = np.empty((n, 2))
+    hole = math.pi * min_frac ** 2
+    if min_frac > _APOTHEM:
+        hole -= 6.0 * (min_frac ** 2 * math.acos(_APOTHEM / min_frac)
+                       - _APOTHEM * math.sqrt(min_frac ** 2 - _APOTHEM ** 2))
+    accept = max(1.0 - hole / _AREA, 1.0 / _ROUND_ROWS)
+    points = np.empty(n, dtype=complex)
     have = 0
-    rows = min(_SAMPLE_BLOCK, max(64, int(1.5 * n)))  # the largest block drawn
-    proj_buf = np.empty((rows, 3))
-    edge_buf = np.empty(rows)
-    # acceptance ratio ~ 0.73 for min_frac = 0.14
     while have < n:
-        m = max(64, int(1.5 * (n - have)))
-        for start in range(0, m, _SAMPLE_BLOCK):
-            pts = rng.uniform(-1.0, 1.0, size=(min(_SAMPLE_BLOCK, m - start), 2))
-            if have == n:
-                continue
-            pts[:, 1] *= _APOTHEM
-            proj = np.matmul(pts, _EDGE_AXES.T, out=proj_buf[:len(pts)])
-            np.abs(proj, out=proj)
-            edge = np.maximum(proj[:, 0], proj[:, 1], out=edge_buf[:len(pts)])
-            inside = np.maximum(edge, proj[:, 2], out=edge) <= _APOTHEM
-            if min_frac > 0.0:
-                inside &= (pts[:, 0] ** 2 + pts[:, 1] ** 2) >= min_frac ** 2
-            pts = pts[inside]
-            take = min(n - have, pts.shape[0])
-            accepted[have:have + take] = pts[:take]
-            have += take
-    return radius * accepted + bs_position(cell, radius)
+        need = n - have
+        rows = (need + 4.0 * math.sqrt(need * (1.0 - accept))) / accept
+        u = rng.random((3, math.ceil(min(rows, _ROUND_ROWS))))
+        z = u[1] * _C2
+        z += u[0]
+        z *= _ROTATIONS[(3.0 * u[2]).astype(np.intp)]
+        if min_frac > 0.0:  # |u0 + u1 c2|^2 = u0^2 - u0 u1 + u1^2
+            z = z[u[0] * (u[0] - u[1]) + u[1] * u[1] >= min_frac ** 2]
+        take = min(need, len(z))
+        points[have:have + take] = z[:take]
+        have += take
+    out = points.view(float).reshape(n, 2)
+    out *= radius
+    out += bs_position(cell, radius)
+    return out
 
 
 def worst_case_position(interferer_cell: CellIndex, victim_bs: CellIndex,

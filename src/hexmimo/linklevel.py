@@ -109,8 +109,10 @@ def _ratio_sampler(config: NetworkConfig, k: int, cells, centers: np.ndarray,
     """draw(rng, m) -> (m, U) victim-to-serving variance ratios d_ratio of
     `k` users per cell.
 
-    The drawn cells are sampled in cell order, the stream that the test
-    reference `_draw_positions` (tests/reference.py) consumes; the pinned
+    Each draw makes one `sample_ue_positions` call of m k points per drawn
+    cell, in cell order: the sampler sizes its rounds by the points asked
+    for, so this call pattern is the stream, and it is the one the test
+    reference `_draw_positions` (tests/reference.py) consumes.  The pinned
     users' ratios are computed once, here."""
     half_kappa = config.pathloss_exponent / 2
     pinned = _pinned_positions(cells, mode)
@@ -280,9 +282,9 @@ def measure_sinr(config: NetworkConfig, schedule: Schedule, cells,
             bz[:, i_slot] += b * a
             # the user rows of W C y
             wcy = v_norm[:, None] * xi[:, :n_users_total] + amp * bz[:, slot]
-            cross = wcy.conj() * amp
-            s1_sums[bi] += cross[:, u_own].sum()
-            pow_sums[bi] += (cross.real ** 2 + cross.imag ** 2).sum(axis=0)
+            s1_sums[bi] += np.vdot(wcy[:, u_own], amp[:, u_own])
+            pow_sums[bi] += np.einsum("ij,ij->j", amp * amp,
+                                      wcy.real ** 2 + wcy.imag ** 2)
             gn_sums[bi] += v_norm_sq.sum()
 
     return _measured(sizes, s1_sums, pow_sums, gn_sums, schedule.n_users)

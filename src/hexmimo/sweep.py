@@ -24,23 +24,24 @@ padded byte matrix: each run's constant fields formatted once, K and the
 floats by the numpy kernels of `_floatrepr`, which print them exactly as
 `str` and `repr` do; the padding is stripped at the end.  When the process
 may run on more than one CPU and there are at least `_POOL_MIN_ROWS` rows,
-the spans are formatted by a pool of forked workers (`_fork.fork_map`):
-starting and stopping the pool costs about 20 ms, a fifth of what that
-many rows take to format.  The workers inherit both tables through the
-fork, so only span indices and the formatted bytes cross the pipes, and
-the parent writes each span as it arrives, in order.  Smaller sweeps
-format in process and never import `multiprocessing`.  Both paths write
+the spans are formatted by a pool of workers forked with the `fork` start
+method, the run's one process pool: starting and stopping it costs about
+20 ms, a fifth of what that many rows take to format.  The workers inherit
+both tables through the fork, so only span indices and the formatted bytes
+cross the pipes, and the parent writes each span as it arrives, in order.
+Smaller sweeps format in process and never import `multiprocessing`, which
+would add to every small run's start-up time and memory.  Both paths write
 the same bytes.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._floatrepr import float_reprs, int_digits
-from ._fork import available_cpus, fork_map
 from .config import InterferenceMode, NetworkConfig, validate
 from .errors import DomainError, EmptyFeasibleSet
 from .moments import MomentTable
@@ -219,6 +220,33 @@ def _format_runs(rows: np.ndarray, runs: np.ndarray) -> bytes:
     return np.concatenate(fields, axis=1).tobytes().translate(None, b"\0")
 
 
+_pool_task = None  # (rows, runs, spans), set in each pool worker by `_inherit`
+
+
+def _inherit(*task) -> None:
+    global _pool_task
+    _pool_task = task
+
+
+def _format_span(index: int) -> bytes:
+    rows, runs, spans = _pool_task
+    lo, hi = spans[index]
+    return _format_runs(rows, runs[lo:hi])
+
+
+def available_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one (Linux), else every CPU of the machine."""
+    getaffinity = getattr(os, "sched_getaffinity", None)  # looked up per call
+    return len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
+
+
+def _write_lines(path, texts) -> None:
+    with open(path, "wb") as fh:
+        fh.write(b"N,K,beta,scheme,mode,sinr,se\n")
+        fh.writelines(texts)
+
+
 def write_sweep_csv(result: SweepResult, path) -> None:
     """One CSV row per evaluated grid point (floats at full precision)."""
     rows, runs = result.rows, result.runs
@@ -230,13 +258,20 @@ def write_sweep_csv(result: SweepResult, path) -> None:
     cuts = [0, *np.searchsorted(runs["start"], shares).tolist(), len(runs)]
     spans = [(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if lo < hi]
 
-    # the pool forks before the file is opened; its workers only format
-    # strings (no threads, no BLAS)
-    with fork_map(lambda lo, hi: _format_runs(rows, runs[lo:hi]),
-                  spans, workers) as texts:
-        with open(path, "wb") as fh:
-            fh.write(b"N,K,beta,scheme,mode,sinr,se\n")
-            fh.writelines(texts)
+    workers = min(workers, len(spans))
+    if workers < 2:
+        _write_lines(path, (_format_runs(rows, runs[lo:hi]) for lo, hi in spans))
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # the fork context hands `initargs` to the workers by inheritance, not by
+    # pickling; `map` submits every span, so all workers fork before the file
+    # is opened.  They only format strings (no threads, no BLAS).  Leaving the
+    # block waits for every worker; a worker's exception is raised again here.
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_inherit, initargs=(rows, runs, spans)) as executor:
+        _write_lines(path, executor.map(_format_span, range(len(spans))))
 
 
 def write_optima_csv(result: SweepResult, path) -> None:

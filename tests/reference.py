@@ -30,8 +30,8 @@ import numpy as np
 
 from hexmimo.config import InterferenceMode, NetworkConfig, validate
 from hexmimo.errors import InsufficientAntennas, RankDeficient
-from hexmimo.hexgrid import (_APOTHEM, _EDGE_AXES, CellIndex, bs_position,
-                             cells_in_tier, reuse_group, sample_ue_positions)
+from hexmimo.hexgrid import (CellIndex, bs_position, cells_in_tier, reuse_group,
+                             sample_ue_positions)
 from hexmimo.linklevel import (_CHUNK_ELEMS, _layout, _pinned_positions,
                                _sorted_cells, _squared_distances)
 from hexmimo.pilots import Schedule
@@ -40,6 +40,12 @@ from hexmimo.spectral import Scheme, SinrInputs
 
 # ---------------------------------------------------------------------------
 # geometry
+
+# Outward edge normals of the unit hexagon (three axes; opposite edges share
+# an axis) and its apothem.
+_EDGE_AXES = np.array([(math.cos(a), math.sin(a))
+                       for a in (math.pi / 6.0, math.pi / 2.0, 5.0 * math.pi / 6.0)])
+_APOTHEM = math.sqrt(3.0) / 2.0
 
 
 def cells_within_tier(tier: int) -> list[CellIndex]:

@@ -8,7 +8,6 @@ only `python3 -m pytest perfbench`.
 
 import importlib
 import importlib.util
-import os
 import sys
 from pathlib import Path
 
@@ -118,7 +117,6 @@ def test_hook_attrs_read_real_calls(tmp_path, monkeypatch):
             _calls.append((args, kwargs, result))
             return result
         monkeypatch.setattr(module, name, recording)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # oracle in process
     hexmimo.cli.main(["--out", str(tmp_path / "out"), "--n-points", "1", "--k-cap", "1",
                       "--validate", "--realizations", "400"])
     hooks = {(m, p): f for m, p, _, f in child.SPANS + child.COUNTERS}

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import hexmimo.cli as cli_module
 import hexmimo.sweep as sweep_module
-from hexmimo._fork import available_cpus
 from hexmimo.cli import main
 from hexmimo.config import InterferenceMode, NetworkConfig
 from hexmimo.errors import RankDeficient
@@ -214,6 +213,23 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_stale_manifest_error_names_every_stale_key(tmp_path, capsys):
+    # a manifest with retired keys at the top and in its config is refused
+    # once, by one error naming all four
+    manifest = {"out_dir": str(tmp_path / "o"), "seed": 0, "modes": ["avg"],
+                "schemes": ["mrc"], "config_path": "net.json", "moment_paths": {},
+                "config": {"coherence_block": 200, "snr_db": 10.0,
+                           "cell_radius": 250.0, "pathloss_ref": 1.0}}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert run_cli(["--from-manifest", path]) == 2
+    err = capsys.readouterr().err
+    assert err.count("config error") == 1
+    for key in ("config_path", "moment_paths", "cell_radius", "pathloss_ref"):
+        assert key in err, key
+    assert not (tmp_path / "o").exists()
+
+
 def test_failed_run_removes_partial_outputs(tmp_path, monkeypatch):
     import hexmimo.cli as cli_mod
 
@@ -371,7 +387,6 @@ def test_mutated_manifest_runs_or_is_refused_before_any_work(tmp_path, monkeypat
     path = work.with_suffix(".json")
     path.write_text(json.dumps(manifest))
     monkeypatch.chdir(work)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # oracle in process
     code = main(["--from-manifest", str(path)])
     assert code in (0, 2)
     if code == 2:
@@ -401,47 +416,65 @@ def test_failed_pool_worker_leaves_no_output_and_no_process(tmp_path, capsys,
     assert multiprocessing.active_children() == []
 
 
-def test_failed_oracle_worker_leaves_no_output_and_no_process(tmp_path, capsys,
-                                                             monkeypatch):
-    parent, measure_sinr = os.getpid(), cli_module.measure_sinr
+def test_failed_oracle_fixture_leaves_no_output(tmp_path, capsys, monkeypatch):
+    measure_sinr = cli_module.measure_sinr
 
-    def fail_in_worker(*args):
-        if os.getpid() != parent:
-            raise RankDeficient("forced rank deficiency in an oracle worker")
-        return measure_sinr(*args)
+    def fail_on_worst(config, schedule, cells, mode, *args):
+        if mode is InterferenceMode.WORST_CASE:
+            raise RankDeficient("forced rank deficiency in an oracle fixture")
+        return measure_sinr(config, schedule, cells, mode, *args)
 
-    monkeypatch.setattr(cli_module, "measure_sinr", fail_in_worker)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(cli_module, "measure_sinr", fail_on_worst)
     cfg = small_config(tmp_path)
     out = tmp_path / "out"
-    assert run_cli(["--config", cfg, "--out", out, "--modes", "avg",
-                    "--schemes", "mrc", "--validate", "--realizations", "400",
-                    *FAST_FLAGS]) == 1
-    assert "forced rank deficiency in an oracle worker" in capsys.readouterr().err
-    # sweep.csv, optima.csv and moments_avg.json were written, then removed
+    assert run_cli(["--config", cfg, "--out", out, "--schemes", "mrc", "--validate",
+                    "--realizations", "400", *FAST_FLAGS]) == 1
+    assert "forced rank deficiency in an oracle fixture" in capsys.readouterr().err
+    # both moment tables, sweep.csv and optima.csv were written, then removed
     assert list(out.iterdir()) == []
-    assert multiprocessing.active_children() == []
 
 
-def test_fixture_streams_do_not_depend_on_modes_or_cpus(tmp_path, monkeypatch):
+def test_fixture_streams_do_not_depend_on_modes(tmp_path):
     # fixture i draws from child i of the validation seed: leaving out the
-    # worst-case fixtures moves no average one, and the pool (2 CPUs) writes
-    # the same report as the in-process loop (1 CPU)
+    # worst-case fixtures moves no average one
     cfg = small_config(tmp_path, t_block=1000)
     out = tmp_path / "out"
 
-    def validation(modes, cpus):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    def validation(modes):
         assert run_cli(["--config", cfg, "--out", out, "--seed", "3",
                         "--modes", modes, "--schemes", "mrc", "--validate",
                         "--realizations", "2000", *FAST_FLAGS]) == 0
-        return (out / "validation.json").read_bytes()
+        return json.loads((out / "validation.json").read_bytes())["fixtures"]
 
-    both = validation("avg,worst", 2)
-    assert validation("avg,worst", 1) == both
-    avg_only = json.loads(validation("avg", 1))["fixtures"]
-    assert [f for f in json.loads(both)["fixtures"] if f["mode"] == "avg"] == avg_only
+    both, avg_only = validation("avg,worst"), validation("avg")
+    assert [f for f in both if f["mode"] == "avg"] == avg_only
     assert {f["name"] for f in avg_only} >= {"seven_cell_pzfc_avg_large_n"}
+
+
+def test_small_validated_run_never_forks(tmp_path, monkeypatch):
+    # the oracle runs in process on any number of CPUs, and a sweep below the
+    # writer's pool threshold formats in process: nothing forks
+    def no_fork():
+        raise AssertionError("a small --validate run forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cfg = small_config(tmp_path, t_block=1000)
+    out = tmp_path / "out"
+    assert run_cli(["--config", cfg, "--out", out, "--modes", "avg", "--schemes", "mrc",
+                    "--validate", "--realizations", "2000", *FAST_FLAGS]) == 0
+    rows = len((out / "sweep.csv").read_text().splitlines()) - 1
+    assert 0 < rows < sweep_module._POOL_MIN_ROWS
+
+
+def test_validation_past_the_apothem(tmp_path):
+    # an exclusion disk wider than the apothem still leaves six corner
+    # regions to draw users from, and the oracle runs there
+    cfg = small_config(tmp_path, min_ue_distance_frac=0.95)
+    out = tmp_path / "out"
+    assert run_cli(["--config", cfg, "--out", out, "--modes", "avg", "--schemes", "mrc",
+                    "--validate", "--realizations", "400", *FAST_FLAGS]) == 0
+    assert json.loads((out / "validation.json").read_text())["fixtures"]
 
 
 def test_cpu_count_without_an_affinity_call(tmp_path, monkeypatch):
@@ -449,29 +482,27 @@ def test_cpu_count_without_an_affinity_call(tmp_path, monkeypatch):
     # to os.cpu_count, and to 1 where that is unknown
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert available_cpus() == 3
+    assert sweep_module.available_cpus() == 3
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert available_cpus() == 1
-    # a run that asks for the count in the sweep writer and in the oracle
+    assert sweep_module.available_cpus() == 1
+    # a run whose sweep writer asks for the count
     monkeypatch.setattr(sweep_module, "_POOL_MIN_ROWS", 0)
-    cfg = small_config(tmp_path, t_block=1000)
+    cfg = small_config(tmp_path)
     out = tmp_path / "out"
-    code = run_cli(["--config", cfg, "--out", out, "--modes", "avg", "--schemes", "mrc",
-                    "--validate", "--realizations", "400", *FAST_FLAGS])
-    assert code in (0, 1) and (out / "validation.json").exists()
+    assert run_cli(["--config", cfg, "--out", out, "--modes", "avg", "--schemes", "mrc",
+                    *FAST_FLAGS]) == 0
+    assert (out / "sweep.csv").exists()
 
 
-def _pool_modules_after_run(args, one_cpu=False):
+def _pool_modules_after_run(args):
     """(exit code, the process-pool modules imported) of one run in a fresh
     interpreter."""
-    code = ("import os, sys\n"
-            + ("os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-               if one_cpu else "")
-            + "from hexmimo.cli import main\n"
-              "code = main(sys.argv[1:])\n"
-              "print([m for m in ('multiprocessing', 'concurrent.futures.process')"
-              " if m in sys.modules])\n"
-              "sys.exit(code)\n")
+    code = ("import sys\n"
+            "from hexmimo.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print([m for m in ('multiprocessing', 'concurrent.futures.process')"
+            " if m in sys.modules])\n"
+            "sys.exit(code)\n")
     proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
                           capture_output=True, text=True)
     return proc.returncode, proc.stdout.splitlines()[-1]
@@ -486,18 +517,6 @@ def test_small_runs_never_import_the_process_pool(tmp_path):
                                     *FAST_FLAGS]) == (0, "[]")
     rows = len((out / "sweep.csv").read_text().splitlines()) - 1
     assert 0 < rows < sweep_module._POOL_MIN_ROWS
-
-
-def test_validation_on_one_cpu_never_imports_the_process_pool(tmp_path):
-    # on one CPU the oracle's fixtures run in process; whether this small
-    # run's fixtures pass does not matter here
-    cfg = small_config(tmp_path, t_block=1000)
-    out = tmp_path / "out"
-    code, modules = _pool_modules_after_run(
-        ["--config", cfg, "--out", out, "--modes", "avg", "--schemes", "mrc",
-         "--validate", "--realizations", "2000", *FAST_FLAGS], one_cpu=True)
-    assert code in (0, 1) and modules == "[]"
-    assert json.loads((out / "validation.json").read_text())["fixtures"]
 
 
 # edits of a valid table file whose header still matches the run

@@ -150,39 +150,57 @@ def test_sample_positions_scale_exactly_with_radius():
     assert np.array_equal(2.0 * pts1, pts2)
 
 
-def _one_shot_sampler(cell, radius, min_frac, rng, n):
-    """Rejection sampling with each round drawn and tested as one array."""
+def _area_within(r):
+    """Area of the unit hexagon within distance r of its center: the disk's,
+    less the six caps beyond the edges once r passes the apothem."""
     apothem = SQRT3 / 2.0
-    axes = np.array([(math.cos(a), math.sin(a))
-                     for a in (math.pi / 6.0, math.pi / 2.0, 5.0 * math.pi / 6.0)])
-    accepted = np.empty((n, 2))
-    have = 0
-    while have < n:
-        m = max(64, int(1.5 * (n - have)))
-        pts = rng.uniform(-1.0, 1.0, size=(m, 2))
-        pts[:, 1] *= apothem
-        inside = np.max(np.abs(pts @ axes.T), axis=1) <= apothem
-        if min_frac > 0.0:
-            inside &= (pts[:, 0] ** 2 + pts[:, 1] ** 2) >= min_frac ** 2
-        pts = pts[inside]
-        take = min(n - have, pts.shape[0])
-        accepted[have:have + take] = pts[:take]
-        have += take
-    return radius * accepted + bs_position(cell, radius)
+    caps = np.sqrt(np.maximum(r * r - apothem ** 2, 0.0))
+    return math.pi * r * r - 6.0 * (r * r * np.arccos(apothem / np.maximum(r, apothem))
+                                    - apothem * caps)
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("n", [1, 43_690, 43_691, 100_000, 220_000])
-def test_blocked_sampler_matches_one_shot_draw(n, seed):
-    # 1.5 n rows per first round: just under, at and well past one block;
-    # at 220,000 the quota fills before the round's last, short block
+def _radius_cdf(r, min_frac):
+    """P(|p - center| <= r) for p uniform on the unit hexagon minus the disk
+    of radius min_frac."""
+    hole = _area_within(min_frac)
+    return (_area_within(np.clip(r, min_frac, 1.0)) - hole) / (1.5 * SQRT3 - hole)
+
+
+# 0.95 is past the apothem, where the hole's area inside the hexagon is less
+# than the disk's and only about 0.8 % of the candidates are kept
+@pytest.mark.parametrize("min_frac", [0.0, 0.14, 0.5, 0.95])
+@pytest.mark.parametrize("n", [1, 100_000])
+def test_sample_positions_follow_the_exact_radius_law(n, min_frac):
+    # KS test of the distance to the BS against its exact CDF, from one call
+    # of 100,000 points or from single-point calls; the p-values of 20 seeds
+    # spread uniformly over (0, 1), so a fixed seed is held to 0.001
+    rng = np.random.default_rng(17)
     cell = CellIndex(2, -1)
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    pts = sample_ue_positions(cell, 250.0, 0.14, rng, n)
-    ref = _one_shot_sampler(cell, 250.0, 0.14, ref_rng, n)
-    assert np.array_equal(pts, ref)
-    # the generator ends where the one-shot draw leaves it
-    assert np.array_equal(rng.random(4), ref_rng.random(4))
+    calls = 20_000 if n == 1 else 1
+    pts = np.concatenate([sample_ue_positions(cell, 1.0, min_frac, rng, n)
+                          for _ in range(calls)])
+    dist = np.linalg.norm(pts - bs_position(cell, 1.0), axis=1)
+    assert stats.kstest(dist, lambda r: _radius_cdf(r, min_frac)).pvalue > 0.001
+
+
+def _wedge_angle_cdf(phi, min_frac):
+    """P(angle mod 60 degrees <= phi) for the same law: in the wedge between
+    two corners the far edge sits at r = apothem / cos(phi - 30 degrees)."""
+    half_a2 = 3.0 / 8.0  # apothem^2 / 2
+    area = half_a2 * (np.tan(phi - math.pi / 6) + math.tan(math.pi / 6)) \
+        - 0.5 * min_frac ** 2 * phi
+    return area / (math.sqrt(3.0) / 4.0 - 0.5 * min_frac ** 2 * math.pi / 3)
+
+
+@pytest.mark.parametrize("min_frac", [0.0, 0.14, 0.5])
+def test_sample_positions_follow_the_exact_angle_law(min_frac):
+    # the radius law says nothing of how the points spread over angle: KS
+    # test of the angle within each 60-degree wedge against its exact CDF
+    rng = np.random.default_rng(19)
+    cell = CellIndex(-1, 2)
+    rel = sample_ue_positions(cell, 1.0, min_frac, rng, 100_000) - bs_position(cell, 1.0)
+    phi = np.arctan2(rel[:, 1], rel[:, 0]) % (math.pi / 3)
+    assert stats.kstest(phi, lambda p: _wedge_angle_cdf(p, min_frac)).pvalue > 0.001
 
 
 def test_worst_case_adjacent_is_shared_edge_midpoint():
