@@ -15,10 +15,18 @@ Exit codes: 0 success, 1 validation failure or runtime error, 2 config error.
 
 from __future__ import annotations
 
+import os
+
+# OpenBLAS reads this when numpy loads it, so it is set before any import
+# that loads numpy.  An idle OpenBLAS worker polls for 2^28 clock ticks
+# before it sleeps (about 0.13 s of CPU per process with two threads); 2^4
+# parks it at once.  The thread count stays as the caller set it, a timeout
+# the caller set wins, and other BLAS libraries ignore the variable.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path

@@ -38,7 +38,12 @@ _C2 = complex(-0.5, SQRT3 / 2.0)
 _ROTATIONS = np.array([1.0, _C2, _C2.conjugate()])
 _AREA = 1.5 * SQRT3  # of the unit hexagon
 _APOTHEM = SQRT3 / 2.0
-_ROUND_ROWS = 1 << 18  # the most candidates one rejection round draws
+# The most candidates one rejection round draws.  3 x 4096 uniforms are
+# 96 KiB, so each temporary of a round stays below glibc's 128 KiB mmap
+# threshold and is reused from the heap.  One round for a whole large call
+# mapped fresh pages for every temporary, and those page faults cost more
+# than the extra rounds' Python overhead.
+_ROUND_ROWS = 1 << 12
 
 # Co-channel shift pair (i, j) per supported cluster size beta = i^2 + i*j + j^2.
 _REUSE_SHIFT = {1: (1, 0), 3: (1, 1), 4: (2, 0), 7: (2, 1)}
@@ -125,10 +130,11 @@ def sample_ue_positions(cell: CellIndex, radius: float, min_frac: float,
     hexagon's (0.976 at min_frac 0.14), and past the apothem the disk's
     area inside the hexagon leaves out six caps.  Each round draws the
     expected need plus four standard deviations of the accepted count, so
-    a second round is rare, but at most `_ROUND_ROWS` candidates, so memory
-    stays bounded as the acceptance falls toward 0 at min_frac 1.  The draw
-    is made at unit radius and scaled afterwards, so a given generator state
-    yields the same (scaled) points for every radius.
+    a call of up to about 4,000 points rarely needs a second round, but at
+    most `_ROUND_ROWS` candidates: a large call runs in small rounds, and
+    memory stays bounded as the acceptance falls toward 0 at min_frac 1.
+    The draw is made at unit radius and scaled afterwards, so a given
+    generator state yields the same (scaled) points for every radius.
     """
     if not 0.0 <= min_frac < 1.0:
         raise DomainError(f"min_frac must be in [0, 1), got {min_frac}")

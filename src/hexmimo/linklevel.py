@@ -109,11 +109,14 @@ def _ratio_sampler(config: NetworkConfig, k: int, cells, centers: np.ndarray,
     """draw(rng, m) -> (m, U) victim-to-serving variance ratios d_ratio of
     `k` users per cell.
 
-    Each draw makes one `sample_ue_positions` call of m k points per drawn
-    cell, in cell order: the sampler sizes its rounds by the points asked
-    for, so this call pattern is the stream, and it is the one the test
-    reference `_draw_positions` (tests/reference.py) consumes.  The pinned
-    users' ratios are computed once, here."""
+    Each draw makes one `sample_ue_positions` call for the whole chunk: the
+    points of every drawn user of every realization, around the origin,
+    realization-major and then in user order.  Each point is then moved to
+    its user's cell center; the sampler's law is the same around every
+    center, so the law is that of one call per cell.  The sampler sizes its
+    rounds by the points asked for, so this call pattern is the stream, and
+    it is the one the test reference `_draw_positions` (tests/reference.py)
+    consumes.  The pinned users' ratios are computed once, here."""
     half_kappa = config.pathloss_exponent / 2
     pinned = _pinned_positions(cells, mode)
     fixed = []
@@ -121,19 +124,21 @@ def _ratio_sampler(config: NetworkConfig, k: int, cells, centers: np.ndarray,
         sl = slice(ci * k, (ci + 1) * k)
         serving_sq, victim_sq = _squared_distances(position, centers[sl])
         fixed.append((sl, (serving_sq / victim_sq) ** half_kappa))
-    drawn = [(slice(ci * k, (ci + 1) * k), cell) for ci, cell in enumerate(cells)
-             if ci not in pinned]
+    drawn = np.array([u for u in range(len(centers)) if u // k not in pinned],
+                     dtype=np.intp)
+    drawn_centers = centers[drawn]
 
     def draw(rng: np.random.Generator, m: int) -> np.ndarray:
         out = np.empty((m, len(centers)))
         for sl, ratio in fixed:
             out[:, sl] = ratio
-        for sl, cell in drawn:
-            pts = sample_ue_positions(cell, 1.0, config.min_ue_distance_frac,
-                                      rng, m * k)
-            serving_sq, victim_sq = _squared_distances(pts.reshape(m, k, 2),
-                                                       centers[sl])
-            out[:, sl] = (serving_sq / victim_sq) ** half_kappa
+        local = sample_ue_positions(CellIndex(0, 0), 1.0,
+                                    config.min_ue_distance_frac, rng,
+                                    m * len(drawn)).reshape(m, len(drawn), 2)
+        serving_sq = local[..., 0] ** 2 + local[..., 1] ** 2
+        local += drawn_centers
+        victim_sq = local[..., 0] ** 2 + local[..., 1] ** 2
+        out[:, drawn] = (serving_sq / victim_sq) ** half_kappa
         return out
 
     return draw

@@ -201,17 +201,19 @@ def _draw_positions(config: NetworkConfig, k: int, cells,
                     pinned: dict[int, np.ndarray], rng: np.random.Generator,
                     n_real: int, radius: float = 1.0) -> np.ndarray:
     """(n_real, U, 2) positions of `k` UEs per cell on a grid of cell radius
-    `radius`: the `pinned` ones (given at that radius), the rest drawn."""
-    frac = config.min_ue_distance_frac
-    out = np.empty((n_real, len(cells) * k, 2))
-    for ci, cell in enumerate(cells):
-        sl = slice(ci * k, (ci + 1) * k)
-        if ci in pinned:
-            out[:, sl, :] = pinned[ci]
-        else:
-            pts = sample_ue_positions(cell, radius, frac, rng, n_real * k)
-            out[:, sl, :] = pts.reshape(n_real, k, 2)
-    return out
+    `radius`: the `pinned` ones (given at that radius), the rest drawn by
+    one sampler call around the origin, realization-major and then in user
+    order, each moved to its cell's center."""
+    out = np.empty((n_real, len(cells), k, 2))
+    drawn = [ci for ci in range(len(cells)) if ci not in pinned]
+    for ci in pinned:
+        out[:, ci] = pinned[ci]
+    pts = sample_ue_positions(CellIndex(0, 0), radius, config.min_ue_distance_frac,
+                              rng, n_real * len(drawn) * k)
+    out[:, drawn] = pts.reshape(n_real, len(drawn), k, 2)
+    for ci in drawn:
+        out[:, ci] += bs_position(cells[ci], radius)
+    return out.reshape(n_real, len(cells) * k, 2)
 
 
 def _distance_fields(config: NetworkConfig, centers: np.ndarray,

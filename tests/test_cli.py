@@ -519,6 +519,49 @@ def test_small_runs_never_import_the_process_pool(tmp_path):
     assert 0 < rows < sweep_module._POOL_MIN_ROWS
 
 
+# one small validated run, then the CPU seconds of every thread but the main
+# one (utime and stime, fields 14 and 15 of /proc/self/task/<tid>/stat)
+_THREAD_CPU = r'''
+import json, os, sys
+from hexmimo.cli import main
+
+code = main(sys.argv[1:])
+ticks = 0
+for tid in os.listdir("/proc/self/task"):
+    if tid != str(os.getpid()):
+        with open(f"/proc/self/task/{tid}/stat", encoding="ascii") as fh:
+            stat = fh.read().rsplit(")", 1)[1].split()
+        ticks += int(stat[11]) + int(stat[12])
+print(json.dumps({"code": code, "timeout": os.environ.get("OPENBLAS_THREAD_TIMEOUT"),
+                  "other_threads_cpu_s": ticks / os.sysconf("SC_CLK_TCK")}))
+'''
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task")
+                    or sweep_module.available_cpus() < 2,
+                    reason="needs /proc/self/task and two CPUs for BLAS workers")
+@pytest.mark.parametrize("timeout", [None, "30"])
+def test_cli_parks_idle_blas_workers(tmp_path, timeout):
+    # with two BLAS threads and OpenBLAS's own timeout, the idle worker spins
+    # about 0.12 s of CPU per run; the CLI parks it unless the caller chose a
+    # timeout.  The variable is dropped from the child's environment first,
+    # because this process set it when it imported hexmimo.cli
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    if timeout is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = timeout
+    proc = subprocess.run(
+        [sys.executable, "-c", _THREAD_CPU, "--out", str(tmp_path / "out"),
+         "--validate", "--n-points", "2", "--k-cap", "5", "--realizations", "400"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["code"] == 0
+    if timeout is None:
+        assert report["other_threads_cpu_s"] < 0.03, report
+    assert report["timeout"] == (timeout or "4")
+
+
 # edits of a valid table file whose header still matches the run
 _TABLE_EDITS = {
     "entries-missing": lambda data: data.pop("entries"),

@@ -30,6 +30,8 @@ UNREACHED = {
     ("sweep", "optimal_schedule"): "library API: look up an optimum of a sweep",
     ("sweep", "_inherit"): "runs only inside forked pool workers",
     ("sweep", "_format_span"): "runs only inside forked pool workers",
+    ("__init__", "__getattr__"): "library API: `hexmimo.<name>` loads its module on "
+                                 "first use; the CLI imports its modules directly",
 }
 
 # the functions whose reads of a field do not count as uses: the checks of
@@ -172,6 +174,44 @@ def test_unused_import_check_sees_stale_and_used_names():
                      "__all__ = ['sinr']\n"
                      "def f(schedule: Schedule):\n    return os.path.join\n")
     assert _unused_imports(tree) == {"np", "inner_product"}
+
+
+# the submodules a bare `import hexmimo` bound as attributes when the
+# package imported them eagerly; library code written then still reaches them
+_SUBMODULES = ("_floatrepr", "config", "errors", "hexgrid", "linklevel", "moments",
+               "pilots", "spectral", "sweep")
+
+_IMPORT_ONLY = r'''
+import json, os, sys, types
+
+before = dict(os.environ)
+import hexmimo
+
+state = {"numpy": "numpy" in sys.modules, "env_changed": dict(os.environ) != before}
+state["submodules"] = sorted(name for name in sys.argv[1:]
+                             if isinstance(getattr(hexmimo, name), types.ModuleType)
+                             and getattr(hexmimo, name).__name__ == "hexmimo." + name)
+state["public"] = sorted(name for name in hexmimo.__all__
+                         if getattr(hexmimo, name).__module__.startswith("hexmimo."))
+state["unknown"] = hasattr(hexmimo, "no_such_name")
+print(json.dumps(state))
+'''
+
+
+def test_import_hexmimo_loads_no_numpy_and_sets_nothing():
+    # the CLI sets the environment numpy's BLAS reads before numpy loads;
+    # the package must not load numpy first, nor set anything itself
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_ONLY, *_SUBMODULES],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    state = json.loads(proc.stdout)
+    assert not state["numpy"] and not state["env_changed"]
+    assert state["submodules"] == sorted(_SUBMODULES)
+    assert state["public"] == sorted(hexmimo.__all__)
+    assert not state["unknown"]
 
 
 def test_readme_library_snippet_runs(capsys):
