@@ -23,7 +23,3 @@ class ConvergenceError(RuntimeError):
 
 class EmptyFeasibleSet(RuntimeError):
     """No (K, beta) combination is feasible for some antenna count."""
-
-
-class RankDeficient(RuntimeError):
-    """Estimated channel book is numerically rank deficient."""

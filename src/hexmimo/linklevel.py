@@ -1,8 +1,8 @@
-"""Link-level Monte Carlo validator for the closed-form SINR engine.
+"""Link-level oracle for the closed-form SINR engine.
 
-Simulates the actual uplink at one victim BS (placed at the origin cell):
-UE positions are drawn per interference mode at unit cell radius, channels
-are i.i.d. complex Gaussian with pathloss-dependent variance, transmit powers
+Models the actual uplink at one victim BS (placed at the origin cell): UE
+positions are drawn per interference mode at unit cell radius, channels are
+i.i.d. complex Gaussian with pathloss-dependent variance, transmit powers
 invert the average attenuation to the serving BS (so the cell radius and the
 pathloss reference cancel), pilots are DFT columns, and channel estimation
 follows the linear MMSE estimator of the power-controlled effective channels.
@@ -15,28 +15,39 @@ uncertainty as worst-case Gaussian noise is then
 
 with all expectations taken over channels, noise and UE positions.  The
 data phase is not simulated symbol by symbol; the bound depends only on
-these moments, which are estimated directly.
+these moments.
 
-`measure_sinr` never draws channels or pilot noise in C^N.  Every quantity
-it forms (pilot correlations, the combiner, g^H h_u, ||g||^2) is a function
-of W C, where W = Z^H Z is the p x p Gram matrix of the U unscaled channels
-and the B noise columns (p = U + B i.i.d. CN(0, I_N) vectors, so W is
-complex Wishart with N degrees of freedom) and C is the p x q matrix of
-pilot coefficients the combiner reads (q = 1 for MRC, B for zero-forcing).
-W is unitarily invariant, so rotating span(C) onto the first q coordinates
-leaves its law unchanged; there W C needs only the first q rows of W's
-Bartlett factor: a q x q upper-triangular block R_q and, for the remaining
-rows, one CN(0, I) vector.  The combiners read R_q only through R_q^H v and
-||v|| with v = R_q T y, and both have one-number laws.  MRC's 1 x 1 block
-is sqrt(Gamma(N, 1)).  Zero-forcing's y = D^-1 gram^-1 e_i makes
-R_q^H v = (psi_i / t_i) e_i fixed given the positions and
-||v||^2 = (psi_i / t_i)^2 (W_q^-1)_ii with W_q = R_q^H R_q; by the
-Schur-complement property of the complex Wishart matrix (Goodman 1963),
-1 / (W_q^-1)_ii ~ Gamma(N - B + 1, 1).  So every realization costs one
-Gamma draw and U + q normals for either combiner, exact in distribution,
-instead of the O(N p) numbers of the explicit vectors.  The explicit N-dim
-draws (`generate`, the LMMSE estimates and `combine`) live in
-`tests/reference.py`, where they serve as the cross-check for the shortcut.
+`measure_sinr` simulates only the UE positions.  Given them, each of the
+three expectations has a short closed form in the victim-to-serving variance
+ratios d_u, and the oracle averages those exactly instead of drawing
+channels and noise (Rao-Blackwellization).  The derivation: every quantity
+the combiner forms is a function of W C, where W = Z^H Z is the p x p Gram
+matrix of the U unscaled channels and the B noise columns (p = U + B i.i.d.
+CN(0, I_N) vectors, so W is complex Wishart with N degrees of freedom) and C
+is the p x q matrix of pilot coefficients the combiner reads (q = 1 for MRC,
+B for zero-forcing).  W is unitarily invariant; rotating span(C) onto the
+first q coordinates gives, with R_q the q x q block of W's Bartlett factor,
+v = R_q T y and xi ~ CN(0, I_p) independent of R_q,
+
+    W C y = ||v|| xi + C (T^-1 R_q^H v - G^-1 C^H xi ||v||),   ||g||^2 = ||v||^2.
+
+Both combiners make T^-1 R_q^H v = a e_i, a multiple of the target pilot's
+unit vector, and one number X sets a and ||v||: for MRC X = R_q^2 ~
+Gamma(N, 1), a = X and ||v||^2 = g_i X; for zero-forcing X = 1 / (W_q^-1)_ii
+~ Gamma(N - B + 1, 1), the Schur complement of the complex Wishart W_q
+(Goodman 1963), a = 1 / (B rho) and ||v||^2 = g_i / ((B rho)^2 X).  The user
+rows of W C y are linear in xi, and the pilot sums C^H xi have covariance
+diag(g), so X enters only through E X = N, E X^2 = N (N + 1) and
+E 1/X = 1 / (N - B).  `measure_sinr` states the resulting moments.
+
+The trade-off: the oracle draws no channels, no pilot noise and no X, so it
+no longer checks the channel, estimation and combining algebra by itself.
+The tier-1 tests do, against the references in `tests/reference.py`: the
+explicit N-dim draws (`generate`, the LMMSE estimates and `combine`) and the
+one-Gamma xi loop that sampled the formula above.  The positions stay
+simulated; they are the one source of approximation in the closed forms.
+At N = B + 1, 1/X has infinite variance; the xi loop sampled it, this
+estimator takes its mean exactly.
 
 Everything here is deliberately independent of the closed-form module: the
 two must agree only through the physics.
@@ -45,12 +56,12 @@ two must agree only through the physics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import InterferenceMode, NetworkConfig, validate
-from .errors import DomainError, RankDeficient
+from .errors import DomainError
 from .hexgrid import (CellIndex, bs_position, reuse_group, sample_ue_positions,
                       tier_of, worst_case_position)
 from .pilots import Schedule
@@ -58,13 +69,6 @@ from .spectral import Scheme
 
 N_BATCHES = 20   # batch means behind measure_sinr's standard error
 _CHUNK_ELEMS = 1 << 22  # caps the elements of a chunk's largest arrays
-
-
-def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """CN(0, 1) entries of the given shape."""
-    pairs = rng.standard_normal((*shape, 2))
-    pairs *= math.sqrt(0.5)
-    return pairs.view(complex)[..., 0]
 
 
 def _sorted_cells(cells) -> tuple[CellIndex, ...]:
@@ -106,25 +110,28 @@ def _squared_distances(positions: np.ndarray, centers: np.ndarray):
 
 def _ratio_sampler(config: NetworkConfig, k: int, cells, centers: np.ndarray,
                    mode: InterferenceMode):
-    """draw(rng, m) -> (m, U) victim-to-serving variance ratios d_ratio of
-    `k` users per cell.
+    """(draw, any_drawn): draw(rng, m) -> (m, U) victim-to-serving variance
+    ratios d_ratio of `k` users per cell; `any_drawn` says whether a draw
+    samples any position.
 
-    Each draw makes one `sample_ue_positions` call for the whole chunk: the
-    points of every drawn user of every realization, around the origin,
-    realization-major and then in user order.  Each point is then moved to
-    its user's cell center; the sampler's law is the same around every
-    center, so the law is that of one call per cell.  The sampler sizes its
-    rounds by the points asked for, so this call pattern is the stream, and
-    it is the one the test reference `_draw_positions` (tests/reference.py)
-    consumes.  The pinned users' ratios are computed once, here."""
+    The own cell's users have ratio 1 exactly, because their serving BS is
+    the victim BS, and worst-case mode pins the out-of-cell users
+    (`_pinned_positions`); their ratios are computed once, here.  When every
+    ratio is fixed, a draw uses no random numbers.  Otherwise each draw makes
+    one `sample_ue_positions` call for the whole chunk: the points of every
+    drawn user of every realization, around the origin, realization-major
+    and then in user order.  Each point is then moved to its user's cell
+    center; the sampler's law is the same around every center, so the law is
+    that of one call per cell.  The sampler sizes its rounds by the points
+    asked for, so this call pattern is the stream."""
     half_kappa = config.pathloss_exponent / 2
     pinned = _pinned_positions(cells, mode)
-    fixed = []
+    fixed = [(slice(0, k), 1.0)]
     for ci, position in pinned.items():
         sl = slice(ci * k, (ci + 1) * k)
         serving_sq, victim_sq = _squared_distances(position, centers[sl])
         fixed.append((sl, (serving_sq / victim_sq) ** half_kappa))
-    drawn = np.array([u for u in range(len(centers)) if u // k not in pinned],
+    drawn = np.array([u for u in range(k, len(centers)) if u // k not in pinned],
                      dtype=np.intp)
     drawn_centers = centers[drawn]
 
@@ -132,6 +139,8 @@ def _ratio_sampler(config: NetworkConfig, k: int, cells, centers: np.ndarray,
         out = np.empty((m, len(centers)))
         for sl, ratio in fixed:
             out[:, sl] = ratio
+        if not drawn.size:
+            return out
         local = sample_ue_positions(CellIndex(0, 0), 1.0,
                                     config.min_ue_distance_frac, rng,
                                     m * len(drawn)).reshape(m, len(drawn), 2)
@@ -141,7 +150,7 @@ def _ratio_sampler(config: NetworkConfig, k: int, cells, centers: np.ndarray,
         out[:, drawn] = (serving_sq / victim_sq) ** half_kappa
         return out
 
-    return draw
+    return draw, bool(drawn.size)
 
 
 def _slot_summer(slot: np.ndarray, q: int):
@@ -181,41 +190,29 @@ def measure_sinr(config: NetworkConfig, schedule: Schedule, cells,
                  rng: np.random.Generator) -> MeasuredSinr:
     """Estimate the effective SINR of own-cell user 1 by simulation.
 
-    Positions, channels and noise are redrawn every realization (outer
-    position averaging wrapping the channel/noise averaging).  Positions are
-    drawn at unit cell radius: only the victim-to-serving distance ratios
-    enter, so the radius and the pathloss reference cancel.  Channels and
-    noise enter only through W C (see the module docstring).  The pilot
-    correlations are Y~ V = Z C, with C holding sqrt(rho d_u) B on user u's
-    pilot column and the DFT rows for the noise; the combiner is g = Z C y
-    and g^H h_u = (W C y)_u^* sqrt(rho d_u), ||g||^2 = y^H C^H W C y.
-    G = C^H C is diagonal (each user sits on one pilot, the DFT columns are
-    orthogonal), g_j = B^2 rho sum_{u on pilot j} d_u + B = B rho psi_j with
-    the pilot-direction powers psi (sigma^2 = 1, so 1 / SNR = 1 / rho), and
-    its Cholesky factor T is its square root.  With R_q the q x q Bartlett
-    block and v = R_q T y,
+    Only the UE positions are simulated, redrawn every realization at unit
+    cell radius: only the victim-to-serving variance ratios d_u enter, so the
+    radius and the pathloss reference cancel.  Given the ratios, the
+    expectations over channels, pilot noise and the Wishart number X are
+    exact (see the module docstring).  With S_j the sum of d_u over the users
+    on pilot j, g_j = B^2 rho S_j + B (sigma^2 = 1, so 1 / SNR = 1 / rho),
+    i the target pilot and p(u) user u's pilot, they are
 
-        W C y = ||v|| xi + C (T^-1 R_q^H v - G^-1 C^H xi ||v||),
-        ||g||^2 = ||v||^2,
+    - MRC (the raw pilot correlation, X ~ Gamma(N, 1)):
+      E[g^H h_own] = N B rho, E||g||^2 = N g_i and
+      E|g^H h_u|^2 = N rho d_u g_i + [p(u) = i] B^2 N^2 rho^2 d_u^2;
+    - zero-forcing (the estimated-book combiner, X ~ Gamma(N - B + 1, 1)):
+      E[g^H h_own] = 1, E||g||^2 = g_i / ((B rho)^2 (N - B)) and
+      E|g^H h_u|^2 = [p(u) = i] d_u^2
+                     + rho d_u (1 - B^2 rho d_u / g_p(u)) E||g||^2.
 
-    for xi ~ CN(0, I_p) independent of R_q; this holds for any N >= q.  Only
-    the U user rows of W C y are read, and the noise rows of C enter only
-    through C^H xi, where they add CN(0, B I_q).  Both combiners make
-    T^-1 R_q^H v = a e_i, a multiple of the target pilot's unit vector, and
-    one draw X ~ Gamma(N - q + 1, 1) per realization sets a and ||v||:
-
-    - MRC (q = 1, y = 1): R_q = sqrt(X), a = X and ||v||^2 = g_i X.
-    - zero-forcing (q = B, y = D^-1 gram^-1 e_i, with D = diag(psi) and
-      gram = D^-1 T W_q T D^-1 the Gram matrix of the estimated book):
-      a = psi_i / g_i = 1 / (B rho) and ||v||^2 = (psi_i / t_i)^2 (W_q^-1)_ii
-      = g_i / ((B rho)^2 X), where X = 1 / (W_q^-1)_ii is the Schur
-      complement of the complex Wishart W_q (Goodman 1963).
-
-    A drawn ||v||^2 that is zero or not finite is a singular W_q (or a zero
-    MRC direction) and raises RankDeficient.  The standard error comes from
-    N_BATCHES batch means; `terms` decomposes the SINR denominator into
-    coherent signal, estimation gap, intra-cell interference, inter-cell
-    interference and noise.
+    The own cell's ratios are 1, and in worst-case mode every other ratio is
+    pinned too; on one cell or in worst-case mode no position is drawn, every
+    realization has the same moments and `std_error` is exactly 0.0.
+    Otherwise the standard error comes from N_BATCHES batch means of the
+    position average.  `terms` decomposes the SINR denominator into coherent
+    signal, estimation gap, intra-cell interference, inter-cell interference
+    and noise.
 
     Scale convention: per-block detection is invariant to any scalar on the
     beamformer, but the moments of g^H h are not invariant to a *random*
@@ -233,18 +230,21 @@ def measure_sinr(config: NetworkConfig, schedule: Schedule, cells,
         raise DomainError("need at least one realization per batch")
     cells = _sorted_cells(cells)
     centers, cols = _layout(schedule, cells)
-    draw_d_ratio = _ratio_sampler(config, schedule.n_users, cells, centers, mode)
+    draw_d_ratio, any_drawn = _ratio_sampler(config, schedule.n_users, cells,
+                                             centers, mode)
     n, b = schedule.n_antennas, schedule.pilot_len
     rho = config.snr_linear
     n_users_total = len(cols)
-    u_own = 0                              # user 1 of the origin cell, listed first
-    i_target = cols[u_own]
-    # MRC needs only the target pilot's correlation (slot 0), zero-forcing
-    # all B; slot q holds the users on no pilot C reads
+    i_target = cols[0]                     # user 1 of the origin cell, listed first
+    on_target = cols == i_target
+    # MRC reads only the target pilot's sum (slot 0), zero-forcing all B;
+    # slot q holds the users on no pilot the combiner reads
     if scheme is Scheme.MRC:
-        q, i_slot, slot = 1, 0, np.where(cols == i_target, 0, 1)
+        q, i_slot, slot = 1, 0, np.where(on_target, 0, 1)
+        s1 = n * b * rho                   # E[g^H h_own], d_own = 1
     else:
         q, i_slot, slot = b, i_target, cols
+        s1 = 1.0
     pilot_sums = _slot_summer(slot, q)
 
     sizes = [n_realizations // N_BATCHES] * N_BATCHES
@@ -254,45 +254,41 @@ def measure_sinr(config: NetworkConfig, schedule: Schedule, cells,
     # sub-chunks
     max_chunk = max(1, _CHUNK_ELEMS // (n_users_total + q))
 
-    s1_sums = np.zeros(N_BATCHES, dtype=complex)
-    pow_sums = np.zeros((N_BATCHES, n_users_total))
-    gn_sums = np.zeros(N_BATCHES)
+    def moments(d):
+        """(E|g^H h_u|^2 (m, U), E||g||^2 (m,)) given the ratios d (m, U)."""
+        g = (b * b * rho) * pilot_sums(d) + b
+        g_i = g[:, i_slot]
+        if scheme is Scheme.MRC:
+            gn = n * g_i
+            power = (n * rho) * d * g_i[:, None]
+        else:
+            gn = g_i / ((b * rho) ** 2 * (n - b))
+            power = rho * d * (1.0 - (b * b * rho) * d / g[:, slot]) * gn[:, None]
+        power[:, on_target] += s1 * s1 * d[:, on_target] ** 2
+        return power, gn
 
-    for bi, batch_size in enumerate(sizes):
-        left = batch_size
-        while left > 0:
-            n_chunk = min(left, max_chunk)
-            left -= n_chunk
-            d_ratio = draw_d_ratio(rng, n_chunk)
-            amp = np.sqrt(rho * d_ratio)             # user rows of C: amp B
-            g = (b * b * rho) * pilot_sums(d_ratio) + b
-            g_i = g[:, i_slot]
-            x = rng.standard_gamma(n - q + 1, size=n_chunk)
-            if scheme is Scheme.MRC:
-                a = x  # y = 1: the raw pilot correlation, psi-free scale
-                v_norm_sq = g_i * x
-            else:
-                a = 1.0 / (b * rho)  # psi_i / g_i: G = B rho diag(psi)
-                v_norm_sq = g_i * a * a / x
-            if not np.all((v_norm_sq > 0) & (v_norm_sq < np.inf)):
-                raise RankDeficient("a drawn combiner norm ||v||^2 is not finite "
-                                    "and positive: W_q is singular")
-            v_norm = np.sqrt(v_norm_sq)
-            xi = _complex_normal(rng, (n_chunk, n_users_total + q))
-            c_xi = (b * pilot_sums(amp * xi[:, :n_users_total])
-                    + math.sqrt(b) * xi[:, n_users_total:])  # C^H xi
-            # B (T^-1 R_q^H v - G^-1 C^H xi ||v||); column q stays 0
-            bz = np.zeros((n_chunk, q + 1), dtype=complex)
-            np.multiply(c_xi, (-b * v_norm)[:, None] / g, out=bz[:, :q])
-            bz[:, i_slot] += b * a
-            # the user rows of W C y
-            wcy = v_norm[:, None] * xi[:, :n_users_total] + amp * bz[:, slot]
-            s1_sums[bi] += np.vdot(wcy[:, u_own], amp[:, u_own])
-            pow_sums[bi] += np.einsum("ij,ij->j", amp * amp,
-                                      wcy.real ** 2 + wcy.imag ** 2)
-            gn_sums[bi] += v_norm_sq.sum()
+    counts = np.array(sizes, dtype=float)
+    if any_drawn:
+        pow_sums = np.zeros((N_BATCHES, n_users_total))
+        gn_sums = np.zeros(N_BATCHES)
+        for bi, batch_size in enumerate(sizes):
+            left = batch_size
+            while left > 0:
+                n_chunk = min(left, max_chunk)
+                left -= n_chunk
+                power, gn = moments(draw_d_ratio(rng, n_chunk))
+                pow_sums[bi] += power.sum(axis=0)
+                gn_sums[bi] += gn.sum()
+    else:
+        # every realization has the same moments: take them once, not as a
+        # sum of equal terms, whose rounding the denominator's cancellation
+        # of the coherent term would magnify
+        power, gn = moments(draw_d_ratio(rng, 1))
+        pow_sums, gn_sums = np.outer(counts, power[0]), counts * gn[0]
 
-    return _measured(sizes, s1_sums, pow_sums, gn_sums, schedule.n_users)
+    s1_sums = s1 * counts
+    measured = _measured(sizes, s1_sums, pow_sums, gn_sums, schedule.n_users)
+    return measured if any_drawn else replace(measured, std_error=0.0)
 
 
 def _measured(sizes, s1_sums: np.ndarray, pow_sums: np.ndarray,

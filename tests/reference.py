@@ -2,8 +2,9 @@
 
 The library keeps one code path per job: the closed forms the sweep
 evaluates, and the link-level oracle `hexmimo.linklevel.measure_sinr`,
-which draws only W C.  The slower, literal forms of the same quantities
-live here, because only tests call them:
+which draws only the UE positions and averages the rest exactly.  The
+slower, literal forms of the same quantities live here, because only tests
+call them:
 
 * geometry: the tier disks around the origin and the closed-hexagon
   membership test;
@@ -13,9 +14,11 @@ live here, because only tests call them:
 * link level: an explicit coherence block in C^N (`generate`, a
   `Realization`), its LMMSE estimates in scalar and Kronecker form, the
   estimated pilot book and the MRC and zero-forcing combiners built from it,
-  the estimation error, and the helpers that draw positions and pilot powers.
-  These cross-check the W C shortcut of `measure_sinr` and the LMMSE terms
-  of the closed forms.
+  the estimation error, and the helpers that draw positions and pilot powers;
+  and `xi_measure_sinr`, the loop that samples W C (one Gamma number and
+  U + q normals per realization), whose averages `measure_sinr` takes
+  exactly.  These cross-check `measure_sinr` and the LMMSE terms of the
+  closed forms.
 
 Import from a test module as ``from reference import ...``; pytest puts
 ``tests/`` on the import path.
@@ -29,13 +32,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from hexmimo.config import InterferenceMode, NetworkConfig, validate
-from hexmimo.errors import InsufficientAntennas, RankDeficient
+from hexmimo.errors import InsufficientAntennas
 from hexmimo.hexgrid import (CellIndex, bs_position, cells_in_tier, reuse_group,
                              sample_ue_positions)
-from hexmimo.linklevel import (_CHUNK_ELEMS, _layout, _pinned_positions,
+from hexmimo.linklevel import (_CHUNK_ELEMS, N_BATCHES, MeasuredSinr, _layout,
+                               _measured, _pinned_positions, _slot_summer,
                                _sorted_cells, _squared_distances)
 from hexmimo.pilots import Schedule
 from hexmimo.spectral import Scheme, SinrInputs
+
+
+class RankDeficient(RuntimeError):
+    """Estimated channel book is numerically rank deficient."""
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +166,7 @@ def asymptotic_sinr_generic(inputs: SinrInputs, user: int = 1) -> float:
 
 
 # ---------------------------------------------------------------------------
-# explicit link level in C^N, checked against measure_sinr's W C draw
+# explicit link level in C^N, checked against measure_sinr
 
 
 def dft_pilot_matrix(pilot_len: int) -> np.ndarray:
@@ -393,3 +401,96 @@ def measure_estimation_mse(realization: Realization, n_realizations: int,
     mse = float(err_sq.mean())
     se = float(err_sq.std(ddof=1) / math.sqrt(n_realizations))
     return mse, se
+
+
+# ---------------------------------------------------------------------------
+# the sampled W C loop, whose conditional averages measure_sinr takes exactly
+
+
+def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """CN(0, 1) entries of the given shape."""
+    pairs = rng.standard_normal((*shape, 2))
+    pairs *= math.sqrt(0.5)
+    return pairs.view(complex)[..., 0]
+
+
+def xi_measure_sinr(config: NetworkConfig, schedule: Schedule, cells,
+                    mode: InterferenceMode, scheme: Scheme, n_realizations: int,
+                    rng: np.random.Generator) -> MeasuredSinr:
+    """`measure_sinr`'s estimand, sampled: every realization draws the UE
+    positions (`_draw_positions`, the own cell's too), one Wishart number X
+    and U + q normals xi, and forms W C y from them (the identity in the
+    `hexmimo.linklevel` docstring).  With C holding sqrt(rho d_u) B on user
+    u's pilot column and the DFT rows for the noise, the combiner is
+    g = Z C y, g^H h_u = (W C y)_u^* sqrt(rho d_u) and ||g||^2 = ||v||^2:
+
+    - MRC (q = 1, y = 1): X ~ Gamma(N, 1), a = X and ||v||^2 = g_i X;
+    - zero-forcing (q = B): X ~ Gamma(N - B + 1, 1), a = 1 / (B rho) and
+      ||v||^2 = g_i / ((B rho)^2 X).
+
+    A drawn ||v||^2 that is zero or not finite is a singular W_q (or a zero
+    MRC direction) and raises RankDeficient."""
+    validate(config)
+    schedule.check(config.coherence_block, zero_forcing=scheme is Scheme.PZFC)
+    cells = _sorted_cells(cells)
+    centers, cols = _layout(schedule, cells)
+    pinned = _pinned_positions(cells, mode)
+    n, b = schedule.n_antennas, schedule.pilot_len
+    rho = config.snr_linear
+    n_users_total = len(cols)
+    u_own = 0                              # user 1 of the origin cell, listed first
+    i_target = cols[u_own]
+    # MRC needs only the target pilot's correlation (slot 0), zero-forcing
+    # all B; slot q holds the users on no pilot C reads
+    if scheme is Scheme.MRC:
+        q, i_slot, slot = 1, 0, np.where(cols == i_target, 0, 1)
+    else:
+        q, i_slot, slot = b, i_target, cols
+    pilot_sums = _slot_summer(slot, q)
+
+    sizes = [n_realizations // N_BATCHES] * N_BATCHES
+    for i in range(n_realizations % N_BATCHES):
+        sizes[i] += 1
+    max_chunk = max(1, _CHUNK_ELEMS // (n_users_total + q))
+
+    s1_sums = np.zeros(N_BATCHES, dtype=complex)
+    pow_sums = np.zeros((N_BATCHES, n_users_total))
+    gn_sums = np.zeros(N_BATCHES)
+
+    for bi, batch_size in enumerate(sizes):
+        left = batch_size
+        while left > 0:
+            n_chunk = min(left, max_chunk)
+            left -= n_chunk
+            positions = _draw_positions(config, schedule.n_users, cells, pinned,
+                                        rng, n_chunk)
+            d_ratio, _, _ = _distance_fields(config, centers, positions)
+            amp = np.sqrt(rho * d_ratio)             # user rows of C: amp B
+            g = (b * b * rho) * pilot_sums(d_ratio) + b
+            g_i = g[:, i_slot]
+            x = rng.standard_gamma(n - q + 1, size=n_chunk)
+            if scheme is Scheme.MRC:
+                a = x  # y = 1: the raw pilot correlation, psi-free scale
+                v_norm_sq = g_i * x
+            else:
+                a = 1.0 / (b * rho)  # psi_i / g_i: G = B rho diag(psi)
+                v_norm_sq = g_i * a * a / x
+            if not np.all((v_norm_sq > 0) & (v_norm_sq < np.inf)):
+                raise RankDeficient("a drawn combiner norm ||v||^2 is not finite "
+                                    "and positive: W_q is singular")
+            v_norm = np.sqrt(v_norm_sq)
+            xi = _complex_normal(rng, (n_chunk, n_users_total + q))
+            c_xi = (b * pilot_sums(amp * xi[:, :n_users_total])
+                    + math.sqrt(b) * xi[:, n_users_total:])  # C^H xi
+            # B (T^-1 R_q^H v - G^-1 C^H xi ||v||); column q stays 0
+            bz = np.zeros((n_chunk, q + 1), dtype=complex)
+            np.multiply(c_xi, (-b * v_norm)[:, None] / g, out=bz[:, :q])
+            bz[:, i_slot] += b * a
+            # the user rows of W C y
+            wcy = v_norm[:, None] * xi[:, :n_users_total] + amp * bz[:, slot]
+            s1_sums[bi] += np.vdot(wcy[:, u_own], amp[:, u_own])
+            pow_sums[bi] += np.einsum("ij,ij->j", amp * amp,
+                                      wcy.real ** 2 + wcy.imag ** 2)
+            gn_sums[bi] += v_norm_sq.sum()
+
+    return _measured(sizes, s1_sums, pow_sums, gn_sums, schedule.n_users)

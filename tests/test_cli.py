@@ -17,8 +17,9 @@ import hexmimo.cli as cli_module
 import hexmimo.sweep as sweep_module
 from hexmimo.cli import main
 from hexmimo.config import InterferenceMode, NetworkConfig
-from hexmimo.errors import RankDeficient
 from hexmimo.moments import MomentTable
+
+from reference import RankDeficient
 
 FAST_FLAGS = ["--n-min", "16", "--n-max", "64", "--n-points", "3",
               "--k-cap", "12", "--betas", "1,3"]
@@ -132,6 +133,31 @@ def test_validate_writes_report(tmp_path):
         else:
             # informational fixture: residual reported, not suppressed
             assert "measured_over_analytic" in fixture
+
+
+def test_exact_fixtures_are_gated_as_identities(fullres_tables, monkeypatch):
+    # the fixtures that draw no position have std_error 0 and must equal the
+    # closed form to 1e-12; a closed form off by 1e-9 fails exactly them,
+    # while the 5 % / 3 SE rule of the others still lets it through
+    config = NetworkConfig(coherence_block=200, snr_linear=10.0)
+    closed_form = cli_module.sinr
+
+    def validate_scaled(scale):
+        monkeypatch.setattr(cli_module, "sinr",
+                            lambda inputs: scale * closed_form(inputs))
+        return cli_module.run_validation(config, fullres_tables, 7, 2000)
+
+    exact = {"single_cell_mrc", "seven_cell_mrc_worst", "seven_cell_pzfc_worst"}
+    report = validate_scaled(1.0)
+    assert report["passed"] is True
+    assert {f["name"]: f["gate"] for f in report["fixtures"]} == {
+        f["name"]: "identity" if f["name"] in exact else "statistical"
+        for f in report["fixtures"]}
+    assert all(f["std_error"] == 0.0 for f in report["fixtures"]
+               if f["name"] in exact)
+    report = validate_scaled(1.0 + 1e-9)
+    assert report["passed"] is False
+    assert {f["name"] for f in report["fixtures"] if not f["passed"]} == exact
 
 
 def test_default_grid_optima_schedule_hundreds_of_users(tmp_path):

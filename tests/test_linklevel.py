@@ -4,22 +4,24 @@ import math
 import numpy as np
 import pytest
 
-from hexmimo.config import InterferenceMode, NetworkConfig
-from hexmimo.errors import DomainError, PilotOverflow, RankDeficient
+from hexmimo.config import InterferenceMode, NetworkConfig, db_to_linear
+from hexmimo.errors import DomainError, PilotOverflow
 from hexmimo.hexgrid import CellIndex, worst_case_position
 from hexmimo import linklevel
-from hexmimo.linklevel import (N_BATCHES, _complex_normal, _layout, _measured,
-                               _pinned_positions, _sorted_cells, measure_sinr)
+from hexmimo.linklevel import (N_BATCHES, _layout, _measured, _pinned_positions,
+                               _sorted_cells, measure_sinr)
+from hexmimo.moments import build_table
 from hexmimo.pilots import Schedule
 from hexmimo.spectral import Scheme, SinrInputs, sinr
 from hexmimo.sweep import default_k_grid, optimal_schedule, sweep
 from scipy import stats
 
-from reference import (Realization, _distance_fields, _draw_positions, _psi,
+from reference import (RankDeficient, Realization, _complex_normal,
+                       _distance_fields, _draw_positions, _psi,
                        cells_within_tier, combine, dft_pilot_matrix,
                        estimate_book, estimation_error_scale, generate,
                        lmmse_estimate, lmmse_estimate_kron,
-                       measure_estimation_mse)
+                       measure_estimation_mse, xi_measure_sinr)
 
 AVG = InterferenceMode.AVERAGE
 WORST = InterferenceMode.WORST_CASE
@@ -252,6 +254,7 @@ def test_combine_rank_deficient():
 
 
 def test_measured_sinr_matches_closed_form_single_cell():
+    # one cell: no position is drawn, so the estimate is the closed form
     from hexmimo.moments import MomentEntry, MomentTable
 
     cfg = make_config()
@@ -261,8 +264,8 @@ def test_measured_sinr_matches_closed_form_single_cell():
     analytic = sinr(SinrInputs(cfg, table, schedule, ((0, 0),)))
     measured = measure_sinr(cfg, schedule, [(0, 0)], AVG, Scheme.MRC, 10000,
                             np.random.default_rng(18))
-    assert abs(measured.sinr - analytic) < 4 * measured.std_error
-    assert measured.std_error < 0.05 * analytic
+    assert measured.sinr == pytest.approx(analytic, rel=1e-12, abs=0)
+    assert measured.std_error == 0.0
     assert set(measured.terms) == {"signal", "estimation_gap", "intra_cell",
                                    "inter_cell", "noise", "denominator"}
     assert measured.terms["intra_cell"] == 0.0  # single user
@@ -605,9 +608,10 @@ def test_bartlett_reference_matches_pilot_block_reference(scheme, mode, n, k, be
       for mode in (AVG, WORST))])
 def test_measure_sinr_matches_bartlett_reference_in_law(scheme, mode, n, k, beta,
                                                         chunk_elems, monkeypatch):
-    # the W C draw against the full span draw, on independent streams; with
-    # chunk_elems patched, measure_sinr splits each 500-realization batch too
-    # (into chunks of 280 for zero-forcing, 305 for MRC)
+    # the conditional moments against the full span draw, on independent
+    # streams; with chunk_elems patched, measure_sinr splits each
+    # 500-realization average-mode batch too (into chunks of 280 for
+    # zero-forcing, 305 for MRC)
     if chunk_elems is not None:
         monkeypatch.setattr(linklevel, "_CHUNK_ELEMS", chunk_elems)
     cfg = make_config()
@@ -634,8 +638,8 @@ def _gram_solve_measure_sinr(config, schedule, cells, mode, scheme, n_realizatio
     """measure_sinr as it was before its one-Gamma draw: every chunk draws the
     q x q Bartlett block R_q (`_bartlett_block`) and, for zero-forcing, forms
     the Gram matrix of the estimated book and solves it.  MRC draws the same
-    numbers in the same order as measure_sinr while a batch fits one chunk
-    under both chunk rules."""
+    numbers in the same order as `xi_measure_sinr` while a batch fits one
+    chunk under both chunk rules."""
     cells = _sorted_cells(cells)
     centers, cols = _layout(schedule, cells)
     pinned = _pinned_positions(cells, mode)
@@ -726,11 +730,12 @@ def test_schur_complement_is_gamma(n, b, i):
 
 @pytest.mark.parametrize("mode", [AVG, WORST])
 def test_measure_sinr_keeps_the_mrc_stream(mode):
-    # MRC's 1 x 1 block is sqrt(Gamma(N, 1)): the Gram/solve reference draws
-    # the same numbers, so only the order of floating-point operations differs
+    # measure_sinr's sampled loop, `xi_measure_sinr`: MRC's 1 x 1 block is
+    # sqrt(Gamma(N, 1)), so the Gram/solve reference draws the same numbers
+    # and only the order of floating-point operations differs
     args = (make_config(), Schedule(16, 2, 3), TIER1, mode,
             Scheme.MRC, 1013)
-    got = measure_sinr(*args, np.random.default_rng(62))
+    got = xi_measure_sinr(*args, np.random.default_rng(62))
     ref = _gram_solve_measure_sinr(*args, np.random.default_rng(62))
     for name in ("sinr", "std_error", "batch_sinrs"):
         np.testing.assert_allclose(getattr(got, name), getattr(ref, name),
@@ -744,7 +749,7 @@ def test_measure_sinr_keeps_the_mrc_stream(mode):
 @pytest.mark.parametrize("n, k, beta", [(16, 2, 3), (7, 2, 3), (13, 4, 3)],
                          ids=["n16", "n7", "n13"])
 def test_measure_sinr_matches_gram_solve_reference_in_law(mode, n, k, beta):
-    # the one-Gamma zero-forcing draw against the Gram/solve loop on
+    # zero-forcing's conditional moments against the Gram/solve loop on
     # independent streams: B = 6 at N = 16 and N = 7, B = 12 at N = 13
     args = (make_config(), Schedule(n, k, beta), TIER1, mode, Scheme.PZFC, 10000)
     got = measure_sinr(*args, np.random.default_rng(63))
@@ -769,12 +774,80 @@ class _FixedGamma:
 @pytest.mark.parametrize("scheme", [Scheme.MRC, Scheme.PZFC])
 @pytest.mark.parametrize("value", [0.0, math.inf])
 def test_measure_sinr_rejects_a_degenerate_combiner_norm(scheme, value):
-    # a zero or infinite Schur complement makes ||v||^2 zero or infinite
+    # in measure_sinr's sampled loop, `xi_measure_sinr`, a zero or infinite
+    # Schur complement makes ||v||^2 zero or infinite
     rng = _FixedGamma(np.random.default_rng(65), value)
     with np.errstate(divide="ignore"), pytest.raises(RankDeficient,
                                                      match="not finite and positive"):
-        measure_sinr(make_config(), Schedule(16, 2, 1), TIER1, AVG,
-                     scheme, 400, rng)
+        xi_measure_sinr(make_config(), Schedule(16, 2, 1), TIER1, AVG,
+                        scheme, 400, rng)
+
+
+_XI_CASES = [pytest.param(scheme, mode, n, k, beta,
+                          id=f"{scheme}-{mode}-{n}-{k}-{beta}")
+             for n, k, beta in [(16, 2, 3), (13, 4, 3), (40, 3, 4), (7, 1, 3)]
+             for mode in (AVG, WORST) for scheme in (Scheme.MRC, Scheme.PZFC)]
+
+
+@pytest.mark.parametrize("scheme, mode, n, k, beta", _XI_CASES)
+def test_measure_sinr_matches_xi_loop_in_law(scheme, mode, n, k, beta):
+    # the conditional moments against the loop that samples channels, noise
+    # and X given the positions, on independent streams; N = 7 at B = 3 puts
+    # zero-forcing's X at Gamma(5, 1)
+    args = (make_config(), Schedule(n, k, beta), TIER1, mode, scheme, 10000)
+    got = measure_sinr(*args, np.random.default_rng(66))
+    ref = xi_measure_sinr(*args, np.random.default_rng(67))
+    z = (got.sinr - ref.sinr) / math.hypot(got.std_error, ref.std_error)
+    assert abs(z) < 4, (got.sinr, ref.sinr, z)
+
+
+def test_conditional_moments_halve_the_standard_error():
+    # at the sweep's N = 10 MRC optimum (K = 28, beta = 3) the channel and
+    # Gamma draws dominate the xi loop's spread
+    args = (make_config(), Schedule(10, 28, 3), TIER1, AVG, Scheme.MRC, 4000)
+    got = measure_sinr(*args, np.random.default_rng(68))
+    ref = xi_measure_sinr(*args, np.random.default_rng(69))
+    assert got.std_error <= 0.5 * ref.std_error, (got.std_error, ref.std_error)
+
+
+_IDENTITY_SCHEDULES = [(64, 1, 1), (221, 30, 3), (100, 5, 7), (500, 20, 4)]
+
+
+@pytest.fixture(scope="module")
+def identity_tables():
+    """(kappa, min_frac) -> {mode: table}, built on first use."""
+    cache = {}
+
+    def tables(kappa, min_frac):
+        if (kappa, min_frac) not in cache:
+            cache[kappa, min_frac] = {mode: build_table(kappa, mode, min_frac=min_frac)
+                                      for mode in (AVG, WORST)}
+        return cache[kappa, min_frac]
+
+    return tables
+
+
+@pytest.mark.parametrize("kappa", [3.5, 4.0])
+@pytest.mark.parametrize("snr_db", [10.0, -5.0])
+@pytest.mark.parametrize("min_frac", [0.14, 0.3])
+@pytest.mark.parametrize("scheme", [Scheme.MRC, Scheme.PZFC])
+@pytest.mark.parametrize("n, k, beta", _IDENTITY_SCHEDULES,
+                         ids=[f"{n}-{k}-{b}" for n, k, b in _IDENTITY_SCHEDULES])
+def test_measure_sinr_is_the_closed_form_where_no_position_is_drawn(
+        identity_tables, kappa, snr_db, min_frac, scheme, n, k, beta):
+    # worst-case mode pins every out-of-cell user and one cell has no other:
+    # the estimate is then exact and equals the closed form up to rounding
+    cfg = NetworkConfig(coherence_block=1000, snr_linear=db_to_linear(snr_db),
+                        pathloss_exponent=kappa, min_ue_distance_frac=min_frac)
+    schedule = Schedule(n, k, beta)
+    tables = identity_tables(kappa, min_frac)
+    for cells, mode in ((TIER1, WORST), (((0, 0),), AVG)):
+        analytic = sinr(SinrInputs(cfg, tables[mode], schedule, cells, scheme))
+        measured = measure_sinr(cfg, schedule, cells, mode, scheme, 40,
+                                np.random.default_rng(70))
+        assert measured.std_error == 0.0
+        assert measured.sinr == pytest.approx(analytic, rel=1e-12, abs=0), (
+            mode, len(cells))
 
 
 _ORACLE_N = (10, 20, 33, 53, 85, 137, 221)   # default-grid antenna counts
@@ -795,8 +868,9 @@ def test_oracle_checks_the_sweep_optima(sweep_optima, avg_table, worst_table,
                                         scheme, mode, n):
     # the oracle at the schedule the sweep returns (MRC at N = 10 schedules
     # K = 28, beta = 3: p = 280), on the tier-1 cells, gated by run_validation's
-    # rule; average-mode zero-forcing only as a lower bound, since its closed
-    # form under-states the SINR at beta > 1
+    # rules (worst-case mode draws no position and is an identity);
+    # average-mode zero-forcing only as a lower bound, since its closed form
+    # under-states the SINR at beta > 1
     k, beta, _ = optimal_schedule(sweep_optima, n, scheme, mode)
     cfg = make_config()
     schedule = Schedule(n, k, beta)
@@ -808,7 +882,9 @@ def test_oracle_checks_the_sweep_optima(sweep_optima, avg_table, worst_table,
     print(f"{scheme.value} {mode.value} N={n} K*={k} beta*={beta}: "
           f"measured/analytic {ratio:.4f}")
     within_3se = abs(measured.sinr - analytic) <= 3 * measured.std_error
-    if scheme is Scheme.PZFC and mode is AVG:
+    if mode is WORST:
+        assert measured.std_error == 0.0 and abs(ratio - 1.0) <= 1e-12, ratio
+    elif scheme is Scheme.PZFC:
         assert measured.sinr >= analytic - 3 * measured.std_error, ratio
     else:
         assert abs(ratio - 1.0) <= 0.05 or within_3se, ratio
