@@ -212,7 +212,8 @@ def measure_sinr(config: NetworkConfig, schedule: Schedule, cells,
     Otherwise the standard error comes from N_BATCHES batch means of the
     position average.  `terms` decomposes the SINR denominator into coherent
     signal, estimation gap, intra-cell interference, inter-cell interference
-    and noise.
+    and noise.  The own user's power leaves out its coherent part
+    |E[g^H h_own]|^2, so no cancellation costs precision at high SINR.
 
     Scale convention: per-block detection is invariant to any scalar on the
     beamformer, but the moments of g^H h are not invariant to a *random*
@@ -237,6 +238,7 @@ def measure_sinr(config: NetworkConfig, schedule: Schedule, cells,
     n_users_total = len(cols)
     i_target = cols[0]                     # user 1 of the origin cell, listed first
     on_target = cols == i_target
+    copilots = np.flatnonzero(on_target)[1:]  # the other users on the target pilot
     # MRC reads only the target pilot's sum (slot 0), zero-forcing all B;
     # slot q holds the users on no pilot the combiner reads
     if scheme is Scheme.MRC:
@@ -255,7 +257,8 @@ def measure_sinr(config: NetworkConfig, schedule: Schedule, cells,
     max_chunk = max(1, _CHUNK_ELEMS // (n_users_total + q))
 
     def moments(d):
-        """(E|g^H h_u|^2 (m, U), E||g||^2 (m,)) given the ratios d (m, U)."""
+        """(E|g^H h_u|^2 (m, U), the own user's less s1^2, and E||g||^2
+        (m,)) given the ratios d (m, U)."""
         g = (b * b * rho) * pilot_sums(d) + b
         g_i = g[:, i_slot]
         if scheme is Scheme.MRC:
@@ -264,7 +267,7 @@ def measure_sinr(config: NetworkConfig, schedule: Schedule, cells,
         else:
             gn = g_i / ((b * rho) ** 2 * (n - b))
             power = rho * d * (1.0 - (b * b * rho) * d / g[:, slot]) * gn[:, None]
-        power[:, on_target] += s1 * s1 * d[:, on_target] ** 2
+        power[:, copilots] += s1 * s1 * d[:, copilots] ** 2
         return power, gn
 
     counts = np.array(sizes, dtype=float)
@@ -280,9 +283,8 @@ def measure_sinr(config: NetworkConfig, schedule: Schedule, cells,
                 pow_sums[bi] += power.sum(axis=0)
                 gn_sums[bi] += gn.sum()
     else:
-        # every realization has the same moments: take them once, not as a
-        # sum of equal terms, whose rounding the denominator's cancellation
-        # of the coherent term would magnify
+        # every realization has the same moments: take them once; summing
+        # the equal terms gives the same value to rounding, at more cost
         power, gn = moments(draw_d_ratio(rng, 1))
         pow_sums, gn_sums = np.outer(counts, power[0]), counts * gn[0]
 
@@ -294,14 +296,15 @@ def measure_sinr(config: NetworkConfig, schedule: Schedule, cells,
 def _measured(sizes, s1_sums: np.ndarray, pow_sums: np.ndarray,
               gn_sums: np.ndarray, n_own: int) -> MeasuredSinr:
     """SINR, batch standard error and terms from per-batch sums of g^H h_own,
-    |g^H h_u|^2 (per user u, the first `n_own` in the victim cell) and
-    ||g||^2 over batches of `sizes` realizations."""
+    |g^H h_u|^2 (per user u, the first `n_own` in the victim cell; the own
+    user's less |E[g^H h_own]|^2) and ||g||^2 over batches of `sizes`
+    realizations."""
     counts = np.array(sizes, dtype=float)
     u_own = 0
 
     def _sinr(s1_sum, pow_sum, gn_sum, count):
         coh = abs(s1_sum / count) ** 2
-        denom = pow_sum.sum() / count - coh + gn_sum / count  # sigma^2 = 1
+        denom = pow_sum.sum() / count + gn_sum / count  # sigma^2 = 1
         return coh / denom
 
     batch_sinrs = tuple(_sinr(s1_sums[i], pow_sums[i], gn_sums[i], counts[i])
@@ -315,11 +318,11 @@ def _measured(sizes, s1_sums: np.ndarray, pow_sums: np.ndarray,
     own_cell = slice(0, n_own)
     terms = {
         "signal": coherent,
-        "estimation_gap": float(pow_mean[u_own] - coherent),
+        "estimation_gap": float(pow_mean[u_own]),
         "intra_cell": float(pow_mean[own_cell].sum() - pow_mean[u_own]),
         "inter_cell": float(pow_mean[n_own:].sum()),
         "noise": float(gn_sums.sum() / total),
-        "denominator": float(pow_mean.sum() - coherent + gn_sums.sum() / total),
+        "denominator": float(pow_mean.sum() + gn_sums.sum() / total),
     }
     return MeasuredSinr(sinr=float(sinr), std_error=std_error,
                         n_realizations=int(total), terms=terms,

@@ -19,24 +19,16 @@ moment tables, so results are deterministic given the tables.
 
 sweep.csv is the run's largest output, with a float repr for each SINR
 and SE.  The writer cuts the run table into spans of whole runs holding
-about equal numbers of rows and lays out each span's lines as one 0x00-
-padded byte matrix: each run's constant fields formatted once, K and the
-floats by the numpy kernels of `_floatrepr`, which print them exactly as
-`str` and `repr` do; the padding is stripped at the end.  When the process
-may run on more than one CPU and there are at least `_POOL_MIN_ROWS` rows,
-the spans are formatted by a pool of workers forked with the `fork` start
-method, the run's one process pool: starting and stopping it costs about
-20 ms, a fifth of what that many rows take to format.  The workers inherit
-both tables through the fork, so only span indices and the formatted bytes
-cross the pipes, and the parent writes each span as it arrives, in order.
-Smaller sweeps format in process and never import `multiprocessing`, which
-would add to every small run's start-up time and memory.  Both paths write
-the same bytes.
+about equal numbers of rows, at most about `_SPAN_ROWS` each, which bounds
+the memory a span takes, and lays out each span's lines as one 0x00-padded
+byte matrix: each run's constant fields formatted once, K and the floats by
+the numpy kernels of `_floatrepr`, which print them exactly as `str` and
+`repr` do; the padding is stripped at the end.  The bytes do not depend on
+where the spans are cut.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +46,7 @@ ROW_DTYPE = np.dtype([("K", np.int64), ("sinr", np.float64), ("se", np.float64)]
 RUN_DTYPE = np.dtype([("mode", "U5"), ("N", np.int64), ("scheme", "U4"),
                       ("beta", np.int64), ("start", np.int64), ("stop", np.int64)])
 N_MAX = int(np.iinfo(RUN_DTYPE["N"]).max)  # the largest antenna count a run holds
-_SPAN_ROWS = 1 << 14      # rows laid out as one byte matrix: about 1 MiB
-_POOL_MIN_ROWS = 1 << 17  # about 0.1 s of formatting, 5x the pool's start-up
+_SPAN_ROWS = 1 << 14  # rows laid out as one byte matrix: about 1 MiB
 
 
 @dataclass
@@ -220,27 +211,6 @@ def _format_runs(rows: np.ndarray, runs: np.ndarray) -> bytes:
     return np.concatenate(fields, axis=1).tobytes().translate(None, b"\0")
 
 
-_pool_task = None  # (rows, runs, spans), set in each pool worker by `_inherit`
-
-
-def _inherit(*task) -> None:
-    global _pool_task
-    _pool_task = task
-
-
-def _format_span(index: int) -> bytes:
-    rows, runs, spans = _pool_task
-    lo, hi = spans[index]
-    return _format_runs(rows, runs[lo:hi])
-
-
-def available_cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the platform
-    has one (Linux), else every CPU of the machine."""
-    getaffinity = getattr(os, "sched_getaffinity", None)  # looked up per call
-    return len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
-
-
 def _write_lines(path, texts) -> None:
     with open(path, "wb") as fh:
         fh.write(b"N,K,beta,scheme,mode,sinr,se\n")
@@ -250,28 +220,12 @@ def _write_lines(path, texts) -> None:
 def write_sweep_csv(result: SweepResult, path) -> None:
     """One CSV row per evaluated grid point (floats at full precision)."""
     rows, runs = result.rows, result.runs
-    workers = available_cpus() if len(rows) >= _POOL_MIN_ROWS else 1
-    # a multiple of the worker count, so every worker formats about as many rows
-    n_spans = min(workers * -(-len(rows) // (workers * _SPAN_ROWS)), len(rows))
+    n_spans = -(-len(rows) // _SPAN_ROWS)
     # each span ends at the first run boundary at or past its equal share of rows
     shares = [len(rows) * i // n_spans for i in range(1, n_spans)]
     cuts = [0, *np.searchsorted(runs["start"], shares).tolist(), len(runs)]
-    spans = [(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if lo < hi]
-
-    workers = min(workers, len(spans))
-    if workers < 2:
-        _write_lines(path, (_format_runs(rows, runs[lo:hi]) for lo, hi in spans))
-        return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # the fork context hands `initargs` to the workers by inheritance, not by
-    # pickling; `map` submits every span, so all workers fork before the file
-    # is opened.  They only format strings (no threads, no BLAS).  Leaving the
-    # block waits for every worker; a worker's exception is raised again here.
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_inherit, initargs=(rows, runs, spans)) as executor:
-        _write_lines(path, executor.map(_format_span, range(len(spans))))
+    _write_lines(path, (_format_runs(rows, runs[lo:hi])
+                        for lo, hi in zip(cuts[:-1], cuts[1:]) if lo < hi))
 
 
 def write_optima_csv(result: SweepResult, path) -> None:

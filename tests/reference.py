@@ -414,6 +414,15 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return pairs.view(complex)[..., 0]
 
 
+def sampled_measured(sizes, s1_sums, pow_sums, gn_sums, n_own: int) -> MeasuredSinr:
+    """`_measured` of sums over sampled realizations, whose own-user power
+    holds |g^H h_own|^2 whole: each batch's coherent part |sum g^H h_own|^2 /
+    size comes out of it first, so each batch SINR is its sample bound."""
+    own = pow_sums[:, 0] - abs(s1_sums) ** 2 / np.array(sizes)
+    return _measured(sizes, s1_sums, np.column_stack((own, pow_sums[:, 1:])),
+                     gn_sums, n_own)
+
+
 def xi_measure_sinr(config: NetworkConfig, schedule: Schedule, cells,
                     mode: InterferenceMode, scheme: Scheme, n_realizations: int,
                     rng: np.random.Generator) -> MeasuredSinr:
@@ -493,4 +502,4 @@ def xi_measure_sinr(config: NetworkConfig, schedule: Schedule, cells,
                                       wcy.real ** 2 + wcy.imag ** 2)
             gn_sums[bi] += v_norm_sq.sum()
 
-    return _measured(sizes, s1_sums, pow_sums, gn_sums, schedule.n_users)
+    return sampled_measured(sizes, s1_sums, pow_sums, gn_sums, schedule.n_users)

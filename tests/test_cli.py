@@ -1,7 +1,6 @@
 import copy
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -419,27 +418,27 @@ def test_mutated_manifest_runs_or_is_refused_before_any_work(tmp_path, monkeypat
         assert list(work.iterdir()) == []
 
 
-def test_failed_pool_worker_leaves_no_output_and_no_process(tmp_path, capsys,
-                                                           monkeypatch):
-    parent, format_runs = os.getpid(), sweep_module._format_runs
+def test_failed_csv_formatting_leaves_no_output(tmp_path, capsys, monkeypatch):
+    format_runs, calls = sweep_module._format_runs, []
 
-    def fail_in_worker(rows, runs):
-        if os.getpid() != parent:
-            raise RuntimeError("forced failure in a pool worker")
+    def fail_on_second_span(rows, runs):
+        calls.append(len(runs))
+        if len(calls) == 2:
+            raise RuntimeError("forced failure formatting a sweep.csv span")
         return format_runs(rows, runs)
 
-    # the fork carries the patched formatter into the workers
-    monkeypatch.setattr(sweep_module, "_format_runs", fail_in_worker)
-    monkeypatch.setattr(sweep_module, "_POOL_MIN_ROWS", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    # spans of about 4 rows: the header and the first span are written
+    # before the second span fails
+    monkeypatch.setattr(sweep_module, "_format_runs", fail_on_second_span)
+    monkeypatch.setattr(sweep_module, "_SPAN_ROWS", 4)
     cfg = small_config(tmp_path)
     out = tmp_path / "out"
     assert run_cli(["--config", cfg, "--out", out, "--modes", "avg",
                     "--schemes", "mrc", *FAST_FLAGS]) == 1
-    assert "forced failure in a pool worker" in capsys.readouterr().err
+    assert "forced failure formatting a sweep.csv span" in capsys.readouterr().err
+    assert len(calls) == 2
     # no sweep.csv, no .sweep.csv.tmp and no moments_avg.json written before it
     assert list(out.iterdir()) == []
-    assert multiprocessing.active_children() == []
 
 
 def test_failed_oracle_fixture_leaves_no_output(tmp_path, capsys, monkeypatch):
@@ -477,22 +476,6 @@ def test_fixture_streams_do_not_depend_on_modes(tmp_path):
     assert {f["name"] for f in avg_only} >= {"seven_cell_pzfc_avg_large_n"}
 
 
-def test_small_validated_run_never_forks(tmp_path, monkeypatch):
-    # the oracle runs in process on any number of CPUs, and a sweep below the
-    # writer's pool threshold formats in process: nothing forks
-    def no_fork():
-        raise AssertionError("a small --validate run forked")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    cfg = small_config(tmp_path, t_block=1000)
-    out = tmp_path / "out"
-    assert run_cli(["--config", cfg, "--out", out, "--modes", "avg", "--schemes", "mrc",
-                    "--validate", "--realizations", "2000", *FAST_FLAGS]) == 0
-    rows = len((out / "sweep.csv").read_text().splitlines()) - 1
-    assert 0 < rows < sweep_module._POOL_MIN_ROWS
-
-
 def test_validation_past_the_apothem(tmp_path):
     # an exclusion disk wider than the apothem still leaves six corner
     # regions to draw users from, and the oracle runs there
@@ -503,46 +486,34 @@ def test_validation_past_the_apothem(tmp_path):
     assert json.loads((out / "validation.json").read_text())["fixtures"]
 
 
-def test_cpu_count_without_an_affinity_call(tmp_path, monkeypatch):
-    # macOS and Windows have no os.sched_getaffinity: the count falls back
-    # to os.cpu_count, and to 1 where that is unknown
-    monkeypatch.delattr(os, "sched_getaffinity")
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert sweep_module.available_cpus() == 3
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert sweep_module.available_cpus() == 1
-    # a run whose sweep writer asks for the count
-    monkeypatch.setattr(sweep_module, "_POOL_MIN_ROWS", 0)
-    cfg = small_config(tmp_path)
-    out = tmp_path / "out"
-    assert run_cli(["--config", cfg, "--out", out, "--modes", "avg", "--schemes", "mrc",
-                    *FAST_FLAGS]) == 0
-    assert (out / "sweep.csv").exists()
-
-
 def _pool_modules_after_run(args):
     """(exit code, the process-pool modules imported) of one run in a fresh
-    interpreter."""
-    code = ("import sys\n"
+    interpreter that may run on two CPUs and whose `os.fork` raises."""
+    code = ("import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "def no_fork():\n"
+            "    raise AssertionError('the run forked')\n"
+            "os.fork = no_fork\n"
             "from hexmimo.cli import main\n"
             "code = main(sys.argv[1:])\n"
             "print([m for m in ('multiprocessing', 'concurrent.futures.process')"
             " if m in sys.modules])\n"
             "sys.exit(code)\n")
     proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=120)
     return proc.returncode, proc.stdout.splitlines()[-1]
 
 
-def test_small_runs_never_import_the_process_pool(tmp_path):
-    # a sweep below the pool threshold formats in process; importing the
-    # pool would add to every run's start-up time and memory
-    cfg = small_config(tmp_path)
+def test_large_validated_run_never_starts_a_process(tmp_path):
+    # the sweep.csv writer and the oracle run in process at any size on any
+    # number of CPUs: a sweep of over 2^17 rows imports no process pool and
+    # nothing forks
+    cfg = small_config(tmp_path, t_block=2000)
     out = tmp_path / "out"
-    assert _pool_modules_after_run(["--config", cfg, "--out", out,
-                                    *FAST_FLAGS]) == (0, "[]")
+    assert _pool_modules_after_run(["--config", cfg, "--out", out, "--n-points", "60",
+                                    "--validate", "--realizations", "400"]) == (0, "[]")
     rows = len((out / "sweep.csv").read_text().splitlines()) - 1
-    assert 0 < rows < sweep_module._POOL_MIN_ROWS
+    assert rows >= 1 << 17
 
 
 # one small validated run, then the CPU seconds of every thread but the main
@@ -564,7 +535,7 @@ print(json.dumps({"code": code, "timeout": os.environ.get("OPENBLAS_THREAD_TIMEO
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task")
-                    or sweep_module.available_cpus() < 2,
+                    or len(os.sched_getaffinity(0)) < 2,
                     reason="needs /proc/self/task and two CPUs for BLAS workers")
 @pytest.mark.parametrize("timeout", [None, "30"])
 def test_cli_parks_idle_blas_workers(tmp_path, timeout):

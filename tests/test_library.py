@@ -28,8 +28,6 @@ UNREACHED = {
     ("spectral", "se_per_cell"): "library API: SE of one validated operating point",
     ("spectral", "asymptotic_se"): "library API: large-N SE of K users at reuse beta",
     ("sweep", "optimal_schedule"): "library API: look up an optimum of a sweep",
-    ("sweep", "_inherit"): "runs only inside forked pool workers",
-    ("sweep", "_format_span"): "runs only inside forked pool workers",
     ("__init__", "__getattr__"): "library API: `hexmimo.<name>` loads its module on "
                                  "first use; the CLI imports its modules directly",
 }
@@ -46,12 +44,9 @@ UNUSED_IMPORTS = {
     ("moments", "sample_ue_positions"): "perfbench/child.py hooks a counter on it",
 }
 
-# Three runs on one CPU, so that the in-process paths run and no worker
-# forks: a cold paper run, a warm rerun that loads both cached tables, and a
-# rerun from the manifest.  The sweep writer's pool threshold is 0, so these
-# small runs ask for the CPU count as a large sweep does.  The profiler is set
-# before `hexmimo.cli` is imported, because `_floatrepr` builds its layout
-# table at import.
+# Three runs: a cold paper run, a warm rerun that loads both cached tables,
+# and a rerun from the manifest.  The profiler is set before `hexmimo.cli` is
+# imported, because `_floatrepr` builds its layout table at import.
 _PROFILED_RUNS = r'''
 import json, os, sys
 
@@ -64,9 +59,7 @@ def profile(frame, event, arg):
 
 
 sys.setprofile(profile)
-os.sched_getaffinity = lambda pid: {0}
 from hexmimo.cli import main
-sys.modules["hexmimo.sweep"]._POOL_MIN_ROWS = 0
 
 out, report = sys.argv[1], sys.argv[2]
 small = ["--n-points", "3", "--k-cap", "20", "--realizations", "400"]

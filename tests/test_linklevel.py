@@ -8,8 +8,8 @@ from hexmimo.config import InterferenceMode, NetworkConfig, db_to_linear
 from hexmimo.errors import DomainError, PilotOverflow
 from hexmimo.hexgrid import CellIndex, worst_case_position
 from hexmimo import linklevel
-from hexmimo.linklevel import (N_BATCHES, _layout, _measured, _pinned_positions,
-                               _sorted_cells, measure_sinr)
+from hexmimo.linklevel import (N_BATCHES, _layout, _pinned_positions, _sorted_cells,
+                               measure_sinr)
 from hexmimo.moments import build_table
 from hexmimo.pilots import Schedule
 from hexmimo.spectral import Scheme, SinrInputs, sinr
@@ -21,7 +21,7 @@ from reference import (RankDeficient, Realization, _complex_normal,
                        cells_within_tier, combine, dft_pilot_matrix,
                        estimate_book, estimation_error_scale, generate,
                        lmmse_estimate, lmmse_estimate_kron,
-                       measure_estimation_mse, xi_measure_sinr)
+                       measure_estimation_mse, sampled_measured, xi_measure_sinr)
 
 AVG = InterferenceMode.AVERAGE
 WORST = InterferenceMode.WORST_CASE
@@ -512,7 +512,7 @@ def _pilot_block_measure_sinr(config, schedule, cells, mode, scheme, n_realizati
             s1_sums[bi] += cross[:, 0].sum()
             pow_sums[bi] += (cross.real ** 2 + cross.imag ** 2).sum(axis=0)
             gn_sums[bi] += (g.real ** 2 + g.imag ** 2).sum()
-    return _measured(sizes, s1_sums, pow_sums, gn_sums, schedule.n_users)
+    return sampled_measured(sizes, s1_sums, pow_sums, gn_sums, schedule.n_users)
 
 
 def _bartlett_measure_sinr(config, schedule, cells, mode, scheme, n_realizations,
@@ -567,7 +567,7 @@ def _bartlett_measure_sinr(config, schedule, cells, mode, scheme, n_realizations
             s1_sums[bi] += cross[:, 0].sum()
             pow_sums[bi] += (cross.real ** 2 + cross.imag ** 2).sum(axis=0)
             gn_sums[bi] += (g.real ** 2 + g.imag ** 2).sum()
-    return _measured(sizes, s1_sums, pow_sums, gn_sums, schedule.n_users)
+    return sampled_measured(sizes, s1_sums, pow_sums, gn_sums, schedule.n_users)
 
 
 _REFERENCE_CASES = [
@@ -689,7 +689,7 @@ def _gram_solve_measure_sinr(config, schedule, cells, mode, scheme, n_realizatio
             s1_sums[bi] += cross[:, 0].sum()
             pow_sums[bi] += (cross.real ** 2 + cross.imag ** 2).sum(axis=0)
             gn_sums[bi] += v_norm_sq.sum()
-    return _measured(sizes, s1_sums, pow_sums, gn_sums, schedule.n_users)
+    return sampled_measured(sizes, s1_sums, pow_sums, gn_sums, schedule.n_users)
 
 
 def _wishart_inverse_diag(r_q, i):
@@ -810,7 +810,8 @@ def test_conditional_moments_halve_the_standard_error():
     assert got.std_error <= 0.5 * ref.std_error, (got.std_error, ref.std_error)
 
 
-_IDENTITY_SCHEDULES = [(64, 1, 1), (221, 30, 3), (100, 5, 7), (500, 20, 4)]
+_IDENTITY_SCHEDULES = [(64, 1, 1), (221, 30, 3), (100, 5, 7), (500, 20, 4),
+                       (10000, 1, 7), (100000, 1, 1)]  # SINRs up to about 5e5
 
 
 @pytest.fixture(scope="module")

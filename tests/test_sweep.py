@@ -1,5 +1,4 @@
 import math
-import os
 import types
 
 import numpy as np
@@ -10,7 +9,8 @@ import hexmimo.sweep as sweep_module
 from hexmimo.config import InterferenceMode, NetworkConfig
 from hexmimo.errors import EmptyFeasibleSet
 from hexmimo.pilots import Schedule
-from hexmimo.spectral import Scheme, SinrInputs, se_from_sinr, sinr
+from hexmimo.spectral import (Scheme, SinrInputs, asymptotic_sinr, kstar_asymptotic,
+                              se_from_sinr, sinr)
 from hexmimo.sweep import (ROW_DTYPE, RUN_DTYPE, _argmax, default_k_grid,
                            default_n_grid, optimal_schedule, sweep,
                            write_optima_csv, write_sweep_csv)
@@ -121,11 +121,12 @@ def hand_built_result():
     return sweep_module.SweepResult(rows=rows, runs=runs, optima={}, n_skipped={})
 
 
-@pytest.mark.parametrize("cpus", [1, 4])
+@pytest.mark.parametrize("span_rows", [sweep_module._SPAN_ROWS, 2])
 @pytest.mark.parametrize("rows", ["sweep", "hand-built", "empty"])
 def test_sweep_csv_bytes_equal_the_per_row_formatter(tmp_path, monkeypatch,
-                                                    edge_args, rows, cpus):
-    # cpus = 1 formats in process; cpus = 4 on a pool of forked workers
+                                                    edge_args, rows, span_rows):
+    # at 2 rows a span the equal shares fall inside runs, the cuts move to
+    # run boundaries and some spans are empty: the bytes do not depend on it
     if rows == "sweep":
         result = sweep(*edge_args)
         assert any(result.n_skipped.values()) and np.any(result.rows["se"] == 0.0)
@@ -135,8 +136,7 @@ def test_sweep_csv_bytes_equal_the_per_row_formatter(tmp_path, monkeypatch,
         result = sweep_module.SweepResult(rows=np.empty(0, ROW_DTYPE),
                                           runs=np.empty(0, RUN_DTYPE),
                                           optima={}, n_skipped={})
-    monkeypatch.setattr(sweep_module, "_POOL_MIN_ROWS", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(sweep_module, "_SPAN_ROWS", span_rows)
     path = tmp_path / "sweep.csv"
     write_sweep_csv(result, path)
     assert path.read_bytes() == reference_sweep_csv(expanded(result).tolist())
@@ -283,6 +283,27 @@ def test_optimum_stays_below_asymptotic_ceiling(small_sweep, avg_table):
         assert se < ceiling
 
 
+def test_sweep_reaches_the_large_n_schedule(avg_table, worst_table):
+    # at N = 1e9 only pilot contamination limits the SINR: every slice's
+    # optimum is the asymptotic schedule K* ~ T / (2 beta) at the beta whose
+    # contamination-limited SE T / (4 beta) log2(1 + SINR_lim) is largest
+    # ((167, 3) in average mode, (125, 4) in worst-case mode), and its SE
+    # is that limit to within 0.1 %
+    t_block, betas = 1000, [1, 3, 4, 7]
+    tables = {AVG: avg_table, WORST: worst_table}
+    n_grid = default_n_grid(10, 10 ** 9)
+    result = sweep(template(t_block), n_grid, default_k_grid(t_block), betas,
+                   [Scheme.MRC, Scheme.PZFC], [AVG, WORST], tables)
+    for mode, table in tables.items():
+        se_limit = {beta: t_block / (4 * beta)
+                    * math.log2(1 + asymptotic_sinr(table, beta)) for beta in betas}
+        beta_lim = max(se_limit, key=se_limit.get)
+        for scheme in (Scheme.MRC, Scheme.PZFC):
+            k, beta, se = optimal_schedule(result, n_grid[-1], scheme, mode)
+            assert beta == beta_lim and k in kstar_asymptotic(t_block, beta_lim)
+            assert (1 - 1e-3) * se_limit[beta_lim] < se <= se_limit[beta_lim]
+
+
 def test_mrc_schedules_at_least_as_many_users(avg_table):
     # passive combining compensates low per-user SE with many users; the
     # ordering holds up to the near-asymptotic regime where both approach T/2
@@ -333,18 +354,15 @@ def test_run_table_tiles_the_rows(edge_args, small_sweep):
             assert np.all(np.diff(result.rows["K"][start:stop]) > 0)
 
 
-def test_sweep_and_optima_follow_the_order_contract(tmp_path, monkeypatch, edge_args):
+def test_sweep_and_optima_follow_the_order_contract(tmp_path, edge_args):
     # sweep.csv follows the caller's mode and scheme order; optima.csv is
     # sorted by (mode, N, scheme) whatever that order
     config, n_grid, k_grid, betas, _, _, tables = edge_args
     args = (config, n_grid, k_grid, betas, [Scheme.PZFC, Scheme.MRC], [WORST, AVG], tables)
     points, optima, _ = scalar_sweep(*args)
     result = sweep(*args)
-    for cpus in (1, 4):
-        monkeypatch.setattr(sweep_module, "_POOL_MIN_ROWS", 0)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        write_sweep_csv(result, tmp_path / "sweep.csv")
-        assert (tmp_path / "sweep.csv").read_bytes() == reference_sweep_csv(points)
+    write_sweep_csv(result, tmp_path / "sweep.csv")
+    assert (tmp_path / "sweep.csv").read_bytes() == reference_sweep_csv(points)
     write_optima_csv(result, tmp_path / "optima.csv")
     assert (tmp_path / "optima.csv").read_bytes() == reference_optima_csv(optima)
     assert points[0][3:5] == ("pzfc", "worst")
