@@ -20,13 +20,12 @@ __all__ = [
     "Schedule", "Scheme", "SeResult", "SinrInputs", "SweepResult",
     "asymptotic_se", "asymptotic_sinr", "bs_position", "build_table",
     "db_to_linear", "kstar_asymptotic", "load_config", "measure_sinr",
-    "optimal_schedule", "reuse_group", "se_per_cell", "sinr", "validate",
+    "optimal_schedule", "reuse_group", "se_per_cell", "sinr",
 ]
 
 # submodule -> the public names it defines
 _HOMES = {
-    "config": ("InterferenceMode", "NetworkConfig", "db_to_linear", "load_config",
-               "validate"),
+    "config": ("InterferenceMode", "NetworkConfig", "db_to_linear", "load_config"),
     "hexgrid": ("CellIndex", "bs_position", "reuse_group"),
     "moments": ("MomentTable", "build_table"),
     "pilots": ("Schedule",),

@@ -37,7 +37,7 @@ from .config import (HEX_REUSE_FACTORS, InterferenceMode, NetworkConfig,
                      config_from_dict, record_from_json)
 from .errors import DomainError
 from .linklevel import N_BATCHES, measure_sinr
-from .moments import REL_TOL, MomentTable, build_table
+from .moments import MomentTable, build_table
 from .pilots import Schedule
 from .spectral import Scheme, SinrInputs, asymptotic_sinr, kstar_asymptotic, sinr
 from .sweep import (N_MAX, default_k_grid, default_n_grid, max_users, sweep,
@@ -104,7 +104,6 @@ def _load_or_build_table(mode: InterferenceMode, out_dir: Path,
             table = None
         if (table is not None and table.mode is mode
                 and table.kappa == config.pathloss_exponent
-                and table.rel_tol == REL_TOL
                 and table.min_frac == config.min_ue_distance_frac):
             return table
     table = build_table(config.pathloss_exponent, mode,
@@ -314,8 +313,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--realizations", type=int, default=20000,
                    help="link-level realizations per validation fixture")
     p.add_argument("--from-manifest", dest="from_manifest",
-                   help="rerun a previous run from its manifest.json")
+                   help="rerun a previous run from its manifest.json; takes only --out")
     return p
+
+
+def _refuse_ignored_flags(argv, args) -> None:
+    """Refuse every run flag a rerun from a manifest would ignore, even one
+    given at its default value: all but --out and the ignored --samples."""
+    unset = object()  # a second parse leaves the flags argv does not name unset
+    preset = argparse.Namespace(**dict.fromkeys(vars(args), unset))
+    ignored = ["--" + dest.replace("_", "-")
+               for dest, value in vars(_build_parser().parse_args(argv, preset)).items()
+               if value is not unset and dest not in ("from_manifest", "out", "samples")]
+    if ignored:
+        raise DomainError("--from-manifest reruns the manifest as recorded and takes "
+                          f"no other run flag but --out, got {' '.join(ignored)}")
 
 
 def _manifest_from_args(args) -> RunManifest:
@@ -394,6 +406,8 @@ def main(argv=None) -> int:
         print("hexmimo: note: --samples is ignored; moment tables are computed "
               "by quadrature", file=sys.stderr)
     try:
+        if args.from_manifest:
+            _refuse_ignored_flags(argv, args)
         manifest = _manifest_from_args(args)
         _check_manifest(manifest)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -1,6 +1,7 @@
 """Network configuration: the scalars of the network, shared by the analytic
 and link-level paths.  The operating point (N, K, beta) is not part of it:
-it is a `hexmimo.pilots.Schedule`, and the sweep ranges over it.
+it is a `hexmimo.pilots.Schedule`, and the sweep ranges over it.  Both
+records check their fields when built, so no invalid one exists.
 
 The noise power sigma^2 is normalized to 1, so ``snr_linear`` is the uplink
 design SNR rho/sigma^2 and all formulas consume the single ratio
@@ -99,14 +100,15 @@ def check_fields(record) -> None:
 
 @dataclasses.dataclass(frozen=True)
 class NetworkConfig:
-    """Scalar parameters of the multi-cell uplink.
+    """Scalar parameters of the multi-cell uplink.  A value outside its
+    domain, or not a finite number (T: an integer), raises DomainError.
 
     Attributes:
-        coherence_block: coherence block length T in channel uses.
-        snr_linear: design SNR rho/sigma^2 in linear scale.
+        coherence_block: coherence block length T >= 1 in channel uses.
+        snr_linear: design SNR rho/sigma^2 > 0 in linear scale.
         pathloss_exponent: distance exponent kappa >= 2.
         min_ue_distance_frac: UE exclusion radius around the serving BS, as a
-            fraction of the cell radius.
+            fraction in [0, 1) of the cell radius.
     """
 
     coherence_block: int
@@ -114,32 +116,25 @@ class NetworkConfig:
     pathloss_exponent: float = 3.5
     min_ue_distance_frac: float = 0.14
 
+    def __post_init__(self):
+        check_fields(self)
+        if self.snr_linear <= 0:
+            raise DomainError(f"snr_linear must be positive, got {self.snr_linear}")
+        if self.pathloss_exponent < 2:
+            raise DomainError(
+                f"pathloss_exponent must be >= 2, got {self.pathloss_exponent}")
+        if not 0.0 <= self.min_ue_distance_frac < 1.0:
+            raise DomainError(
+                f"min_ue_distance_frac must be in [0, 1), got {self.min_ue_distance_frac}")
+
     @property
     def inv_snr(self) -> float:
         """sigma^2 / rho, the only way noise enters the closed forms."""
         return 1.0 / self.snr_linear
 
 
-def validate(config: NetworkConfig) -> NetworkConfig:
-    """Check every config invariant and return the record unchanged.
-
-    Raises:
-        DomainError: a scalar is outside its domain, T is not an integer or
-            a real parameter is not a finite number.
-    """
-    check_fields(config)
-    if config.snr_linear <= 0:
-        raise DomainError(f"snr_linear must be positive, got {config.snr_linear}")
-    if config.pathloss_exponent < 2:
-        raise DomainError(f"pathloss_exponent must be >= 2, got {config.pathloss_exponent}")
-    if not 0.0 <= config.min_ue_distance_frac < 1.0:
-        raise DomainError(
-            f"min_ue_distance_frac must be in [0, 1), got {config.min_ue_distance_frac}")
-    return config
-
-
 def config_from_dict(data: dict) -> NetworkConfig:
-    """Build a validated config from a plain dict (JSON-compatible).
+    """Build a config from a plain dict (JSON-compatible).
 
     Accepts ``snr_db`` as an alternative to ``snr_linear``.
     """
@@ -154,10 +149,10 @@ def config_from_dict(data: dict) -> NetworkConfig:
             data["snr_linear"] = db_to_linear(snr_db)
         except OverflowError:
             raise DomainError(f"snr_db {snr_db!r} overflows the linear SNR") from None
-    return validate(record_from_json(NetworkConfig, data, "config"))
+    return record_from_json(NetworkConfig, data, "config")
 
 
 def load_config(path) -> NetworkConfig:
-    """Load and validate a JSON configuration file."""
+    """Load a JSON configuration file."""
     with open(path, "r", encoding="utf-8") as fh:
         return config_from_dict(json.load(fh))

@@ -60,7 +60,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import InterferenceMode, NetworkConfig, validate
+from .config import InterferenceMode, NetworkConfig
 from .errors import DomainError
 from .hexgrid import (CellIndex, bs_position, reuse_group, sample_ue_positions,
                       tier_of, worst_case_position)
@@ -75,7 +75,7 @@ def _sorted_cells(cells) -> tuple[CellIndex, ...]:
     cells = tuple(sorted((CellIndex(*c) for c in cells), key=lambda c: (tier_of(c), c)))
     if len(set(cells)) != len(cells):
         raise DomainError("duplicate cells in tier set")
-    if cells[0] != (0, 0):
+    if CellIndex(0, 0) not in cells:
         raise DomainError("tier set must contain the victim cell (0, 0)")
     return cells
 
@@ -225,7 +225,6 @@ def measure_sinr(config: NetworkConfig, schedule: Schedule, cells,
     for zero-forcing it is the estimated-book combiner itself, whose gram
     inverse cancels the psi randomness again.
     """
-    validate(config)
     schedule.check(config.coherence_block, zero_forcing=scheme is Scheme.PZFC)
     if n_realizations < N_BATCHES:
         raise DomainError("need at least one realization per batch")

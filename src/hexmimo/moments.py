@@ -62,7 +62,6 @@ class MomentTable:
 
     mode: InterferenceMode
     kappa: float
-    rel_tol: float
     min_frac: float
     entries: dict[CellIndex, MomentEntry]
 
@@ -90,9 +89,7 @@ class MomentTable:
             "version": _VERSION,
             "mode": self.mode.value,
             "kappa": self.kappa,
-            "rel_tol": self.rel_tol,
             "min_frac": self.min_frac,
-            "max_tier": self.max_tier,
             "entries": [
                 {"offset": [c.a1, c.a2], "mu1": e.mu1, "mu2": e.mu2}
                 for c, e in sorted(self.entries.items(), key=lambda kv: (tier_of(kv[0]), kv[0]))
@@ -113,18 +110,18 @@ class MomentTable:
             raise DomainError("moment table holds a non-finite or non-positive moment")
         mode = InterferenceMode(data["mode"])
         # the entries must be exactly those the build keeps: the exact own
-        # cell, then complete tiers up to the first one that meets REL_TOL
+        # cell, then complete tiers up to the first one that meets REL_TOL.
+        # That pins the tolerance and the last tier, which older files also
+        # record as rel_tol and max_tier: those keys go unread.
         try:
             kept = _expand_tiers(data["kappa"], mode,
                                  lambda cells: [entries[c] for c in cells])
         except (KeyError, ConvergenceError):
             kept = None
-        if (kept != entries or len(data["entries"]) != len(entries)
-                or data["max_tier"] != max(map(tier_of, entries))):
-            raise DomainError("moment table offsets are not the converged tiers "
-                              f"0..{data['max_tier']}")
-        return cls(mode=mode, kappa=data["kappa"], rel_tol=data["rel_tol"],
-                   min_frac=data["min_frac"], entries=entries)
+        if kept != entries or len(data["entries"]) != len(entries):
+            raise DomainError("moment table offsets are not the converged tiers")
+        return cls(mode=mode, kappa=data["kappa"], min_frac=data["min_frac"],
+                   entries=entries)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -216,7 +213,7 @@ def build_table(kappa: float, mode: InterferenceMode, *,
             return [MomentEntry(float(m1), float(m2))
                     for m1, m2 in zip(ratio @ weight, (ratio * ratio) @ weight)]
 
-    return MomentTable(mode=mode, kappa=kappa, rel_tol=REL_TOL, min_frac=min_frac,
+    return MomentTable(mode=mode, kappa=kappa, min_frac=min_frac,
                        entries=_expand_tiers(kappa, mode, tier_entries))
 
 

@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .config import NetworkConfig, validate
+from .config import NetworkConfig
 from .errors import DomainError, InsufficientAntennas
 from .hexgrid import CellIndex, reuse_group
 from .moments import MomentTable
@@ -63,7 +63,6 @@ class SinrInputs:
     scheme: Scheme = Scheme.MRC
 
     def __post_init__(self):
-        validate(self.config)
         self.schedule.check(self.config.coherence_block,
                             zero_forcing=self.scheme is Scheme.PZFC)
         tier_set = self.tier_set
@@ -173,11 +172,6 @@ def _plain(values: np.ndarray):
     return values.item() if values.ndim == 0 else values
 
 
-def asymptotic_sinr_from_sums(sums: CopilotSums) -> float:
-    """Large-N SINR limit shared by MRC and PZFC: pilot contamination only."""
-    return 1.0 / sums.mu2_others if sums.mu2_others > 0 else math.inf
-
-
 def sinr(inputs: SinrInputs) -> float:
     """SINR of the combining scheme the input bundle was validated for."""
     schedule = inputs.schedule
@@ -191,10 +185,10 @@ def sinr(inputs: SinrInputs) -> float:
 
 def asymptotic_sinr(moments: MomentTable, reuse_factor: int,
                     tier_set=None) -> float:
-    """N -> infinity SINR limit at reuse factor beta over a tier set; it does
-    not depend on K."""
+    """N -> infinity SINR limit at reuse factor beta over a tier set, shared
+    by MRC and PZFC: pilot contamination only, so it does not depend on K."""
     sums = CopilotSums.from_table(moments, reuse_factor, tier_set)
-    return asymptotic_sinr_from_sums(sums)
+    return 1.0 / sums.mu2_others if sums.mu2_others > 0 else math.inf
 
 
 def se_per_cell(inputs: SinrInputs) -> SeResult:

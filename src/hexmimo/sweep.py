@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._floatrepr import float_reprs, int_digits
-from .config import InterferenceMode, NetworkConfig, validate
+from .config import InterferenceMode, NetworkConfig
 from .errors import DomainError, EmptyFeasibleSet
 from .moments import MomentTable
 from .spectral import (CopilotSums, Scheme, mrc_sinr_from_sums,
@@ -110,7 +110,6 @@ def sweep(config: NetworkConfig, n_grid, k_grid, beta_set, schemes, modes,
     Raises:
         EmptyFeasibleSet: some (N, scheme, mode) slice has no feasible (K, beta).
     """
-    validate(config)
     n_grid = sorted(set(int(n) for n in n_grid))
     k_grid = np.array(sorted(set(int(k) for k in k_grid)), dtype=np.int64)
     beta_set = sorted(set(int(b) for b in beta_set))

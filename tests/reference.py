@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hexmimo.config import InterferenceMode, NetworkConfig, validate
+from hexmimo.config import InterferenceMode, NetworkConfig
 from hexmimo.errors import InsufficientAntennas
 from hexmimo.hexgrid import (CellIndex, bs_position, cells_in_tier, reuse_group,
                              sample_ue_positions)
@@ -258,7 +258,6 @@ def generate(config: NetworkConfig, schedule: Schedule, cells,
     from `d_ratio`, `h_eff` and `y_pilot` (to rounding), which is why the
     library's `NetworkConfig` holds neither.
     """
-    validate(config)
     schedule.check(config.coherence_block)
     cells = _sorted_cells(cells)
     centers, cols = _layout(schedule, cells)
@@ -439,7 +438,6 @@ def xi_measure_sinr(config: NetworkConfig, schedule: Schedule, cells,
 
     A drawn ||v||^2 that is zero or not finite is a singular W_q (or a zero
     MRC direction) and raises RankDeficient."""
-    validate(config)
     schedule.check(config.coherence_block, zero_forcing=scheme is Scheme.PZFC)
     cells = _sorted_cells(cells)
     centers, cols = _layout(schedule, cells)

@@ -69,7 +69,7 @@ def test_rerun_same_seed_is_byte_identical(tmp_path):
         assert (out / name).read_bytes() == blob
 
 
-def test_outputs_regenerate_from_manifest_alone(tmp_path):
+def test_outputs_regenerate_from_manifest_alone(tmp_path, capsys):
     cfg = small_config(tmp_path)
     out_a = tmp_path / "a"
     assert run_cli(["--config", cfg, "--out", out_a, "--seed", "9",
@@ -79,6 +79,17 @@ def test_outputs_regenerate_from_manifest_alone(tmp_path):
                     "--out", out_b]) == 0
     for name in ("sweep.csv", "optima.csv", "moments_avg.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+    # any other run flag, even at its default value, would be ignored: it is
+    # refused, by name, before any work
+    capsys.readouterr()
+    out_c = tmp_path / "c"
+    assert run_cli(["--from-manifest", out_a / "manifest.json", "--out", out_c,
+                    "--seed", "0", "--validate", "--schemes", "mrc",
+                    "--n-points", "9"]) == 2
+    err = capsys.readouterr().err
+    for flag in ("--seed", "--validate", "--schemes", "--n-points"):
+        assert flag in err, flag
+    assert not out_c.exists()
 
 
 def test_asymptotic_csv_values(tmp_path):
@@ -567,7 +578,7 @@ _TABLE_EDITS = {
         {"offset": [1, 0], "mu1": math.nan, "mu2": -1.0}]),
     "mu-nan": lambda data: data["entries"][3].update(mu1=math.nan),
     # complete tiers 0..2 only: short of the tier the stop rule keeps
-    "tiers-dropped": lambda data: data.update(max_tier=2, entries=data["entries"][:19]),
+    "tiers-dropped": lambda data: data.update(entries=data["entries"][:19]),
 }
 
 
@@ -614,6 +625,37 @@ def test_version_one_monte_carlo_cache_is_rebuilt(tmp_path):
     cache.write_text(json.dumps(data))
 
     assert run_cli(args) == 0
+    for name, blob in first.items():
+        assert (out / name).read_bytes() == blob
+
+
+def test_table_file_with_retired_keys_is_a_cache_hit(tmp_path, monkeypatch):
+    # earlier versions also wrote rel_tol and max_tier; the stored tiers pin
+    # both, so such a file is loaded as it is: not rebuilt, not rewritten
+    cfg = small_config(tmp_path)
+    out = tmp_path / "out"
+    args = ["--config", cfg, "--out", out, "--seed", "4", "--modes", "avg,worst",
+            "--schemes", "mrc", *FAST_FLAGS]
+    assert run_cli(args) == 0
+    first = {n: (out / n).read_bytes() for n in ("sweep.csv", "optima.csv")}
+    caches = {}
+    for mode in ("avg", "worst"):
+        cache = out / f"moments_{mode}.json"
+        data = json.loads(cache.read_text())
+        assert "rel_tol" not in data and "max_tier" not in data
+        old = {**{k: data[k] for k in ("format", "version", "mode", "kappa")},
+               "rel_tol": 1e-3, "min_frac": data["min_frac"],
+               "max_tier": MomentTable.load(cache).max_tier, "entries": data["entries"]}
+        cache.write_text(json.dumps(old, indent=1) + "\n")
+        caches[cache] = cache.read_bytes()
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a cached table was rebuilt")
+
+    monkeypatch.setattr(cli_module, "build_table", no_build)
+    assert run_cli(args) == 0
+    for cache, blob in caches.items():
+        assert cache.read_bytes() == blob
     for name, blob in first.items():
         assert (out / name).read_bytes() == blob
 

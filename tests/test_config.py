@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexmimo.config import (InterferenceMode, NetworkConfig, config_from_dict,
-                            db_to_linear, fits, load_config, validate)
+                            db_to_linear, fits, load_config)
 from hexmimo.errors import (DomainError, InsufficientAntennas, PilotOverflow,
                             UnsupportedReuse)
 from hexmimo.pilots import Schedule
@@ -28,16 +28,10 @@ def base_schedule(**overrides):
 
 def test_valid_baseline_point():
     cfg = base_config()
-    assert validate(cfg) is cfg
     assert cfg.inv_snr == 0.1
     schedule = base_schedule()
     schedule.check(cfg.coherence_block)
     assert schedule.pilot_len == 10
-
-
-def test_validate_is_idempotent():
-    cfg = base_config()
-    assert validate(validate(cfg)) == cfg
 
 
 def test_pilot_overflow():
@@ -74,7 +68,7 @@ def test_insufficient_antennas_for_zero_forcing():
 ])
 def test_domain_errors(field, value):
     with pytest.raises(DomainError):
-        validate(base_config(**{field: value}))
+        base_config(**{field: value})
 
 
 @pytest.mark.parametrize("field,value", [
@@ -94,7 +88,6 @@ def test_schedule_domain_errors(field, value):
 def test_numpy_scalars_are_valid_values():
     cfg = base_config(coherence_block=np.int64(1000), snr_linear=np.float64(10.0),
                       pathloss_exponent=np.float32(3.5))
-    assert validate(cfg) is cfg
     schedule = Schedule(np.int64(64), np.int32(4), np.uint8(3))
     schedule.check(cfg.coherence_block)
     assert schedule.pilot_len == 12

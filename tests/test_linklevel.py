@@ -89,9 +89,12 @@ def test_generate_rejects_inconsistent_inputs():
     cfg = make_config()
     with pytest.raises(PilotOverflow):  # B = 1200 > T = 1000
         generate(cfg, Schedule(4, 400, 3), TIER1, AVG, np.random.default_rng(0))
+    for cells in ([(1, 0), (0, 1)], []):  # no victim cell (0, 0)
+        with pytest.raises(DomainError):
+            generate(cfg, Schedule(4, 2, 1), cells, AVG, np.random.default_rng(0))
     with pytest.raises(DomainError):
-        generate(cfg, Schedule(4, 2, 1), [(1, 0), (0, 1)], AVG,
-                 np.random.default_rng(0))
+        measure_sinr(cfg, Schedule(4, 2, 1), [], AVG, Scheme.MRC, N_BATCHES,
+                     np.random.default_rng(0))
 
 
 def test_worst_mode_pins_interferers_to_cell_edge():
@@ -259,7 +262,7 @@ def test_measured_sinr_matches_closed_form_single_cell():
 
     cfg = make_config()
     schedule = Schedule(50, 1, 1)
-    table = MomentTable(mode=AVG, kappa=3.5, rel_tol=1e-3, min_frac=0.14,
+    table = MomentTable(mode=AVG, kappa=3.5, min_frac=0.14,
                         entries={CellIndex(0, 0): MomentEntry(1., 1.)})
     analytic = sinr(SinrInputs(cfg, table, schedule, ((0, 0),)))
     measured = measure_sinr(cfg, schedule, [(0, 0)], AVG, Scheme.MRC, 10000,

@@ -8,7 +8,7 @@ from hexmimo.config import InterferenceMode
 from hexmimo.errors import ConvergenceError, DomainError
 from hexmimo.hexgrid import (CellIndex, bs_position, cells_in_tier,
                              sample_ue_positions, tier_of)
-from hexmimo.moments import MomentTable, _hexagon_rule, build_table
+from hexmimo.moments import REL_TOL, MomentTable, _hexagon_rule, build_table
 
 from reference import contains
 
@@ -125,7 +125,7 @@ def test_tier_decay_and_extension(avg_table):
     tier5 = sum(avg_table.entry(c).mu1 for c in cells_in_tier(5))
     assert tier5 / total < 1e-2
     tier_last = sum(avg_table.entry(c).mu1 for c in cells_in_tier(avg_table.max_tier))
-    assert tier_last / total <= avg_table.rel_tol
+    assert tier_last / total <= REL_TOL
 
 
 def test_first_tier_dominates_second(avg_table):
@@ -183,8 +183,7 @@ def test_serialization_roundtrip(tmp_path, avg_table):
     loaded = MomentTable.load(path)
     assert loaded.entries == avg_table.entries
     assert loaded.mode is avg_table.mode
-    assert (loaded.kappa, loaded.rel_tol, loaded.min_frac) == (
-        avg_table.kappa, avg_table.rel_tol, avg_table.min_frac)
+    assert (loaded.kappa, loaded.min_frac) == (avg_table.kappa, avg_table.min_frac)
 
 
 def test_serialization_rejects_unknown_format(tmp_path):
@@ -197,14 +196,12 @@ def test_serialization_rejects_unknown_format(tmp_path):
 @pytest.mark.parametrize("edit", [
     pytest.param(lambda d: d["entries"].pop(), id="tier-cut"),
     # complete tiers 0..2 only: short of the tier the stop rule keeps
-    pytest.param(lambda d: d.update(max_tier=2, entries=d["entries"][:19]),
-                 id="tiers-dropped"),
+    pytest.param(lambda d: d.update(entries=d["entries"][:19]), id="tiers-dropped"),
     pytest.param(lambda d: d["entries"][0].update(mu1=2.0), id="own-cell"),
     pytest.param(lambda d: d["entries"].append(dict(d["entries"][1])),
                  id="offset-repeated"),
     pytest.param(lambda d: d["entries"][-1].update(offset=[10 ** 9, 0]),
                  id="offset-far"),
-    pytest.param(lambda d: d.update(max_tier=d["max_tier"] + 1), id="max-tier"),
     pytest.param(lambda d: d["entries"][2].update(mu1=math.nan), id="mu1-nan"),
     pytest.param(lambda d: d["entries"][2].update(mu2=math.inf), id="mu2-inf"),
     pytest.param(lambda d: d["entries"][2].update(mu2=0.0), id="mu2-zero"),
@@ -213,6 +210,18 @@ def test_serialization_rejects_unknown_format(tmp_path):
 def test_serialization_rejects_incomplete_or_invalid_entries(worst_table, edit):
     data = worst_table.to_dict()
     edit(data)
+    with pytest.raises(DomainError):
+        MomentTable.from_dict(data)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-2, 5e-4])
+def test_table_of_another_tolerance_is_rejected(monkeypatch, rel_tol):
+    # the file records no tolerance: re-running the stop rule under REL_TOL
+    # on the stored tiers refuses a table whose tiers another one chose
+    monkeypatch.setattr(hexmimo.moments, "REL_TOL", rel_tol)
+    data = build_table(3.5, AVG).to_dict()
+    monkeypatch.undo()
+    assert len(data["entries"]) != len(build_table(3.5, AVG).entries)
     with pytest.raises(DomainError):
         MomentTable.from_dict(data)
 

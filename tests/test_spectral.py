@@ -18,8 +18,7 @@ from reference import (asymptotic_sinr_generic, cells_within_tier,
 
 
 def synthetic_table(entries):
-    return MomentTable(mode=InterferenceMode.AVERAGE, kappa=3.5,
-                       rel_tol=1e-3, min_frac=0.14,
+    return MomentTable(mode=InterferenceMode.AVERAGE, kappa=3.5, min_frac=0.14,
                        entries={CellIndex(*c): MomentEntry(*e)
                                 for c, e in entries.items()})
 
