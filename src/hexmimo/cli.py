@@ -28,13 +28,14 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import (HEX_REUSE_FACTORS, InterferenceMode, NetworkConfig,
-                     config_from_dict, record_from_json)
+                     config_from_dict, fits, record_from_json)
 from .errors import DomainError
 from .linklevel import N_BATCHES, measure_sinr
 from .moments import MomentTable, build_table
@@ -47,9 +48,11 @@ from .sweep import (N_MAX, default_k_grid, default_n_grid, max_users, sweep,
 _DEFAULT_CONFIG = {"coherence_block": 1000, "snr_db": 10.0}
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunManifest:
-    """Everything needed to reproduce one run byte-for-byte."""
+    """Everything needed to reproduce one run byte-for-byte.  Building one
+    with a value of the wrong type, or one no run can use, raises DomainError
+    (PilotOverflow when a validation fixture's pilots do not fit T)."""
 
     out_dir: str
     seed: int
@@ -58,10 +61,50 @@ class RunManifest:
     config: dict
     n_grid: list[int] = field(default_factory=default_n_grid)
     k_cap: int | None = None
-    beta_set: list[int] = field(default_factory=lambda: [1, 3, 4, 7])
+    beta_set: list[int] = field(default_factory=lambda: list(HEX_REUSE_FACTORS))
     run_asymptotic: bool = False
     run_validation: bool = False
     validation_realizations: int = 20000
+
+    def __post_init__(self):
+        hints = typing.get_type_hints(RunManifest)
+        wrong = [name for name, hint in hints.items() if not fits(getattr(self, name), hint)]
+        if wrong:
+            raise DomainError(f"manifest: values of the wrong type {wrong}")
+        t_block = config_from_dict(self.config).coherence_block
+        lists = (self.modes, self.schemes, self.beta_set, self.n_grid)
+        if not all(lists):
+            raise DomainError("modes, schemes, reuse factors and antenna counts must not be empty")
+        if any(len(set(values)) != len(values) for values in lists):
+            raise DomainError("modes, schemes, reuse factors and antenna counts must not repeat")
+        for values, kind in ((self.modes, InterferenceMode), (self.schemes, Scheme)):
+            unknown = sorted(set(values) - {member.value for member in kind})
+            if unknown:
+                raise DomainError(f"unknown {kind.__name__} values {unknown}")
+        if min(self.n_grid) < 1 or (self.k_cap is not None and self.k_cap < 1):
+            raise DomainError(f"N and k_cap must be >= 1, got {self.n_grid}, {self.k_cap}")
+        if max(self.n_grid) > N_MAX:
+            raise DomainError(f"N must be below 2^63, got {max(self.n_grid)}")
+        bad = [b for b in self.beta_set if b not in HEX_REUSE_FACTORS]
+        if bad:
+            raise DomainError(f"reuse factors {bad} not in {list(HEX_REUSE_FACTORS)}")
+        if self.run_asymptotic and t_block < 2 * max(self.beta_set):
+            raise DomainError("the asymptotic schedule needs T >= 2 beta for every reuse "
+                              f"factor, got T={t_block}, beta={max(self.beta_set)}")
+        # the run's user counts start at K = 1 (k_cap >= 1)
+        for n in self.n_grid:
+            for scheme in self.schemes:
+                if all(max_users(n, Scheme(scheme), beta, t_block) < 1
+                       for beta in self.beta_set):
+                    raise DomainError(f"no feasible (K, beta) at N={n} for scheme={scheme}")
+        if self.run_validation:
+            for _, _, schedule, _, scheme, _ in _validation_fixtures():
+                schedule.check(t_block, zero_forcing=scheme is Scheme.PZFC)
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        if self.validation_realizations < N_BATCHES:
+            raise DomainError(f"realizations must be >= {N_BATCHES} (one per batch), "
+                              f"got {self.validation_realizations}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=1) + "\n"
@@ -80,7 +123,8 @@ class RunManifest:
                 try:
                     config_from_dict(config)
                 except DomainError as config_exc:
-                    raise DomainError(f"{exc}; {config_exc}") from None
+                    if str(config_exc) != str(exc):  # not already the config's
+                        raise DomainError(f"{exc}; {config_exc}") from None
             raise
 
 
@@ -98,9 +142,9 @@ def _load_or_build_table(mode: InterferenceMode, out_dir: Path,
     if path.exists():
         try:
             table = MomentTable.load(path)
-        except (KeyError, TypeError, ValueError):
-            # unreadable or unrecognized file (JSONDecodeError and DomainError
-            # are ValueErrors): a cache miss, rebuilt below
+        except (KeyError, TypeError, ValueError, RecursionError):
+            # an unreadable, unrecognized or too deeply nested file (DomainError
+            # and JSONDecodeError are ValueErrors): a cache miss, rebuilt below
             table = None
         if (table is not None and table.mode is mode
                 and table.kappa == config.pathloss_exponent
@@ -284,61 +328,56 @@ def run(manifest: RunManifest) -> dict:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # a flag argv does not name stays out of the namespace: each default is
+    # stated once, by the manifest or where `_manifest_from_args` reads it
     p = argparse.ArgumentParser(
-        prog="hexmimo",
+        prog="hexmimo", argument_default=argparse.SUPPRESS,
         description="Sweep user count and pilot reuse for uplink spectral "
                     "efficiency on a hexagonal massive MIMO network.")
     p.add_argument("--config", help="JSON network config (built-in defaults if omitted)")
-    p.add_argument("--out", default=None,
-                   help="output directory (default hexmimo_out; with "
-                        "--from-manifest, overrides the manifest's directory)")
-    p.add_argument("--seed", type=int, default=0, help="run seed (u64)")
-    p.add_argument("--modes", default="avg,worst",
-                   help="comma list of interference modes: avg,worst")
-    p.add_argument("--schemes", default="mrc,pzfc",
-                   help="comma list of combining schemes: mrc,pzfc")
+    p.add_argument("--out", help="output directory (default hexmimo_out; with "
+                                 "--from-manifest, overrides the manifest's directory)")
+    p.add_argument("--seed", type=int, help="run seed (u64, default 0)")
+    p.add_argument("--modes", help="comma list of interference modes (default all of "
+                                   f"{','.join(m.value for m in InterferenceMode)})")
+    p.add_argument("--schemes", help="comma list of combining schemes (default all of "
+                                     f"{','.join(s.value for s in Scheme)})")
     p.add_argument("--validate", action="store_true",
                    help="run link-level oracle fixtures, write validation.json")
     p.add_argument("--asymptotic", action="store_true",
                    help="write large-N schedule per beta to asymptotic.csv")
-    p.add_argument("--n-min", type=int, default=10)
-    p.add_argument("--n-max", type=int, default=10 ** 4)
-    p.add_argument("--n-points", type=int, default=30)
-    p.add_argument("--k-cap", type=int, default=None,
-                   help="cap on swept user counts (default: T/2)")
-    p.add_argument("--betas", default="1,3,4,7", help="comma list of reuse factors")
-    p.add_argument("--samples", type=int, default=None,
+    p.add_argument("--n-min", type=int)
+    p.add_argument("--n-max", type=int)
+    p.add_argument("--n-points", type=int)
+    p.add_argument("--k-cap", type=int, help="cap on swept user counts (default: T/2)")
+    p.add_argument("--betas", help="comma list of reuse factors (default all of "
+                                   f"{','.join(map(str, HEX_REUSE_FACTORS))})")
+    p.add_argument("--samples", type=int,
                    help="ignored: moment tables are computed by quadrature "
                         "(accepted so that existing command lines still run)")
-    p.add_argument("--realizations", type=int, default=20000,
+    p.add_argument("--realizations", type=int,
                    help="link-level realizations per validation fixture")
-    p.add_argument("--from-manifest", dest="from_manifest",
+    p.add_argument("--from-manifest",
                    help="rerun a previous run from its manifest.json; takes only --out")
     return p
 
 
-def _refuse_ignored_flags(argv, args) -> None:
-    """Refuse every run flag a rerun from a manifest would ignore, even one
-    given at its default value: all but --out and the ignored --samples."""
-    unset = object()  # a second parse leaves the flags argv does not name unset
-    preset = argparse.Namespace(**dict.fromkeys(vars(args), unset))
-    ignored = ["--" + dest.replace("_", "-")
-               for dest, value in vars(_build_parser().parse_args(argv, preset)).items()
-               if value is not unset and dest not in ("from_manifest", "out", "samples")]
-    if ignored:
-        raise DomainError("--from-manifest reruns the manifest as recorded and takes "
-                          f"no other run flag but --out, got {' '.join(ignored)}")
-
-
 def _manifest_from_args(args) -> RunManifest:
-    if args.from_manifest:
+    """The run that `args` names; a flag it does not name takes its default."""
+    given = vars(args)
+    if "from_manifest" in given:
+        # every run flag but --out (and the ignored --samples) would be
+        # ignored, so each is refused, even one given at its default value
+        ignored = sorted(given.keys() - {"from_manifest", "out", "samples"})
+        if ignored:
+            raise DomainError("--from-manifest reruns the manifest as recorded, so it takes "
+                              "no run flag but --out, got " + " ".join(
+                                  "--" + flag.replace("_", "-") for flag in ignored))
         manifest = RunManifest.from_json_file(args.from_manifest)
-        if args.out:
-            manifest.out_dir = args.out
-        return manifest
+        return replace(manifest, out_dir=args.out) if given.get("out") else manifest
     config = {**_DEFAULT_CONFIG, **{f.name: f.default for f in fields(NetworkConfig)
                                      if f.default is not MISSING}}
-    if args.config:
+    if "config" in given:
         with open(args.config, "r", encoding="utf-8") as fh:
             user_cfg = json.load(fh)
         if not isinstance(user_cfg, dict):
@@ -346,71 +385,32 @@ def _manifest_from_args(args) -> RunManifest:
         if "snr_db" in user_cfg or "snr_linear" in user_cfg:
             config.pop("snr_db", None)
         config.update(user_cfg)
+    lists = {flag: [item.strip() for item in given[flag].split(",") if item.strip()]
+             for flag in ("modes", "schemes", "betas") if flag in given}
     return RunManifest(
-        out_dir=args.out or "hexmimo_out",
-        seed=args.seed,
-        modes=[m.strip() for m in args.modes.split(",") if m.strip()],
-        schemes=[s.strip() for s in args.schemes.split(",") if s.strip()],
+        out_dir=given.get("out") or "hexmimo_out",
+        seed=given.get("seed", 0),
+        modes=lists.get("modes", [m.value for m in InterferenceMode]),
+        schemes=lists.get("schemes", [s.value for s in Scheme]),
         config=config,
-        n_grid=default_n_grid(args.n_min, args.n_max, args.n_points),
-        k_cap=args.k_cap,
-        beta_set=[int(b) for b in args.betas.split(",") if b.strip()],
-        run_asymptotic=args.asymptotic,
-        run_validation=args.validate,
-        validation_realizations=args.realizations,
+        n_grid=default_n_grid(**{flag: given[flag] for flag in ("n_min", "n_max", "n_points")
+                                 if flag in given}),
+        beta_set=[int(b) for b in lists.get("betas", HEX_REUSE_FACTORS)],
+        **{name: given[flag] for flag, name in (
+            ("k_cap", "k_cap"), ("asymptotic", "run_asymptotic"),
+            ("validate", "run_validation"), ("realizations", "validation_realizations"))
+           if flag in given},
     )
-
-
-def _check_manifest(manifest: RunManifest) -> None:
-    """Reject run parameters that cannot be valid before any work starts."""
-    config = config_from_dict(manifest.config)
-    lists = (manifest.modes, manifest.schemes, manifest.beta_set, manifest.n_grid)
-    if not all(lists):
-        raise DomainError("modes, schemes, reuse factors and antenna counts must not be empty")
-    if any(len(set(values)) != len(values) for values in lists):
-        raise DomainError("modes, schemes, reuse factors and antenna counts must not repeat")
-    for mode in manifest.modes:
-        InterferenceMode(mode)
-    for scheme in manifest.schemes:
-        Scheme(scheme)
-    if min(manifest.n_grid) < 1 or (manifest.k_cap is not None and manifest.k_cap < 1):
-        raise DomainError(f"N and k_cap must be >= 1, got {manifest.n_grid}, {manifest.k_cap}")
-    if max(manifest.n_grid) > N_MAX:
-        raise DomainError(f"N must be below 2^63, got {max(manifest.n_grid)}")
-    bad = [b for b in manifest.beta_set if b not in HEX_REUSE_FACTORS]
-    if bad:
-        raise DomainError(f"reuse factors {bad} not in {list(HEX_REUSE_FACTORS)}")
-    if manifest.run_asymptotic and config.coherence_block < 2 * max(manifest.beta_set):
-        raise DomainError("the asymptotic schedule needs T >= 2 beta for every reuse "
-                          f"factor, got T={config.coherence_block}, "
-                          f"beta={max(manifest.beta_set)}")
-    # the run's user counts start at K = 1 (k_cap >= 1)
-    for n in manifest.n_grid:
-        for scheme in manifest.schemes:
-            if all(max_users(n, Scheme(scheme), beta, config.coherence_block) < 1
-                   for beta in manifest.beta_set):
-                raise DomainError(f"no feasible (K, beta) at N={n} for scheme={scheme}")
-    if manifest.run_validation:
-        for _, _, schedule, _, scheme, _ in _validation_fixtures():
-            schedule.check(config.coherence_block, zero_forcing=scheme is Scheme.PZFC)
-    if manifest.seed < 0:
-        raise DomainError(f"seed must be >= 0, got {manifest.seed}")
-    if manifest.validation_realizations < N_BATCHES:
-        raise DomainError(f"realizations must be >= {N_BATCHES} (one per batch), "
-                          f"got {manifest.validation_realizations}")
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.samples is not None:
+    if "samples" in args:
         print("hexmimo: note: --samples is ignored; moment tables are computed "
               "by quadrature", file=sys.stderr)
     try:
-        if args.from_manifest:
-            _refuse_ignored_flags(argv, args)
         manifest = _manifest_from_args(args)
-        _check_manifest(manifest)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:
         print(f"hexmimo: config error: {exc}", file=sys.stderr)
         return 2
 

@@ -63,24 +63,20 @@ def fits(value, hint) -> bool:
 
 
 def record_from_json(cls, data, what: str):
-    """Build the dataclass `cls` from the JSON value `data`.
+    """Build the dataclass `cls` from the JSON value `data`; `cls` checks
+    the values itself when it is built.
 
     Raises:
         DomainError: `data` is not an object, names a key that is not a
-            field, omits a field without a default, or holds a value that
-            does not fit its field's annotation (see `fits`).
+            field, or omits a field without a default.
     """
     if not isinstance(data, dict):
         raise DomainError(f"a {what} must be a JSON object, got {data!r}")
-    hints = typing.get_type_hints(cls)
-    unknown = sorted(set(data) - set(hints))
+    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
     missing = sorted(f.name for f in dataclasses.fields(cls) if f.name not in data
                      and f.default is f.default_factory is dataclasses.MISSING)
-    wrong = sorted(name for name, value in data.items()
-                   if name in hints and not fits(value, hints[name]))
     problems = [f"{label} {names}" for label, names in (
-        ("unknown keys", unknown), ("missing keys", missing),
-        ("values of the wrong type", wrong)) if names]
+        ("unknown keys", unknown), ("missing keys", missing)) if names]
     if problems:
         raise DomainError(f"{what}: {'; '.join(problems)}")
     return cls(**data)

@@ -180,9 +180,7 @@ class MeasuredSinr:
 
     sinr: float
     std_error: float
-    n_realizations: int
     terms: dict[str, float]
-    batch_sinrs: tuple[float, ...]
 
 
 def measure_sinr(config: NetworkConfig, schedule: Schedule, cells,
@@ -323,6 +321,4 @@ def _measured(sizes, s1_sums: np.ndarray, pow_sums: np.ndarray,
         "noise": float(gn_sums.sum() / total),
         "denominator": float(pow_mean.sum() + gn_sums.sum() / total),
     }
-    return MeasuredSinr(sinr=float(sinr), std_error=std_error,
-                        n_realizations=int(total), terms=terms,
-                        batch_sinrs=batch_sinrs)
+    return MeasuredSinr(sinr=float(sinr), std_error=std_error, terms=terms)

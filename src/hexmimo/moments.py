@@ -31,7 +31,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .config import InterferenceMode
+from .config import InterferenceMode, NetworkConfig, fits
 from .errors import ConvergenceError, DomainError
 from .hexgrid import (SQRT3, CellIndex, bs_position, cells_in_tier, tier_of,
                       worst_case_position)
@@ -105,7 +105,7 @@ class MomentTable:
             CellIndex(*rec["offset"]): MomentEntry(rec["mu1"], rec["mu2"])
             for rec in data["entries"]
         }
-        if not all(type(mu) in (int, float) and 0 < mu < math.inf
+        if not all(fits(mu, float) and mu > 0
                    for e in entries.values() for mu in (e.mu1, e.mu2)):
             raise DomainError("moment table holds a non-finite or non-positive moment")
         mode = InterferenceMode(data["mode"])
@@ -173,7 +173,7 @@ def _hexagon_rule(min_frac: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def build_table(kappa: float, mode: InterferenceMode, *,
-                min_frac: float = 0.14) -> MomentTable:
+                min_frac: float = NetworkConfig.min_ue_distance_frac) -> MomentTable:
     """Build the moment table by adaptive tier expansion.
 
     Tiers of cells are added until the newest tier contributes less than

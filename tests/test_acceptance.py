@@ -304,7 +304,7 @@ def test_criterion_8_oracle_vs_analytic(fullres_tables, tmp_path):
     out.write_text(json.dumps({
         "fixture": {"cells": 7, "n_antennas": 64, "n_users": 2,
                     "reuse_factor": 1, "scheme": "mrc", "mode": "avg",
-                    "n_realizations": measured.n_realizations},
+                    "n_realizations": 10 ** 5},
         "analytic_sinr": analytic,
         "measured_sinr": measured.sinr,
         "std_error": measured.std_error,

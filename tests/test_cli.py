@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import asdict, fields
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 from pathlib import Path
 
 import pytest
@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 import hexmimo.cli as cli_module
 import hexmimo.sweep as sweep_module
-from hexmimo.cli import main
+from hexmimo.cli import RunManifest, main
 from hexmimo.config import InterferenceMode, NetworkConfig
+from hexmimo.errors import DomainError
 from hexmimo.moments import MomentTable
 
 from reference import RankDeficient
@@ -246,7 +247,28 @@ def test_config_error_exit_code(tmp_path, capsys):
                    {**manifest, "n_grid": [2 ** 63]}):
         bad.write_text(json.dumps(broken))
         assert run_cli(["--from-manifest", bad]) == 2, broken
+    # JSON nested deeper than the parser's recursion limit
+    bad.write_text("[" * 100_000)
+    for flag in ("--config", "--from-manifest"):
+        capsys.readouterr()
+        assert run_cli([flag, bad, "--out", tmp_path / "o"]) == 2, flag
+        assert "config error" in capsys.readouterr().err, flag
     assert not (tmp_path / "o").exists()
+
+
+def test_invalid_manifest_cannot_be_built(tmp_path):
+    # the manifest checks itself, so no run, in process or from a file,
+    # starts on one no run can use
+    valid = RunManifest(out_dir=str(tmp_path / "o"), seed=0, modes=["avg"],
+                        schemes=["mrc"], config={"coherence_block": 200, "snr_db": 10.0})
+    for change in ({"seed": -1}, {"beta_set": [2]}, {"modes": ["avg", "avg"]},
+                   {"k_cap": "3"}):
+        with pytest.raises(DomainError):
+            RunManifest(**{**asdict(valid), **change})
+    with pytest.raises(DomainError):
+        replace(valid, seed=-1)
+    with pytest.raises(FrozenInstanceError):
+        valid.seed = -1
 
 
 def test_stale_manifest_error_names_every_stale_key(tmp_path, capsys):
@@ -579,10 +601,13 @@ _TABLE_EDITS = {
     "mu-nan": lambda data: data["entries"][3].update(mu1=math.nan),
     # complete tiers 0..2 only: short of the tier the stop rule keeps
     "tiers-dropped": lambda data: data.update(entries=data["entries"][:19]),
+    # positive and not inf, but beyond the float range
+    "mu-huge-int": lambda data: data["entries"][3].update(mu1=10 ** 400),
 }
 
 
-@pytest.mark.parametrize("corrupt", ["{", "[1]", *_TABLE_EDITS])
+@pytest.mark.parametrize("corrupt", ["{", "[1]", *_TABLE_EDITS,
+                                     pytest.param("[" * 100_000, id="nested-deep")])
 def test_corrupt_moment_cache_is_rebuilt(tmp_path, corrupt):
     cfg = small_config(tmp_path)
     out = tmp_path / "out"

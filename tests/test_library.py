@@ -1,6 +1,6 @@
 """The library's shape: every function is on the production path, every
-config, schedule and manifest field is read, no import is left unused, and
-the documented API runs as written.
+field of the config, the schedule, the manifest and the result records is
+read, no import is left unused, and the documented API runs as written.
 
 Cross-check oracles that only tests call live in `tests/reference.py`, so a
 function in `src/hexmimo` that no run reaches is either public API or dead.
@@ -17,7 +17,11 @@ from pathlib import Path
 import hexmimo
 from hexmimo.cli import RunManifest
 from hexmimo.config import NetworkConfig
+from hexmimo.linklevel import MeasuredSinr
+from hexmimo.moments import MomentEntry, MomentTable
 from hexmimo.pilots import Schedule
+from hexmimo.spectral import CopilotSums, SeResult
+from hexmimo.sweep import SweepResult
 
 PACKAGE = Path(hexmimo.__file__).resolve().parent
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -36,10 +40,14 @@ UNREACHED = {
 
 # the functions whose reads of a field do not count as uses: the checks of
 # field values, and the manifest's serializer, which records every field
-NOT_USES = {("config", "__post_init__"), ("pilots", "check"), ("cli", "to_json")}
+NOT_USES = {("config", "__post_init__"), ("pilots", "check"), ("cli", "__post_init__"),
+            ("cli", "to_json")}
 
 # field -> why no library expression reads it
-UNREAD_FIELDS = {}
+UNREAD_FIELDS = {
+    "prelog": "SeResult.prelog: README's library snippet prints it",
+    "n_skipped": "SweepResult.n_skipped: perfbench/child.py reads it",
+}
 
 # (module, name) -> why the import stays bound although the module never uses it
 UNUSED_IMPORTS = {
@@ -132,14 +140,18 @@ def _attributes_read(node, module: str) -> set:
 
 
 def test_every_config_and_schedule_field_is_read():
-    # a field nothing reads is a value a run records but never uses
+    # a field nothing reads is a value a run records, or a result holds,
+    # but never uses
     network = {f.name for f in dataclasses.fields(NetworkConfig)}
     schedule = {f.name for f in dataclasses.fields(Schedule)}
-    manifest = {f.name for f in dataclasses.fields(RunManifest)}
     assert not network & schedule, "a value has two homes"
+    records = (RunManifest, MeasuredSinr, SeResult, SweepResult, CopilotSums,
+               MomentTable, MomentEntry)
+    fields = network.union(schedule, *({f.name for f in dataclasses.fields(record)}
+                                       for record in records))
     read = set().union(*(_attributes_read(tree, module)
                          for module, _, tree in _modules()))
-    assert (network | schedule | manifest) - read == set(UNREAD_FIELDS)
+    assert fields - read == set(UNREAD_FIELDS)
 
 
 def _unused_imports(tree) -> set:
