@@ -37,7 +37,7 @@ import numpy as np
 from .config import (HEX_REUSE_FACTORS, InterferenceMode, NetworkConfig,
                      config_from_dict, fits, record_from_json)
 from .errors import DomainError
-from .linklevel import N_BATCHES, measure_sinr
+from .linklevel import measure_sinr
 from .moments import MomentTable, build_table
 from .pilots import Schedule
 from .spectral import Scheme, SinrInputs, asymptotic_sinr, kstar_asymptotic, sinr
@@ -102,8 +102,8 @@ class RunManifest:
                 schedule.check(t_block, zero_forcing=scheme is Scheme.PZFC)
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
-        if self.validation_realizations < N_BATCHES:
-            raise DomainError(f"realizations must be >= {N_BATCHES} (one per batch), "
+        if self.validation_realizations < 2:
+            raise DomainError("realizations must be >= 2 (a standard error needs two), "
                               f"got {self.validation_realizations}")
 
     def to_json(self) -> str:
@@ -225,7 +225,7 @@ def run_validation(config: NetworkConfig,
     worst-case mode, where no position is drawn) passes when measured and
     analytic agree to 1e-12 relative, the "identity" gate; any other passes
     when the measured value is within 5 % of the analytic one or within 3
-    batch standard errors of it, the "statistical" gate.  Each fixture
+    delta-method standard errors of it, the "statistical" gate.  Each fixture
     records its gate.  Ungated fixtures are informational.  The per-term
     decomposition of the measured denominator is always reported so any
     systematic residual is visible rather than suppressed.

@@ -49,6 +49,11 @@ simulated; they are the one source of approximation in the closed forms.
 At N = B + 1, 1/X has infinite variance; the xi loop sampled it, this
 estimator takes its mean exactly.
 
+The coherent term E[g^H h_own] = s1 does not depend on the positions, so
+the estimate is s1^2 / mean(D_r), D_r being one realization's denominator,
+and its standard error follows exactly from the delta method:
+s1^2 sd(D) / (mean(D)^2 sqrt(n)) over n realizations.
+
 Everything here is deliberately independent of the closed-form module: the
 two must agree only through the physics.
 """
@@ -56,7 +61,7 @@ two must agree only through the physics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,8 +72,7 @@ from .hexgrid import (CellIndex, bs_position, reuse_group, sample_ue_positions,
 from .pilots import Schedule
 from .spectral import Scheme
 
-N_BATCHES = 20   # batch means behind measure_sinr's standard error
-_CHUNK_ELEMS = 1 << 22  # caps the elements of a chunk's largest arrays
+_CHUNK_ELEMS = 1 << 14  # caps the elements of a chunk's largest arrays
 
 
 def _sorted_cells(cells) -> tuple[CellIndex, ...]:
@@ -207,8 +211,9 @@ def measure_sinr(config: NetworkConfig, schedule: Schedule, cells,
     The own cell's ratios are 1, and in worst-case mode every other ratio is
     pinned too; on one cell or in worst-case mode no position is drawn, every
     realization has the same moments and `std_error` is exactly 0.0.
-    Otherwise the standard error comes from N_BATCHES batch means of the
-    position average.  `terms` decomposes the SINR denominator into coherent
+    Otherwise `std_error` is the delta-method standard error of the position
+    average (see the module docstring), so `n_realizations` must be at
+    least 2.  `terms` decomposes the SINR denominator into coherent
     signal, estimation gap, intra-cell interference, inter-cell interference
     and noise.  The own user's power leaves out its coherent part
     |E[g^H h_own]|^2, so no cancellation costs precision at high SINR.
@@ -224,8 +229,9 @@ def measure_sinr(config: NetworkConfig, schedule: Schedule, cells,
     inverse cancels the psi randomness again.
     """
     schedule.check(config.coherence_block, zero_forcing=scheme is Scheme.PZFC)
-    if n_realizations < N_BATCHES:
-        raise DomainError("need at least one realization per batch")
+    if n_realizations < 2:
+        raise DomainError("a standard error needs two realizations, "
+                          f"got {n_realizations}")
     cells = _sorted_cells(cells)
     centers, cols = _layout(schedule, cells)
     draw_d_ratio, any_drawn = _ratio_sampler(config, schedule.n_users, cells,
@@ -246,11 +252,7 @@ def measure_sinr(config: NetworkConfig, schedule: Schedule, cells,
         s1 = 1.0
     pilot_sums = _slot_summer(slot, q)
 
-    sizes = [n_realizations // N_BATCHES] * N_BATCHES
-    for i in range(n_realizations % N_BATCHES):
-        sizes[i] += 1
-    # cap per-draw array sizes at m x (U + q); batches are accumulated over
-    # sub-chunks
+    # cap per-draw array sizes at m x (U + q)
     max_chunk = max(1, _CHUNK_ELEMS // (n_users_total + q))
 
     def moments(d):
@@ -267,58 +269,44 @@ def measure_sinr(config: NetworkConfig, schedule: Schedule, cells,
         power[:, copilots] += s1 * s1 * d[:, copilots] ** 2
         return power, gn
 
-    counts = np.array(sizes, dtype=float)
-    if any_drawn:
-        pow_sums = np.zeros((N_BATCHES, n_users_total))
-        gn_sums = np.zeros(N_BATCHES)
-        for bi, batch_size in enumerate(sizes):
-            left = batch_size
-            while left > 0:
-                n_chunk = min(left, max_chunk)
-                left -= n_chunk
-                power, gn = moments(draw_d_ratio(rng, n_chunk))
-                pow_sums[bi] += power.sum(axis=0)
-                gn_sums[bi] += gn.sum()
-    else:
-        # every realization has the same moments: take them once; summing
-        # the equal terms gives the same value to rounding, at more cost
+    if not any_drawn:
+        # every realization has the same moments: take them once
         power, gn = moments(draw_d_ratio(rng, 1))
-        pow_sums, gn_sums = np.outer(counts, power[0]), counts * gn[0]
+        return _measured(s1, power[0], gn[0], 0.0, schedule.n_users)
 
-    s1_sums = s1 * counts
-    measured = _measured(sizes, s1_sums, pow_sums, gn_sums, schedule.n_users)
-    return measured if any_drawn else replace(measured, std_error=0.0)
+    pow_sum = np.zeros(n_users_total)
+    gn_sum = d_sum = d_sq_sum = 0.0
+    for start in range(0, n_realizations, max_chunk):
+        power, gn = moments(draw_d_ratio(rng, min(max_chunk, n_realizations - start)))
+        denom = power.sum(axis=1) + gn     # each realization's D_r, sigma^2 = 1
+        pow_sum += power.sum(axis=0)
+        gn_sum += gn.sum()
+        d_sum += denom.sum()
+        d_sq_sum += denom @ denom
+    d_mean = d_sum / n_realizations
+    d_var = max(0.0, (d_sq_sum - d_sum * d_mean) / (n_realizations - 1))
+    # s1^2 / mean(D) by the delta method: s1 is exact, so only mean(D) varies
+    std_error = s1 * s1 * math.sqrt(d_var / n_realizations) / d_mean ** 2
+    return _measured(s1, pow_sum / n_realizations, gn_sum / n_realizations,
+                     std_error, schedule.n_users)
 
 
-def _measured(sizes, s1_sums: np.ndarray, pow_sums: np.ndarray,
-              gn_sums: np.ndarray, n_own: int) -> MeasuredSinr:
-    """SINR, batch standard error and terms from per-batch sums of g^H h_own,
-    |g^H h_u|^2 (per user u, the first `n_own` in the victim cell; the own
-    user's less |E[g^H h_own]|^2) and ||g||^2 over batches of `sizes`
-    realizations."""
-    counts = np.array(sizes, dtype=float)
+def _measured(s1: float, pow_mean: np.ndarray, gn_mean: float, std_error: float,
+              n_own: int) -> MeasuredSinr:
+    """SINR and terms from the means of g^H h_own (`s1`), |g^H h_u|^2 (per
+    user u, the first `n_own` in the victim cell; the own user's less
+    |s1|^2) and ||g||^2, reported with `std_error`."""
     u_own = 0
-
-    def _sinr(s1_sum, pow_sum, gn_sum, count):
-        coh = abs(s1_sum / count) ** 2
-        denom = pow_sum.sum() / count + gn_sum / count  # sigma^2 = 1
-        return coh / denom
-
-    batch_sinrs = tuple(_sinr(s1_sums[i], pow_sums[i], gn_sums[i], counts[i])
-                        for i in range(N_BATCHES))
-    sinr = _sinr(s1_sums.sum(), pow_sums.sum(axis=0), gn_sums.sum(), counts.sum())
-    std_error = float(np.std(batch_sinrs, ddof=1) / math.sqrt(N_BATCHES))
-
-    total = counts.sum()
-    pow_mean = pow_sums.sum(axis=0) / total
-    coherent = abs(s1_sums.sum() / total) ** 2
+    coherent = abs(s1) ** 2
+    denominator = float(pow_mean.sum() + gn_mean)  # sigma^2 = 1
     own_cell = slice(0, n_own)
     terms = {
         "signal": coherent,
         "estimation_gap": float(pow_mean[u_own]),
         "intra_cell": float(pow_mean[own_cell].sum() - pow_mean[u_own]),
         "inter_cell": float(pow_mean[n_own:].sum()),
-        "noise": float(gn_sums.sum() / total),
-        "denominator": float(pow_mean.sum() + gn_sums.sum() / total),
+        "noise": float(gn_mean),
+        "denominator": denominator,
     }
-    return MeasuredSinr(sinr=float(sinr), std_error=std_error, terms=terms)
+    return MeasuredSinr(sinr=float(coherent / denominator), std_error=float(std_error),
+                        terms=terms)

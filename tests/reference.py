@@ -15,10 +15,12 @@ call them:
   `Realization`), its LMMSE estimates in scalar and Kronecker form, the
   estimated pilot book and the MRC and zero-forcing combiners built from it,
   the estimation error, and the helpers that draw positions and pilot powers;
-  and `xi_measure_sinr`, the loop that samples W C (one Gamma number and
+  `xi_measure_sinr`, the loop that samples W C (one Gamma number and
   U + q normals per realization), whose averages `measure_sinr` takes
-  exactly.  These cross-check `measure_sinr` and the LMMSE terms of the
-  closed forms.
+  exactly; and `batched_measure`, the batch-and-chunk loop every sampled
+  reference runs (its g^H h_own is random, so its standard error comes
+  from batch means).  These cross-check `measure_sinr` and the LMMSE terms
+  of the closed forms.
 
 Import from a test module as ``from reference import ...``; pytest puts
 ``tests/`` on the import path.
@@ -27,7 +29,7 @@ Import from a test module as ``from reference import ...``; pytest puts
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from hexmimo.config import InterferenceMode, NetworkConfig
 from hexmimo.errors import InsufficientAntennas
 from hexmimo.hexgrid import (CellIndex, bs_position, cells_in_tier, reuse_group,
                              sample_ue_positions)
-from hexmimo.linklevel import (_CHUNK_ELEMS, N_BATCHES, MeasuredSinr, _layout,
+from hexmimo.linklevel import (_CHUNK_ELEMS, MeasuredSinr, _layout,
                                _measured, _pinned_positions, _slot_summer,
                                _sorted_cells, _squared_distances)
 from hexmimo.pilots import Schedule
@@ -413,13 +415,46 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return pairs.view(complex)[..., 0]
 
 
+N_BATCHES = 20  # batch means behind the sampled references' standard error
+
+
 def sampled_measured(sizes, s1_sums, pow_sums, gn_sums, n_own: int) -> MeasuredSinr:
-    """`_measured` of sums over sampled realizations, whose own-user power
-    holds |g^H h_own|^2 whole: each batch's coherent part |sum g^H h_own|^2 /
-    size comes out of it first, so each batch SINR is its sample bound."""
-    own = pow_sums[:, 0] - abs(s1_sums) ** 2 / np.array(sizes)
-    return _measured(sizes, s1_sums, np.column_stack((own, pow_sums[:, 1:])),
-                     gn_sums, n_own)
+    """The sample bound of sums over batches of `sizes` sampled realizations:
+    per batch, of g^H h_own, of |g^H h_u|^2 per user u (the first `n_own` in
+    the victim cell; the own user's whole) and of ||g||^2.  The coherent
+    part |mean g^H h_own|^2 comes out of the own user's power, so the SINR
+    is the bound of the sample.  g^H h_own is random here, so the standard
+    error comes from the N_BATCHES batch SINRs, each the bound of its
+    batch."""
+
+    def bound(s1_sum, pow_sum, gn_sum, count):
+        s1 = s1_sum / count
+        pow_mean = pow_sum / count
+        pow_mean[0] -= abs(s1) ** 2
+        return _measured(s1, pow_mean, gn_sum / count, 0.0, n_own)
+
+    batch_sinrs = [bound(*sums).sinr for sums in zip(s1_sums, pow_sums, gn_sums, sizes)]
+    total = bound(s1_sums.sum(), pow_sums.sum(axis=0), gn_sums.sum(), sum(sizes))
+    return replace(total, std_error=float(np.std(batch_sinrs, ddof=1)
+                                          / math.sqrt(N_BATCHES)))
+
+
+def batched_measure(n_realizations: int, max_chunk: int, n_own: int,
+                    chunk_sums) -> MeasuredSinr:
+    """`sampled_measured` of `n_realizations` sampled realizations in
+    N_BATCHES batches (sizes differing by at most one, the larger first),
+    each drawn in chunks of at most `max_chunk`: `chunk_sums(m)` draws m
+    fresh realizations and returns their sums of g^H h_own, of |g^H h_u|^2
+    per user u and of ||g||^2."""
+    sizes = [n_realizations // N_BATCHES + (i < n_realizations % N_BATCHES)
+             for i in range(N_BATCHES)]
+    batch_sums = []
+    for size in sizes:
+        chunks = [chunk_sums(min(max_chunk, size - start))
+                  for start in range(0, size, max_chunk)]
+        batch_sums.append([sum(parts) for parts in zip(*chunks)])
+    s1_sums, pow_sums, gn_sums = (np.array(column) for column in zip(*batch_sums))
+    return sampled_measured(sizes, s1_sums, pow_sums, gn_sums, n_own)
 
 
 def xi_measure_sinr(config: NetworkConfig, schedule: Schedule, cells,
@@ -455,49 +490,37 @@ def xi_measure_sinr(config: NetworkConfig, schedule: Schedule, cells,
         q, i_slot, slot = b, i_target, cols
     pilot_sums = _slot_summer(slot, q)
 
-    sizes = [n_realizations // N_BATCHES] * N_BATCHES
-    for i in range(n_realizations % N_BATCHES):
-        sizes[i] += 1
-    max_chunk = max(1, _CHUNK_ELEMS // (n_users_total + q))
+    def chunk_sums(n_chunk):
+        positions = _draw_positions(config, schedule.n_users, cells, pinned,
+                                    rng, n_chunk)
+        d_ratio, _, _ = _distance_fields(config, centers, positions)
+        amp = np.sqrt(rho * d_ratio)             # user rows of C: amp B
+        g = (b * b * rho) * pilot_sums(d_ratio) + b
+        g_i = g[:, i_slot]
+        x = rng.standard_gamma(n - q + 1, size=n_chunk)
+        if scheme is Scheme.MRC:
+            a = x  # y = 1: the raw pilot correlation, psi-free scale
+            v_norm_sq = g_i * x
+        else:
+            a = 1.0 / (b * rho)  # psi_i / g_i: G = B rho diag(psi)
+            v_norm_sq = g_i * a * a / x
+        if not np.all((v_norm_sq > 0) & (v_norm_sq < np.inf)):
+            raise RankDeficient("a drawn combiner norm ||v||^2 is not finite "
+                                "and positive: W_q is singular")
+        v_norm = np.sqrt(v_norm_sq)
+        xi = _complex_normal(rng, (n_chunk, n_users_total + q))
+        c_xi = (b * pilot_sums(amp * xi[:, :n_users_total])
+                + math.sqrt(b) * xi[:, n_users_total:])  # C^H xi
+        # B (T^-1 R_q^H v - G^-1 C^H xi ||v||); column q stays 0
+        bz = np.zeros((n_chunk, q + 1), dtype=complex)
+        np.multiply(c_xi, (-b * v_norm)[:, None] / g, out=bz[:, :q])
+        bz[:, i_slot] += b * a
+        # the user rows of W C y
+        wcy = v_norm[:, None] * xi[:, :n_users_total] + amp * bz[:, slot]
+        return (np.vdot(wcy[:, u_own], amp[:, u_own]),
+                np.einsum("ij,ij->j", amp * amp, wcy.real ** 2 + wcy.imag ** 2),
+                v_norm_sq.sum())
 
-    s1_sums = np.zeros(N_BATCHES, dtype=complex)
-    pow_sums = np.zeros((N_BATCHES, n_users_total))
-    gn_sums = np.zeros(N_BATCHES)
-
-    for bi, batch_size in enumerate(sizes):
-        left = batch_size
-        while left > 0:
-            n_chunk = min(left, max_chunk)
-            left -= n_chunk
-            positions = _draw_positions(config, schedule.n_users, cells, pinned,
-                                        rng, n_chunk)
-            d_ratio, _, _ = _distance_fields(config, centers, positions)
-            amp = np.sqrt(rho * d_ratio)             # user rows of C: amp B
-            g = (b * b * rho) * pilot_sums(d_ratio) + b
-            g_i = g[:, i_slot]
-            x = rng.standard_gamma(n - q + 1, size=n_chunk)
-            if scheme is Scheme.MRC:
-                a = x  # y = 1: the raw pilot correlation, psi-free scale
-                v_norm_sq = g_i * x
-            else:
-                a = 1.0 / (b * rho)  # psi_i / g_i: G = B rho diag(psi)
-                v_norm_sq = g_i * a * a / x
-            if not np.all((v_norm_sq > 0) & (v_norm_sq < np.inf)):
-                raise RankDeficient("a drawn combiner norm ||v||^2 is not finite "
-                                    "and positive: W_q is singular")
-            v_norm = np.sqrt(v_norm_sq)
-            xi = _complex_normal(rng, (n_chunk, n_users_total + q))
-            c_xi = (b * pilot_sums(amp * xi[:, :n_users_total])
-                    + math.sqrt(b) * xi[:, n_users_total:])  # C^H xi
-            # B (T^-1 R_q^H v - G^-1 C^H xi ||v||); column q stays 0
-            bz = np.zeros((n_chunk, q + 1), dtype=complex)
-            np.multiply(c_xi, (-b * v_norm)[:, None] / g, out=bz[:, :q])
-            bz[:, i_slot] += b * a
-            # the user rows of W C y
-            wcy = v_norm[:, None] * xi[:, :n_users_total] + amp * bz[:, slot]
-            s1_sums[bi] += np.vdot(wcy[:, u_own], amp[:, u_own])
-            pow_sums[bi] += np.einsum("ij,ij->j", amp * amp,
-                                      wcy.real ** 2 + wcy.imag ** 2)
-            gn_sums[bi] += v_norm_sq.sum()
-
-    return sampled_measured(sizes, s1_sums, pow_sums, gn_sums, schedule.n_users)
+    return batched_measure(n_realizations,
+                           max(1, _CHUNK_ELEMS // (n_users_total + q)),
+                           schedule.n_users, chunk_sums)

@@ -341,7 +341,7 @@ def test_console_entry_point(tmp_path):
     assert (out / "sweep.csv").exists()
 
 
-@pytest.mark.parametrize("flags,config", [(["--realizations", "5"], {}),
+@pytest.mark.parametrize("flags,config", [(["--realizations", "1"], {}),
                                           (["--realizations", "0"], {}),
                                           (["--betas", "1,2"], {}),
                                           (["--k-cap", "0"], {}),
@@ -366,7 +366,7 @@ def test_console_entry_point(tmp_path):
                                           # the validation fixtures' B = 2 pilots
                                           # exceed T = 1
                                           (["--n-points", "2"], {"t_block": 1})],
-                         ids=["realizations5", "realizations0",
+                         ids=["realizations1", "realizations0",
                               "beta2", "kcap0", "betas-empty", "modes-empty",
                               "schemes-empty", "npoints0", "nmin0", "nmax-int64",
                               "nmax-uint64", "seed-negative",

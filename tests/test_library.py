@@ -14,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import hexmimo
 from hexmimo.cli import RunManifest
 from hexmimo.config import NetworkConfig
@@ -39,14 +41,19 @@ UNREACHED = {
 }
 
 # the functions whose reads of a field do not count as uses: the checks of
-# field values, and the manifest's serializer, which records every field
-NOT_USES = {("config", "__post_init__"), ("pilots", "check"), ("cli", "__post_init__"),
-            ("cli", "to_json")}
+# field values (the manifest's serializer reads every field too, but through
+# `dataclasses.asdict`, whose reads are not the library's)
+NOT_USES = {("config", "__post_init__"), ("pilots", "check"), ("cli", "__post_init__")}
 
-# field -> why no library expression reads it
+# the records whose fields a run must read
+RECORDS = (NetworkConfig, Schedule, RunManifest, MeasuredSinr, SeResult, SweepResult,
+           CopilotSums, MomentTable, MomentEntry)
+
+# "Class.field" -> why no run reads it
 UNREAD_FIELDS = {
-    "prelog": "SeResult.prelog: README's library snippet prints it",
-    "n_skipped": "SweepResult.n_skipped: perfbench/child.py reads it",
+    "SeResult.prelog": "README's library snippet prints it",
+    "SeResult.sinr": "a public result record's SINR; README's library snippet prints it",
+    "SweepResult.n_skipped": "perfbench/child.py reads it",
 }
 
 # (module, name) -> why the import stays bound although the module never uses it
@@ -56,11 +63,16 @@ UNUSED_IMPORTS = {
 
 # Three runs: a cold paper run, a warm rerun that loads both cached tables,
 # and a rerun from the manifest.  The profiler is set before `hexmimo.cli` is
-# imported, because `_floatrepr` builds its layout table at import.
+# imported, because `_floatrepr` builds its layout table at import.  Each
+# record class gets a `__getattribute__` that logs "Class.field" when a
+# library frame reads a field, unless the frame is, or is nested in, a
+# NOT_USES function.
 _PROFILED_RUNS = r'''
-import json, os, sys
+import dataclasses, importlib, json, os, sys
 
-reached = set()
+out, report = sys.argv[1], sys.argv[2]
+records, not_uses = json.loads(sys.argv[3]), {tuple(pair) for pair in json.loads(sys.argv[4])}
+reached, read = set(), set()
 
 
 def profile(frame, event, arg):
@@ -68,17 +80,37 @@ def profile(frame, event, arg):
         reached.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
 
+def log_reads(cls, package):
+    fields = {f.name for f in dataclasses.fields(cls)}
+    get = cls.__getattribute__
+
+    def __getattribute__(self, name):
+        if name in fields:
+            code = sys._getframe(1).f_code
+            module = os.path.splitext(os.path.basename(code.co_filename))[0]
+            scopes = getattr(code, "co_qualname", code.co_name).split(".")
+            if (os.path.dirname(code.co_filename) == package
+                    and not any((module, scope) in not_uses for scope in scopes)):
+                read.add(f"{cls.__name__}.{name}")
+        return get(self, name)
+
+    cls.__getattribute__ = __getattribute__
+
+
 sys.setprofile(profile)
 from hexmimo.cli import main
 
-out, report = sys.argv[1], sys.argv[2]
+for record in records:
+    module, name = record.rsplit(".", 1)
+    log_reads(getattr(importlib.import_module(module), name),
+              os.path.dirname(sys.modules["hexmimo"].__file__))
 small = ["--n-points", "3", "--k-cap", "20", "--realizations", "400"]
 codes = [main(["--out", out, "--asymptotic", "--validate", *small]) for _ in range(2)]
 codes.append(main(["--from-manifest", os.path.join(out, "manifest.json"),
                    "--out", out + "_manifest"]))
 sys.setprofile(None)
 with open(report, "w", encoding="utf-8") as fh:
-    json.dump({"codes": codes, "reached": sorted(reached)}, fh)
+    json.dump({"codes": codes, "reached": sorted(reached), "read": sorted(read)}, fh)
 '''
 
 
@@ -99,20 +131,25 @@ def _functions():
                 yield module, node.name, (os.path.realpath(path), first)
 
 
-def _reached(tmp_path) -> set:
+@pytest.fixture(scope="module")
+def profiled_runs(tmp_path_factory):
+    """(functions reached, "Class.field" reads) of the `_PROFILED_RUNS` child."""
+    tmp_path = tmp_path_factory.mktemp("profiled")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
     report = tmp_path / "reached.json"
+    records = [f"{cls.__module__}.{cls.__qualname__}" for cls in RECORDS]
     subprocess.run([sys.executable, "-c", _PROFILED_RUNS, str(tmp_path / "out"),
-                    str(report)], env=env, check=True, timeout=120,
-                   stdout=subprocess.DEVNULL)
+                    str(report), json.dumps(records), json.dumps(sorted(NOT_USES))],
+                   env=env, check=True, timeout=120, stdout=subprocess.DEVNULL)
     data = json.loads(report.read_text(encoding="utf-8"))
     assert data["codes"] == [0, 0, 0]
-    return {(os.path.realpath(name), line) for name, line in data["reached"]}
+    return ({(os.path.realpath(name), line) for name, line in data["reached"]},
+            set(data["read"]))
 
 
-def test_every_library_function_is_on_the_production_path(tmp_path):
-    reached = _reached(tmp_path)
+def test_every_library_function_is_on_the_production_path(profiled_runs):
+    reached, _ = profiled_runs
     unreached = {(module, name) for module, name, key in _functions()
                  if key not in reached}
     assert unreached == set(UNREACHED), (
@@ -127,30 +164,16 @@ def test_every_library_function_is_on_the_production_path(tmp_path):
     assert api <= public
 
 
-def _attributes_read(node, module: str) -> set:
-    """Attribute names that `node` reads, outside the NOT_USES functions."""
-    if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and (module, node.name) in NOT_USES):
-        return set()
-    read = {node.attr} if (isinstance(node, ast.Attribute)
-                           and isinstance(node.ctx, ast.Load)) else set()
-    for child in ast.iter_child_nodes(node):
-        read |= _attributes_read(child, module)
-    return read
-
-
-def test_every_config_and_schedule_field_is_read():
-    # a field nothing reads is a value a run records, or a result holds,
-    # but never uses
+def test_every_config_and_schedule_field_is_read(profiled_runs):
+    # a field no run reads is a value a run records, or a result holds, but
+    # never uses; reads are counted per record, so a field is not read
+    # because another record's field of that name is
     network = {f.name for f in dataclasses.fields(NetworkConfig)}
     schedule = {f.name for f in dataclasses.fields(Schedule)}
     assert not network & schedule, "a value has two homes"
-    records = (RunManifest, MeasuredSinr, SeResult, SweepResult, CopilotSums,
-               MomentTable, MomentEntry)
-    fields = network.union(schedule, *({f.name for f in dataclasses.fields(record)}
-                                       for record in records))
-    read = set().union(*(_attributes_read(tree, module)
-                         for module, _, tree in _modules()))
+    _, read = profiled_runs
+    fields = {f"{record.__name__}.{f.name}" for record in RECORDS
+              for f in dataclasses.fields(record)}
     assert fields - read == set(UNREAD_FIELDS)
 
 
