@@ -121,7 +121,7 @@ def test_criterion_4a_similarity_band(headline_sweep):
     per_row = {name: np.repeat(runs[name], runs["stop"] - runs["start"])
                for name in ("N", "beta", "scheme", "mode")}
     shared = ((per_row["scheme"] == Scheme.MRC.value) & (per_row["mode"] == AVG.value)
-              & (per_row["beta"] * rows["K"] < per_row["N"]))
+              & (per_row["beta"] * result.n_users(np.arange(len(rows))) < per_row["N"]))
     mrc_shared = {n: rows["se"][shared & (per_row["N"] == n)].max(initial=0.0)
                   for n in n_range}
 

@@ -454,11 +454,11 @@ def test_mutated_manifest_runs_or_is_refused_before_any_work(tmp_path, monkeypat
 def test_failed_csv_formatting_leaves_no_output(tmp_path, capsys, monkeypatch):
     format_runs, calls = sweep_module._format_runs, []
 
-    def fail_on_second_span(rows, runs):
+    def fail_on_second_span(result, runs):
         calls.append(len(runs))
         if len(calls) == 2:
             raise RuntimeError("forced failure formatting a sweep.csv span")
-        return format_runs(rows, runs)
+        return format_runs(result, runs)
 
     # spans of about 4 rows: the header and the first span are written
     # before the second span fails

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -9,7 +10,8 @@ import hexmimo.sweep as sweep_module
 from hexmimo.config import InterferenceMode, NetworkConfig
 from hexmimo.errors import EmptyFeasibleSet
 from hexmimo.pilots import Schedule
-from hexmimo.spectral import (Scheme, SinrInputs, asymptotic_sinr, kstar_asymptotic,
+from hexmimo.spectral import (CopilotSums, Scheme, SinrInputs, asymptotic_sinr,
+                              kstar_asymptotic, mrc_sinr_from_sums, pzfc_sinr_from_sums,
                               se_from_sinr, sinr)
 from hexmimo.sweep import (ROW_DTYPE, RUN_DTYPE, _argmax, default_k_grid,
                            default_n_grid, optimal_schedule, sweep,
@@ -40,6 +42,15 @@ def edge_args(avg_table, worst_table):
             [Scheme.MRC, Scheme.PZFC], [AVG, WORST], tables)
 
 
+@pytest.fixture(scope="module")
+def large_args(avg_table, worst_table):
+    # the benchmark's large grid (T = 2000, 60 antenna counts): 417,152
+    # points, and up to 60,000 in one (mode, scheme, beta)
+    tables = {AVG: avg_table, WORST: worst_table}
+    return (template(2000), default_n_grid(n_points=60), default_k_grid(2000),
+            [1, 3, 4, 7], [Scheme.MRC, Scheme.PZFC], [AVG, WORST], tables)
+
+
 # one record per evaluated point, every field of sweep.csv
 POINT_DTYPE = np.dtype([("N", np.int64), ("K", np.int64), ("beta", np.int64),
                         ("scheme", "U4"), ("mode", "U5"),
@@ -47,10 +58,11 @@ POINT_DTYPE = np.dtype([("N", np.int64), ("K", np.int64), ("beta", np.int64),
 
 
 def expanded(result) -> np.ndarray:
-    """`rows` with each run's constant fields repeated onto its rows."""
+    """`rows` with each row's K and its run's constant fields."""
     lengths = result.runs["stop"] - result.runs["start"]
     points = np.empty(len(result.rows), POINT_DTYPE)
-    for name in POINT_DTYPE.names:
+    points["K"] = result.n_users(np.arange(len(result.rows)))
+    for name in ("N", "beta", "scheme", "mode", *ROW_DTYPE.names):
         points[name] = (result.rows[name] if name in ROW_DTYPE.names
                         else np.repeat(result.runs[name], lengths))
     return points
@@ -105,7 +117,7 @@ def scalar_sweep(config, n_grid, k_grid, betas, schemes, modes, tables):
 def hand_built_result():
     # runs of (mode, N, scheme, beta) of length 1 next to longer ones, floats
     # whose repr takes every form and the edges of float_reprs' numpy path,
-    # and K from 1 to 19 digits
+    # and K of 1 to 13 digits and of 19 (each run's K: a prefix of k_grid)
     runs = np.zeros(6, RUN_DTYPE)
     runs["mode"] = ["avg", "avg", "avg", "avg", "worst", "worst"]
     runs["N"] = [10, 10, 11, 11, 10, 10 ** 18]
@@ -113,12 +125,12 @@ def hand_built_result():
     runs["beta"] = [1, 3, 3, 3, 3, 7]
     runs["start"] = [0, 2, 3, 4, 5, 8]
     runs["stop"] = [2, 3, 4, 5, 8, 8 + len(REPR_EDGES)]
+    k_grid = np.array([10 ** i - 1 for i in range(1, len(REPR_EDGES))] + [2 ** 63 - 1])
     rows = np.zeros(8 + len(REPR_EDGES), ROW_DTYPE)
-    rows["K"] = ([1, 2, 3, 1, 1, 1, 2, 3]
-                 + [10 ** i - 1 for i in range(1, len(REPR_EDGES))] + [2 ** 63 - 1])
     rows["sinr"] = [0.0, math.inf, 1e-05, 1e16, 5e-324, 0.1 + 0.2, 2.5, 1e-300] + REPR_EDGES
     rows["se"] = [0.0, 1e16, 0.1 + 0.2, 5e-324, 1e-05, math.inf, 0.0, 123.456] + REPR_EDGES[::-1]
-    return sweep_module.SweepResult(rows=rows, runs=runs, optima={}, n_skipped={})
+    return sweep_module.SweepResult(rows=rows, runs=runs, k_grid=k_grid,
+                                    optima={}, n_skipped={})
 
 
 @pytest.mark.parametrize("span_rows", [sweep_module._SPAN_ROWS, 2])
@@ -135,6 +147,7 @@ def test_sweep_csv_bytes_equal_the_per_row_formatter(tmp_path, monkeypatch,
     else:
         result = sweep_module.SweepResult(rows=np.empty(0, ROW_DTYPE),
                                           runs=np.empty(0, RUN_DTYPE),
+                                          k_grid=np.empty(0, np.int64),
                                           optima={}, n_skipped={})
     monkeypatch.setattr(sweep_module, "_SPAN_ROWS", span_rows)
     path = tmp_path / "sweep.csv"
@@ -156,6 +169,7 @@ def test_one_shot_iterators_give_the_same_sweep(edge_args):
     listed = sweep(edge_args[0], *grids, tables)
     once = sweep(edge_args[0], *((v for v in grid) for grid in grids), tables)
     assert once.rows.tolist() == listed.rows.tolist()
+    assert once.k_grid.tolist() == listed.k_grid.tolist()
     assert once.runs.tolist() == listed.runs.tolist()
     assert once.optima == listed.optima
     assert once.n_skipped == listed.n_skipped
@@ -229,10 +243,17 @@ def test_skipped_points_are_counted(small_sweep):
 
 
 def test_tie_break_prefers_fewer_users_then_lower_reuse():
-    def pick(*candidates):  # (K, beta, SE) triples
-        rows = np.zeros(len(candidates), ROW_DTYPE)
-        rows["K"], beta, rows["se"] = zip(*candidates)
-        return candidates[_argmax(rows, np.array(beta))]
+    def pick(*candidates):  # (K, beta, SE) triples, each the last row of a run
+        k, beta, se = map(np.array, zip(*candidates))
+        runs = np.zeros(len(candidates), RUN_DTYPE)
+        runs["beta"], runs["start"], runs["stop"] = beta, np.cumsum(k) - k, np.cumsum(k)
+        rows = np.zeros(runs["stop"][-1], ROW_DTYPE)
+        last = runs["stop"] - 1
+        rows["se"][last] = se
+        result = sweep_module.SweepResult(rows=rows, runs=runs,
+                                          k_grid=np.arange(1, k.max() + 1),
+                                          optima={}, n_skipped={})
+        return candidates[last.tolist().index(_argmax(result, last))]
 
     assert pick((4, 1, 5.0), (3, 1, 5.0)) == (3, 1, 5.0)
     assert pick((3, 1, 5.0), (4, 1, 5.0)) == (3, 1, 5.0)
@@ -337,7 +358,7 @@ def test_columnar_sweep_equals_scalar_loop(edge_args):
 
 
 def test_run_table_tiles_the_rows(edge_args, small_sweep):
-    assert ROW_DTYPE.itemsize == 24
+    assert ROW_DTYPE.itemsize == 16  # SINR and SE; K is implied by the run
     schemes, modes = edge_args[4:6]
     cases = [(sweep(*edge_args), modes, schemes),
              (small_sweep, [AVG, WORST], [Scheme.MRC, Scheme.PZFC])]
@@ -350,8 +371,75 @@ def test_run_table_tiles_the_rows(edge_args, small_sweep):
         assert np.all(runs["stop"] > runs["start"])
         assert runs["start"][0] == 0 and runs["stop"][-1] == len(result.rows)
         assert np.array_equal(runs["start"][1:], runs["stop"][:-1])
-        for start, stop in runs[["start", "stop"]].tolist():  # K ascends within a run
-            assert np.all(np.diff(result.rows["K"][start:stop]) > 0)
+        assert np.all(np.diff(result.k_grid) > 0)
+        # a run's K: the prefix of k_grid of its length
+        for start, stop in runs[["start", "stop"]].tolist():
+            assert np.array_equal(result.n_users(np.arange(start, stop)),
+                                  result.k_grid[:stop - start])
+
+
+@pytest.mark.parametrize("grid, span_rows", [("large", None), ("edge", 7)])
+def test_point_calls_take_at_most_a_span(monkeypatch, large_args, edge_args,
+                                         grid, span_rows):
+    # every SINR and SE call gets at most _SPAN_ROWS points, and the calls of
+    # each (mode, scheme, beta) cover its rows once, in row order; at 7 rows
+    # a span the pieces cut across antenna counts and runs
+    args = large_args if grid == "large" else edge_args
+    if span_rows is not None:
+        monkeypatch.setattr(sweep_module, "_SPAN_ROWS", span_rows)
+    span = sweep_module._SPAN_ROWS
+    point_calls, se_sizes = [], []
+
+    def recording(scheme, from_sums):
+        def wrapper(sums, n, k, inv_snr):
+            value = from_sums(sums, n, k, inv_snr)
+            point_calls.append((scheme, sums, n, k, value))
+            return value
+        return wrapper
+
+    def se_recording(sinr, *rest):
+        se_sizes.append(np.size(sinr))
+        return se_from_sinr(sinr, *rest)
+
+    monkeypatch.setattr(sweep_module, "mrc_sinr_from_sums",
+                        recording(Scheme.MRC, mrc_sinr_from_sums))
+    monkeypatch.setattr(sweep_module, "pzfc_sinr_from_sums",
+                        recording(Scheme.PZFC, pzfc_sinr_from_sums))
+    monkeypatch.setattr(sweep_module, "se_from_sinr", se_recording)
+    result = sweep(*args)
+
+    assert max(se_sizes) <= span and sum(se_sizes) == len(result.rows)
+    assert max(np.size(call[2]) for call in point_calls) <= span
+    if grid == "large":
+        assert len(result.rows) == 417152
+    *_, betas, schemes, modes, tables = args
+    mode_beta = {CopilotSums.from_table(tables[mode], beta): (mode, beta)
+                 for mode in modes for beta in betas}
+    points = expanded(result)
+    for mode in modes:
+        for scheme in schemes:
+            for beta in betas:
+                calls = [call[2:] for call in point_calls
+                         if (call[0], *mode_beta[call[1]]) == (scheme, mode, beta)]
+                assert calls
+                mine = ((points["mode"] == mode.value) & (points["scheme"] == scheme.value)
+                        & (points["beta"] == beta))
+                for name, values in zip(("N", "K", "sinr"), zip(*calls)):
+                    assert np.array_equal(np.concatenate(values), points[name][mine])
+
+
+def test_sweep_temporaries_stay_within_a_span(monkeypatch, large_args):
+    # at 2^10 points a piece the sweep allocates little besides its two
+    # tables, whatever the grid (evaluating each (mode, scheme, beta) whole,
+    # up to 60,000 points at once, took 5.4 MB more on this grid)
+    monkeypatch.setattr(sweep_module, "_SPAN_ROWS", 1 << 10)
+    tracemalloc.start()
+    try:
+        result = sweep(*large_args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= result.rows.nbytes + result.runs.nbytes + (1 << 20)
 
 
 def test_sweep_and_optima_follow_the_order_contract(tmp_path, edge_args):
