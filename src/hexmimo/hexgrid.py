@@ -1,4 +1,5 @@
-"""Hexagonal lattice geometry: BS placement, reuse coloring, UE sampling.
+"""Hexagonal lattice geometry: BS placement, tier sets, reuse coloring, UE
+sampling and the worst-case cell-edge points.
 
 Cells are regular hexagons of circumradius r (center to corner) tiling the
 plane.  Each cell is addressed by an integer pair (a1, a2); the BS sits at
@@ -163,32 +164,28 @@ def sample_ue_positions(cell: CellIndex, radius: float, min_frac: float,
     return out
 
 
-def worst_case_position(interferer_cell: CellIndex, victim_bs: CellIndex,
-                        radius: float) -> np.ndarray:
-    """Cell-edge point of the interfering cell closest to the victim BS.
+def sorted_tier_set(cells) -> tuple[CellIndex, ...]:
+    """`cells` in (tier, index) order; DomainError unless each is listed once
+    and the own cell (0, 0) is among them."""
+    cells = tuple(sorted((CellIndex(*c) for c in cells), key=lambda c: (tier_of(c), c)))
+    if len(set(cells)) != len(cells):
+        raise DomainError("duplicate cells in tier set")
+    if CellIndex(0, 0) not in cells:
+        raise DomainError("tier set must contain the own cell (0, 0)")
+    return cells
 
-    Computed as the Euclidean projection of the victim BS position onto the
-    boundary of the interferer's hexagon (closest point on a convex polygon
-    from an exterior point).
-    """
-    if interferer_cell == victim_bs:
+
+def worst_case_positions(cells) -> np.ndarray:
+    """(n, 2) cell-edge points of the interfering `cells` nearest the victim
+    BS, at unit radius with the victim at the origin: the origin projected
+    onto the six edges of every hexagon at once, the nearest projection kept
+    (the Euclidean projection of an exterior point onto a convex polygon)."""
+    if (0, 0) in cells:
         raise DomainError("own cell has no worst-case interferer position")
-    center = bs_position(interferer_cell, radius)
-    target = bs_position(victim_bs, radius)
-    corners = center + radius * _CORNERS
-    best = None
-    best_d2 = math.inf
-    for k in range(6):
-        p = _project_on_segment(target, corners[k], corners[(k + 1) % 6])
-        d2 = float(np.sum((p - target) ** 2))
-        if d2 < best_d2:
-            best_d2 = d2
-            best = p
-    return best
-
-
-def _project_on_segment(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    ab = b - a
-    t = float(np.dot(q - a, ab) / np.dot(ab, ab))
-    t = min(1.0, max(0.0, t))
-    return a + t * ab
+    a = np.array(cells, dtype=float).reshape(-1, 2)
+    corners = (a[:, :1] * _BASIS[:, 0] + a[:, 1:] * _BASIS[:, 1])[:, None] + _CORNERS
+    edges = np.roll(_CORNERS, -1, axis=0) - _CORNERS             # corner k to k + 1
+    t = np.clip(-(corners * edges).sum(axis=2) / (edges * edges).sum(axis=1), 0.0, 1.0)
+    points = corners + t[..., None] * edges                      # (n, edge, 2)
+    nearest = (points * points).sum(axis=2).argmin(axis=1)
+    return points[np.arange(len(a)), nearest]

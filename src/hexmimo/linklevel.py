@@ -68,20 +68,11 @@ import numpy as np
 from .config import InterferenceMode, NetworkConfig
 from .errors import DomainError
 from .hexgrid import (CellIndex, bs_position, reuse_group, sample_ue_positions,
-                      tier_of, worst_case_position)
+                      sorted_tier_set, worst_case_positions)
 from .pilots import Schedule
 from .spectral import Scheme
 
 _CHUNK_ELEMS = 1 << 14  # caps the elements of a chunk's largest arrays
-
-
-def _sorted_cells(cells) -> tuple[CellIndex, ...]:
-    cells = tuple(sorted((CellIndex(*c) for c in cells), key=lambda c: (tier_of(c), c)))
-    if len(set(cells)) != len(cells):
-        raise DomainError("duplicate cells in tier set")
-    if CellIndex(0, 0) not in cells:
-        raise DomainError("tier set must contain the victim cell (0, 0)")
-    return cells
 
 
 def _layout(schedule: Schedule, cells):
@@ -97,11 +88,10 @@ def _layout(schedule: Schedule, cells):
 def _pinned_positions(cells, mode: InterferenceMode) -> dict[int, np.ndarray]:
     """{cell rank: position} of the UEs that are not drawn: worst-case mode
     pins out-of-cell UEs to the cell-edge point nearest the victim BS (at
-    unit radius)."""
+    unit radius).  `cells` is a tier set, so the own cell is at rank 0."""
     if mode is not InterferenceMode.WORST_CASE:
         return {}
-    return {ci: worst_case_position(cell, CellIndex(0, 0), 1.0)
-            for ci, cell in enumerate(cells) if cell != (0, 0)}
+    return dict(enumerate(worst_case_positions(cells[1:]), start=1))
 
 
 def _squared_distances(positions: np.ndarray, centers: np.ndarray):
@@ -232,7 +222,7 @@ def measure_sinr(config: NetworkConfig, schedule: Schedule, cells,
     if n_realizations < 2:
         raise DomainError("a standard error needs two realizations, "
                           f"got {n_realizations}")
-    cells = _sorted_cells(cells)
+    cells = sorted_tier_set(cells)
     centers, cols = _layout(schedule, cells)
     draw_d_ratio, any_drawn = _ratio_sampler(config, schedule.n_users, cells,
                                              centers, mode)

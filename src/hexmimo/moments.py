@@ -17,9 +17,10 @@ coordinates around the serving BS: the hexagon splits into 12 half-sectors
 of 30 degrees, on each of which the outer radius (sqrt(3)/2) / cos(theta -
 normal) is smooth.  The rule's node set is invariant under the 12 lattice
 symmetries, so offsets related by a symmetry get equal moments up to
-rounding.  Worst-case mode evaluates the ratio at the cell-edge point
-nearest the victim BS; for the adjacent tier that point is the shared-edge
-midpoint, equidistant from both BSs, so the moments are exactly 1 there.
+rounding.  Worst-case mode is the one-node rule: the cell-edge point nearest
+the victim BS with weight 1, so mu2 = mu1^2 exactly.  For the adjacent tier
+that point is the shared-edge midpoint, equidistant from both BSs, so the
+moments are 1 there up to rounding.
 """
 
 from __future__ import annotations
@@ -33,15 +34,15 @@ import numpy as np
 
 from .config import InterferenceMode, NetworkConfig, fits
 from .errors import ConvergenceError, DomainError
-from .hexgrid import (SQRT3, CellIndex, bs_position, cells_in_tier, tier_of,
-                      worst_case_position)
+from .hexgrid import (SQRT3, CellIndex, bs_position, cells_in_tier,
+                      sorted_tier_set, tier_of, worst_case_positions)
 # Never called here.  perfbench/child.py still hooks a sampler counter on
 # this name (and tests/test_bench_contract.py pins it), so it stays bound
 # until the benchmark drops that counter.
 from .hexgrid import sample_ue_positions  # noqa: F401
 
 _FORMAT = "hexmimo-moments"
-_VERSION = 2
+_VERSION = 3
 REL_TOL = 1e-3    # stop once the newest tier adds less than this share of mu1
 _MAX_TIERS = 12
 _NODES = 16       # Gauss-Legendre nodes per axis of each half-sector
@@ -70,9 +71,10 @@ class MomentTable:
         return max(tier_of(c) for c in self.entries)
 
     @property
-    def offsets(self) -> list[CellIndex]:
-        """Covered offsets, ordered by (tier, index) for deterministic sweeps."""
-        return sorted(self.entries, key=lambda c: (tier_of(c), c))
+    def offsets(self) -> tuple[CellIndex, ...]:
+        """Covered offsets as a tier set, ordered by (tier, index) for
+        deterministic sweeps."""
+        return sorted_tier_set(self.entries)
 
     def entry(self, offset: CellIndex) -> MomentEntry:
         try:
@@ -91,8 +93,8 @@ class MomentTable:
             "kappa": self.kappa,
             "min_frac": self.min_frac,
             "entries": [
-                {"offset": [c.a1, c.a2], "mu1": e.mu1, "mu2": e.mu2}
-                for c, e in sorted(self.entries.items(), key=lambda kv: (tier_of(kv[0]), kv[0]))
+                {"offset": list(c), "mu1": self.entries[c].mu1, "mu2": self.entries[c].mu2}
+                for c in self.offsets
             ],
         }
 
@@ -111,8 +113,8 @@ class MomentTable:
         mode = InterferenceMode(data["mode"])
         # the entries must be exactly those the build keeps: the exact own
         # cell, then complete tiers up to the first one that meets REL_TOL.
-        # That pins the tolerance and the last tier, which older files also
-        # record as rel_tol and max_tier: those keys go unread.
+        # That pins the tolerance and the last tier, so no key records
+        # either; keys the format does not name go unread.
         try:
             kept = _expand_tiers(data["kappa"], mode,
                                  lambda cells: [entries[c] for c in cells])
@@ -132,16 +134,6 @@ class MomentTable:
     def load(cls, path) -> "MomentTable":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
-
-
-def _worst_entry(offset: CellIndex, kappa: float) -> MomentEntry:
-    """(serving dist / victim dist)^kappa at the worst-case edge point."""
-    z = worst_case_position(offset, CellIndex(0, 0), 1.0)
-    serving = z - bs_position(offset, 1.0)
-    num = math.hypot(serving[0], serving[1])
-    den = math.hypot(z[0], z[1])
-    mu1 = (num / den) ** kappa
-    return MomentEntry(mu1, mu1 * mu1)
 
 
 def _hexagon_rule(min_frac: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -179,13 +171,14 @@ def build_table(kappa: float, mode: InterferenceMode, *,
     Tiers of cells are added until the newest tier contributes less than
     `REL_TOL` (relative) to the running total of first moments; contributions
     decay like tier^(1 - kappa) per cell, so the loop terminates quickly for
-    kappa well above 2.  Average mode integrates each offset's moments with
-    the fixed rule of `_hexagon_rule` (12 * `_NODES`^2 nodes, built once per
-    table), a tier's offsets in one array expression.  Doubling `_NODES`
-    moves no moment by more than 1e-14 relative at the default `min_frac`
-    (1e-12 at min_frac = 0, where the integrand's r^(kappa + 1) is least
-    smooth).  Worst-case mode evaluates one point per offset.  Both modes
-    are deterministic.
+    kappa well above 2.  Both modes take an offset's moments as a weighted
+    sum of (|p|^2 / |p + b|^2)^(kappa/2) over nodes p around its serving BS
+    b, a tier's offsets in one array expression.  Average mode uses the fixed
+    rule of `_hexagon_rule` (12 * `_NODES`^2 nodes, built once per table);
+    doubling `_NODES` moves no moment by more than 1e-14 relative at the
+    default `min_frac` (1e-12 at min_frac = 0, where the integrand's
+    r^(kappa + 1) is least smooth).  Worst-case mode uses the one-node rule:
+    the worst-case edge point with weight 1.  Both modes are deterministic.
 
     Raises:
         DomainError: kappa < 2, or min_frac outside [0, 1).
@@ -198,20 +191,26 @@ def build_table(kappa: float, mode: InterferenceMode, *,
     if not 0.0 <= min_frac < 1.0:
         raise DomainError(f"min_frac must be in [0, 1), got {min_frac}")
 
-    if mode is not InterferenceMode.AVERAGE:
-        def tier_entries(cells):
-            return [_worst_entry(c, kappa) for c in cells]
-    else:
+    if mode is InterferenceMode.AVERAGE:
         x, y, weight = _hexagon_rule(min_frac)
         weight = weight / weight.sum()
-        serving_sq = x * x + y * y
 
-        def tier_entries(cells):
-            b = np.array([bs_position(c, 1.0) for c in cells])
-            victim_sq = (x + b[:, :1]) ** 2 + (y + b[:, 1:]) ** 2
-            ratio = (serving_sq / victim_sq) ** (kappa / 2.0)
-            return [MomentEntry(float(m1), float(m2))
-                    for m1, m2 in zip(ratio @ weight, (ratio * ratio) @ weight)]
+        def nodes(cells, b):  # the same rule around every serving BS
+            return x, y
+    else:
+        weight = np.ones(1)
+
+        def nodes(cells, b):  # one node per cell, relative to its BS
+            p = worst_case_positions(cells) - b
+            return p[:, :1], p[:, 1:]
+
+    def tier_entries(cells):
+        b = np.array([bs_position(c, 1.0) for c in cells])
+        x, y = nodes(cells, b)
+        victim_sq = (x + b[:, :1]) ** 2 + (y + b[:, 1:]) ** 2
+        ratio = ((x * x + y * y) / victim_sq) ** (kappa / 2.0)
+        return [MomentEntry(float(m1), float(m2))
+                for m1, m2 in zip(ratio @ weight, (ratio * ratio) @ weight)]
 
     return MomentTable(mode=mode, kappa=kappa, min_frac=min_frac,
                        entries=_expand_tiers(kappa, mode, tier_entries))

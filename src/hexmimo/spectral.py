@@ -29,11 +29,9 @@ import numpy as np
 
 from .config import NetworkConfig
 from .errors import DomainError, InsufficientAntennas
-from .hexgrid import CellIndex, reuse_group
+from .hexgrid import CellIndex, reuse_group, sorted_tier_set
 from .moments import MomentTable
 from .pilots import Schedule
-
-_LOG2_CHUNK = 1 << 12  # SINRs held as Python floats at once by se_from_sinr
 
 
 class Scheme(Enum):
@@ -65,13 +63,8 @@ class SinrInputs:
     def __post_init__(self):
         self.schedule.check(self.config.coherence_block,
                             zero_forcing=self.scheme is Scheme.PZFC)
-        tier_set = self.tier_set
-        if tier_set is None:
-            tier_set = tuple(self.moments.offsets)
-        else:
-            tier_set = tuple(CellIndex(*c) for c in tier_set)
-        if CellIndex(0, 0) not in tier_set:
-            raise DomainError("tier set must contain the own cell (0, 0)")
+        tier_set = (self.moments.offsets if self.tier_set is None
+                    else sorted_tier_set(self.tier_set))
         if not self.moments.covers(tier_set):
             raise DomainError("moment table does not cover the tier set")
         object.__setattr__(self, "tier_set", tier_set)
@@ -97,10 +90,7 @@ class CopilotSums:
     @classmethod
     def from_table(cls, moments: MomentTable, reuse_factor: int,
                    tier_set=None) -> "CopilotSums":
-        offsets = list(moments.offsets) if tier_set is None else \
-            [CellIndex(*c) for c in tier_set]
-        if CellIndex(0, 0) not in offsets:
-            raise DomainError("tier set must contain the own cell (0, 0)")
+        offsets = moments.offsets if tier_set is None else sorted_tier_set(tier_set)
         mu1_total = 0.0
         mu2_others = 0.0
         var_copilot = 0.0
@@ -204,11 +194,8 @@ def se_from_sinr(sinr, n_users, pilot_len, coherence_block: int) -> SeResult:
     sinr = np.asarray(sinr, dtype=float)
     prelog = 1.0 - np.asarray(pilot_len) / coherence_block
     # math.log2, not np.log2: the two differ in the last bit on some inputs
-    arg, log = (1.0 + sinr).ravel(), np.empty(sinr.size)
-    for lo in range(0, arg.size, _LOG2_CHUNK):
-        chunk = arg[lo:lo + _LOG2_CHUNK].tolist()
-        log[lo:lo + len(chunk)] = np.fromiter(map(math.log2, chunk), float, len(chunk))
-    log = log.reshape(sinr.shape)
+    log = np.fromiter(map(math.log2, (1.0 + sinr).ravel().tolist()), float,
+                      sinr.size).reshape(sinr.shape)
     with np.errstate(invalid="ignore"):  # 0 * inf at B = T with infinite SINR
         se = np.where(prelog > 0.0, n_users * prelog * log, 0.0)
     return SeResult(sinr=_plain(sinr), se_per_cell=_plain(se),

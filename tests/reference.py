@@ -36,10 +36,10 @@ import numpy as np
 from hexmimo.config import InterferenceMode, NetworkConfig
 from hexmimo.errors import InsufficientAntennas
 from hexmimo.hexgrid import (CellIndex, bs_position, cells_in_tier, reuse_group,
-                             sample_ue_positions)
+                             sample_ue_positions, sorted_tier_set)
 from hexmimo.linklevel import (_CHUNK_ELEMS, MeasuredSinr, _layout,
                                _measured, _pinned_positions, _slot_summer,
-                               _sorted_cells, _squared_distances)
+                               _squared_distances)
 from hexmimo.pilots import Schedule
 from hexmimo.spectral import Scheme, SinrInputs
 
@@ -261,7 +261,7 @@ def generate(config: NetworkConfig, schedule: Schedule, cells,
     library's `NetworkConfig` holds neither.
     """
     schedule.check(config.coherence_block)
-    cells = _sorted_cells(cells)
+    cells = sorted_tier_set(cells)
     centers, cols = _layout(schedule, cells)
     centers = radius * centers
     pinned = {ci: radius * p for ci, p in _pinned_positions(cells, mode).items()}
@@ -474,7 +474,7 @@ def xi_measure_sinr(config: NetworkConfig, schedule: Schedule, cells,
     A drawn ||v||^2 that is zero or not finite is a singular W_q (or a zero
     MRC direction) and raises RankDeficient."""
     schedule.check(config.coherence_block, zero_forcing=scheme is Scheme.PZFC)
-    cells = _sorted_cells(cells)
+    cells = sorted_tier_set(cells)
     centers, cols = _layout(schedule, cells)
     pinned = _pinned_positions(cells, mode)
     n, b = schedule.n_antennas, schedule.pilot_len

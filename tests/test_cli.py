@@ -654,9 +654,32 @@ def test_version_one_monte_carlo_cache_is_rebuilt(tmp_path):
         assert (out / name).read_bytes() == blob
 
 
+def test_version_two_worst_table_is_rebuilt(tmp_path):
+    # version 2 built the worst-case table by a per-cell projection, whose
+    # moments differ from the one-node rule's in the last digits: a version-2
+    # file is rebuilt, so the rerun writes what a cold run writes
+    cfg = small_config(tmp_path)
+    args = ["--config", cfg, "--seed", "4", "--modes", "worst",
+            "--schemes", "mrc", *FAST_FLAGS]
+    cold, stale = tmp_path / "cold", tmp_path / "stale"
+    assert run_cli([*args, "--out", cold]) == 0
+    data = json.loads((cold / "moments_worst.json").read_text())
+    for rec in data["entries"][1:]:  # off far enough to show in sweep.csv
+        rec.update(mu1=rec["mu1"] * 1.001, mu2=(rec["mu1"] * 1.001) ** 2)
+    MomentTable.from_dict(data)  # valid but for its version
+    stale.mkdir()
+    (stale / "moments_worst.json").write_text(json.dumps({**data, "version": 2}))
+
+    assert run_cli([*args, "--out", stale]) == 0
+    for name in ("sweep.csv", "optima.csv", "moments_worst.json"):
+        assert (stale / name).read_bytes() == (cold / name).read_bytes()
+
+
 def test_table_file_with_retired_keys_is_a_cache_hit(tmp_path, monkeypatch):
-    # earlier versions also wrote rel_tol and max_tier; the stored tiers pin
-    # both, so such a file is loaded as it is: not rebuilt, not rewritten
+    # keys the format does not name go unread: older version-2 files also
+    # recorded rel_tol and max_tier, which the stored tiers pin.  No file of
+    # the current version carries them, but one that does is loaded as it
+    # is: not rebuilt, not rewritten
     cfg = small_config(tmp_path)
     out = tmp_path / "out"
     args = ["--config", cfg, "--out", out, "--seed", "4", "--modes", "avg,worst",

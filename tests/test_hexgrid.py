@@ -7,7 +7,7 @@ from scipy import stats
 from hexmimo.errors import DomainError, UnsupportedReuse
 from hexmimo.hexgrid import (CellIndex, bs_position, cells_in_tier,
                              reuse_group, sample_ue_positions, tier_of,
-                             worst_case_position)
+                             worst_case_positions)
 
 from reference import cells_within_tier, contains
 
@@ -203,9 +203,16 @@ def test_sample_positions_follow_the_exact_angle_law(min_frac):
     assert stats.kstest(phi, lambda p: _wedge_angle_cdf(p, min_frac)).pvalue > 0.001
 
 
+def _worst_case_position(interferer, victim, r):
+    """The worst-case point of `interferer` for a victim BS anywhere on a
+    grid of radius r: the lattice is translation invariant and scales."""
+    offset = CellIndex(interferer.a1 - victim.a1, interferer.a2 - victim.a2)
+    return r * worst_case_positions([offset])[0] + bs_position(victim, r)
+
+
 def test_worst_case_adjacent_is_shared_edge_midpoint():
     r = 250.0
-    p = worst_case_position(CellIndex(0, 0), CellIndex(1, 0), r)
+    p = _worst_case_position(CellIndex(0, 0), CellIndex(1, 0), r)
     midpoint = 0.5 * bs_position(CellIndex(1, 0), r)
     assert np.allclose(p, midpoint, atol=1e-9 * r)
     for cell in (CellIndex(0, 0), CellIndex(1, 0)):
@@ -236,7 +243,7 @@ def test_worst_case_properties_on_random_pairs():
         victim = CellIndex(*rng.integers(-4, 5, size=2))
         if interferer == victim:
             continue
-        p = worst_case_position(interferer, victim, r)
+        p = _worst_case_position(interferer, victim, r)
         # lies on the hexagon boundary: re-projecting changes nothing
         assert contains(interferer, p, r)
         projected, gap = _project_on_hexagon_boundary(p, interferer, r)
@@ -249,4 +256,10 @@ def test_worst_case_properties_on_random_pairs():
 
 def test_worst_case_own_cell_rejected():
     with pytest.raises(DomainError):
-        worst_case_position(CellIndex(1, 1), CellIndex(1, 1), 1.0)
+        worst_case_positions([CellIndex(1, 1), CellIndex(0, 0)])
+
+
+def test_worst_case_positions_equal_the_per_segment_projection():
+    cells = [c for tier in range(1, 13) for c in cells_in_tier(tier)]
+    expected = [_project_on_hexagon_boundary(np.zeros(2), c, 1.0)[0] for c in cells]
+    np.testing.assert_allclose(worst_case_positions(cells), expected, rtol=0, atol=1e-12)

@@ -6,10 +6,10 @@ import pytest
 
 from hexmimo.config import InterferenceMode, NetworkConfig, db_to_linear
 from hexmimo.errors import DomainError, PilotOverflow
-from hexmimo.hexgrid import CellIndex, worst_case_position
+from hexmimo.hexgrid import CellIndex, sorted_tier_set, worst_case_positions
 from hexmimo import linklevel
 from hexmimo.cli import _validation_fixtures
-from hexmimo.linklevel import _layout, _pinned_positions, _sorted_cells, measure_sinr
+from hexmimo.linklevel import _layout, _pinned_positions, measure_sinr
 from hexmimo.moments import build_table
 from hexmimo.pilots import Schedule
 from hexmimo.spectral import Scheme, SinrInputs, sinr
@@ -104,10 +104,8 @@ def test_worst_mode_pins_interferers_to_cell_edge():
     cfg = make_config()
     schedule = Schedule(4, 2, 1)
     real = generate(cfg, schedule, TIER1, WORST, np.random.default_rng(1))
-    for cell in TIER1:
-        if cell == (0, 0):
-            continue
-        expected = worst_case_position(cell, CellIndex(0, 0), 1.0)
+    others = [cell for cell in TIER1 if cell != (0, 0)]
+    for cell, expected in zip(others, worst_case_positions(others)):
         for k in (1, 2):
             u = real.user_index(cell, k)
             assert np.allclose(real.positions[u], expected, atol=1e-12)
@@ -472,7 +470,7 @@ def _pilot_block_measure_sinr(config, schedule, cells, mode, scheme, n_realizati
     effective channels h_eff (m x d x U) and the received pilot block y_pilot
     (m x d x B) from freshly allocated span coordinates.  Same draws in the
     same order."""
-    cells = _sorted_cells(cells)
+    cells = sorted_tier_set(cells)
     centers, cols = _layout(schedule, cells)
     pinned = _pinned_positions(cells, mode)
     n, b = schedule.n_antennas, schedule.pilot_len
@@ -516,7 +514,7 @@ def _bartlett_measure_sinr(config, schedule, cells, mode, scheme, n_realizations
     full span factor R (m x d x p, `_span_coords`) and works on the pilot
     coefficients C of R, corr = R C, and g^H h_u = (g^H R)_u sqrt(rho d_u).
     Same draws in the same order as `_pilot_block_measure_sinr`."""
-    cells = _sorted_cells(cells)
+    cells = sorted_tier_set(cells)
     centers, cols = _layout(schedule, cells)
     pinned = _pinned_positions(cells, mode)
     n, b = schedule.n_antennas, schedule.pilot_len
@@ -624,7 +622,7 @@ def _gram_solve_measure_sinr(config, schedule, cells, mode, scheme, n_realizatio
     the Gram matrix of the estimated book and solves it.  MRC draws the same
     numbers in the same order as `xi_measure_sinr` while a batch fits one
     chunk under both chunk rules."""
-    cells = _sorted_cells(cells)
+    cells = sorted_tier_set(cells)
     centers, cols = _layout(schedule, cells)
     pinned = _pinned_positions(cells, mode)
     n, b = schedule.n_antennas, schedule.pilot_len

@@ -6,6 +6,7 @@ import pytest
 from hexmimo.config import InterferenceMode, NetworkConfig
 from hexmimo.errors import DomainError, InsufficientAntennas, PilotOverflow
 from hexmimo.hexgrid import CellIndex
+from hexmimo.linklevel import measure_sinr
 from hexmimo.moments import MomentEntry, MomentTable
 from hexmimo.pilots import Schedule
 from hexmimo.spectral import (CopilotSums, Scheme, SinrInputs, asymptotic_se,
@@ -275,3 +276,34 @@ def test_inputs_validation_errors(avg_table):
     with pytest.raises(DomainError):
         SinrInputs(cfg, avg_table, Schedule(64, 3, 3),
                    tier_set=((0, 0), (40, 40)))  # not covered
+
+
+def test_repeated_cell_in_tier_set_is_rejected_everywhere(avg_table):
+    # a repeated cell would be counted twice by the moment sums
+    cfg = NetworkConfig(1000, 10.0)
+    repeated = ((0, 0), (1, 0), (1, 0))
+    with pytest.raises(DomainError, match="duplicate"):
+        SinrInputs(cfg, avg_table, Schedule(64, 3, 3), tier_set=repeated)
+    with pytest.raises(DomainError, match="duplicate"):
+        CopilotSums.from_table(avg_table, 3, repeated)
+    with pytest.raises(DomainError, match="duplicate"):
+        asymptotic_sinr(avg_table, 3, repeated)
+    with pytest.raises(DomainError, match="duplicate"):
+        asymptotic_se(avg_table, 3, 3, 1000, repeated)
+    with pytest.raises(DomainError, match="duplicate"):
+        measure_sinr(cfg, Schedule(64, 3, 3), repeated, InterferenceMode.AVERAGE,
+                     Scheme.MRC, 2, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("beta", [1, 3, 4, 7])
+@pytest.mark.parametrize("scheme", [Scheme.MRC, Scheme.PZFC])
+def test_sinr_does_not_depend_on_tier_set_order(avg_table, beta, scheme):
+    # the moment sums run in (tier, index) order whatever order the caller
+    # lists the cells in, so a shuffled tier set gives the same bits
+    cells = cells_within_tier(3)
+    expected = sinr(make_inputs(avg_table, 256, 5, beta, scheme, tier_set=cells))
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        shuffled = [cells[i] for i in rng.permutation(len(cells))]
+        assert sinr(make_inputs(avg_table, 256, 5, beta, scheme,
+                                tier_set=shuffled)) == expected

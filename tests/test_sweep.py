@@ -5,7 +5,6 @@ import types
 import numpy as np
 import pytest
 
-import hexmimo.spectral as spectral_module
 import hexmimo.sweep as sweep_module
 from hexmimo.config import InterferenceMode, NetworkConfig
 from hexmimo.errors import EmptyFeasibleSet
@@ -464,10 +463,10 @@ def test_se_from_sinr_is_math_log2_bit_for_bit(avg_table):
     result = sweep(template(2000), default_n_grid(n_points=60), default_k_grid(2000),
                    [1, 3, 4, 7], [Scheme.MRC, Scheme.PZFC], [AVG], {AVG: avg_table})
     sinrs = result.rows["sinr"]
-    assert len(sinrs) > 10 ** 5 > 10 * spectral_module._LOG2_CHUNK
+    assert len(sinrs) > 10 ** 5
     se = se_from_sinr(sinrs, 1, 0, 2000).se_per_cell
     assert se.tolist() == [math.log2(1.0 + x) for x in sinrs.tolist()]
-    # a 2-D call whose last chunk is partial keeps each value in its place
-    grid = sinrs[-2 * (spectral_module._LOG2_CHUNK + 5):].reshape(2, -1)
+    # a 2-D call keeps each value in its place
+    grid = sinrs[-8202:].reshape(2, -1)
     assert se_from_sinr(grid, 1, 0, 2000).se_per_cell.tolist() == [
         [math.log2(1.0 + x) for x in row] for row in grid.tolist()]
