@@ -198,8 +198,8 @@ def _validation_fixtures():
     beta=3 it is about 1.70 and does not shrink with N (1.696 at N=10, 64
     and 256; K=2, 100,000 realizations).  In worst-case mode, and on the
     single cell, no position is drawn and the two agree to rounding
-    (7e-16).  The fixture is reported with its per-term decomposition but
-    excluded from pass/fail.
+    (|ratio - 1| <= 2.2e-16).  The fixture is reported with its per-term
+    decomposition but excluded from pass/fail.
     """
     tier1 = [(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1), (1, -1), (-1, 1)]
     avg, worst = InterferenceMode.AVERAGE, InterferenceMode.WORST_CASE

@@ -77,21 +77,13 @@ _CHUNK_ELEMS = 1 << 14  # caps the elements of a chunk's largest arrays
 
 def _layout(schedule: Schedule, cells):
     """Static per-user metadata: cell centers (at unit radius) and pilot
-    columns."""
+    columns, cell by cell.  A cell's K users take its reuse group's block of
+    the book in order: its first pilot plus 0, ..., K - 1."""
     k = schedule.n_users
     centers = np.repeat(np.stack([bs_position(c, 1.0) for c in cells]), k, axis=0)
-    cols = np.array([schedule.assign(reuse_group(c, schedule.reuse_factor), m) - 1
-                     for c in cells for m in range(1, k + 1)], dtype=int)
-    return centers, cols
-
-
-def _pinned_positions(cells, mode: InterferenceMode) -> dict[int, np.ndarray]:
-    """{cell rank: position} of the UEs that are not drawn: worst-case mode
-    pins out-of-cell UEs to the cell-edge point nearest the victim BS (at
-    unit radius).  `cells` is a tier set, so the own cell is at rank 0."""
-    if mode is not InterferenceMode.WORST_CASE:
-        return {}
-    return dict(enumerate(worst_case_positions(cells[1:]), start=1))
+    first = np.array([schedule.assign(reuse_group(c, schedule.reuse_factor), 1) - 1
+                      for c in cells])
+    return centers, (first[:, None] + np.arange(k)).ravel()
 
 
 def _squared_distances(positions: np.ndarray, centers: np.ndarray):
@@ -100,51 +92,6 @@ def _squared_distances(positions: np.ndarray, centers: np.ndarray):
     rel = positions - centers
     return (rel[..., 0] ** 2 + rel[..., 1] ** 2,
             positions[..., 0] ** 2 + positions[..., 1] ** 2)
-
-
-def _ratio_sampler(config: NetworkConfig, k: int, cells, centers: np.ndarray,
-                   mode: InterferenceMode):
-    """(draw, any_drawn): draw(rng, m) -> (m, U) victim-to-serving variance
-    ratios d_ratio of `k` users per cell; `any_drawn` says whether a draw
-    samples any position.
-
-    The own cell's users have ratio 1 exactly, because their serving BS is
-    the victim BS, and worst-case mode pins the out-of-cell users
-    (`_pinned_positions`); their ratios are computed once, here.  When every
-    ratio is fixed, a draw uses no random numbers.  Otherwise each draw makes
-    one `sample_ue_positions` call for the whole chunk: the points of every
-    drawn user of every realization, around the origin, realization-major
-    and then in user order.  Each point is then moved to its user's cell
-    center; the sampler's law is the same around every center, so the law is
-    that of one call per cell.  The sampler sizes its rounds by the points
-    asked for, so this call pattern is the stream."""
-    half_kappa = config.pathloss_exponent / 2
-    pinned = _pinned_positions(cells, mode)
-    fixed = [(slice(0, k), 1.0)]
-    for ci, position in pinned.items():
-        sl = slice(ci * k, (ci + 1) * k)
-        serving_sq, victim_sq = _squared_distances(position, centers[sl])
-        fixed.append((sl, (serving_sq / victim_sq) ** half_kappa))
-    drawn = np.array([u for u in range(k, len(centers)) if u // k not in pinned],
-                     dtype=np.intp)
-    drawn_centers = centers[drawn]
-
-    def draw(rng: np.random.Generator, m: int) -> np.ndarray:
-        out = np.empty((m, len(centers)))
-        for sl, ratio in fixed:
-            out[:, sl] = ratio
-        if not drawn.size:
-            return out
-        local = sample_ue_positions(CellIndex(0, 0), 1.0,
-                                    config.min_ue_distance_frac, rng,
-                                    m * len(drawn)).reshape(m, len(drawn), 2)
-        serving_sq = local[..., 0] ** 2 + local[..., 1] ** 2
-        local += drawn_centers
-        victim_sq = local[..., 0] ** 2 + local[..., 1] ** 2
-        out[:, drawn] = (serving_sq / victim_sq) ** half_kappa
-        return out
-
-    return draw, bool(drawn.size)
 
 
 def _slot_summer(slot: np.ndarray, q: int):
@@ -199,8 +146,9 @@ def measure_sinr(config: NetworkConfig, schedule: Schedule, cells,
                      + rho d_u (1 - B^2 rho d_u / g_p(u)) E||g||^2.
 
     The own cell's ratios are 1, and in worst-case mode every other ratio is
-    pinned too; on one cell or in worst-case mode no position is drawn, every
-    realization has the same moments and `std_error` is exactly 0.0.
+    pinned too; on one cell or in worst-case mode no position is drawn and
+    `rng` is not used, every realization has the same moments and
+    `std_error` is exactly 0.0.
     Otherwise `std_error` is the delta-method standard error of the position
     average (see the module docstring), so `n_realizations` must be at
     least 2.  `terms` decomposes the SINR denominator into coherent
@@ -224,11 +172,20 @@ def measure_sinr(config: NetworkConfig, schedule: Schedule, cells,
                           f"got {n_realizations}")
     cells = sorted_tier_set(cells)
     centers, cols = _layout(schedule, cells)
-    draw_d_ratio, any_drawn = _ratio_sampler(config, schedule.n_users, cells,
-                                             centers, mode)
-    n, b = schedule.n_antennas, schedule.pilot_len
+    n, b, k = schedule.n_antennas, schedule.pilot_len, schedule.n_users
     rho = config.snr_linear
     n_users_total = len(cols)
+    # the own cell's users have ratio 1, because their serving BS is the
+    # victim BS; worst-case mode pins every other user to its cell's edge
+    # point nearest the victim, average mode draws every other user
+    half_kappa = config.pathloss_exponent / 2
+    d_fixed = np.ones(n_users_total)
+    n_drawn = n_users_total - k
+    if mode is InterferenceMode.WORST_CASE:
+        pinned = np.repeat(worst_case_positions(cells[1:]), k, axis=0)
+        serving_sq, victim_sq = _squared_distances(pinned, centers[k:])
+        d_fixed[k:] = (serving_sq / victim_sq) ** half_kappa
+        n_drawn = 0
     i_target = cols[0]                     # user 1 of the origin cell, listed first
     on_target = cols == i_target
     copilots = np.flatnonzero(on_target)[1:]  # the other users on the target pilot
@@ -259,15 +216,33 @@ def measure_sinr(config: NetworkConfig, schedule: Schedule, cells,
         power[:, copilots] += s1 * s1 * d[:, copilots] ** 2
         return power, gn
 
-    if not any_drawn:
+    if not n_drawn:
         # every realization has the same moments: take them once
-        power, gn = moments(draw_d_ratio(rng, 1))
-        return _measured(s1, power[0], gn[0], 0.0, schedule.n_users)
+        power, gn = moments(d_fixed[None])
+        return _measured(s1, power[0], gn[0], 0.0, k)
+
+    def draw(m):
+        """(m, U) ratios: the fixed vector with its out-of-cell columns drawn.
+
+        One sampler call draws the points of every drawn user of every
+        realization, around the origin, realization-major and then in user
+        order; each point is then moved to its user's cell center (the
+        sampler's law is the same around every center).  The sampler sizes
+        its rounds by the points asked for, so this call pattern is the
+        stream."""
+        d = np.tile(d_fixed, (m, 1))
+        local = sample_ue_positions(CellIndex(0, 0), 1.0, config.min_ue_distance_frac,
+                                    rng, m * n_drawn).reshape(m, n_drawn, 2)
+        serving_sq = local[..., 0] ** 2 + local[..., 1] ** 2
+        local += centers[k:]
+        victim_sq = local[..., 0] ** 2 + local[..., 1] ** 2
+        d[:, k:] = (serving_sq / victim_sq) ** half_kappa
+        return d
 
     pow_sum = np.zeros(n_users_total)
     gn_sum = d_sum = d_sq_sum = 0.0
     for start in range(0, n_realizations, max_chunk):
-        power, gn = moments(draw_d_ratio(rng, min(max_chunk, n_realizations - start)))
+        power, gn = moments(draw(min(max_chunk, n_realizations - start)))
         denom = power.sum(axis=1) + gn     # each realization's D_r, sigma^2 = 1
         pow_sum += power.sum(axis=0)
         gn_sum += gn.sum()
@@ -278,7 +253,7 @@ def measure_sinr(config: NetworkConfig, schedule: Schedule, cells,
     # s1^2 / mean(D) by the delta method: s1 is exact, so only mean(D) varies
     std_error = s1 * s1 * math.sqrt(d_var / n_realizations) / d_mean ** 2
     return _measured(s1, pow_sum / n_realizations, gn_sum / n_realizations,
-                     std_error, schedule.n_users)
+                     std_error, k)
 
 
 def _measured(s1: float, pow_mean: np.ndarray, gn_mean: float, std_error: float,

@@ -81,10 +81,9 @@ class CopilotSums:
 
     reuse_factor: int
     mu1_total: float                    # sum of mu1 over every cell
-    mu1_copilot: float                  # sum of mu1 over group 0, own cell included
     mu2_others: float                   # sum of mu2 over group 0 without the own cell
     var_copilot: float                  # sum of (mu2 - mu1^2) over group 0
-    mu1_by_group: tuple[float, ...]     # sum of mu1 per reuse group
+    mu1_by_group: tuple[float, ...]     # sum of mu1 per reuse group, own cell in group 0
     mu1_sq_by_group: tuple[float, ...]  # sum of mu1^2 per reuse group
 
     @classmethod
@@ -107,9 +106,8 @@ class CopilotSums:
                 if c != (0, 0):
                     mu2_others += e.mu2
         return cls(reuse_factor=reuse_factor, mu1_total=mu1_total,
-                   mu1_copilot=by_group[0], mu2_others=mu2_others,
-                   var_copilot=var_copilot, mu1_by_group=tuple(by_group),
-                   mu1_sq_by_group=tuple(sq_by_group))
+                   mu2_others=mu2_others, var_copilot=var_copilot,
+                   mu1_by_group=tuple(by_group), mu1_sq_by_group=tuple(sq_by_group))
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +122,7 @@ def mrc_sinr_from_sums(sums: CopilotSums, n_antennas, n_users,
     k = np.asarray(n_users, dtype=float)
     b = sums.reuse_factor * k
     gain_deficit = (sums.mu1_total * k + inv_snr) / n
-    pilot_power = b * sums.mu1_copilot + inv_snr
+    pilot_power = b * sums.mu1_by_group[0] + inv_snr
     contamination = b * (sums.mu2_others + sums.var_copilot / n)
     denom = gain_deficit * pilot_power + contamination
     return _plain(np.divide(b, denom, out=np.full(denom.shape, math.inf),
@@ -151,7 +149,7 @@ def pzfc_sinr_from_sums(sums: CopilotSums, n_antennas, n_users,
     rejected = sum(sq * b / (b * m1 + inv_snr)
                    for sq, m1 in zip(sums.mu1_sq_by_group, sums.mu1_by_group))
     residual = k * (sums.mu1_total - rejected) + inv_snr
-    pilot_power = (b * sums.mu1_copilot + inv_snr) / (n - b)
+    pilot_power = (b * sums.mu1_by_group[0] + inv_snr) / (n - b)
     denom = contamination + residual * pilot_power
     return _plain(np.divide(b, denom, out=np.full(denom.shape, math.inf),
                             where=denom > 0))

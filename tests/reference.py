@@ -14,10 +14,10 @@ call them:
 * link level: an explicit coherence block in C^N (`generate`, a
   `Realization`), its LMMSE estimates in scalar and Kronecker form, the
   estimated pilot book and the MRC and zero-forcing combiners built from it,
-  the estimation error, and the helpers that draw positions and pilot powers;
-  `xi_measure_sinr`, the loop that samples W C (one Gamma number and
-  U + q normals per realization), whose averages `measure_sinr` takes
-  exactly; and `batched_measure`, the batch-and-chunk loop every sampled
+  the estimation error, and the helpers that pin and draw positions and
+  pilot powers; `xi_measure_sinr`, the loop that samples W C (one Gamma
+  number and U + q normals per realization), whose averages `measure_sinr`
+  takes exactly; and `batched_measure`, the batch-and-chunk loop every sampled
   reference runs (its g^H h_own is random, so its standard error comes
   from batch means).  These cross-check `measure_sinr` and the LMMSE terms
   of the closed forms.
@@ -36,10 +36,10 @@ import numpy as np
 from hexmimo.config import InterferenceMode, NetworkConfig
 from hexmimo.errors import InsufficientAntennas
 from hexmimo.hexgrid import (CellIndex, bs_position, cells_in_tier, reuse_group,
-                             sample_ue_positions, sorted_tier_set)
+                             sample_ue_positions, sorted_tier_set,
+                             worst_case_positions)
 from hexmimo.linklevel import (_CHUNK_ELEMS, MeasuredSinr, _layout,
-                               _measured, _pinned_positions, _slot_summer,
-                               _squared_distances)
+                               _measured, _slot_summer, _squared_distances)
 from hexmimo.pilots import Schedule
 from hexmimo.spectral import Scheme, SinrInputs
 
@@ -205,6 +205,15 @@ class Realization:
         if not 1 <= user <= k:
             raise IndexError(f"user {user} out of range [1, {k}]")
         return self.cells.index(CellIndex(*cell)) * k + (user - 1)
+
+
+def _pinned_positions(cells, mode: InterferenceMode) -> dict[int, np.ndarray]:
+    """{cell rank: position} of the UEs that are not drawn: worst-case mode
+    pins out-of-cell UEs to the cell-edge point nearest the victim BS (at
+    unit radius).  `cells` is a tier set, so the own cell is at rank 0."""
+    if mode is not InterferenceMode.WORST_CASE:
+        return {}
+    return dict(enumerate(worst_case_positions(cells[1:]), start=1))
 
 
 def _draw_positions(config: NetworkConfig, k: int, cells,

@@ -6,10 +6,11 @@ import pytest
 
 from hexmimo.config import InterferenceMode, NetworkConfig, db_to_linear
 from hexmimo.errors import DomainError, PilotOverflow
-from hexmimo.hexgrid import CellIndex, sorted_tier_set, worst_case_positions
+from hexmimo.hexgrid import (CellIndex, bs_position, reuse_group, sorted_tier_set,
+                             worst_case_positions)
 from hexmimo import linklevel
 from hexmimo.cli import _validation_fixtures
-from hexmimo.linklevel import _layout, _pinned_positions, measure_sinr
+from hexmimo.linklevel import _layout, measure_sinr
 from hexmimo.moments import build_table
 from hexmimo.pilots import Schedule
 from hexmimo.spectral import Scheme, SinrInputs, sinr
@@ -17,10 +18,10 @@ from hexmimo.sweep import default_k_grid, optimal_schedule, sweep
 from scipy import stats
 
 from reference import (N_BATCHES, RankDeficient, Realization, _complex_normal,
-                       _distance_fields, _draw_positions, _psi, batched_measure,
-                       cells_within_tier, combine, dft_pilot_matrix,
-                       estimate_book, estimation_error_scale, generate,
-                       lmmse_estimate, lmmse_estimate_kron,
+                       _distance_fields, _draw_positions, _pinned_positions,
+                       _psi, batched_measure, cells_within_tier, combine,
+                       dft_pilot_matrix, estimate_book, estimation_error_scale,
+                       generate, lmmse_estimate, lmmse_estimate_kron,
                        measure_estimation_mse, sampled_measured, xi_measure_sinr)
 
 AVG = InterferenceMode.AVERAGE
@@ -83,6 +84,24 @@ def test_generate_realization_layout():
     for ci in range(7):
         cols = real.pilot_col[ci * 3:(ci + 1) * 3]
         assert len(set(cols.tolist())) == 3
+
+
+@pytest.mark.parametrize("beta", [1, 3, 4, 7])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_layout_is_the_per_user_rule(worst_table, beta, k):
+    # the layout works per cell; it equals one center, one reuse group and
+    # one pilot per user, on the tier-1 cells, the sweep's worst-case tier
+    # set and a set with gaps
+    schedule = Schedule(64, k, beta)
+    for cells in (TIER1, worst_table.offsets,
+                  sorted_tier_set([(0, 0), (2, -1), (-3, 1), (1, 2)])):
+        centers, cols = _layout(schedule, cells)
+        np.testing.assert_array_equal(
+            centers, [bs_position(c, 1.0) for c in cells for _ in range(k)])
+        np.testing.assert_array_equal(
+            cols, [schedule.assign(reuse_group(c, beta), m) - 1
+                   for c in cells for m in range(1, k + 1)])
+        assert cols.dtype == np.intp
 
 
 def test_generate_rejects_inconsistent_inputs():
@@ -826,6 +845,13 @@ def identity_tables():
     return tables
 
 
+class _NoRandom:
+    """A generator that fails on any attribute access."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"a path that draws nothing read rng.{name}")
+
+
 @pytest.mark.parametrize("kappa", [3.5, 4.0])
 @pytest.mark.parametrize("snr_db", [10.0, -5.0])
 @pytest.mark.parametrize("min_frac", [0.14, 0.3])
@@ -835,15 +861,15 @@ def identity_tables():
 def test_measure_sinr_is_the_closed_form_where_no_position_is_drawn(
         identity_tables, kappa, snr_db, min_frac, scheme, n, k, beta):
     # worst-case mode pins every out-of-cell user and one cell has no other:
-    # the estimate is then exact and equals the closed form up to rounding
+    # the estimate is then exact, equals the closed form up to rounding and
+    # touches no generator
     cfg = NetworkConfig(coherence_block=1000, snr_linear=db_to_linear(snr_db),
                         pathloss_exponent=kappa, min_ue_distance_frac=min_frac)
     schedule = Schedule(n, k, beta)
     tables = identity_tables(kappa, min_frac)
     for cells, mode in ((TIER1, WORST), (((0, 0),), AVG)):
         analytic = sinr(SinrInputs(cfg, tables[mode], schedule, cells, scheme))
-        measured = measure_sinr(cfg, schedule, cells, mode, scheme, 40,
-                                np.random.default_rng(70))
+        measured = measure_sinr(cfg, schedule, cells, mode, scheme, 40, _NoRandom())
         assert measured.std_error == 0.0
         assert measured.sinr == pytest.approx(analytic, rel=1e-12, abs=0), (
             mode, len(cells))
