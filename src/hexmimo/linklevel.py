@@ -75,15 +75,10 @@ from .spectral import Scheme
 _CHUNK_ELEMS = 1 << 14  # caps the elements of a chunk's largest arrays
 
 
-def _layout(schedule: Schedule, cells):
-    """Static per-user metadata: cell centers (at unit radius) and pilot
-    columns, cell by cell.  A cell's K users take its reuse group's block of
-    the book in order: its first pilot plus 0, ..., K - 1."""
-    k = schedule.n_users
-    centers = np.repeat(np.stack([bs_position(c, 1.0) for c in cells]), k, axis=0)
-    first = np.array([schedule.assign(reuse_group(c, schedule.reuse_factor), 1) - 1
-                      for c in cells])
-    return centers, (first[:, None] + np.arange(k)).ravel()
+def _layout(cells, reuse_factor: int):
+    """Static per-cell metadata: centers (at unit radius) and reuse groups."""
+    return (np.stack([bs_position(c, 1.0) for c in cells]),
+            np.array([reuse_group(c, reuse_factor) for c in cells]))
 
 
 def _squared_distances(positions: np.ndarray, centers: np.ndarray):
@@ -94,25 +89,12 @@ def _squared_distances(positions: np.ndarray, centers: np.ndarray):
             positions[..., 0] ** 2 + positions[..., 1] ** 2)
 
 
-def _slot_summer(slot: np.ndarray, q: int):
-    """sums(x) -> (m, q): the columns of x (m, U) summed over the users of
-    each slot j < q (`slot` holds each user's slot); users in slot q are left
-    out.  One gather and one `np.add.reduceat` per call."""
-    order = np.argsort(slot, kind="stable")
-    order = order[slot[order] < q]
-    counts = np.bincount(slot[order], minlength=q)
-    filled = np.flatnonzero(counts)
-    starts = np.concatenate(([0], np.cumsum(counts[filled])[:-1]))
-
-    def sums(x: np.ndarray) -> np.ndarray:
-        part = np.add.reduceat(x[:, order], starts, axis=1)
-        if filled.size == q:
-            return part
-        out = np.zeros((x.shape[0], q), dtype=x.dtype)
-        out[:, filled] = part
-        return out
-
-    return sums
+def _pilot_sums(d: np.ndarray, groups: np.ndarray, reuse_factor: int) -> np.ndarray:
+    """(m, beta, K): the ratios d (m, C, K) summed over the cells of each
+    reuse group (`groups` holds each cell's).  User k of a cell in group j
+    is on pilot j K + k, so entry (j, k) sums the users on that pilot."""
+    in_group = (groups == np.arange(reuse_factor)[:, None]).astype(float)
+    return np.einsum("jc,mck->mjk", in_group, d)
 
 
 @dataclass(frozen=True)
@@ -133,22 +115,23 @@ def measure_sinr(config: NetworkConfig, schedule: Schedule, cells,
     cell radius: only the victim-to-serving variance ratios d_u enter, so the
     radius and the pathloss reference cancel.  Given the ratios, the
     expectations over channels, pilot noise and the Wishart number X are
-    exact (see the module docstring).  With S_j the sum of d_u over the users
-    on pilot j, g_j = B^2 rho S_j + B (sigma^2 = 1, so 1 / SNR = 1 / rho),
-    i the target pilot and p(u) user u's pilot, they are
+    exact (see the module docstring).  User u, user k of a cell c in reuse
+    group j(c), is on pilot (j(c), k); the target pilot is (0, 0).  With S_jk
+    the sum of d over user k of the cells of group j, g_jk = B^2 rho S_jk + B
+    (sigma^2 = 1, so 1 / SNR = 1 / rho), and the moments are
 
     - MRC (the raw pilot correlation, X ~ Gamma(N, 1)):
-      E[g^H h_own] = N B rho, E||g||^2 = N g_i and
-      E|g^H h_u|^2 = N rho d_u g_i + [p(u) = i] B^2 N^2 rho^2 d_u^2;
+      E[g^H h_own] = N B rho, E||g||^2 = N g_00 and
+      E|g^H h_u|^2 = N rho d_u g_00 + [j(c) = k = 0] B^2 N^2 rho^2 d_u^2;
     - zero-forcing (the estimated-book combiner, X ~ Gamma(N - B + 1, 1)):
-      E[g^H h_own] = 1, E||g||^2 = g_i / ((B rho)^2 (N - B)) and
-      E|g^H h_u|^2 = [p(u) = i] d_u^2
-                     + rho d_u (1 - B^2 rho d_u / g_p(u)) E||g||^2.
+      E[g^H h_own] = 1, E||g||^2 = g_00 / ((B rho)^2 (N - B)) and
+      E|g^H h_u|^2 = [j(c) = k = 0] d_u^2
+                     + rho d_u (1 - B^2 rho d_u / g_j(c)k) E||g||^2.
 
     The own cell's ratios are 1, and in worst-case mode every other ratio is
-    pinned too; on one cell or in worst-case mode no position is drawn and
-    `rng` is not used, every realization has the same moments and
-    `std_error` is exactly 0.0.
+    pinned too; on one cell or in worst-case mode no position is drawn,
+    neither `rng` nor `n_realizations` is used, every realization has the
+    same moments and `std_error` is exactly 0.0.
     Otherwise `std_error` is the delta-method standard error of the position
     average (see the module docstring), so `n_realizations` must be at
     least 2.  `terms` decomposes the SINR denominator into coherent
@@ -167,62 +150,56 @@ def measure_sinr(config: NetworkConfig, schedule: Schedule, cells,
     inverse cancels the psi randomness again.
     """
     schedule.check(config.coherence_block, zero_forcing=scheme is Scheme.PZFC)
-    if n_realizations < 2:
-        raise DomainError("a standard error needs two realizations, "
-                          f"got {n_realizations}")
     cells = sorted_tier_set(cells)
-    centers, cols = _layout(schedule, cells)
-    n, b, k = schedule.n_antennas, schedule.pilot_len, schedule.n_users
+    n, b, k, beta = (schedule.n_antennas, schedule.pilot_len, schedule.n_users,
+                     schedule.reuse_factor)
+    centers, groups = _layout(cells, beta)
     rho = config.snr_linear
-    n_users_total = len(cols)
-    # the own cell's users have ratio 1, because their serving BS is the
-    # victim BS; worst-case mode pins every other user to its cell's edge
-    # point nearest the victim, average mode draws every other user
+    n_cells = len(cells)
+    # a (cell, user) grid of ratios, the own cell's row of ones first (its
+    # serving BS is the victim BS); worst-case mode pins each other cell's
+    # users to its edge point nearest the victim, average mode draws them
     half_kappa = config.pathloss_exponent / 2
-    d_fixed = np.ones(n_users_total)
-    n_drawn = n_users_total - k
+    d_fixed = np.ones((n_cells, k))
+    n_drawn = (n_cells - 1) * k
     if mode is InterferenceMode.WORST_CASE:
-        pinned = np.repeat(worst_case_positions(cells[1:]), k, axis=0)
-        serving_sq, victim_sq = _squared_distances(pinned, centers[k:])
-        d_fixed[k:] = (serving_sq / victim_sq) ** half_kappa
+        serving_sq, victim_sq = _squared_distances(worst_case_positions(cells[1:]),
+                                                   centers[1:])
+        d_fixed[1:] = ((serving_sq / victim_sq) ** half_kappa)[:, None]
         n_drawn = 0
-    i_target = cols[0]                     # user 1 of the origin cell, listed first
-    on_target = cols == i_target
-    copilots = np.flatnonzero(on_target)[1:]  # the other users on the target pilot
-    # MRC reads only the target pilot's sum (slot 0), zero-forcing all B;
-    # slot q holds the users on no pilot the combiner reads
-    if scheme is Scheme.MRC:
-        q, i_slot, slot = 1, 0, np.where(on_target, 0, 1)
-        s1 = n * b * rho                   # E[g^H h_own], d_own = 1
-    else:
-        q, i_slot, slot = b, i_target, cols
-        s1 = 1.0
-    pilot_sums = _slot_summer(slot, q)
+    # user 0 of the other cells of group 0 shares the target pilot (0, 0)
+    copilot_cells = np.flatnonzero(groups == 0)[1:]
+    # MRC reads only the target pilot, zero-forcing all B; s1 = E[g^H h_own]
+    q, s1 = (1, n * b * rho) if scheme is Scheme.MRC else (b, 1.0)
 
-    # cap per-draw array sizes at m x (U + q)
-    max_chunk = max(1, _CHUNK_ELEMS // (n_users_total + q))
+    # cap per-draw array sizes at m x (C K + q)
+    max_chunk = max(1, _CHUNK_ELEMS // (n_cells * k + q))
 
     def moments(d):
-        """(E|g^H h_u|^2 (m, U), the own user's less s1^2, and E||g||^2
-        (m,)) given the ratios d (m, U)."""
-        g = (b * b * rho) * pilot_sums(d) + b
-        g_i = g[:, i_slot]
+        """(E|g^H h_u|^2 (m, C K), the own user's less s1^2, and E||g||^2
+        (m,)) given the ratios d (m, C, K)."""
+        g = (b * b * rho) * _pilot_sums(d, groups, beta) + b
+        g_i = g[:, 0, 0]
         if scheme is Scheme.MRC:
             gn = n * g_i
-            power = (n * rho) * d * g_i[:, None]
+            power = (n * rho) * d * g_i[:, None, None]
         else:
             gn = g_i / ((b * rho) ** 2 * (n - b))
-            power = rho * d * (1.0 - (b * b * rho) * d / g[:, slot]) * gn[:, None]
-        power[:, copilots] += s1 * s1 * d[:, copilots] ** 2
-        return power, gn
+            power = rho * d * (1.0 - (b * b * rho) * d / g[:, groups]) * gn[:, None, None]
+        power[:, copilot_cells, 0] += s1 * s1 * d[:, copilot_cells, 0] ** 2
+        return power.reshape(len(d), -1), gn
 
     if not n_drawn:
         # every realization has the same moments: take them once
         power, gn = moments(d_fixed[None])
         return _measured(s1, power[0], gn[0], 0.0, k)
+    if n_realizations < 2:
+        raise DomainError("a standard error needs two realizations, "
+                          f"got {n_realizations}")
+    user_centers = np.repeat(centers[1:], k, axis=0)
 
     def draw(m):
-        """(m, U) ratios: the fixed vector with its out-of-cell columns drawn.
+        """(m, C, K) ratios: the own cell's row of ones and the other rows drawn.
 
         One sampler call draws the points of every drawn user of every
         realization, around the origin, realization-major and then in user
@@ -230,16 +207,16 @@ def measure_sinr(config: NetworkConfig, schedule: Schedule, cells,
         sampler's law is the same around every center).  The sampler sizes
         its rounds by the points asked for, so this call pattern is the
         stream."""
-        d = np.tile(d_fixed, (m, 1))
+        d = np.ones((m, n_cells, k))
         local = sample_ue_positions(CellIndex(0, 0), 1.0, config.min_ue_distance_frac,
                                     rng, m * n_drawn).reshape(m, n_drawn, 2)
         serving_sq = local[..., 0] ** 2 + local[..., 1] ** 2
-        local += centers[k:]
+        local += user_centers
         victim_sq = local[..., 0] ** 2 + local[..., 1] ** 2
-        d[:, k:] = (serving_sq / victim_sq) ** half_kappa
+        d[:, 1:] = ((serving_sq / victim_sq) ** half_kappa).reshape(m, n_cells - 1, k)
         return d
 
-    pow_sum = np.zeros(n_users_total)
+    pow_sum = np.zeros(n_cells * k)
     gn_sum = d_sum = d_sq_sum = 0.0
     for start in range(0, n_realizations, max_chunk):
         power, gn = moments(draw(min(max_chunk, n_realizations - start)))

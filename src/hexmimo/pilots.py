@@ -1,16 +1,14 @@
 """The operating point (N, K, beta) and its pilot book for fractional reuse.
 
 A pilot book holds B = beta * K mutually orthogonal sequences of length B
-with inner product B on the diagonal and 0 off it.  The closed-form SINR
-expressions only consume these inner products, resolved against the reuse
-partition, so pilots are represented by integer indices here.  The explicit
-inner product and the explicit sequences (DFT columns) live in
-`tests/reference.py`, the references the tests compare the closed forms and
-the link-level oracle against.
-
-The book is split into beta blocks of K pilots.  All cells of reuse group g
-use block g, with user k taking slot k; cells in the same group therefore
-collide pilot-for-pilot and cells in different groups are orthogonal.
+with inner product B on the diagonal and 0 off it.  The book is split into
+beta blocks of K pilots.  All cells of reuse group g use block g, with user
+k taking slot k; cells in the same group therefore collide pilot-for-pilot
+and cells in different groups are orthogonal.  The closed forms and the
+link-level oracle consume only this collision pattern, by reuse group, so
+the library holds no pilot index.  The explicit index map (`assign`), the
+inner product and the sequences (DFT columns) live in `tests/reference.py`,
+the references the tests compare the closed forms and the oracle against.
 """
 
 from __future__ import annotations
@@ -51,16 +49,3 @@ class Schedule:
             raise InsufficientAntennas(
                 f"zero-forcing over B={pilot_len} pilots needs N > B, "
                 f"got N={self.n_antennas}")
-
-    def assign(self, group: int, user: int) -> int:
-        """Pilot index (1-based, in {1, ..., B}) of user `user` in a cell of
-        reuse group `group`.
-
-        Users are 1-based to match pilot indices; the map is bijective from
-        (group, user) onto {1, ..., B}.
-        """
-        if not 0 <= group < self.reuse_factor:
-            raise IndexError(f"group {group} out of range [0, {self.reuse_factor})")
-        if not 1 <= user <= self.n_users:
-            raise IndexError(f"user {user} out of range [1, {self.n_users}]")
-        return group * self.n_users + user

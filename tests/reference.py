@@ -8,16 +8,19 @@ call them:
 
 * geometry: the tier disks around the origin and the closed-hexagon
   membership test;
-* pilots: the inner product of two pilot sequences of an orthogonal book;
+* pilots: the per-user pilot rule `assign` (user k of a cell in reuse group
+  g on pilot g K + k) and the inner product of two pilot sequences of an
+  orthogonal book;
 * closed forms: the "generic" SINRs, which sum over every (cell, user) pair
   with explicit pilot inner products, next to the library's collapsed forms;
 * link level: an explicit coherence block in C^N (`generate`, a
   `Realization`), its LMMSE estimates in scalar and Kronecker form, the
   estimated pilot book and the MRC and zero-forcing combiners built from it,
-  the estimation error, and the helpers that pin and draw positions and
-  pilot powers; `xi_measure_sinr`, the loop that samples W C (one Gamma
-  number and U + q normals per realization), whose averages `measure_sinr`
-  takes exactly; and `batched_measure`, the batch-and-chunk loop every sampled
+  the estimation error, and the helpers that lay users out one by one (a
+  center and a pilot column each), sum them by pilot slot, and pin and draw
+  positions and pilot powers; `xi_measure_sinr`, the loop that samples W C
+  (one Gamma number and U + q normals per realization), whose averages
+  `measure_sinr` takes exactly; and `batched_measure`, the batch-and-chunk loop every sampled
   reference runs (its g^H h_own is random, so its standard error comes
   from batch means).  These cross-check `measure_sinr` and the LMMSE terms
   of the closed forms.
@@ -38,8 +41,8 @@ from hexmimo.errors import InsufficientAntennas
 from hexmimo.hexgrid import (CellIndex, bs_position, cells_in_tier, reuse_group,
                              sample_ue_positions, sorted_tier_set,
                              worst_case_positions)
-from hexmimo.linklevel import (_CHUNK_ELEMS, MeasuredSinr, _layout,
-                               _measured, _slot_summer, _squared_distances)
+from hexmimo.linklevel import (_CHUNK_ELEMS, MeasuredSinr, _measured,
+                               _squared_distances)
 from hexmimo.pilots import Schedule
 from hexmimo.spectral import Scheme, SinrInputs
 
@@ -75,7 +78,21 @@ def contains(cell: CellIndex, point: np.ndarray, radius: float,
 
 
 # ---------------------------------------------------------------------------
-# pilot inner products
+# pilot indices and inner products
+
+
+def assign(schedule: Schedule, group: int, user: int) -> int:
+    """Pilot index (1-based, in {1, ..., B}) of user `user` in a cell of
+    reuse group `group`: slot `user` of the group's block of K pilots.
+
+    Users are 1-based to match pilot indices; the map is bijective from
+    (group, user) onto {1, ..., B}.
+    """
+    if not 0 <= group < schedule.reuse_factor:
+        raise IndexError(f"group {group} out of range [0, {schedule.reuse_factor})")
+    if not 1 <= user <= schedule.n_users:
+        raise IndexError(f"user {user} out of range [1, {schedule.n_users}]")
+    return group * schedule.n_users + user
 
 
 def inner_product(i1: int, i2: int, pilot_len: int) -> float:
@@ -93,7 +110,7 @@ def inner_product(i1: int, i2: int, pilot_len: int) -> float:
 def _pilot_indices(schedule: Schedule, tier_set) -> list[list[int]]:
     """Pilot index of every (cell, user) pair in the tier set."""
     beta = schedule.reuse_factor
-    return [[schedule.assign(reuse_group(c, beta), m)
+    return [[assign(schedule, reuse_group(c, beta), m)
              for m in range(1, schedule.n_users + 1)] for c in tier_set]
 
 
@@ -106,7 +123,7 @@ def sinr_mrc_generic(inputs: SinrInputs, user: int = 1) -> float:
     mu1 = [inputs.moments.entry(c).mu1 for c in cells]
     mu2 = [inputs.moments.entry(c).mu2 for c in cells]
     idx = _pilot_indices(sched, cells)
-    i_target = sched.assign(reuse_group(CellIndex(0, 0), sched.reuse_factor), user)
+    i_target = assign(sched, reuse_group(CellIndex(0, 0), sched.reuse_factor), user)
 
     gain_deficit = sum(mu1) * k / n + inv_snr / n
     pilot_power = inv_snr
@@ -132,7 +149,7 @@ def sinr_pzfc_generic(inputs: SinrInputs, user: int = 1) -> float:
     mu1 = [inputs.moments.entry(c).mu1 for c in cells]
     mu2 = [inputs.moments.entry(c).mu2 for c in cells]
     idx = _pilot_indices(sched, cells)
-    i_target = sched.assign(reuse_group(CellIndex(0, 0), sched.reuse_factor), user)
+    i_target = assign(sched, reuse_group(CellIndex(0, 0), sched.reuse_factor), user)
 
     contamination = 0.0
     residual = inv_snr
@@ -158,7 +175,7 @@ def asymptotic_sinr_generic(inputs: SinrInputs, user: int = 1) -> float:
     b = sched.pilot_len
     cells = inputs.tier_set
     idx = _pilot_indices(sched, cells)
-    i_target = sched.assign(reuse_group(CellIndex(0, 0), sched.reuse_factor), user)
+    i_target = assign(sched, reuse_group(CellIndex(0, 0), sched.reuse_factor), user)
     denom = -float(b)
     for ci, c in enumerate(cells):
         mu2 = inputs.moments.entry(c).mu2
@@ -205,6 +222,37 @@ class Realization:
         if not 1 <= user <= k:
             raise IndexError(f"user {user} out of range [1, {k}]")
         return self.cells.index(CellIndex(*cell)) * k + (user - 1)
+
+
+def _user_layout(schedule: Schedule, cells):
+    """Per-user metadata, cell by cell: each user's serving center (at unit
+    radius) and 0-based pilot column, by the per-user rule `assign`."""
+    k, beta = schedule.n_users, schedule.reuse_factor
+    centers = np.array([bs_position(c, 1.0) for c in cells for _ in range(k)])
+    cols = np.array([assign(schedule, reuse_group(c, beta), m) - 1
+                     for c in cells for m in range(1, k + 1)])
+    return centers, cols
+
+
+def _slot_summer(slot: np.ndarray, q: int):
+    """sums(x) -> (m, q): the columns of x (m, U) summed over the users of
+    each slot j < q (`slot` holds each user's slot); users in slot q are left
+    out.  One gather and one `np.add.reduceat` per call."""
+    order = np.argsort(slot, kind="stable")
+    order = order[slot[order] < q]
+    counts = np.bincount(slot[order], minlength=q)
+    filled = np.flatnonzero(counts)
+    starts = np.concatenate(([0], np.cumsum(counts[filled])[:-1]))
+
+    def sums(x: np.ndarray) -> np.ndarray:
+        part = np.add.reduceat(x[:, order], starts, axis=1)
+        if filled.size == q:
+            return part
+        out = np.zeros((x.shape[0], q), dtype=x.dtype)
+        out[:, filled] = part
+        return out
+
+    return sums
 
 
 def _pinned_positions(cells, mode: InterferenceMode) -> dict[int, np.ndarray]:
@@ -271,7 +319,7 @@ def generate(config: NetworkConfig, schedule: Schedule, cells,
     """
     schedule.check(config.coherence_block)
     cells = sorted_tier_set(cells)
-    centers, cols = _layout(schedule, cells)
+    centers, cols = _user_layout(schedule, cells)
     centers = radius * centers
     pinned = {ci: radius * p for ci, p in _pinned_positions(cells, mode).items()}
     n, b = schedule.n_antennas, schedule.pilot_len
@@ -484,7 +532,7 @@ def xi_measure_sinr(config: NetworkConfig, schedule: Schedule, cells,
     MRC direction) and raises RankDeficient."""
     schedule.check(config.coherence_block, zero_forcing=scheme is Scheme.PZFC)
     cells = sorted_tier_set(cells)
-    centers, cols = _layout(schedule, cells)
+    centers, cols = _user_layout(schedule, cells)
     pinned = _pinned_positions(cells, mode)
     n, b = schedule.n_antennas, schedule.pilot_len
     rho = config.snr_linear

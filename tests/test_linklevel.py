@@ -10,7 +10,7 @@ from hexmimo.hexgrid import (CellIndex, bs_position, reuse_group, sorted_tier_se
                              worst_case_positions)
 from hexmimo import linklevel
 from hexmimo.cli import _validation_fixtures
-from hexmimo.linklevel import _layout, measure_sinr
+from hexmimo.linklevel import _layout, _pilot_sums, measure_sinr
 from hexmimo.moments import build_table
 from hexmimo.pilots import Schedule
 from hexmimo.spectral import Scheme, SinrInputs, sinr
@@ -19,10 +19,11 @@ from scipy import stats
 
 from reference import (N_BATCHES, RankDeficient, Realization, _complex_normal,
                        _distance_fields, _draw_positions, _pinned_positions,
-                       _psi, batched_measure, cells_within_tier, combine,
-                       dft_pilot_matrix, estimate_book, estimation_error_scale,
-                       generate, lmmse_estimate, lmmse_estimate_kron,
-                       measure_estimation_mse, sampled_measured, xi_measure_sinr)
+                       _psi, _user_layout, batched_measure, cells_within_tier,
+                       combine, dft_pilot_matrix, estimate_book,
+                       estimation_error_scale, generate, lmmse_estimate,
+                       lmmse_estimate_kron, measure_estimation_mse,
+                       sampled_measured, xi_measure_sinr)
 
 AVG = InterferenceMode.AVERAGE
 WORST = InterferenceMode.WORST_CASE
@@ -89,19 +90,29 @@ def test_generate_realization_layout():
 @pytest.mark.parametrize("beta", [1, 3, 4, 7])
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_layout_is_the_per_user_rule(worst_table, beta, k):
-    # the layout works per cell; it equals one center, one reuse group and
-    # one pilot per user, on the tier-1 cells, the sweep's worst-case tier
-    # set and a set with gaps
+    # the oracle works on a (cell, user) grid: one center and one reuse group
+    # per cell, and the pilot sums are one sum over the cells of each group.
+    # They equal the per-user rule, each user summed into its own pilot
+    # column, on the tier-1 cells, the sweep's worst-case tier set, a set
+    # with gaps and the own cell alone (at beta > 1 a group has no cell)
     schedule = Schedule(64, k, beta)
+    rng = np.random.default_rng(100 * beta + k)
     for cells in (TIER1, worst_table.offsets,
-                  sorted_tier_set([(0, 0), (2, -1), (-3, 1), (1, 2)])):
-        centers, cols = _layout(schedule, cells)
-        np.testing.assert_array_equal(
-            centers, [bs_position(c, 1.0) for c in cells for _ in range(k)])
-        np.testing.assert_array_equal(
-            cols, [schedule.assign(reuse_group(c, beta), m) - 1
-                   for c in cells for m in range(1, k + 1)])
-        assert cols.dtype == np.intp
+                  sorted_tier_set([(0, 0), (2, -1), (-3, 1), (1, 2)]),
+                  sorted_tier_set([(0, 0)])):
+        centers, groups = _layout(cells, beta)
+        np.testing.assert_array_equal(centers, [bs_position(c, 1.0) for c in cells])
+        np.testing.assert_array_equal(groups, [reuse_group(c, beta) for c in cells])
+        assert groups.dtype == np.intp
+        d = rng.uniform(0.01, 2.0, (3, len(cells), k))
+        _, cols = _user_layout(schedule, cells)
+        per_user = np.zeros((3, schedule.pilot_len))
+        for u, col in enumerate(cols):
+            per_user[:, col] += d.reshape(3, -1)[:, u]
+        # positive terms in another order: at most C - 1 roundings apart
+        np.testing.assert_allclose(
+            _pilot_sums(d, groups, beta).reshape(3, -1), per_user,
+            rtol=len(cells) * np.finfo(float).eps, atol=0)
 
 
 def test_generate_rejects_inconsistent_inputs():
@@ -490,7 +501,7 @@ def _pilot_block_measure_sinr(config, schedule, cells, mode, scheme, n_realizati
     (m x d x B) from freshly allocated span coordinates.  Same draws in the
     same order."""
     cells = sorted_tier_set(cells)
-    centers, cols = _layout(schedule, cells)
+    centers, cols = _user_layout(schedule, cells)
     pinned = _pinned_positions(cells, mode)
     n, b = schedule.n_antennas, schedule.pilot_len
     n_users_total = len(cols)
@@ -534,7 +545,7 @@ def _bartlett_measure_sinr(config, schedule, cells, mode, scheme, n_realizations
     coefficients C of R, corr = R C, and g^H h_u = (g^H R)_u sqrt(rho d_u).
     Same draws in the same order as `_pilot_block_measure_sinr`."""
     cells = sorted_tier_set(cells)
-    centers, cols = _layout(schedule, cells)
+    centers, cols = _user_layout(schedule, cells)
     pinned = _pinned_positions(cells, mode)
     n, b = schedule.n_antennas, schedule.pilot_len
     n_users_total = len(cols)
@@ -642,7 +653,7 @@ def _gram_solve_measure_sinr(config, schedule, cells, mode, scheme, n_realizatio
     numbers in the same order as `xi_measure_sinr` while a batch fits one
     chunk under both chunk rules."""
     cells = sorted_tier_set(cells)
-    centers, cols = _layout(schedule, cells)
+    centers, cols = _user_layout(schedule, cells)
     pinned = _pinned_positions(cells, mode)
     n, b = schedule.n_antennas, schedule.pilot_len
     rho = config.snr_linear
@@ -873,6 +884,21 @@ def test_measure_sinr_is_the_closed_form_where_no_position_is_drawn(
         assert measured.std_error == 0.0
         assert measured.sinr == pytest.approx(analytic, rel=1e-12, abs=0), (
             mode, len(cells))
+
+
+@pytest.mark.parametrize("scheme", [Scheme.MRC, Scheme.PZFC])
+@pytest.mark.parametrize("n, k, beta", [(64, 1, 1), (100, 5, 7)])
+def test_a_path_that_draws_nothing_takes_one_realization(scheme, n, k, beta):
+    # the count is read only where positions are drawn: worst-case mode and
+    # one cell give the same result for 1 and 2 realizations, bit for bit
+    # (average mode with other cells still needs two: see
+    # test_generate_rejects_inconsistent_inputs)
+    cfg = make_config()
+    schedule = Schedule(n, k, beta)
+    for cells, mode in ((TIER1, WORST), (((0, 0),), AVG), (((0, 0),), WORST)):
+        one = measure_sinr(cfg, schedule, cells, mode, scheme, 1, _NoRandom())
+        assert one == measure_sinr(cfg, schedule, cells, mode, scheme, 2, _NoRandom())
+        assert one.std_error == 0.0
 
 
 _ORACLE_N = (10, 20, 33, 53, 85, 137, 221)   # default-grid antenna counts

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -191,6 +193,27 @@ def test_serialization_rejects_unknown_format(tmp_path):
     path.write_text('{"format": "something-else", "version": 1}')
     with pytest.raises(DomainError):
         MomentTable.load(path)
+
+
+# the sha256 of each moment-table version's file, at the default exponent and
+# exclusion disk: a cache holding an older version's numbers is rebuilt only
+# because the version moved with them
+_TABLE_DIGESTS = {
+    3: {AVG: "c43a1666c5de1faafec2de9e6f2c19ebbd749eef5bf40fffec1a1876af75a4c4",
+        WORST: "76ad6d34ea604c4a76cdf8108a478d7ba4d5dfe4ec1a95b82df4a2595a4a2d19"},
+}
+
+
+@pytest.mark.parametrize("mode", [AVG, WORST])
+def test_table_version_pins_the_numbers(fullres_tables, mode):
+    # the cache is keyed by the version alone, so the numbers must not move
+    # under one version
+    text = json.dumps(fullres_tables[mode].to_dict(), indent=1) + "\n"
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert _TABLE_DIGESTS.get(hexmimo.moments._VERSION, {}).get(mode) == digest, (
+        f"the {mode.value} table's numbers moved ({digest}): bump "
+        "hexmimo.moments._VERSION so that cached tables are rebuilt, and pin "
+        "the new digest in _TABLE_DIGESTS")
 
 
 @pytest.mark.parametrize("edit", [
