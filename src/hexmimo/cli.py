@@ -182,8 +182,7 @@ def _write_asymptotic_csv(path, tables: dict[InterferenceMode, MomentTable],
                 k_star = min(kstar_asymptotic(t_block, beta))
                 limit = asymptotic_sinr(table, beta)
                 prelog = t_block / (4.0 * beta)
-                se_limit = math.inf if math.isinf(limit) else \
-                    prelog * math.log2(1.0 + limit)
+                se_limit = prelog * math.log2(1.0 + limit)
                 fh.write(f"{mode.value},{beta},{k_star},{prelog!r},{se_limit!r}\n")
 
 
@@ -239,8 +238,8 @@ def run_validation(config: NetworkConfig,
     for (name, cells, schedule, mode, scheme, gated), stream in zip(fixtures, streams):
         if mode not in tables:
             continue
-        analytic = sinr(SinrInputs(config=config, moments=tables[mode],
-                                   schedule=schedule, tier_set=cells, scheme=scheme))
+        analytic = sinr(SinrInputs(config=config, moments=tables[mode].restricted(cells),
+                                   schedule=schedule, scheme=scheme))
         measured = measure_sinr(config, schedule, cells, mode, scheme, n_realizations,
                                 np.random.default_rng(stream))
         ratio = measured.sinr / analytic

@@ -102,7 +102,7 @@ class NetworkConfig:
     Attributes:
         coherence_block: coherence block length T >= 1 in channel uses.
         snr_linear: design SNR rho/sigma^2 > 0 in linear scale.
-        pathloss_exponent: distance exponent kappa >= 2.
+        pathloss_exponent: distance exponent kappa > 2 (the lattice sum diverges at 2).
         min_ue_distance_frac: UE exclusion radius around the serving BS, as a
             fraction in [0, 1) of the cell radius.
     """
@@ -116,9 +116,9 @@ class NetworkConfig:
         check_fields(self)
         if self.snr_linear <= 0:
             raise DomainError(f"snr_linear must be positive, got {self.snr_linear}")
-        if self.pathloss_exponent < 2:
+        if self.pathloss_exponent <= 2:
             raise DomainError(
-                f"pathloss_exponent must be >= 2, got {self.pathloss_exponent}")
+                f"pathloss_exponent must be > 2, got {self.pathloss_exponent}")
         if not 0.0 <= self.min_ue_distance_frac < 1.0:
             raise DomainError(
                 f"min_ue_distance_frac must be in [0, 1), got {self.min_ue_distance_frac}")

@@ -149,6 +149,8 @@ def measure_sinr(config: NetworkConfig, schedule: Schedule, cells,
     for zero-forcing it is the estimated-book combiner itself, whose gram
     inverse cancels the psi randomness again.
     """
+    if not (isinstance(mode, InterferenceMode) and isinstance(scheme, Scheme)):
+        raise DomainError(f"mode and scheme must be enum members, got {mode!r}, {scheme!r}")
     schedule.check(config.coherence_block, zero_forcing=scheme is Scheme.PZFC)
     cells = sorted_tier_set(cells)
     n, b, k, beta = (schedule.n_antennas, schedule.pilot_len, schedule.n_users,

@@ -27,14 +27,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
-from .config import InterferenceMode, NetworkConfig, fits
+from .config import HEX_REUSE_FACTORS, InterferenceMode, NetworkConfig, fits
 from .errors import ConvergenceError, DomainError
-from .hexgrid import (SQRT3, CellIndex, bs_position, cells_in_tier,
+from .hexgrid import (SQRT3, CellIndex, bs_position, cells_in_tier, reuse_group,
                       sorted_tier_set, tier_of, worst_case_positions)
 # Never called here.  perfbench/child.py still hooks a sampler counter on
 # this name (and tests/test_bench_contract.py pins it), so it stays bound
@@ -43,7 +43,7 @@ from .hexgrid import sample_ue_positions  # noqa: F401
 
 _FORMAT = "hexmimo-moments"
 _VERSION = 3
-REL_TOL = 1e-3    # stop once the newest tier adds less than this share of mu1
+REL_TOL = 1e-3    # the share of each stopped sum that the newest tier may add
 _MAX_TIERS = 12
 _NODES = 16       # Gauss-Legendre nodes per axis of each half-sector
 _APOTHEM = SQRT3 / 2.0
@@ -82,8 +82,9 @@ class MomentTable:
         except KeyError:
             raise DomainError(f"moment table does not cover offset {offset}") from None
 
-    def covers(self, offsets: Iterable[CellIndex]) -> bool:
-        return all(c in self.entries for c in offsets)
+    def restricted(self, cells) -> "MomentTable":
+        """This table over the tier set `cells` alone (see `sorted_tier_set`)."""
+        return replace(self, entries={c: self.entry(c) for c in sorted_tier_set(cells)})
 
     def to_dict(self) -> dict:
         return {
@@ -112,7 +113,7 @@ class MomentTable:
             raise DomainError("moment table holds a non-finite or non-positive moment")
         mode = InterferenceMode(data["mode"])
         # the entries must be exactly those the build keeps: the exact own
-        # cell, then complete tiers up to the first one that meets REL_TOL.
+        # cell, then complete tiers up to the first one the stop rule accepts.
         # That pins the tolerance and the last tier, so no key records
         # either; keys the format does not name go unread.
         try:
@@ -168,26 +169,28 @@ def build_table(kappa: float, mode: InterferenceMode, *,
                 min_frac: float = NetworkConfig.min_ue_distance_frac) -> MomentTable:
     """Build the moment table by adaptive tier expansion.
 
-    Tiers of cells are added until the newest tier contributes less than
-    `REL_TOL` (relative) to the running total of first moments; contributions
-    decay like tier^(1 - kappa) per cell, so the loop terminates quickly for
-    kappa well above 2.  Both modes take an offset's moments as a weighted
-    sum of (|p|^2 / |p + b|^2)^(kappa/2) over nodes p around its serving BS
-    b, a tier's offsets in one array expression.  Average mode uses the fixed
-    rule of `_hexagon_rule` (12 * `_NODES`^2 nodes, built once per table);
-    doubling `_NODES` moves no moment by more than 1e-14 relative at the
-    default `min_frac` (1e-12 at min_frac = 0, where the integrand's
-    r^(kappa + 1) is least smooth).  Worst-case mode uses the one-node rule:
-    the worst-case edge point with weight 1.  Both modes are deterministic.
+    Tiers of cells are added until the stop rule of `_expand_tiers` holds;
+    contributions decay like tier^(1 - kappa) per cell, so the loop ends
+    quickly for kappa well above 2.  Both modes take an offset's moments as
+    a weighted sum of (|p|^2 / |p + b|^2)^(kappa/2) over nodes p around its
+    serving BS b, a tier's offsets in one array expression.  Average mode
+    uses the fixed rule of `_hexagon_rule` (12 * `_NODES`^2 nodes, built
+    once per table); doubling `_NODES` moves no moment by more than 1e-14
+    relative at the default `min_frac` (1e-12 at min_frac = 0, where the
+    integrand's r^(kappa + 1) is least smooth).  Worst-case mode uses the
+    one-node rule: the worst-case edge point with weight 1.  Both modes are
+    deterministic.
 
     Raises:
-        DomainError: kappa < 2, or min_frac outside [0, 1).
+        DomainError: kappa <= 2, an unknown mode, or min_frac outside [0, 1).
         ConvergenceError: `_MAX_TIERS` tiers were added without meeting the
             tolerance (happens for kappa near 2, where the lattice sum
             converges too slowly for a practical cap).
     """
-    if not kappa >= 2:  # NaN fails too
-        raise DomainError(f"pathloss exponent must be >= 2, got {kappa}")
+    if not kappa > 2:  # NaN fails too
+        raise DomainError(f"pathloss exponent must be > 2, got {kappa}")
+    if not isinstance(mode, InterferenceMode):
+        raise DomainError(f"mode must be an InterferenceMode, got {mode!r}")
     if not 0.0 <= min_frac < 1.0:
         raise DomainError(f"min_frac must be in [0, 1), got {min_frac}")
 
@@ -220,19 +223,32 @@ def _expand_tiers(kappa: float, mode: InterferenceMode,
                   tier_entries: Callable[[list[CellIndex]], list[MomentEntry]]
                   ) -> dict[CellIndex, MomentEntry]:
     """Add tiers until the newest one adds at most `REL_TOL` of the total
-    first moment.  `tier_entries` maps a tier's cells to their entries, in
-    order; the tier sums are taken in `cells_in_tier` order, so the result
-    does not depend on how the entries were computed."""
+    first moment and, per reuse factor, the newest tier holding co-channel
+    cells (group 0 less the own cell) added at most `REL_TOL` of their mu2
+    sum `mu2_others`; before such a tier, that sum has not converged.
+    `tier_entries` maps a tier's cells to their entries, in order; the tier
+    sums are taken in `cells_in_tier` order, so the result does not depend
+    on how the entries were computed."""
     entries = {CellIndex(0, 0): MomentEntry(1.0, 1.0)}
     total_mu1 = 1.0
+    mu2_others = dict.fromkeys(HEX_REUSE_FACTORS, 0.0)
+    newest_mu2 = dict.fromkeys(HEX_REUSE_FACTORS, math.inf)
     for tier in range(1, _MAX_TIERS + 1):
         cells = cells_in_tier(tier)
         tier_mu1 = 0.0
+        tier_mu2 = {}  # per reuse factor with co-channel cells in this tier
         for cell, entry in zip(cells, tier_entries(cells)):
             entries[cell] = entry
             tier_mu1 += entry.mu1
+            for beta in HEX_REUSE_FACTORS:
+                if reuse_group(cell, beta) == 0:
+                    tier_mu2[beta] = tier_mu2.get(beta, 0.0) + entry.mu2
         total_mu1 += tier_mu1
-        if tier_mu1 <= REL_TOL * total_mu1:
+        for beta, mu2 in tier_mu2.items():
+            mu2_others[beta] += mu2
+            newest_mu2[beta] = mu2
+        if tier_mu1 <= REL_TOL * total_mu1 and all(
+                newest_mu2[b] <= REL_TOL * mu2_others[b] for b in HEX_REUSE_FACTORS):
             return entries
     raise ConvergenceError(
         f"tier contribution still above rel_tol={REL_TOL} after "

@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import NetworkConfig
 from .errors import DomainError, InsufficientAntennas
-from .hexgrid import CellIndex, reuse_group, sorted_tier_set
+from .hexgrid import reuse_group
 from .moments import MomentTable
 from .pilots import Schedule
 
@@ -57,22 +57,18 @@ class SinrInputs:
     config: NetworkConfig
     moments: MomentTable
     schedule: Schedule
-    tier_set: tuple[CellIndex, ...] | None = None
     scheme: Scheme = Scheme.MRC
 
     def __post_init__(self):
+        if not isinstance(self.scheme, Scheme):
+            raise DomainError(f"scheme must be a Scheme, got {self.scheme!r}")
         self.schedule.check(self.config.coherence_block,
                             zero_forcing=self.scheme is Scheme.PZFC)
-        tier_set = (self.moments.offsets if self.tier_set is None
-                    else sorted_tier_set(self.tier_set))
-        if not self.moments.covers(tier_set):
-            raise DomainError("moment table does not cover the tier set")
-        object.__setattr__(self, "tier_set", tier_set)
 
 
 @dataclass(frozen=True)
 class CopilotSums:
-    """Moment sums over a tier set, resolved against one reuse partition.
+    """Moment sums over a table's offsets, resolved against one reuse partition.
 
     The victim cell sits at offset (0, 0) and is always in reuse group 0.
     `mu2_others` excludes the own cell (whose moments are exactly 1), which
@@ -87,15 +83,13 @@ class CopilotSums:
     mu1_sq_by_group: tuple[float, ...]  # sum of mu1^2 per reuse group
 
     @classmethod
-    def from_table(cls, moments: MomentTable, reuse_factor: int,
-                   tier_set=None) -> "CopilotSums":
-        offsets = moments.offsets if tier_set is None else sorted_tier_set(tier_set)
+    def from_table(cls, moments: MomentTable, reuse_factor: int) -> "CopilotSums":
         mu1_total = 0.0
         mu2_others = 0.0
         var_copilot = 0.0
         by_group = [0.0] * reuse_factor
         sq_by_group = [0.0] * reuse_factor
-        for c in offsets:
+        for c in moments.offsets:
             e = moments.entry(c)
             g = reuse_group(c, reuse_factor)
             mu1_total += e.mu1
@@ -163,19 +157,17 @@ def _plain(values: np.ndarray):
 def sinr(inputs: SinrInputs) -> float:
     """SINR of the combining scheme the input bundle was validated for."""
     schedule = inputs.schedule
-    sums = CopilotSums.from_table(inputs.moments, schedule.reuse_factor,
-                                  inputs.tier_set)
+    sums = CopilotSums.from_table(inputs.moments, schedule.reuse_factor)
     from_sums = (pzfc_sinr_from_sums if inputs.scheme is Scheme.PZFC
                  else mrc_sinr_from_sums)
     return from_sums(sums, schedule.n_antennas, schedule.n_users,
                      inputs.config.inv_snr)
 
 
-def asymptotic_sinr(moments: MomentTable, reuse_factor: int,
-                    tier_set=None) -> float:
-    """N -> infinity SINR limit at reuse factor beta over a tier set, shared
-    by MRC and PZFC: pilot contamination only, so it does not depend on K."""
-    sums = CopilotSums.from_table(moments, reuse_factor, tier_set)
+def asymptotic_sinr(moments: MomentTable, reuse_factor: int) -> float:
+    """N -> infinity SINR limit at reuse factor beta over the table's cells,
+    shared by MRC and PZFC: pilot contamination only, independent of K."""
+    sums = CopilotSums.from_table(moments, reuse_factor)
     return 1.0 / sums.mu2_others if sums.mu2_others > 0 else math.inf
 
 
@@ -201,11 +193,11 @@ def se_from_sinr(sinr, n_users, pilot_len, coherence_block: int) -> SeResult:
 
 
 def asymptotic_se(moments: MomentTable, n_users: int, reuse_factor: int,
-                  coherence_block: int, tier_set=None) -> SeResult:
+                  coherence_block: int) -> SeResult:
     """Large-N per-cell spectral efficiency of K users at reuse factor beta."""
     if n_users < 1:
         raise DomainError(f"n_users must be >= 1, got {n_users}")
-    sinr = asymptotic_sinr(moments, reuse_factor, tier_set)
+    sinr = asymptotic_sinr(moments, reuse_factor)
     return se_from_sinr(sinr, n_users, reuse_factor * n_users, coherence_block)
 
 

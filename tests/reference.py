@@ -119,7 +119,7 @@ def sinr_mrc_generic(inputs: SinrInputs, user: int = 1) -> float:
     sched = inputs.schedule
     n, k, b, inv_snr = (float(sched.n_antennas), sched.n_users, sched.pilot_len,
                         inputs.config.inv_snr)
-    cells = inputs.tier_set
+    cells = inputs.moments.offsets
     mu1 = [inputs.moments.entry(c).mu1 for c in cells]
     mu2 = [inputs.moments.entry(c).mu2 for c in cells]
     idx = _pilot_indices(sched, cells)
@@ -145,7 +145,7 @@ def sinr_pzfc_generic(inputs: SinrInputs, user: int = 1) -> float:
     if sched.n_antennas <= sched.pilot_len:
         raise InsufficientAntennas(
             f"PZFC needs N > B, got N={sched.n_antennas}, B={sched.pilot_len}")
-    cells = inputs.tier_set
+    cells = inputs.moments.offsets
     mu1 = [inputs.moments.entry(c).mu1 for c in cells]
     mu2 = [inputs.moments.entry(c).mu2 for c in cells]
     idx = _pilot_indices(sched, cells)
@@ -173,7 +173,7 @@ def asymptotic_sinr_generic(inputs: SinrInputs, user: int = 1) -> float:
     """Large-N SINR limit by literal summation."""
     sched = inputs.schedule
     b = sched.pilot_len
-    cells = inputs.tier_set
+    cells = inputs.moments.offsets
     idx = _pilot_indices(sched, cells)
     i_target = assign(sched, reuse_group(CellIndex(0, 0), sched.reuse_factor), user)
     denom = -float(b)

@@ -69,10 +69,10 @@ def test_criterion_2_limit_convergence(fullres_tables):
     t0 = time.time()
     table = fullres_tables[AVG]
     k = 10
-    limit = asymptotic_sinr(table, 1, TIER1)
+    limit = asymptotic_sinr(table.restricted(TIER1), 1)
 
     def at(n, scheme):
-        inp = SinrInputs(NETWORK, table, Schedule(n, k, 1), TIER1, scheme)
+        inp = SinrInputs(NETWORK, table.restricted(TIER1), Schedule(n, k, 1), scheme)
         return sinr(inp)
 
     gap9 = abs(at(10 ** 9, Scheme.MRC) - at(10 ** 9, Scheme.PZFC)) / limit
@@ -275,8 +275,8 @@ def test_criterion_7_property_suite(fullres_tables):
     tier2 = tuple(cells_within_tier(2))
     for beta, k in ((1, 2), (3, 1), (4, 2), (7, 1)):
         schedule = Schedule(max(8 * beta * k, 32), k, beta)
-        im = SinrInputs(NETWORK, table, schedule, tier2, Scheme.MRC)
-        iz = SinrInputs(NETWORK, table, schedule, tier2, Scheme.PZFC)
+        im = SinrInputs(NETWORK, table.restricted(tier2), schedule, Scheme.MRC)
+        iz = SinrInputs(NETWORK, table.restricted(tier2), schedule, Scheme.PZFC)
         collapse = collapse and math.isclose(
             sinr(im), sinr_mrc_generic(im), rel_tol=1e-12)
         collapse = collapse and math.isclose(
@@ -294,7 +294,7 @@ def test_criterion_8_oracle_vs_analytic(fullres_tables, tmp_path):
     t0 = time.time()
     table = fullres_tables[AVG]
     schedule = Schedule(64, 2, 1)
-    analytic = sinr(SinrInputs(NETWORK, table, schedule, TIER1))
+    analytic = sinr(SinrInputs(NETWORK, table.restricted(TIER1), schedule))
     measured = measure_sinr(NETWORK, schedule, TIER1, AVG, Scheme.MRC, 10 ** 5,
                             np.random.default_rng(4242))
     ratio = measured.sinr / analytic

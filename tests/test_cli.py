@@ -108,6 +108,19 @@ def test_asymptotic_csv_values(tmp_path):
     assert int(rows[3][2]) == 167
 
 
+def test_steep_pathloss_has_a_finite_se_limit_at_every_beta(tmp_path):
+    # at kappa = 8 the first tiers meet the mu1 rule before beta = 7's first
+    # co-channel ring (tier 3); the table must still reach it
+    cfg = small_config(tmp_path, t_block=1000, pathloss_exponent=8.0)
+    out = tmp_path / "out"
+    assert run_cli(["--config", cfg, "--out", out, "--asymptotic", "--validate",
+                    "--realizations", "2000", *FAST_FLAGS, "--betas", "1,3,4,7"]) == 0
+    rows = [line.split(",") for line in
+            (out / "asymptotic.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 8
+    assert all(math.isfinite(float(row[4])) for row in rows), rows
+
+
 def test_doubling_t_doubles_asymptotic_se(tmp_path):
     vals = {}
     for t_block in (200, 400):
@@ -365,7 +378,9 @@ def test_console_entry_point(tmp_path):
                                           (["--asymptotic"], {"t_block": 5}),
                                           # the validation fixtures' B = 2 pilots
                                           # exceed T = 1
-                                          (["--n-points", "2"], {"t_block": 1})],
+                                          (["--n-points", "2"], {"t_block": 1}),
+                                          # the lattice sum diverges at kappa = 2
+                                          ([], {"pathloss_exponent": 2.0})],
                          ids=["realizations1", "realizations0",
                               "beta2", "kcap0", "betas-empty", "modes-empty",
                               "schemes-empty", "npoints0", "nmin0", "nmax-int64",
@@ -373,7 +388,7 @@ def test_console_entry_point(tmp_path):
                               "modes-repeated", "schemes-repeated", "betas-repeated",
                               "pzfc-infeasible", "block-below-beta",
                               "asymptotic-block-below-2beta",
-                              "validate-block-below-fixture-pilots"])
+                              "validate-block-below-fixture-pilots", "kappa-two"])
 @pytest.mark.filterwarnings("error")  # rejected by a check, not by numpy
 def test_invalid_run_values_exit_before_any_work(tmp_path, capsys, flags, config):
     cfg = small_config(tmp_path, **config)

@@ -295,7 +295,7 @@ def test_measured_sinr_matches_closed_form_single_cell():
     schedule = Schedule(50, 1, 1)
     table = MomentTable(mode=AVG, kappa=3.5, min_frac=0.14,
                         entries={CellIndex(0, 0): MomentEntry(1., 1.)})
-    analytic = sinr(SinrInputs(cfg, table, schedule, ((0, 0),)))
+    analytic = sinr(SinrInputs(cfg, table.restricted(((0, 0),)), schedule))
     measured = measure_sinr(cfg, schedule, [(0, 0)], AVG, Scheme.MRC, 10000,
                             np.random.default_rng(18))
     assert measured.sinr == pytest.approx(analytic, rel=1e-12, abs=0)
@@ -308,7 +308,7 @@ def test_measured_sinr_matches_closed_form_single_cell():
 def test_measured_sinr_seven_cell_mrc(avg_table):
     cfg = make_config()
     schedule = Schedule(64, 2, 1)
-    analytic = sinr(SinrInputs(cfg, avg_table, schedule, TIER1))
+    analytic = sinr(SinrInputs(cfg, avg_table.restricted(TIER1), schedule))
     measured = measure_sinr(cfg, schedule, TIER1, AVG, Scheme.MRC, 20000,
                             np.random.default_rng(19))
     assert abs(measured.sinr / analytic - 1.0) < 0.05
@@ -319,7 +319,7 @@ def test_measured_sinr_mrc_with_more_users_than_antennas(avg_table):
     # is K = 28, beta = 3 (84 pilots), and the closed form must hold there
     cfg = make_config()
     schedule = Schedule(10, 28, 3)
-    analytic = sinr(SinrInputs(cfg, avg_table, schedule, TIER1))
+    analytic = sinr(SinrInputs(cfg, avg_table.restricted(TIER1), schedule))
     measured = measure_sinr(cfg, schedule, TIER1, AVG, Scheme.MRC, 4000,
                             np.random.default_rng(20))
     assert abs(measured.sinr - analytic) < 3 * measured.std_error
@@ -330,12 +330,12 @@ def test_measured_and_analytic_approach_limit_together(avg_table):
     # the contamination limit, with their ratio staying at 1
     from hexmimo.spectral import asymptotic_sinr
 
-    limit = asymptotic_sinr(avg_table, 1, TIER1)
+    limit = asymptotic_sinr(avg_table.restricted(TIER1), 1)
     gaps = {}
     cfg = make_config()
     for n, n_real, seed in ((64, 12000, 22), (256, 8000, 23)):
         schedule = Schedule(n, 2, 1)
-        analytic = sinr(SinrInputs(cfg, avg_table, schedule, TIER1))
+        analytic = sinr(SinrInputs(cfg, avg_table.restricted(TIER1), schedule))
         measured = measure_sinr(cfg, schedule, TIER1, AVG, Scheme.MRC, n_real,
                                 np.random.default_rng(seed))
         assert abs(measured.sinr - analytic) < 4 * measured.std_error
@@ -879,11 +879,21 @@ def test_measure_sinr_is_the_closed_form_where_no_position_is_drawn(
     schedule = Schedule(n, k, beta)
     tables = identity_tables(kappa, min_frac)
     for cells, mode in ((TIER1, WORST), (((0, 0),), AVG)):
-        analytic = sinr(SinrInputs(cfg, tables[mode], schedule, cells, scheme))
+        analytic = sinr(SinrInputs(cfg, tables[mode].restricted(cells), schedule, scheme))
         measured = measure_sinr(cfg, schedule, cells, mode, scheme, 40, _NoRandom())
         assert measured.std_error == 0.0
         assert measured.sinr == pytest.approx(analytic, rel=1e-12, abs=0), (
             mode, len(cells))
+
+
+@pytest.mark.parametrize("mode, scheme", [("worst", Scheme.MRC), (AVG, "mrc"),
+                                          (WORST, "pzfc"), (AVG, None)])
+def test_mode_and_scheme_must_be_enum_members(mode, scheme):
+    # neither is coerced: "worst" once ran average mode, and any scheme that
+    # is not Scheme.MRC ran zero-forcing
+    with pytest.raises(DomainError, match="enum members"):
+        measure_sinr(make_config(), Schedule(64, 2, 1), TIER1, mode, scheme, 40,
+                     _NoRandom())
 
 
 @pytest.mark.parametrize("scheme", [Scheme.MRC, Scheme.PZFC])
@@ -926,7 +936,7 @@ def test_oracle_checks_the_sweep_optima(sweep_optima, avg_table, worst_table,
     cfg = make_config()
     schedule = Schedule(n, k, beta)
     table = avg_table if mode is AVG else worst_table
-    analytic = sinr(SinrInputs(cfg, table, schedule, TIER1, scheme))
+    analytic = sinr(SinrInputs(cfg, table.restricted(TIER1), schedule, scheme))
     measured = measure_sinr(cfg, schedule, TIER1, mode, scheme, 4000,
                             np.random.default_rng(50 + n))
     ratio = measured.sinr / analytic

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 import hexmimo.moments
-from hexmimo.config import InterferenceMode
+from hexmimo.config import HEX_REUSE_FACTORS, InterferenceMode
 from hexmimo.errors import ConvergenceError, DomainError
-from hexmimo.hexgrid import (CellIndex, bs_position, cells_in_tier,
-                             sample_ue_positions, tier_of)
+from hexmimo.hexgrid import (CellIndex, bs_position, cells_in_tier, reuse_group,
+                             sample_ue_positions, tier_of, worst_case_positions)
 from hexmimo.moments import REL_TOL, MomentTable, _hexagon_rule, build_table
+from hexmimo.spectral import CopilotSums, asymptotic_se
 
-from reference import contains
+from reference import cells_within_tier, contains
 
 AVG = InterferenceMode.AVERAGE
 WORST = InterferenceMode.WORST_CASE
@@ -38,6 +39,9 @@ def test_invalid_arguments():
         build_table(1.5, AVG)
     with pytest.raises(DomainError):
         build_table(math.nan, WORST)
+    for mode in ("avg", "worst", None):  # a string is not read as a mode
+        with pytest.raises(DomainError, match="InterferenceMode"):
+            build_table(3.5, mode)
     for min_frac in (-0.1, 1.0, math.nan):
         with pytest.raises(DomainError):
             build_table(3.5, AVG, min_frac=min_frac)
@@ -176,6 +180,8 @@ def test_worst_case_dominates_average(avg_table, worst_table):
 
 def test_convergence_error_near_kappa_two():
     with pytest.raises(ConvergenceError):
+        build_table(2.5, AVG)
+    with pytest.raises(DomainError):  # the lattice sum diverges at kappa = 2
         build_table(2.0, AVG)
 
 
@@ -251,9 +257,66 @@ def test_table_of_another_tolerance_is_rejected(monkeypatch, rel_tol):
 
 def test_entry_lookup_errors(avg_table):
     far = CellIndex(40, 40)
-    assert not avg_table.covers([far])
+    with pytest.raises(DomainError, match="does not cover"):
+        avg_table.restricted([CellIndex(0, 0), far])
     with pytest.raises(DomainError):
         avg_table.entry(far)
+
+
+def test_restricted_table_holds_only_its_cells(avg_table):
+    sub = avg_table.restricted([(1, 0), (0, 0), CellIndex(0, -1)])
+    assert sub.offsets == ((0, 0), (0, -1), (1, 0))
+    assert sub.entries == {c: avg_table.entry(c) for c in sub.offsets}
+    assert (sub.mode, sub.kappa, sub.min_frac) == (
+        avg_table.mode, avg_table.kappa, avg_table.min_frac)
+    assert avg_table.max_tier == 9  # the source table is left whole
+
+
+def _co_channel_mu2(kappa, mode, cells, min_frac=0.14):
+    """mu2 of each offset in `cells` on its own: the average rule around its
+    own BS (as in test_tier_expression_equals_per_offset_sum), or the square
+    of the ratio at its `worst_case_positions` point."""
+    out = {}
+    if mode is AVG:
+        x, y, weight = _hexagon_rule(min_frac)
+        area = math.fsum(weight)
+        for cell in cells:
+            b = bs_position(cell, 1.0)
+            ratio = ((x * x + y * y) / ((x + b[0]) ** 2 + (y + b[1]) ** 2)) ** (kappa / 2)
+            out[cell] = math.fsum(weight * ratio * ratio) / area
+    else:
+        for cell, p in zip(cells, worst_case_positions(cells)):
+            b = bs_position(cell, 1.0)
+            out[cell] = (float(np.sum((p - b) ** 2) / np.sum(p * p)) ** (kappa / 2)) ** 2
+    return out
+
+
+@pytest.mark.parametrize("mode", [AVG, WORST])
+@pytest.mark.parametrize("kappa", [6.0, 7.0, 8.0, 10.0])
+def test_tiers_cover_every_co_channel_ring(kappa, mode):
+    # the pilot contamination of every supported beta is within REL_TOL of
+    # the same sum over twelve tiers: beta = 7's nearest co-channel cells
+    # are in tier 3, past where the mu1 rule alone stops at large kappa
+    table = build_table(kappa, mode)
+    far = _co_channel_mu2(kappa, mode, cells_within_tier(12)[1:])
+    for beta in HEX_REUSE_FACTORS:
+        mu2_others = CopilotSums.from_table(table, beta).mu2_others
+        reference = math.fsum(mu2 for cell, mu2 in far.items()
+                              if reuse_group(cell, beta) == 0)
+        assert mu2_others > 0, beta
+        assert math.isfinite(asymptotic_se(table, 1, beta, 1000).se_per_cell), beta
+        assert abs(mu2_others - reference) <= REL_TOL * reference, (
+            beta, mu2_others, reference)
+
+
+def test_table_cut_before_a_co_channel_ring_is_refused():
+    # at kappa = 8 tiers 0-2 meet the mu1 rule but hold no beta = 7
+    # co-channel cell: loading re-runs the whole stop rule
+    data = build_table(8.0, AVG).to_dict()
+    data["entries"] = [rec for rec in data["entries"]
+                       if tier_of(CellIndex(*rec["offset"])) <= 2]
+    with pytest.raises(DomainError, match="converged tiers"):
+        MomentTable.from_dict(data)
 
 
 def test_offsets_ordering(avg_table):

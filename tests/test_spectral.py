@@ -27,10 +27,10 @@ def synthetic_table(entries):
 SINGLE_CELL = synthetic_table({(0, 0): (1.0, 1.0)})
 
 
-def make_inputs(table, n, k, beta, scheme=Scheme.MRC, tier_set=None, snr=10.0):
+def make_inputs(table, n, k, beta, scheme=Scheme.MRC, snr=10.0):
     cfg = NetworkConfig(coherence_block=1000, snr_linear=snr)
     return SinrInputs(config=cfg, moments=table, schedule=Schedule(n, k, beta),
-                      tier_set=tier_set, scheme=scheme)
+                      scheme=scheme)
 
 
 def test_single_cell_mrc_closed_form():
@@ -118,22 +118,20 @@ def test_mrc_and_pzfc_limits_agree(avg_table, worst_table):
 
 @pytest.mark.parametrize("beta,k", [(1, 1), (1, 3), (3, 2), (4, 2), (7, 1)])
 def test_generic_equals_collapsed(avg_table, beta, k):
-    tier_set = tuple(cells_within_tier(2))
+    table = avg_table.restricted(cells_within_tier(2))
     for n in (max(beta * k + 1, 8), 199):
-        inp_m = make_inputs(avg_table, n, k, beta, tier_set=tier_set)
-        inp_z = make_inputs(avg_table, n, k, beta, tier_set=tier_set,
-                            scheme=Scheme.PZFC)
+        inp_m = make_inputs(table, n, k, beta)
+        inp_z = make_inputs(table, n, k, beta, scheme=Scheme.PZFC)
         assert math.isclose(sinr(inp_m), sinr_mrc_generic(inp_m),
                             rel_tol=1e-12)
         assert math.isclose(sinr(inp_z), sinr_pzfc_generic(inp_z),
                             rel_tol=1e-12)
-        assert math.isclose(asymptotic_sinr(avg_table, beta, tier_set),
+        assert math.isclose(asymptotic_sinr(table, beta),
                             asymptotic_sinr_generic(inp_m), rel_tol=1e-12)
 
 
 def test_generic_sinr_is_user_independent(avg_table):
-    tier_set = tuple(cells_within_tier(1))
-    inp = make_inputs(avg_table, 64, 3, 3, tier_set=tier_set)
+    inp = make_inputs(avg_table.restricted(cells_within_tier(1)), 64, 3, 3)
     values = {sinr_mrc_generic(inp, user=u) for u in (1, 2, 3)}
     assert len(values) == 1
 
@@ -270,26 +268,29 @@ def test_inputs_validation_errors(avg_table):
         SinrInputs(NetworkConfig(8, 10.0), avg_table, Schedule(64, 3, 3))  # B > T
     with pytest.raises(InsufficientAntennas):
         SinrInputs(cfg, avg_table, Schedule(9, 3, 3), scheme=Scheme.PZFC)  # N <= B
-    with pytest.raises(DomainError):
-        SinrInputs(cfg, avg_table, Schedule(64, 3, 3),
-                   tier_set=((1, 0),))  # own cell missing
-    with pytest.raises(DomainError):
-        SinrInputs(cfg, avg_table, Schedule(64, 3, 3),
-                   tier_set=((0, 0), (40, 40)))  # not covered
+    with pytest.raises(DomainError, match="own cell"):
+        avg_table.restricted(((1, 0),))  # own cell missing
+    with pytest.raises(DomainError, match="does not cover"):
+        avg_table.restricted(((0, 0), (40, 40)))  # not covered
+
+
+def test_scheme_must_be_a_scheme(avg_table):
+    # a string is not read as the member of that name (nor, as it once was,
+    # as MRC), and a call that still passes a tier set before the scheme
+    # puts the tier set where the scheme is
+    cfg = NetworkConfig(1000, 10.0)
+    for scheme in ("pzfc", "mrc", tuple(cells_within_tier(1))):
+        with pytest.raises(DomainError, match="scheme must be a Scheme"):
+            SinrInputs(cfg, avg_table, Schedule(64, 3, 3), scheme)
 
 
 def test_repeated_cell_in_tier_set_is_rejected_everywhere(avg_table):
     # a repeated cell would be counted twice by the moment sums
     cfg = NetworkConfig(1000, 10.0)
+    # (a subset of cells reaches the closed forms only as a restricted table)
     repeated = ((0, 0), (1, 0), (1, 0))
     with pytest.raises(DomainError, match="duplicate"):
-        SinrInputs(cfg, avg_table, Schedule(64, 3, 3), tier_set=repeated)
-    with pytest.raises(DomainError, match="duplicate"):
-        CopilotSums.from_table(avg_table, 3, repeated)
-    with pytest.raises(DomainError, match="duplicate"):
-        asymptotic_sinr(avg_table, 3, repeated)
-    with pytest.raises(DomainError, match="duplicate"):
-        asymptotic_se(avg_table, 3, 3, 1000, repeated)
+        avg_table.restricted(repeated)
     with pytest.raises(DomainError, match="duplicate"):
         measure_sinr(cfg, Schedule(64, 3, 3), repeated, InterferenceMode.AVERAGE,
                      Scheme.MRC, 2, np.random.default_rng(0))
@@ -301,9 +302,9 @@ def test_sinr_does_not_depend_on_tier_set_order(avg_table, beta, scheme):
     # the moment sums run in (tier, index) order whatever order the caller
     # lists the cells in, so a shuffled tier set gives the same bits
     cells = cells_within_tier(3)
-    expected = sinr(make_inputs(avg_table, 256, 5, beta, scheme, tier_set=cells))
+    expected = sinr(make_inputs(avg_table.restricted(cells), 256, 5, beta, scheme))
     rng = np.random.default_rng(5)
     for _ in range(20):
         shuffled = [cells[i] for i in rng.permutation(len(cells))]
-        assert sinr(make_inputs(avg_table, 256, 5, beta, scheme,
-                                tier_set=shuffled)) == expected
+        assert sinr(make_inputs(avg_table.restricted(shuffled), 256, 5, beta,
+                                scheme)) == expected
