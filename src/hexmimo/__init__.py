@@ -25,18 +25,18 @@ __all__ = [
 
 # submodule -> the public names it defines
 _HOMES = {
-    "config": ("InterferenceMode", "NetworkConfig", "db_to_linear", "load_config"),
+    "config": ("InterferenceMode", "NetworkConfig", "Schedule", "Scheme",
+               "db_to_linear", "load_config"),
     "hexgrid": ("CellIndex", "bs_position", "reuse_group"),
     "moments": ("MomentTable", "build_table"),
-    "pilots": ("Schedule",),
-    "spectral": ("Scheme", "SeResult", "SinrInputs", "asymptotic_se",
+    "spectral": ("SeResult", "SinrInputs", "asymptotic_se",
                  "asymptotic_sinr", "kstar_asymptotic", "se_per_cell", "sinr"),
     "sweep": ("SweepResult", "optimal_schedule"),
     "linklevel": ("measure_sinr",),
 }
 # the library submodules `hexmimo.<name>` reaches without an import statement
 _SUBMODULES = ("_floatrepr", "config", "errors", "hexgrid", "linklevel", "moments",
-               "pilots", "spectral", "sweep")
+               "spectral", "sweep")
 
 
 def __getattr__(name: str):

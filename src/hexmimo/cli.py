@@ -34,15 +34,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (HEX_REUSE_FACTORS, InterferenceMode, NetworkConfig,
-                     config_from_dict, fits, record_from_json)
+from .config import (HEX_REUSE_FACTORS, InterferenceMode, NetworkConfig, Schedule,
+                     Scheme, config_from_dict, fits, max_users, record_from_json)
 from .errors import DomainError
 from .linklevel import measure_sinr
 from .moments import MomentTable, build_table
-from .pilots import Schedule
-from .spectral import Scheme, SinrInputs, asymptotic_sinr, kstar_asymptotic, sinr
-from .sweep import (N_MAX, default_k_grid, default_n_grid, max_users, sweep,
-                    write_optima_csv, write_sweep_csv)
+from .spectral import SinrInputs, asymptotic_sinr, kstar_asymptotic, sinr
+from .sweep import (N_MAX, default_k_grid, default_n_grid, sweep, write_optima_csv,
+                    write_sweep_csv)
 
 # the values NetworkConfig has no default for; the rest are its defaults
 _DEFAULT_CONFIG = {"coherence_block": 1000, "snr_db": 10.0}
@@ -99,7 +98,7 @@ class RunManifest:
                     raise DomainError(f"no feasible (K, beta) at N={n} for scheme={scheme}")
         if self.run_validation:
             for _, _, schedule, _, scheme, _ in _validation_fixtures():
-                schedule.check(t_block, zero_forcing=scheme is Scheme.PZFC)
+                schedule.check(t_block, scheme)
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.validation_realizations < 2:

@@ -1,7 +1,10 @@
-"""Network configuration: the scalars of the network, shared by the analytic
-and link-level paths.  The operating point (N, K, beta) is not part of it:
-it is a `hexmimo.pilots.Schedule`, and the sweep ranges over it.  Both
-records check their fields when built, so no invalid one exists.
+"""Network configuration and the operating point, shared by the analytic and
+link-level paths.  `NetworkConfig` holds the scalars of the network;
+`Schedule` holds the operating point (N, K, beta), which the sweep ranges
+over.  Both records check their fields when built, so no invalid one exists.
+Whether a combining `Scheme` can run a schedule in a coherence block of T
+channel uses is one rule, `max_users`, which `Schedule.check` and the sweep
+both read.
 
 The noise power sigma^2 is normalized to 1, so ``snr_linear`` is the uplink
 design SNR rho/sigma^2 and all formulas consume the single ratio
@@ -20,7 +23,7 @@ import types
 import typing
 from enum import Enum
 
-from .errors import DomainError
+from .errors import DomainError, InsufficientAntennas, PilotOverflow
 
 # Cluster sizes with a co-channel sublattice on the hexagonal grid.
 HEX_REUSE_FACTORS = (1, 3, 4, 7)
@@ -36,6 +39,13 @@ class InterferenceMode(Enum):
 
     AVERAGE = "avg"        # expectation over uniform UE positions
     WORST_CASE = "worst"   # every out-of-cell UE at the cell edge nearest the victim BS
+
+
+class Scheme(Enum):
+    """Receive combining scheme."""
+
+    MRC = "mrc"
+    PZFC = "pzfc"
 
 
 def fits(value, hint) -> bool:
@@ -127,6 +137,49 @@ class NetworkConfig:
     def inv_snr(self) -> float:
         """sigma^2 / rho, the only way noise enters the closed forms."""
         return 1.0 / self.snr_linear
+
+
+def max_users(n: int, scheme: Scheme, beta: int, t_block: int) -> int:
+    """The largest K that `scheme` can schedule at (N, beta): beta * K <= T
+    pilots fit the coherence block, and zero-forcing needs N > beta * K."""
+    k_max = t_block // beta
+    return min(k_max, (n - 1) // beta) if scheme is Scheme.PZFC else k_max
+
+
+@dataclasses.dataclass(frozen=True)
+class Schedule:
+    """One operating point: N antennas serve K users per cell on a book of
+    B = beta * K pilots, one block of K per reuse group.  A field that is
+    not an integer >= 1 raises DomainError."""
+
+    n_antennas: int
+    n_users: int
+    reuse_factor: int
+
+    def __post_init__(self):
+        check_fields(self)
+
+    @property
+    def pilot_len(self) -> int:
+        """Pilot book size B = beta * K."""
+        return self.reuse_factor * self.n_users
+
+    def check(self, coherence_block: int, scheme: Scheme = Scheme.MRC) -> None:
+        """Raise PilotOverflow unless the pilot book fits a coherence block of
+        T channel uses (B <= T), InsufficientAntennas unless `scheme` has the
+        antennas for K users (`max_users`), and DomainError unless `scheme`
+        is a Scheme."""
+        if not isinstance(scheme, Scheme):
+            raise DomainError(f"scheme must be a Scheme, got {scheme!r}")
+        pilot_len = self.pilot_len
+        if pilot_len > coherence_block:
+            raise PilotOverflow(
+                f"pilot length {pilot_len} exceeds coherence block {coherence_block}")
+        if max_users(self.n_antennas, scheme, self.reuse_factor,
+                     coherence_block) < self.n_users:
+            raise InsufficientAntennas(
+                f"zero-forcing over B={pilot_len} pilots needs N > B, "
+                f"got N={self.n_antennas}")
 
 
 def config_from_dict(data: dict) -> NetworkConfig:

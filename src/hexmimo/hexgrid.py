@@ -25,10 +25,6 @@ from .errors import DomainError, UnsupportedReuse
 
 SQRT3 = math.sqrt(3.0)
 
-# Lattice basis for a unit-radius grid, as columns of a 2x2 matrix.
-_BASIS = np.array([[1.5, 0.0],
-                   [SQRT3 / 2.0, SQRT3]])
-
 # Corners of the unit hexagon centered at the origin.
 _CORNERS = np.array([(math.cos(k * math.pi / 3.0), math.sin(k * math.pi / 3.0))
                      for k in range(6)])
@@ -57,9 +53,17 @@ class CellIndex(NamedTuple):
     a2: int
 
 
+def cell_centers(cells) -> np.ndarray:
+    """(n, 2) BS positions of `cells` on the unit-radius grid, elementwise:
+    a BLAS product may fuse a multiply-add, and whether it does depends on
+    the host's kernel."""
+    a = np.array(cells, dtype=float).reshape(-1, 2)
+    return np.stack((1.5 * a[:, 0], SQRT3 / 2.0 * a[:, 0] + SQRT3 * a[:, 1]), axis=1)
+
+
 def bs_position(cell: CellIndex, radius: float) -> np.ndarray:
     """Position of the BS of `cell` on a grid with cell radius `radius`."""
-    return radius * (_BASIS @ np.array([cell.a1, cell.a2], dtype=float))
+    return radius * cell_centers([cell])[0]
 
 
 def tier_of(cell: CellIndex) -> int:
@@ -182,10 +186,9 @@ def worst_case_positions(cells) -> np.ndarray:
     (the Euclidean projection of an exterior point onto a convex polygon)."""
     if (0, 0) in cells:
         raise DomainError("own cell has no worst-case interferer position")
-    a = np.array(cells, dtype=float).reshape(-1, 2)
-    corners = (a[:, :1] * _BASIS[:, 0] + a[:, 1:] * _BASIS[:, 1])[:, None] + _CORNERS
+    corners = cell_centers(cells)[:, None] + _CORNERS
     edges = np.roll(_CORNERS, -1, axis=0) - _CORNERS             # corner k to k + 1
     t = np.clip(-(corners * edges).sum(axis=2) / (edges * edges).sum(axis=1), 0.0, 1.0)
     points = corners + t[..., None] * edges                      # (n, edge, 2)
     nearest = (points * points).sum(axis=2).argmin(axis=1)
-    return points[np.arange(len(a)), nearest]
+    return points[np.arange(len(points)), nearest]

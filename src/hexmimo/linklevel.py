@@ -65,20 +65,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import InterferenceMode, NetworkConfig
+from .config import InterferenceMode, NetworkConfig, Schedule, Scheme
 from .errors import DomainError
-from .hexgrid import (CellIndex, bs_position, reuse_group, sample_ue_positions,
+from .hexgrid import (CellIndex, cell_centers, reuse_group, sample_ue_positions,
                       sorted_tier_set, worst_case_positions)
-from .pilots import Schedule
-from .spectral import Scheme
 
 _CHUNK_ELEMS = 1 << 14  # caps the elements of a chunk's largest arrays
 
 
 def _layout(cells, reuse_factor: int):
     """Static per-cell metadata: centers (at unit radius) and reuse groups."""
-    return (np.stack([bs_position(c, 1.0) for c in cells]),
-            np.array([reuse_group(c, reuse_factor) for c in cells]))
+    return cell_centers(cells), np.array([reuse_group(c, reuse_factor) for c in cells])
 
 
 def _squared_distances(positions: np.ndarray, centers: np.ndarray):
@@ -151,7 +148,7 @@ def measure_sinr(config: NetworkConfig, schedule: Schedule, cells,
     """
     if not (isinstance(mode, InterferenceMode) and isinstance(scheme, Scheme)):
         raise DomainError(f"mode and scheme must be enum members, got {mode!r}, {scheme!r}")
-    schedule.check(config.coherence_block, zero_forcing=scheme is Scheme.PZFC)
+    schedule.check(config.coherence_block, scheme)
     cells = sorted_tier_set(cells)
     n, b, k, beta = (schedule.n_antennas, schedule.pilot_len, schedule.n_users,
                      schedule.reuse_factor)
@@ -226,7 +223,7 @@ def measure_sinr(config: NetworkConfig, schedule: Schedule, cells,
         pow_sum += power.sum(axis=0)
         gn_sum += gn.sum()
         d_sum += denom.sum()
-        d_sq_sum += denom @ denom
+        d_sq_sum += np.einsum("r,r", denom, denom)  # not BLAS, as in the moments
     d_mean = d_sum / n_realizations
     d_var = max(0.0, (d_sq_sum - d_sum * d_mean) / (n_realizations - 1))
     # s1^2 / mean(D) by the delta method: s1 is exact, so only mean(D) varies

@@ -23,22 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .config import NetworkConfig
+from .config import NetworkConfig, Schedule, Scheme
 from .errors import DomainError, InsufficientAntennas
 from .hexgrid import reuse_group
 from .moments import MomentTable
-from .pilots import Schedule
-
-
-class Scheme(Enum):
-    """Receive combining scheme."""
-
-    MRC = "mrc"
-    PZFC = "pzfc"
 
 
 @dataclass(frozen=True)
@@ -60,10 +51,7 @@ class SinrInputs:
     scheme: Scheme = Scheme.MRC
 
     def __post_init__(self):
-        if not isinstance(self.scheme, Scheme):
-            raise DomainError(f"scheme must be a Scheme, got {self.scheme!r}")
-        self.schedule.check(self.config.coherence_block,
-                            zero_forcing=self.scheme is Scheme.PZFC)
+        self.schedule.check(self.config.coherence_block, self.scheme)
 
 
 @dataclass(frozen=True)

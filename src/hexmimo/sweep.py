@@ -2,8 +2,8 @@
 
 For every antenna count N the sweep evaluates the closed-form per-cell SE of
 each feasible (K, beta) pair and each combining scheme, in each interference
-mode, and records the argmax.  Feasibility (`max_users`): beta * K <= T
-always, and N > beta * K for the zero-forcing combiner.  Ties are broken
+mode, and records the argmax.  Feasibility is `config.max_users`: beta * K
+<= T always, and N > beta * K for the zero-forcing combiner.  Ties are broken
 toward smaller K, then smaller beta (fewer scheduled users and less pilot
 overhead at equal SE).
 
@@ -38,11 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._floatrepr import float_reprs, int_digits
-from .config import InterferenceMode, NetworkConfig
+from .config import InterferenceMode, NetworkConfig, Scheme, max_users
 from .errors import DomainError, EmptyFeasibleSet
 from .moments import MomentTable
-from .spectral import (CopilotSums, Scheme, mrc_sinr_from_sums,
-                       pzfc_sinr_from_sums, se_from_sinr)
+from .spectral import CopilotSums, mrc_sinr_from_sums, pzfc_sinr_from_sums, se_from_sinr
 
 # what varies within a run, besides the K it implies: one record per evaluated point
 ROW_DTYPE = np.dtype([("sinr", np.float64), ("se", np.float64)])
@@ -89,13 +88,6 @@ def default_k_grid(coherence_block: int) -> range:
     """User counts 1 .. ceil(T/2); beyond T/2 every SE factor is decreasing.
     A range, so that a slice caps it without listing its T/2 counts."""
     return range(1, (coherence_block + 1) // 2 + 1)
-
-
-def max_users(n: int, scheme: Scheme, beta: int, t_block: int) -> int:
-    """The largest K that `scheme` can schedule at (N, beta): beta * K <= T
-    pilots fit the coherence block, and zero-forcing needs N > beta * K."""
-    k_max = t_block // beta
-    return min(k_max, (n - 1) // beta) if scheme is Scheme.PZFC else k_max
 
 
 def _run_of(result: SweepResult, rows):

@@ -36,14 +36,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from hexmimo.config import InterferenceMode, NetworkConfig
+from hexmimo.config import InterferenceMode, NetworkConfig, Schedule
 from hexmimo.errors import InsufficientAntennas
 from hexmimo.hexgrid import (CellIndex, bs_position, cells_in_tier, reuse_group,
                              sample_ue_positions, sorted_tier_set,
                              worst_case_positions)
 from hexmimo.linklevel import (_CHUNK_ELEMS, MeasuredSinr, _measured,
                                _squared_distances)
-from hexmimo.pilots import Schedule
 from hexmimo.spectral import Scheme, SinrInputs
 
 
@@ -530,7 +529,7 @@ def xi_measure_sinr(config: NetworkConfig, schedule: Schedule, cells,
 
     A drawn ||v||^2 that is zero or not finite is a singular W_q (or a zero
     MRC direction) and raises RankDeficient."""
-    schedule.check(config.coherence_block, zero_forcing=scheme is Scheme.PZFC)
+    schedule.check(config.coherence_block, scheme)
     cells = sorted_tier_set(cells)
     centers, cols = _user_layout(schedule, cells)
     pinned = _pinned_positions(cells, mode)

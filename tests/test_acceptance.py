@@ -13,10 +13,9 @@ import time
 import numpy as np
 import pytest
 
-from hexmimo.config import InterferenceMode, NetworkConfig
+from hexmimo.config import InterferenceMode, NetworkConfig, Schedule
 from hexmimo.hexgrid import CellIndex
 from hexmimo.linklevel import measure_sinr
-from hexmimo.pilots import Schedule
 from hexmimo.spectral import (Scheme, SinrInputs, asymptotic_sinr,
                               kstar_asymptotic, sinr)
 from hexmimo.sweep import default_k_grid, default_n_grid, optimal_schedule, sweep

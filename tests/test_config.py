@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -6,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexmimo.config import (InterferenceMode, NetworkConfig, config_from_dict,
-                            db_to_linear, fits, load_config)
+from hexmimo.config import (HEX_REUSE_FACTORS, InterferenceMode, NetworkConfig,
+                            Schedule, Scheme, config_from_dict, db_to_linear,
+                            fits, load_config, max_users)
 from hexmimo.errors import (DomainError, InsufficientAntennas, PilotOverflow,
                             UnsupportedReuse)
-from hexmimo.pilots import Schedule
-from hexmimo.spectral import Scheme, SinrInputs, se_per_cell
+from hexmimo.spectral import SinrInputs, se_per_cell
 
 
 def base_config(**overrides):
@@ -40,11 +41,35 @@ def test_pilot_overflow():
         schedule.check(1000)  # B = 1200 > T = 1000
 
 
-def test_insufficient_antennas_for_zero_forcing():
+def test_insufficient_antennas_for_pzfc():
     schedule = base_schedule(n_antennas=30, n_users=10, reuse_factor=4)
     schedule.check(1000)  # fine without zero forcing
     with pytest.raises(InsufficientAntennas):
-        schedule.check(1000, zero_forcing=True)  # B = 40 >= N = 30
+        schedule.check(1000, Scheme.PZFC)  # B = 40 >= N = 30
+
+
+def test_check_takes_a_scheme_member():
+    # a stale boolean is not read as a scheme (False would run the MRC
+    # rule), and the keyword that once took it is gone
+    schedule = base_schedule(n_antennas=30, n_users=10, reuse_factor=4)
+    for scheme in (True, False, "pzfc"):
+        with pytest.raises(DomainError, match="scheme must be a Scheme"):
+            schedule.check(1000, scheme)
+    with pytest.raises(TypeError):
+        schedule.check(1000, zero_forcing=True)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("t_block", [20, 60])
+def test_check_and_max_users_agree(scheme, t_block):
+    # a schedule runs exactly when its K is at most the sweep's largest K
+    for n, k, beta in itertools.product(range(1, 41), range(1, 13), HEX_REUSE_FACTORS):
+        try:
+            Schedule(n, k, beta).check(t_block, scheme)
+            runs = True
+        except (PilotOverflow, InsufficientAntennas):
+            runs = False
+        assert runs == (k <= max_users(n, scheme, beta, t_block)), (n, k, beta)
 
 
 @pytest.mark.parametrize("field,value", [

@@ -18,10 +18,9 @@ import pytest
 
 import hexmimo
 from hexmimo.cli import RunManifest
-from hexmimo.config import NetworkConfig
+from hexmimo.config import NetworkConfig, Schedule
 from hexmimo.linklevel import MeasuredSinr
 from hexmimo.moments import MomentEntry, MomentTable
-from hexmimo.pilots import Schedule
 from hexmimo.spectral import CopilotSums, SeResult
 from hexmimo.sweep import SweepResult
 
@@ -43,7 +42,7 @@ UNREACHED = {
 # the functions whose reads of a field do not count as uses: the checks of
 # field values (the manifest's serializer reads every field too, but through
 # `dataclasses.asdict`, whose reads are not the library's)
-NOT_USES = {("config", "__post_init__"), ("pilots", "check"), ("cli", "__post_init__")}
+NOT_USES = {("config", "__post_init__"), ("config", "check"), ("cli", "__post_init__")}
 
 # the records whose fields a run must read
 RECORDS = (NetworkConfig, Schedule, RunManifest, MeasuredSinr, SeResult, SweepResult,
@@ -203,17 +202,63 @@ def test_no_library_module_imports_a_name_it_does_not_use():
 def test_unused_import_check_sees_stale_and_used_names():
     tree = ast.parse("from __future__ import annotations\n"
                      "import numpy as np\nimport os.path\n"
-                     "from .pilots import Schedule, inner_product\n"
+                     "from .config import Schedule, inner_product\n"
                      "from .spectral import sinr\n"
                      "__all__ = ['sinr']\n"
                      "def f(schedule: Schedule):\n    return os.path.join\n")
     assert _unused_imports(tree) == {"np", "inner_product"}
 
 
+# the numpy names that reach BLAS or LAPACK, whose kernel, and so whose
+# rounding, OpenBLAS picks by the host's CPU
+_BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "linalg"}
+
+
+def _blas_uses(tree) -> list[int]:
+    """Lines of `tree` that reach BLAS: a `@`, an attribute or an imported
+    name in `_BLAS_NAMES`, or an `einsum` told to optimize (an optimized
+    contraction may run through `tensordot`)."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            hit = isinstance(node.op, ast.MatMult)
+        elif isinstance(node, ast.Attribute):
+            hit = node.attr in _BLAS_NAMES
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names] + [getattr(node, "module", None) or ""]
+            hit = any(_BLAS_NAMES.intersection(name.split(".")) for name in names)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            hit = (getattr(func, "attr", getattr(func, "id", None)) == "einsum"
+                   and any(kw.arg == "optimize" for kw in node.keywords))
+        else:
+            continue
+        if hit:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_no_library_arithmetic_goes_through_blas():
+    # the outputs are pinned to the bit, so no sum may take the rounding of
+    # whichever BLAS kernel the host selects
+    uses = [f"{path.name}:{line}" for _, path, tree in _modules()
+            for line in _blas_uses(tree)]
+    assert not uses, f"BLAS in deterministic arithmetic: {uses}"
+
+
+def test_blas_check_sees_every_route():
+    tree = ast.parse("import numpy as np\nimport numpy.linalg\n"
+                     "from numpy import dot, vdot\nfrom numpy.linalg import norm\n"
+                     "a = b @ c\na @= b\nnp.inner(a, b)\na.matmul(b)\n"
+                     "np.tensordot(a, b)\nnp.einsum('i,i', a, b, optimize=True)\n"
+                     "np.einsum('i,i', a, b)\ndot = a * b\n")
+    assert _blas_uses(tree) == [2, 3, 4, 5, 6, 7, 8, 9, 10]
+
+
 # the submodules a bare `import hexmimo` bound as attributes when the
 # package imported them eagerly; library code written then still reaches them
 _SUBMODULES = ("_floatrepr", "config", "errors", "hexgrid", "linklevel", "moments",
-               "pilots", "spectral", "sweep")
+               "spectral", "sweep")
 
 _IMPORT_ONLY = r'''
 import json, os, sys, types

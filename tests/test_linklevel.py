@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hexmimo.config import InterferenceMode, NetworkConfig, db_to_linear
+from hexmimo.config import InterferenceMode, NetworkConfig, Schedule, db_to_linear
 from hexmimo.errors import DomainError, PilotOverflow
 from hexmimo.hexgrid import (CellIndex, bs_position, reuse_group, sorted_tier_set,
                              worst_case_positions)
@@ -12,7 +12,6 @@ from hexmimo import linklevel
 from hexmimo.cli import _validation_fixtures
 from hexmimo.linklevel import _layout, _pilot_sums, measure_sinr
 from hexmimo.moments import build_table
-from hexmimo.pilots import Schedule
 from hexmimo.spectral import Scheme, SinrInputs, sinr
 from hexmimo.sweep import default_k_grid, optimal_schedule, sweep
 from scipy import stats

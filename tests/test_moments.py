@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -207,6 +210,8 @@ def test_serialization_rejects_unknown_format(tmp_path):
 _TABLE_DIGESTS = {
     3: {AVG: "c43a1666c5de1faafec2de9e6f2c19ebbd749eef5bf40fffec1a1876af75a4c4",
         WORST: "76ad6d34ea604c4a76cdf8108a478d7ba4d5dfe4ec1a95b82df4a2595a4a2d19"},
+    4: {AVG: "6d49351d3dd250c9a3c032009888a0025c0220396578216b9e0aa73771c6152e",
+        WORST: "17b110cba1926d9c8e560b1447abec5ea9db402d92bae1daf5ffe83b3298d3ad"},
 }
 
 
@@ -220,6 +225,38 @@ def test_table_version_pins_the_numbers(fullres_tables, mode):
         f"the {mode.value} table's numbers moved ({digest}): bump "
         "hexmimo.moments._VERSION so that cached tables are rebuilt, and pin "
         "the new digest in _TABLE_DIGESTS")
+
+
+# both tables and a small validation report, each as the sha256 of its JSON
+_HOST_DIGESTS = r'''
+import hashlib, json
+from hexmimo.cli import run_validation
+from hexmimo.config import InterferenceMode, NetworkConfig
+from hexmimo.moments import build_table
+
+tables = {mode: build_table(3.5, mode) for mode in InterferenceMode}
+records = {mode.value: table.to_dict() for mode, table in tables.items()}
+records["validation"] = run_validation(NetworkConfig(1000, 10.0), tables, 0, 400)
+print(json.dumps({name: hashlib.sha256(json.dumps(record).encode()).hexdigest()
+                  for name, record in records.items()}))
+'''
+
+
+def test_numbers_do_not_depend_on_the_blas_kernel():
+    # OpenBLAS picks its kernels by CPU, and a kernel may fuse a multiply-add
+    # that another rounds twice; the tables and the oracle stay off BLAS, so
+    # an older kernel forced on this host moves no bit
+    package = os.path.dirname(os.path.dirname(os.path.abspath(hexmimo.moments.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package, os.environ.get("PYTHONPATH")])))
+    env.pop("OPENBLAS_CORETYPE", None)
+    digests = []
+    for coretype in ({}, {"OPENBLAS_CORETYPE": "Nehalem"}):
+        proc = subprocess.run([sys.executable, "-c", _HOST_DIGESTS], env={**env, **coretype},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(json.loads(proc.stdout))
+    assert digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("edit", [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hexmimo.hexgrid import CellIndex, bs_position, cells_in_tier, reuse_group
-from hexmimo.pilots import Schedule
+from hexmimo.config import Schedule
 
 from reference import assign, cells_within_tier, inner_product
 

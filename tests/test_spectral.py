@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from hexmimo.config import InterferenceMode, NetworkConfig
+from hexmimo.config import InterferenceMode, NetworkConfig, Schedule
 from hexmimo.errors import DomainError, InsufficientAntennas, PilotOverflow
 from hexmimo.hexgrid import CellIndex
 from hexmimo.linklevel import measure_sinr
 from hexmimo.moments import MomentEntry, MomentTable
-from hexmimo.pilots import Schedule
 from hexmimo.spectral import (CopilotSums, Scheme, SinrInputs, asymptotic_se,
                               asymptotic_sinr, kstar_asymptotic,
                               mrc_sinr_from_sums, pzfc_sinr_from_sums,

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 import hexmimo.sweep as sweep_module
-from hexmimo.config import InterferenceMode, NetworkConfig
+from hexmimo.config import InterferenceMode, NetworkConfig, Schedule
 from hexmimo.errors import EmptyFeasibleSet
-from hexmimo.pilots import Schedule
 from hexmimo.spectral import (CopilotSums, Scheme, SinrInputs, asymptotic_sinr,
                               kstar_asymptotic, mrc_sinr_from_sums, pzfc_sinr_from_sums,
                               se_from_sinr, sinr)
